@@ -18,10 +18,8 @@ from .locc import (ImpossibleOutcomeError, LocalOperator, Povm, Transcript,
                    trial_seeds)
 from .blocks import (BlockDecomposition, BlockEntry, BlockIndex, block_state,
                      block_probability, block_yields, decompose,
-                     iter_block_counts, log2_binomial, log2_factorial,
-                     log2_multinomial, multinomial_exact,
-                     total_block_probability, verify_block_equivalence,
-                     zero_position_rows)
+                     iter_block_counts, log2_multinomial, multinomial_exact,
+                     verify_block_equivalence, zero_position_rows)
 from .extraction import (Rates, YieldReport, asymptotic_rates,
                          block_measurement_povm, entropy_consistency,
                          expected_yields, run_extraction)
@@ -44,14 +42,14 @@ __all__ = [
     "diagonal_operator", "entanglement_entropy", "entropy",
     "entropy_consistency", "epr", "expected_yields", "fidelity",
     "fidelity_bound", "ghz", "ghz_weighting_povm", "identity_operator",
-    "inner", "iter_block_counts", "level_epr", "level_ghz", "log2_binomial",
-    "log2_factorial", "log2_multinomial", "multinomial_exact",
-    "outcome_probabilities", "permutation_operator", "prepare_approx",
-    "prepare_exact_n2", "projector_onto_labels", "psi", "psi_general",
-    "psi_prime", "psi_prime_spec", "psi_spec", "random_spec",
-    "reduced_density", "relabel", "resource_count", "row_shorten_povm",
-    "run_extraction", "sample", "spec_from_dict", "spec_from_json",
-    "spec_matches_state", "spec_to_dict", "spec_to_json", "states_equal",
-    "target_window", "tensor", "total_block_probability", "trial_seeds",
-    "verify_block_equivalence", "zero_position_rows",
+    "inner", "iter_block_counts", "level_epr", "level_ghz",
+    "log2_multinomial", "multinomial_exact", "outcome_probabilities",
+    "permutation_operator", "prepare_approx", "prepare_exact_n2",
+    "projector_onto_labels", "psi", "psi_general", "psi_prime",
+    "psi_prime_spec", "psi_spec", "random_spec", "reduced_density",
+    "relabel", "resource_count", "row_shorten_povm", "run_extraction",
+    "sample", "spec_from_dict", "spec_from_json", "spec_matches_state",
+    "spec_to_dict", "spec_to_json", "states_equal", "target_window",
+    "tensor", "trial_seeds", "verify_block_equivalence",
+    "zero_position_rows",
 ]

@@ -30,32 +30,37 @@ from .canonical import StateSpec, level_epr, level_ghz
 EXACT_N_MAX = 30
 LN2 = math.log(2.0)
 DECOMPOSE_MAX_ENTRIES = 200_000
+_FACTORIALS = tuple(math.factorial(j) for j in range(EXACT_N_MAX + 1))
 
 
-def log2_factorial(n: int) -> float:
-    if n <= EXACT_N_MAX:
-        return math.log2(math.factorial(n))
-    return math.lgamma(n + 1) / LN2
+def _log2_factorial_ratio(top, *bottoms) -> np.ndarray:
+    """log2(top! / prod(b!)) elementwise over broadcast integer arrays.
 
-
-def log2_binomial(n: int, k: int) -> float:
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial index {k} outside 0..{n}")
-    if n <= EXACT_N_MAX:
-        return math.log2(math.comb(n, k))
-    return (math.lgamma(n + 1) - math.lgamma(k + 1)
-            - math.lgamma(n - k + 1)) / LN2
+    The package's one log-combinatorics rule: log2 of the exact integer
+    where top <= EXACT_N_MAX, gammaln above. Callers keep every b <= top.
+    """
+    top = np.asarray(top)
+    out = gammaln(top + 1.0)
+    for b in bottoms:
+        out = out - gammaln(b + 1.0)
+    out = np.asarray(out / LN2)
+    small = top <= EXACT_N_MAX
+    if small.any():
+        small = np.broadcast_to(small, out.shape)
+        cols = [np.broadcast_to(x, out.shape)[small].tolist()
+                for x in (top, *bottoms)]
+        out[small] = [
+            math.log2(_FACTORIALS[t] // math.prod(_FACTORIALS[k] for k in ks))
+            for t, *ks in zip(*cols)]
+    return out
 
 
 def log2_binomial_array(n: int, ks) -> np.ndarray:
-    ks = np.asarray(ks)
+    """log2 C(n, k) for every entry of ``ks``."""
+    ks = np.asarray(ks, dtype=np.int64)
     if np.any((ks < 0) | (ks > n)):
         raise ValueError(f"binomial index outside 0..{n}")
-    if n <= EXACT_N_MAX:
-        return np.array([math.log2(math.comb(n, int(k))) for k in ks.ravel()],
-                        dtype=float).reshape(ks.shape)
-    kf = ks.astype(float)
-    return (gammaln(n + 1) - gammaln(kf + 1) - gammaln(n - kf + 1)) / LN2
+    return _log2_factorial_ratio(n, ks, n - ks)
 
 
 def multinomial_exact(counts) -> int:
@@ -67,15 +72,14 @@ def multinomial_exact(counts) -> int:
     return out
 
 
-def log2_multinomial(counts) -> float:
-    counts = tuple(int(k) for k in counts)
-    if any(k < 0 for k in counts):
+def log2_multinomial(counts):
+    """log2(N! / prod k_i!) over the last axis of an integer count array,
+    N being the sum along that axis; a scalar for one count vector."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if np.any(counts < 0):
         raise ValueError(f"negative count in {counts}")
-    n = sum(counts)
-    if n <= EXACT_N_MAX:
-        return math.log2(multinomial_exact(counts))
-    return (math.lgamma(n + 1)
-            - sum(math.lgamma(k + 1) for k in counts)) / LN2
+    return _log2_factorial_ratio(counts.sum(axis=-1),
+                                 *np.moveaxis(counts, -1, 0))[()]
 
 
 @dataclass(frozen=True)
@@ -110,30 +114,31 @@ def iter_block_counts(n: int, num_components: int):
             yield (first,) + rest
 
 
-def block_probability(n: int, idx, coeffs_sq) -> float:
+def _log2_block_probabilities(counts: np.ndarray, coeffs_sq) -> np.ndarray:
+    """block_probability for every row of a count matrix; the per-component
+    terms are added in component order."""
+    out = log2_multinomial(counts)
+    dead = np.zeros(out.shape, dtype=bool)
+    for k, c in zip(counts.T, coeffs_sq):
+        if c == 0.0:
+            dead |= k > 0
+        else:
+            out = out + k * math.log2(c)
+    out[dead] = -math.inf
+    return out
+
+
+def block_probability(n: int, counts: tuple[int, ...], coeffs_sq) -> float:
     """log2 of multinomial(n; counts) * prod(coeffs_sq ** counts)."""
     coeffs_sq = tuple(float(c) for c in coeffs_sq)
     if abs(sum(coeffs_sq) - 1.0) > 1e-9:
         raise ValueError(f"squared coefficients sum to {sum(coeffs_sq)}, not 1")
-    if isinstance(idx, BlockIndex):
-        counts = idx.counts
-    elif isinstance(idx, (int, np.integer)):
-        if len(coeffs_sq) != 2:
-            raise ValueError("integer index is only the 2-component shorthand")
-        counts = (int(idx), n - int(idx))
-    else:
-        counts = tuple(int(k) for k in idx)
+    counts = tuple(int(k) for k in counts)
     if sum(counts) != n:
         raise ValueError(f"counts {counts} do not sum to {n}")
     if len(counts) != len(coeffs_sq):
         raise ValueError("count vector and coefficient vector lengths differ")
-    out = log2_multinomial(counts)
-    for k, c in zip(counts, coeffs_sq):
-        if k:
-            if c == 0.0:
-                return -math.inf
-            out += k * math.log2(c)
-    return out
+    return float(_log2_block_probabilities(np.array([counts]), coeffs_sq)[0])
 
 
 @dataclass(frozen=True)
@@ -219,11 +224,12 @@ def decompose(spec: StateSpec, n: int,
             key = tuple(counts)
             projected[key] = projected.get(key, 0.0) + abs(amp) ** 2
 
+    rows = list(iter_block_counts(n, ncomp))
+    logps = _log2_block_probabilities(np.array(rows), coeffs_sq).tolist()
     entries = []
-    for counts in iter_block_counts(n, ncomp):
+    for counts, logp in zip(rows, logps):
         coeff = math.prod(c**k for c, k in zip(coeffs, counts))
         mult = multinomial_exact(counts)
-        logp = block_probability(n, counts, coeffs_sq)
         if projected is not None:
             norm = math.sqrt(projected.get(counts, 0.0))
             if abs(norm - coeff * math.sqrt(mult)) > tol:
@@ -237,37 +243,6 @@ def decompose(spec: StateSpec, n: int,
         if stray:
             raise ValueError(f"state support outside every block: {stray}")
     return BlockDecomposition(n, tuple(entries))
-
-
-def total_block_probability(spec: StateSpec, n: int) -> float:
-    """Sum of exp2(log2 probability) over every block (streaming)."""
-    coeffs_sq = spec.squared_coefficients()
-    ncomp = len(coeffs_sq)
-    if ncomp == 2:
-        ks = np.arange(n + 1, dtype=float)
-        logp = log2_binomial_array(n, np.arange(n + 1))
-        c0, c1 = coeffs_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = logp + np.where(ks > 0, ks * np.log2(c0) if c0 > 0 else -np.inf, 0.0)
-            logp = logp + np.where(n - ks > 0,
-                                   (n - ks) * np.log2(c1) if c1 > 0 else -np.inf, 0.0)
-        return float(np.exp2(logp[logp > -np.inf]).sum())
-    log_cs = [math.log2(c) if c > 0 else -math.inf for c in coeffs_sq]
-    lg = [math.lgamma(k + 1) / LN2 for k in range(n + 1)]
-    total = 0.0
-    for counts in iter_block_counts(n, ncomp):
-        logp = lg[n]
-        dead = False
-        for k, lc in zip(counts, log_cs):
-            if k:
-                if lc == -math.inf:
-                    dead = True
-                    break
-                logp += k * lc - lg[k]
-            # k = 0 contributes no factor
-        if not dead:
-            total += 2.0**logp
-    return total
 
 
 # -- canonical labeling of the 2-component seed's blocks --------------------
@@ -304,6 +279,16 @@ def row_bc_label(n: int, zeros: tuple[int, ...], e: int) -> int:
     return label
 
 
+def block_rows(n: int, k_minus: int, k_plus: int):
+    """Every row of blocks k_minus..k_plus, blocks ascending and rows
+    lexicographic within a block, as (k, Alice's label, Bob's (= Claire's)
+    labels in within-row order)."""
+    for k in range(k_minus, k_plus + 1):
+        for zeros in zero_position_rows(n, k):
+            yield (k, row_a_label(n, zeros),
+                   [row_bc_label(n, zeros, e) for e in range(2 ** (n - k))])
+
+
 def block_state(n: int, k: int) -> PureState:
     """The normalized (n, k) block of the seed state's N-copy power:
     r*t equal amplitudes on dims (2**n, 3**n, 3**n)."""
@@ -314,12 +299,8 @@ def block_state(n: int, k: int) -> PureState:
     if r * t > EXPLICIT_BUDGET:
         raise BudgetError(f"block support {r * t} exceeds the explicit budget")
     amp = 1.0 / math.sqrt(r * t)
-    amps = {}
-    for zeros in zero_position_rows(n, k):
-        a = row_a_label(n, zeros)
-        for e in range(r):
-            bc = row_bc_label(n, zeros, e)
-            amps[(a, bc, bc)] = amp
+    amps = {(a, bc, bc): amp for _, a, bcs in block_rows(n, k, k)
+            for bc in bcs}
     return PureState((2**n, 3**n, 3**n), amps)
 
 
@@ -336,36 +317,41 @@ def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:
     rows = level_ghz(t, (0, 1, 2))
     joint = tensor(pair, rows)  # labels (g, e*t+g, e*t+g)
 
-    zrows = zero_position_rows(n, k)
-    a_map = {g: row_a_label(n, zeros) for g, zeros in enumerate(zrows)}
-    bc_map = {}
-    for g, zeros in enumerate(zrows):
-        for e in range(r):
-            bc_map[e * t + g] = row_bc_label(n, zeros, e)
+    a_map, bc_map = {}, {}
+    for g, (_, a, bcs) in enumerate(block_rows(n, k, k)):
+        a_map[g] = a
+        for e, bc in enumerate(bcs):
+            bc_map[e * t + g] = bc
     out = relabel(joint, 0, a_map, new_dim=2**n)
     out = relabel(out, 1, bc_map, new_dim=3**n)
     out = relabel(out, 2, bc_map, new_dim=3**n)
     return states_equal(out, block_state(n, k), tol)
 
 
-def block_yields(idx, spec: StateSpec) -> dict[tuple[int, ...], float]:
+def _block_yield_table(counts: np.ndarray, spec: StateSpec
+                       ) -> dict[tuple[int, ...], np.ndarray]:
+    """block_yields for every row of a count matrix; each subset's
+    per-component units are added in component order."""
+    full = tuple(range(spec.party_count))
+    out = {full: log2_multinomial(counts)}
+    for comp, k in zip(spec.components, counts.T):
+        if len(comp.support) >= 2:
+            out[comp.support] = (out.get(comp.support, 0.0)
+                                 + k * math.log2(comp.level))
+    return out
+
+
+def block_yields(counts: tuple[int, ...],
+                 spec: StateSpec) -> dict[tuple[int, ...], float]:
     """Canonical units produced by landing in one block.
 
     Keys are party subsets; each entangled component's support earns
     counts * log2(level) units, and the full party set earns log2(row
     multiplicity) GHZ-type units (plus any full-support component units).
     """
-    counts = idx.counts if isinstance(idx, BlockIndex) else tuple(idx)
+    counts = tuple(counts)
     if len(counts) != len(spec.components):
         raise ValueError(
             f"count vector length {len(counts)} != {len(spec.components)} components")
-    full = tuple(range(spec.party_count))
-    out: dict[tuple[int, ...], float] = {full: 0.0}
-    for comp in spec.components:
-        if len(comp.support) >= 2:
-            out.setdefault(comp.support, 0.0)
-    out[full] += log2_multinomial(counts)
-    for comp, k in zip(spec.components, counts):
-        if len(comp.support) >= 2 and k:
-            out[comp.support] += k * math.log2(comp.level)
-    return out
+    table = _block_yield_table(np.array([counts]), spec)
+    return {s: float(v[0]) for s, v in table.items()}

@@ -36,6 +36,27 @@ class UsageError(Exception):
     """Bad flags or malformed state input (exit code 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every argparse refusal as a UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _at_least(lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {lowest}, got {value}")
+        return value
+    return parse
+
+
 def _letters(subset) -> str:
     return "".join(chr(ord("A") + p) for p in subset)
 
@@ -68,12 +89,9 @@ def _emit_table(header, rows, args) -> None:
 
 
 def _write_transcript(transcript: Transcript | None, args) -> None:
-    if not args.transcript:
-        return
-    if transcript is None:
-        raise UsageError("--transcript needs a sampling run (--trials > 0)")
-    with open(args.transcript, "w") as fh:
-        fh.write(transcript.to_text())
+    if args.transcript:
+        with open(args.transcript, "w") as fh:
+            fh.write(transcript.to_text())
 
 
 def _renormalize(cs) -> tuple[float, ...]:
@@ -97,9 +115,6 @@ def _renormalize(cs) -> tuple[float, ...]:
 
 
 def _load_spec(args) -> StateSpec:
-    given = sum(x is not None for x in (args.psi, args.psi_prime, args.spec))
-    if given != 1:
-        raise UsageError("exactly one of --psi, --psi-prime, --spec required")
     try:
         if args.psi is not None:
             return psi_spec(*_renormalize(args.psi))
@@ -107,29 +122,8 @@ def _load_spec(args) -> StateSpec:
             return psi_prime_spec(*_renormalize(args.psi_prime))
         with open(args.spec) as fh:
             return spec_from_json(fh.read())
-    except UsageError:
-        raise
-    except (ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as e:
+    except (ValueError, KeyError, TypeError, OSError) as e:
         raise UsageError(f"bad state specification: {e}")
-
-
-def _seed_amplitudes(args) -> tuple[float, float]:
-    if args.psi is None:
-        raise UsageError(
-            "this subcommand works on the 2-component seed: pass --psi C0 C1")
-    pair = _renormalize(args.psi)
-    if len(pair) != 2:
-        raise UsageError("--psi takes exactly two amplitudes")
-    return pair
-
-
-def _require_n(args) -> int:
-    if args.n is None:
-        raise UsageError("-N is required for this subcommand")
-    if args.n < 1:
-        raise UsageError(f"-N must be >= 1, got {args.n}")
-    return args.n
 
 
 def cmd_rates(args) -> int:
@@ -146,7 +140,7 @@ def cmd_rates(args) -> int:
 
 def cmd_extract(args) -> int:
     spec = _load_spec(args)
-    n = _require_n(args)
+    n = args.n
     expected = expected_yields(spec, n)
     empirical = stderr = None
     transcript = None
@@ -168,15 +162,15 @@ def cmd_extract(args) -> int:
     rows.append((n, _letters(full), expected.ghz_per_copy,
                  None if empirical is None else empirical[full],
                  None if stderr is None else stderr[full]))
+    _write_transcript(transcript, args)
     _emit_table(("N", "subset", "expected", "empirical", "stderr"),
                 rows, args)
-    _write_transcript(transcript, args)
     return EXIT_OK
 
 
 def cmd_prepare(args) -> int:
-    c0, c1 = _seed_amplitudes(args)
-    n = _require_n(args)
+    c0, c1 = _renormalize(args.psi)
+    n = args.n
     branches = args.trials if args.trials > 0 else 1
     seed0 = 0 if args.seed is None else args.seed
     if n == 2:
@@ -202,20 +196,15 @@ def cmd_prepare(args) -> int:
     f = fidelity(n, c0 * c0, window)
     rows = [(n, branches, worst, resources.epr_per_subset[(1, 2)],
              resources.ghz, f, ok)]
+    _write_transcript(combined, args)
     _emit_table(("N", "branches", "max_distance", "epr_BC", "ghz",
                  "fidelity", "ok"), rows, args)
-    _write_transcript(combined, args)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def cmd_fidelity(args) -> int:
-    c0, _ = _seed_amplitudes(args)
-    if args.n_sweep:
-        ns = args.n_sweep
-    elif args.n is not None:
-        ns = [args.n]
-    else:
-        raise UsageError("pass -N or --n-sweep")
+    c0, _ = _renormalize(args.psi)
+    ns = args.n_sweep or [args.n]
     c0_sq = c0 * c0
     rows = []
     for n in ns:
@@ -232,7 +221,7 @@ def cmd_fidelity(args) -> int:
 
 def cmd_blocks(args) -> int:
     spec = _load_spec(args)
-    n = _require_n(args)
+    n = args.n
     decomp = decompose(spec, n)
     ncomp = len(spec.components)
     header = tuple(f"k{i}" for i in range(ncomp)) + (
@@ -308,72 +297,97 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser per subcommand, assembled from shared flag groups, so a
+    flag that does not apply to a subcommand is refused."""
+    copy_count = _at_least(1)
+    psi_flag = dict(nargs=2, type=float, metavar=("C0", "C1"),
+                    help="2-component seed amplitudes")
+    copies_flag = dict(dest="n", type=copy_count, metavar="N",
+                       help="number of copies")
+
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--psi", **psi_flag)
+    group.add_argument("--psi-prime", nargs=4, type=float,
+                       metavar=("C0", "C1", "C2", "C3"),
+                       help="4-component generalization amplitudes")
+    group.add_argument("--spec", metavar="FILE",
+                       help="JSON component-list state file")
+    seed_state = argparse.ArgumentParser(add_help=False)
+    seed_state.add_argument("--psi", required=True, **psi_flag)
+    copies = argparse.ArgumentParser(add_help=False)
+    copies.add_argument("-N", "--copies", required=True, **copies_flag)
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--alpha", type=float, default=1.0,
+                        help="window half-width scale (default 1)")
+    window.add_argument("--beta", type=float, default=0.6,
+                        help="window half-width exponent (default 0.6)")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--trials", type=_at_least(0), default=0,
+                          help="Monte-Carlo trials / protocol branches")
+    sampling.add_argument("--seed", type=int,
+                          help="root seed (required when --trials > 0)")
+    sampling.add_argument("--transcript", metavar="FILE",
+                          help="write measurement transcript here")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", metavar="FILE",
+                        help="write the table here instead of stdout")
+
+    parser = _Parser(
         prog="eprghz",
         description="Multipartite entanglement interconversion: block "
                     "decompositions, resource yields, and preparation "
                     "protocols for the shared-tripartite state family.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "rates": "asymptotic canonical units per copy",
-        "extract": "finite-N expected and sampled yields",
-        "prepare": "run the preparation protocol and verify its output",
-        "fidelity": "windowed-target fidelity and resource sweep",
-        "blocks": "block decomposition table of the N-copy power",
-        "verify": "run the invariant suites",
+    commands = {
+        "rates": ("asymptotic canonical units per copy", [source, output]),
+        "extract": ("finite-N expected and sampled yields",
+                    [source, copies, sampling, output]),
+        "prepare": ("run the preparation protocol and verify its output",
+                    [seed_state, copies, window, sampling, output]),
+        "fidelity": ("windowed-target fidelity and resource sweep",
+                     [seed_state, window, output]),
+        "blocks": ("block decomposition table of the N-copy power",
+                   [source, copies, output]),
+        "verify": ("run the invariant suites", [output]),
     }
-    for name, desc in descriptions.items():
-        sp = sub.add_parser(name, help=desc)
-        sp.add_argument("--psi", nargs=2, type=float, metavar=("C0", "C1"),
-                        help="2-component seed amplitudes")
-        sp.add_argument("--psi-prime", nargs=4, type=float,
-                        metavar=("C0", "C1", "C2", "C3"),
-                        help="4-component generalization amplitudes")
-        sp.add_argument("--spec", metavar="FILE",
-                        help="JSON component-list state file")
-        sp.add_argument("-N", "--copies", dest="n", type=int, metavar="N",
-                        help="number of copies")
-        sp.add_argument("--n-sweep", metavar="N1,N2,...",
-                        type=lambda s: [int(x) for x in s.split(",")],
-                        help="comma-separated copy counts (fidelity sweep)")
-        sp.add_argument("--alpha", type=float, default=1.0,
-                        help="window half-width scale (default 1)")
-        sp.add_argument("--beta", type=float, default=0.6,
-                        help="window half-width exponent (default 0.6)")
-        sp.add_argument("--trials", type=int, default=0,
-                        help="Monte-Carlo trials / protocol branches")
-        sp.add_argument("--seed", type=int,
-                        help="root seed (required when --trials > 0)")
-        sp.add_argument("--analytic", action="store_true",
-                        help="sample block indices directly (any N)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", metavar="FILE",
-                        help="write the table here instead of stdout")
-        sp.add_argument("--transcript", metavar="FILE",
-                        help="write measurement transcript here")
-        if name == "verify":
-            sp.add_argument("--blocks-max-n", type=int, default=8,
-                            help="largest N for block equivalence (default 8)")
-            sp.add_argument("--negative-control", action="store_true",
-                            help="inject a broken measurement; the "
-                                 "completeness suite must then fail")
+    subs = {name: sub.add_parser(name, help=desc, parents=parents)
+            for name, (desc, parents) in commands.items()}
+
+    subs["extract"].add_argument(
+        "--analytic", action="store_true",
+        help="sample block indices directly (any N)")
+    sweep = subs["fidelity"].add_mutually_exclusive_group(required=True)
+    sweep.add_argument("-N", "--copies", **copies_flag)
+    sweep.add_argument("--n-sweep", metavar="N1,N2,...",
+                       type=lambda s: [copy_count(x) for x in s.split(",")],
+                       help="comma-separated copy counts")
+    verify = subs["verify"]
+    verify.add_argument("--blocks-max-n", type=_at_least(0), default=8,
+                        help="largest N for block equivalence (default 8)")
+    verify.add_argument("--negative-control", action="store_true",
+                        help="inject a broken measurement; the "
+                             "completeness suite must then fail")
+    verify.add_argument("--seed", type=int,
+                        help="seed of the random test layouts (default 0)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.trials > 0 and args.seed is None:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "trials", 0) > 0 and args.seed is None:
             raise UsageError("--seed is required when --trials > 0")
+        if args.command == "extract" and args.transcript and not args.trials:
+            raise UsageError("--transcript needs a sampling run (--trials > 0)")
         return COMMANDS[args.command](args)
-    except UsageError as e:
+    except (UsageError, BudgetError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except MemoryError as e:
+        print("error: out of memory" + (f": {e}" if str(e) else ""),
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -15,15 +15,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .hilbert import PureState, entanglement_entropy, entropy
 from .canonical import StateSpec, copies, psi_general
 from .locc import (Povm, Transcript, as_generator, outcome_probabilities,
                    projector_onto_labels, trial_seeds)
-from .blocks import (EXACT_N_MAX, LN2, BlockIndex, block_probability,
-                     block_yields, iter_block_counts, log2_binomial_array,
-                     log2_multinomial)
+from .blocks import (BlockIndex, _block_yield_table, _log2_block_probabilities,
+                     _log2_factorial_ratio, iter_block_counts,
+                     log2_binomial_array)
 
 MOMENT_ENUM_MAX = 200_000
 
@@ -63,13 +62,6 @@ def asymptotic_rates(spec: StateSpec) -> Rates:
     return Rates(per, full)
 
 
-def _log2_factorials(n: int) -> np.ndarray:
-    """log2(j!) for j = 0..n."""
-    if n <= EXACT_N_MAX:
-        return np.array([math.log2(math.factorial(j)) for j in range(n + 1)])
-    return gammaln(np.arange(n + 1, dtype=float) + 1.0) / LN2
-
-
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) weights, normalized to unit sum."""
     if p <= 0.0:
@@ -100,7 +92,7 @@ def expected_yields(spec: StateSpec, n: int) -> YieldReport:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     csq = spec.squared_coefficients()
-    lf = _log2_factorials(n)
+    lf = _log2_factorial_ratio(np.arange(n + 1))  # log2(j!) for j = 0..n
     full = tuple(range(spec.party_count))
 
     pmfs = [_binomial_pmf(n, c) for c in csq]
@@ -151,18 +143,14 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
     total_entries = math.comb(n + ncomp - 1, ncomp - 1)
     if total_entries > MOMENT_ENUM_MAX:
         return {s: math.nan for s in subsets}, math.nan
-    acc2 = {s: 0.0 for s in subsets}
-    ghz2 = 0.0
+    counts = np.fromiter(iter_block_counts(n, ncomp),
+                         dtype=np.dtype((np.int64, ncomp)), count=total_entries)
+    w = np.exp2(_log2_block_probabilities(counts, csq))  # 0 on dead blocks
+    y = _block_yield_table(counts, spec)
     full = tuple(range(spec.party_count))
-    for counts in iter_block_counts(n, ncomp):
-        logp = block_probability(n, counts, csq)
-        if logp == -math.inf:
-            continue
-        w = 2.0**logp
-        y = block_yields(counts, spec)
-        ghz2 += w * (y[full] / n - ghz_mean) ** 2
-        for s in subsets:
-            acc2[s] += w * (y.get(s, 0.0) / n - epr_mean.get(s, 0.0)) ** 2
+    ghz2 = float(w @ (y[full] / n - ghz_mean) ** 2)
+    acc2 = {s: float(w @ (y[s] / n - epr_mean.get(s, 0.0)) ** 2)
+            for s in subsets}
     return acc2, ghz2
 
 
@@ -211,19 +199,14 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
     seeds = trial_seeds(seed, trials)
     transcript = Transcript()
 
-    ghz_samples = np.empty(trials)
-    epr_samples = {s: np.empty(trials) for s in subsets}
-
     if analytic:
-        for t, ss in enumerate(seeds):
-            gen = as_generator(ss)
-            counts = tuple(int(x) for x in gen.multinomial(n, csq))
-            y = block_yields(counts, spec)
-            ghz_samples[t] = y[full] / n
-            for s in subsets:
-                epr_samples[s][t] = y.get(s, 0.0) / n
-            prob = 2.0 ** block_probability(n, counts, csq)
-            transcript.add(f"trial{t}", party, _flat_outcome(counts), prob)
+        counts = np.array([as_generator(ss).multinomial(n, csq)
+                           for ss in seeds])
+        picks = np.arange(trials)
+        logp = _log2_block_probabilities(counts, csq)
+        for t, (row, lp) in enumerate(zip(counts.tolist(), logp.tolist())):
+            transcript.add(f"trial{t}", party, _flat_outcome(tuple(row)),
+                           2.0 ** lp)
     else:
         state = copies(psi_general(spec), n)
         povm, indices = block_measurement_povm(spec, n, party)
@@ -231,16 +214,18 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
         if verify_blocks:
             _verify_psi_blocks(spec, state, povm, indices, probs)
         cum = np.cumsum(probs)
-        yields = [block_yields(idx, spec) for idx in indices]
+        counts = np.array([idx.counts for idx in indices])
+        picks = []
         for t, ss in enumerate(seeds):
             gen = as_generator(ss)
             o = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
             o = min(o, len(probs) - 1)
-            y = yields[o]
-            ghz_samples[t] = y[full] / n
-            for s in subsets:
-                epr_samples[s][t] = y.get(s, 0.0) / n
+            picks.append(o)
             transcript.add(f"trial{t}", party, o, float(probs[o]))
+    # yields per row of ``counts``; ``picks`` selects each trial's row
+    yields = _block_yield_table(counts, spec)
+    ghz_samples = yields[full][picks] / n
+    epr_samples = {s: yields[s][picks] / n for s in subsets}
 
     ddof = 1 if trials > 1 else 0
     report = YieldReport(

@@ -292,22 +292,7 @@ def amplitude_distance(a: PureState, b: PureState) -> float:
 
 
 def states_equal(a: PureState, b: PureState, tol: float = NORM_TOL) -> bool:
-    """Equality up to a global phase: max amplitude difference <= tol after
-    aligning both phases on a's largest-magnitude amplitude."""
-    if a.local_dims != b.local_dims:
-        raise ValueError(f"shape mismatch: {a.local_dims} vs {b.local_dims}")
-    if not a.amplitudes and not b.amplitudes:
-        return True
-    if not a.amplitudes or not b.amplitudes:
-        return False
-    ref = min(a.amplitudes, key=lambda l: (-abs(a.amplitudes[l]), l))
-    va, vb = a.amplitudes[ref], b.amplitudes.get(ref, 0j)
-    if abs(vb) <= tol:
-        return False
-    pa, pb = va / abs(va), vb / abs(vb)
-    for labels in a.amplitudes.keys() | b.amplitudes.keys():
-        xa = a.amplitudes.get(labels, 0j) / pa
-        xb = b.amplitudes.get(labels, 0j) / pb
-        if abs(xa - xb) > tol:
-            return False
-    return True
+    """Equality up to a global phase: amplitude_distance(a, b) <= tol, and
+    a state equals the empty state only if it is empty itself."""
+    return (amplitude_distance(a, b) <= tol
+            and bool(a.amplitudes) == bool(b.amplitudes))

@@ -22,8 +22,7 @@ from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
 from .canonical import level_epr, level_ghz
 from .locc import (Povm, Transcript, apply_operator, as_generator,
                    diagonal_operator, permutation_operator, sample)
-from .blocks import (log2_binomial, log2_binomial_array, row_a_label,
-                     row_bc_label, zero_position_rows)
+from .blocks import block_rows, log2_binomial_array
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def resource_count(n: int, window) -> ResourceCount:
         k0 = min(candidates)
     else:
         k0 = k_minus if k_minus > n / 2 else k_plus
-    ghz = math.log2(k_plus - k_minus + 1) + log2_binomial(n, k0)
+    ghz = math.log2(k_plus - k_minus + 1) + float(log2_binomial_array(n, k0))
     return ResourceCount({(1, 2): float(n - k_minus)}, ghz)
 
 
@@ -148,15 +147,10 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
         raise BudgetError(f"windowed target needs {support} terms, "
                           f"budget is {EXPLICIT_BUDGET}")
     amps: dict[tuple[int, ...], complex] = {}
-    for k in range(k_minus, k_plus + 1):
-        r = 2**(n - k)
-        base = c0**k * c1**(n - k) / math.sqrt(r)
-        if base == 0.0:
-            continue
-        for zeros in zero_position_rows(n, k):
-            a = row_a_label(n, zeros)
-            for e in range(r):
-                bc = row_bc_label(n, zeros, e)
+    for k, a, bcs in block_rows(n, k_minus, k_plus):
+        base = c0**k * c1**(n - k) / math.sqrt(len(bcs))
+        if base != 0.0:
+            for bc in bcs:
                 amps[(a, bc, bc)] = complex(base)
     norm = math.sqrt(sum(abs(v)**2 for v in amps.values()))
     if norm == 0.0:
@@ -258,16 +252,6 @@ def row_shorten_povm(rows: Sequence[tuple[Sequence[int], int]], party: int,
     return stages
 
 
-def _window_rows(n: int, k_minus: int, k_plus: int):
-    """(k, zero slots) for every row of every window block, block index
-    ascending and rows lexicographic within a block."""
-    out = []
-    for k in range(k_minus, k_plus + 1):
-        for zeros in zero_position_rows(n, k):
-            out.append((k, zeros))
-    return out
-
-
 def _prepare_windowed(n: int, c0: float, c1: float, window,
                       seed) -> tuple[PureState, Transcript, ResourceCount]:
     """Run one branch of the preparation protocol.
@@ -281,14 +265,14 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
     k_minus, k_plus = _window_tuple(window)
     if abs(c0 * c0 + c1 * c1 - 1.0) > NORM_TOL:
         raise ValueError(f"coefficients not normalized: {c0}, {c1}")
-    rows = _window_rows(n, k_minus, k_plus)
-    big_r = len(rows)
+    big_r = sum(math.comb(n, k) for k in range(k_minus, k_plus + 1))
     pair_levels = 2**(n - k_minus)
     if big_r * pair_levels > EXPLICIT_BUDGET:
         raise BudgetError(f"protocol needs {big_r * pair_levels} terms, "
                           f"budget is {EXPLICIT_BUDGET}")
+    rows = list(block_rows(n, k_minus, k_plus))
 
-    lam = np.array([c0**k * c1**(n - k) for k, _ in rows])
+    lam = np.array([c0**k * c1**(n - k) for k, _, _ in rows])
     nrm = float(np.linalg.norm(lam))
     if nrm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
@@ -312,7 +296,7 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
     dim_bc = big_r * pair_levels
 
     stage_rows = [([g * pair_levels + e for e in range(pair_levels)],
-                   2**(n - k)) for g, (k, _) in enumerate(rows)]
+                   len(bcs)) for g, (_, _, bcs) in enumerate(rows)]
     for st in row_shorten_povm(stage_rows, party=1, dim=dim_bc):
         outcome, state, entry = sample(state, st.povm, gen,
                                        step=f"shorten_row{st.row}")
@@ -323,11 +307,9 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
                     state,
                     permutation_operator(p, st.corrections[outcome], dim_bc))
 
-    a_map = {g: row_a_label(n, zeros) for g, (_, zeros) in enumerate(rows)}
-    bc_map = {}
-    for g, (k, zeros) in enumerate(rows):
-        for e in range(2**(n - k)):
-            bc_map[g * pair_levels + e] = row_bc_label(n, zeros, e)
+    a_map = {g: a for g, (_, a, _) in enumerate(rows)}
+    bc_map = {g * pair_levels + e: bc for g, (_, _, bcs) in enumerate(rows)
+              for e, bc in enumerate(bcs)}
     state = relabel(state, 0, a_map, new_dim=2**n)
     state = relabel(state, 1, bc_map, new_dim=3**n)
     state = relabel(state, 2, bc_map, new_dim=3**n)

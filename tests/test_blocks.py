@@ -8,9 +8,8 @@ import pytest
 
 from eprghz.blocks import (
     BlockIndex, block_probability, block_state, block_yields,
-    classify_copies_label, decompose, iter_block_counts, log2_binomial,
-    log2_binomial_array, log2_factorial, log2_multinomial, multinomial_exact,
-    row_a_label, row_bc_label, total_block_probability,
+    classify_copies_label, decompose, iter_block_counts, log2_binomial_array,
+    log2_multinomial, multinomial_exact, row_a_label, row_bc_label,
     verify_block_equivalence, zero_position_rows,
 )
 from eprghz.canonical import (
@@ -27,19 +26,23 @@ P2 = {0: 0.4096, 1: 0.4608, 2: 0.1296}
 # -- log-space combinatorics -------------------------------------------------
 
 def test_log2_factorial_small_exact():
+    # n! is the multinomial of n ones
     for n in range(15):
-        assert log2_factorial(n) == pytest.approx(
+        assert log2_multinomial([1] * n) == pytest.approx(
             math.log2(math.factorial(n)), abs=1e-13)
 
 
 def test_log2_factorial_large_matches_bigint():
     exact = math.log2(math.factorial(1000))
-    assert abs(log2_factorial(1000) - exact) < 1e-9
+    assert abs(log2_multinomial([1] * 1000) - exact) < 1e-9
+    got = log2_binomial_array(1000, np.arange(1001))
+    want = [math.log2(math.comb(1000, k)) for k in range(1001)]
+    assert np.max(np.abs(got - want)) < 1e-9
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (30, 15), (100, 3), (1000, 500)])
 def test_log2_binomial_matches_comb(n, k):
-    assert log2_binomial(n, k) == pytest.approx(
+    assert float(log2_binomial_array(n, k)) == pytest.approx(
         math.log2(math.comb(n, k)), abs=1e-9)
 
 
@@ -54,6 +57,16 @@ def test_multinomial_exact():
     assert multinomial_exact((3, 2, 1)) == 60
     assert multinomial_exact((0, 0, 4)) == 1
     assert log2_multinomial((3, 2, 1)) == pytest.approx(math.log2(60))
+
+
+def test_log2_multinomial_rows():
+    # one call over rows on both sides of EXACT_N_MAX equals row by row
+    rows = [(3, 2, 1), (0, 0, 4), (20, 15, 5), (200, 0, 1)]
+    got = log2_multinomial(np.array(rows))
+    assert got.shape == (4,)
+    assert got.tolist() == [log2_multinomial(r) for r in rows]
+    assert got == pytest.approx(
+        [math.log2(multinomial_exact(r)) for r in rows], abs=1e-9)
 
 
 # -- block index enumeration -------------------------------------------------
@@ -81,9 +94,6 @@ def test_block_probability_frozen_n2():
     for k, p in P2.items():
         logp = block_probability(2, (k, 2 - k), (0.36, 0.64))
         assert 2.0**logp == pytest.approx(p, abs=1e-12)
-    # integer shorthand and BlockIndex agree
-    assert block_probability(2, 1, (0.36, 0.64)) == \
-        block_probability(2, BlockIndex((1, 1)), (0.36, 0.64))
 
 
 def test_block_probability_validation():
@@ -97,11 +107,11 @@ def test_block_probability_validation():
 
 
 def test_total_block_probability():
-    assert total_block_probability(psi_spec(0.6, 0.8), 50) == \
+    assert decompose(psi_spec(0.6, 0.8), 50).total_probability() == \
         pytest.approx(1.0, abs=1e-9)
-    assert total_block_probability(
-        psi_prime_spec(0.5, 0.5, 0.5, 0.5), 20) == pytest.approx(1.0, abs=1e-9)
-    assert total_block_probability(psi_spec(1.0, 0.0), 10) == \
+    assert decompose(psi_prime_spec(0.5, 0.5, 0.5, 0.5),
+                     20).total_probability() == pytest.approx(1.0, abs=1e-9)
+    assert decompose(psi_spec(1.0, 0.0), 10).total_probability() == \
         pytest.approx(1.0)
 
 
@@ -115,6 +125,18 @@ def test_decompose_psi_n2_with_projection():
         pytest.approx([0.64, 0.48, 0.36])
     assert [e.multiplicity for e in d.entries] == [1, 2, 1]
     assert d.total_probability() == pytest.approx(1.0)
+
+
+def test_decompose_matches_loop_reference():
+    # the per-block loop that one vectorized call replaced, same arithmetic
+    spec = psi_prime_spec(0.1, 0.3, 0.5, math.sqrt(0.65))
+    csq = spec.squared_coefficients()
+    for e in decompose(spec, 5).entries:
+        want = math.log2(multinomial_exact(e.index.counts))
+        for k, c in zip(e.index.counts, csq):
+            if k:
+                want += k * math.log2(c)
+        assert e.log2_probability == want
 
 
 def test_decompose_psi_n3_frozen():
@@ -229,7 +251,7 @@ def test_blocks_partition_the_power():
 
 def test_block_yields_psi():
     spec = psi_spec(0.6, 0.8)
-    y = block_yields(BlockIndex((1, 1)), spec)
+    y = block_yields((1, 1), spec)
     assert y == {(0, 1, 2): 1.0, (1, 2): 1.0}   # log2 C(2,1) and 1 ebit
     y = block_yields((0, 3), spec)
     assert y == {(0, 1, 2): 0.0, (1, 2): 3.0}

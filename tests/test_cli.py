@@ -2,9 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from eprghz import cli
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from eprghz.extraction import expected_yields
@@ -281,11 +283,40 @@ def test_out_flag_writes_file(capsys, tmp_path):
     ("extract", "--psi", "0.6", "0.8"),                    # missing -N
     ("prepare", "--psi-prime", "0.5", "0.5", "0.5", "0.5",
      "-N", "2"),                                           # needs the seed pair
+    ("extract", "--psi", "0.6", "0.8", "-N", "0"),         # no copies
+    ("prepare", "--psi", "0.6", "0.8", "-N", "2",
+     "--trials", "-3"),                                    # negative trials
+    ("verify", "--blocks-max-n", "-1"),                    # negative max N
+    ("fidelity", "--psi", "0.6", "0.8", "--n-sweep", "5,0"),  # N = 0 in sweep
+    ("extract", "--psi", "0.6", "0.8", "-N", "2",
+     "--transcript", "unused.tsv"),                        # transcript, no trials
+    ("rates", "--psi", "0.6", "0.8", "--trials", "5",
+     "--seed", "1"),                                       # flags rates lacks
+    ("fidelity", "--psi", "0.6", "0.8", "-N", "100",
+     "--n-sweep", "5,6"),                                  # -N and --n-sweep
+    ("prepare", "--psi", "0.6", "0.8", "-N", "2",
+     "--spec", "unused.json"),                             # flag prepare lacks
+    ("verify", "--analytic"),                              # flag verify lacks
+    ("extract", "--psi", "0.6", "0.8", "-N", "2", "--trials", "5", "--seed",
+     "1", "--transcript", "missing-dir/t.tsv"),            # unwritable transcript
 ])
 def test_usage_errors(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
-    assert "error" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_memory_error_is_a_refusal(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 763. MiB for an array")
+
+    monkeypatch.setitem(cli.COMMANDS, "fidelity", exhausted)
+    code, out, err = run(capsys, "fidelity", "--psi", "0.6", "0.8", "-N", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_malformed_spec_file(capsys, tmp_path):
@@ -304,3 +335,44 @@ def test_amplitude_slop_boundary(capsys):
     assert code == EXIT_USAGE
     code, _, err = run(capsys, "rates", "--psi", "0.70710678", "0.70710678")
     assert code == EXIT_OK
+
+
+# -- golden output ---------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("rates_psi", ("rates", "--psi", "0.6", "0.8")),
+    ("rates_spec", ("rates", "--spec", "SPEC")),
+    ("blocks_psi_3", ("blocks", "--psi", "0.6", "0.8", "-N", "3")),
+    ("blocks_psi_prime_2_json", ("blocks", "--psi-prime", "0.5", "0.5", "0.5",
+                                 "0.5", "-N", "2", "--format", "json")),
+    ("extract_psi_2", ("extract", "--psi", "0.6", "0.8", "-N", "2", "--trials",
+                       "2000", "--seed", "7", "--transcript", "TRANSCRIPT")),
+    ("extract_psi_prime_3", ("extract", "--psi-prime", "0.5", "0.5", "0.5",
+                             "0.5", "-N", "3", "--trials", "500", "--seed",
+                             "9")),
+    ("extract_analytic_20", ("extract", "--psi", "0.6", "0.8", "-N", "20",
+                             "--analytic", "--trials", "16", "--seed", "3",
+                             "--transcript", "TRANSCRIPT")),
+    ("prepare_3", ("prepare", "--psi", "0.6", "0.8", "-N", "3", "--trials",
+                   "2", "--seed", "5", "--transcript", "TRANSCRIPT")),
+    ("fidelity_sweep", ("fidelity", "--psi", "0.6", "0.8", "--n-sweep",
+                        "5,20")),
+    ("verify_4", ("verify", "--blocks-max-n", "4", "--seed", "0")),
+])
+def test_golden_output(capsys, tmp_path, name, argv):
+    """Stdout and transcripts stay byte-identical to the recorded runs
+    (all at N <= 30, where every count is exact)."""
+    spec = tmp_path / "psi_prime_equal.json"
+    spec.write_text(spec_to_json(psi_prime_spec(0.5, 0.5, 0.5, 0.5)))
+    transcript = tmp_path / "transcript.tsv"
+    paths = {"SPEC": str(spec), "TRANSCRIPT": str(transcript)}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN / f"{name}.out").read_text()
+    want = GOLDEN / f"{name}.transcript"
+    assert transcript.exists() == want.exists()
+    if want.exists():
+        assert transcript.read_text() == want.read_text()
