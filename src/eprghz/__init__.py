@@ -13,9 +13,8 @@ from .locc import (ImpossibleOutcomeError, LocalOperator, Povm, Transcript,
                    TranscriptEntry, apply_element, apply_operator,
                    as_generator, check_completeness,
                    check_local_orthogonality, diagonal_operator,
-                   identity_operator, outcome_probabilities,
-                   permutation_operator, projector_onto_labels, sample,
-                   trial_seeds)
+                   outcome_probabilities, permutation_operator,
+                   projector_onto_labels, sample, trial_seeds)
 from .blocks import (BlockDecomposition, BlockEntry, BlockIndex, block_state,
                      block_probability, block_yields, decompose,
                      iter_block_counts, log2_multinomial, multinomial_exact,
@@ -41,9 +40,9 @@ __all__ = [
     "check_completeness", "check_local_orthogonality", "copies", "decompose",
     "diagonal_operator", "entanglement_entropy", "entropy",
     "entropy_consistency", "epr", "expected_yields", "fidelity",
-    "fidelity_bound", "ghz", "ghz_weighting_povm", "identity_operator",
-    "inner", "iter_block_counts", "level_epr", "level_ghz",
-    "log2_multinomial", "multinomial_exact", "outcome_probabilities",
+    "fidelity_bound", "ghz", "ghz_weighting_povm", "inner",
+    "iter_block_counts", "level_epr", "level_ghz", "log2_multinomial",
+    "multinomial_exact", "outcome_probabilities",
     "permutation_operator", "prepare_approx", "prepare_exact_n2",
     "projector_onto_labels", "psi", "psi_general", "psi_prime",
     "psi_prime_spec", "psi_spec", "random_spec", "reduced_density",

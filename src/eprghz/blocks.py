@@ -114,18 +114,18 @@ def iter_block_counts(n: int, num_components: int):
             yield (first,) + rest
 
 
-def _log2_block_probabilities(counts: np.ndarray, coeffs_sq) -> np.ndarray:
-    """block_probability for every row of a count matrix; the per-component
-    terms are added in component order."""
-    out = log2_multinomial(counts)
-    dead = np.zeros(out.shape, dtype=bool)
+def _log2_block_probabilities(counts: np.ndarray, lmult: np.ndarray,
+                              coeffs_sq) -> np.ndarray:
+    """block_probability for every row of a count matrix, given its
+    log2_multinomial ``lmult``; the per-component terms are added in
+    component order."""
+    out, dead = lmult, np.zeros(lmult.shape, dtype=bool)
     for k, c in zip(counts.T, coeffs_sq):
         if c == 0.0:
             dead |= k > 0
         else:
             out = out + k * math.log2(c)
-    out[dead] = -math.inf
-    return out
+    return np.where(dead, -math.inf, out)
 
 
 def block_probability(n: int, counts: tuple[int, ...], coeffs_sq) -> float:
@@ -138,7 +138,9 @@ def block_probability(n: int, counts: tuple[int, ...], coeffs_sq) -> float:
         raise ValueError(f"counts {counts} do not sum to {n}")
     if len(counts) != len(coeffs_sq):
         raise ValueError("count vector and coefficient vector lengths differ")
-    return float(_log2_block_probabilities(np.array([counts]), coeffs_sq)[0])
+    counts = np.array([counts])
+    return float(_log2_block_probabilities(
+        counts, log2_multinomial(counts), coeffs_sq)[0])
 
 
 @dataclass(frozen=True)
@@ -159,28 +161,20 @@ class BlockDecomposition:
                          if e.log2_probability > -math.inf))
 
 
-def _component_of_label(spec: StateSpec, party: int):
-    """Lookup array: local label on ``party`` -> component index."""
-    dims = spec.local_dims()
-    lut = np.empty(dims[party], dtype=np.int64)
-    pos = 0
-    for i, comp in enumerate(spec.components):
-        w = comp.width(party)
-        lut[pos:pos + w] = i
-        pos += w
-    return lut
-
-
-def classify_copies_label(spec: StateSpec, party: int, label: int,
-                          n: int) -> tuple[int, ...]:
-    """Count vector of one party's flattened N-copy label."""
-    d = spec.local_dims()[party]
-    lut = _component_of_label(spec, party)
-    counts = [0] * len(spec.components)
+def classify_copies_label(spec: StateSpec, party: int, labels,
+                          n: int) -> np.ndarray:
+    """Count vectors of one party's flattened N-copy labels: for each entry
+    of ``labels``, how many of its n digits fall in each component's
+    label range (shape ``labels.shape + (components,)``)."""
+    widths = [c.width(party) for c in spec.components]
+    # row x: the one-hot component of local label x
+    onehot = np.repeat(np.eye(len(widths), dtype=np.int64), widths, axis=0)
+    rest = np.asarray(labels, dtype=np.int64)
+    counts = np.zeros(rest.shape + (len(widths),), dtype=np.int64)
     for _ in range(n):
-        label, digit = divmod(label, d)
-        counts[lut[digit]] += 1
-    return tuple(counts)
+        rest, digit = np.divmod(rest, len(onehot))
+        counts += onehot[digit]
+    return counts
 
 
 def decompose(spec: StateSpec, n: int,
@@ -212,20 +206,17 @@ def decompose(spec: StateSpec, n: int,
             raise ValueError(
                 f"state dims {state.local_dims} do not match {n} copies of "
                 f"the spec (expected {expect}); unknown block structure")
-        d0 = dims[0]
-        lut = _component_of_label(spec, 0)
+        labels = np.fromiter((l[0] for l in state.amplitudes), np.int64,
+                             state.support_size)
+        keys = classify_copies_label(spec, 0, labels, n).tolist()
         projected = {}
-        for labels, amp in state.amplitudes.items():
-            label = labels[0]
-            counts = [0] * ncomp
-            for _ in range(n):
-                label, digit = divmod(label, d0)
-                counts[lut[digit]] += 1
-            key = tuple(counts)
+        for key, amp in zip(map(tuple, keys), state.amplitudes.values()):
             projected[key] = projected.get(key, 0.0) + abs(amp) ** 2
 
     rows = list(iter_block_counts(n, ncomp))
-    logps = _log2_block_probabilities(np.array(rows), coeffs_sq).tolist()
+    table = np.array(rows)
+    logps = _log2_block_probabilities(table, log2_multinomial(table),
+                                      coeffs_sq).tolist()
     entries = []
     for counts, logp in zip(rows, logps):
         coeff = math.prod(c**k for c, k in zip(coeffs, counts))
@@ -328,12 +319,13 @@ def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:
     return states_equal(out, block_state(n, k), tol)
 
 
-def _block_yield_table(counts: np.ndarray, spec: StateSpec
-                       ) -> dict[tuple[int, ...], np.ndarray]:
-    """block_yields for every row of a count matrix; each subset's
-    per-component units are added in component order."""
+def _block_yield_table(counts: np.ndarray, lmult: np.ndarray,
+                       spec: StateSpec) -> dict[tuple[int, ...], np.ndarray]:
+    """block_yields for every row of a count matrix, given its
+    log2_multinomial ``lmult``; each subset's per-component units are
+    added in component order."""
     full = tuple(range(spec.party_count))
-    out = {full: log2_multinomial(counts)}
+    out = {full: lmult}
     for comp, k in zip(spec.components, counts.T):
         if len(comp.support) >= 2:
             out[comp.support] = (out.get(comp.support, 0.0)
@@ -353,5 +345,6 @@ def block_yields(counts: tuple[int, ...],
     if len(counts) != len(spec.components):
         raise ValueError(
             f"count vector length {len(counts)} != {len(spec.components)} components")
-    table = _block_yield_table(np.array([counts]), spec)
+    counts = np.array([counts])
+    table = _block_yield_table(counts, log2_multinomial(counts), spec)
     return {s: float(v[0]) for s, v in table.items()}

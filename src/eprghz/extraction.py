@@ -18,11 +18,12 @@ import numpy as np
 
 from .hilbert import PureState, entanglement_entropy, entropy
 from .canonical import StateSpec, copies, psi_general
-from .locc import (Povm, Transcript, as_generator, outcome_probabilities,
-                   projector_onto_labels, trial_seeds)
+from .locc import (Povm, Transcript, _draw, as_generator, diagonal_operator,
+                   outcome_probabilities, trial_seeds)
 from .blocks import (BlockIndex, _block_yield_table, _log2_block_probabilities,
-                     _log2_factorial_ratio, iter_block_counts,
-                     log2_binomial_array)
+                     _log2_factorial_ratio, classify_copies_label,
+                     iter_block_counts, log2_binomial_array,
+                     log2_multinomial)
 
 MOMENT_ENUM_MAX = 200_000
 
@@ -145,8 +146,9 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
         return {s: math.nan for s in subsets}, math.nan
     counts = np.fromiter(iter_block_counts(n, ncomp),
                          dtype=np.dtype((np.int64, ncomp)), count=total_entries)
-    w = np.exp2(_log2_block_probabilities(counts, csq))  # 0 on dead blocks
-    y = _block_yield_table(counts, spec)
+    lmult = log2_multinomial(counts)
+    w = np.exp2(_log2_block_probabilities(counts, lmult, csq))  # 0 if dead
+    y = _block_yield_table(counts, lmult, spec)
     full = tuple(range(spec.party_count))
     ghz2 = float(w @ (y[full] / n - ghz_mean) ** 2)
     acc2 = {s: float(w @ (y[s] / n - epr_mean.get(s, 0.0)) ** 2)
@@ -159,24 +161,20 @@ def block_measurement_povm(spec: StateSpec, n: int,
     """Projective measurement onto block subspaces via one party's labels.
 
     Any party works: component label ranges are disjoint on every party,
-    so each local label sequence identifies the block.
+    so each local label sequence identifies the block. Outcomes follow the
+    lexicographic order of the count vectors.
     """
-    from .blocks import classify_copies_label
-
-    dims = spec.local_dims()
-    d = dims[party]
+    d = spec.local_dims()[party]
     if d**n > 4_000_000:
         raise ValueError(
             f"local dimension {d}**{n} too large for an explicit projector "
             "family; use the analytic sampling path")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for label in range(d**n):
-        key = classify_copies_label(spec, party, label, n)
-        groups.setdefault(key, []).append(label)
-    indices = [BlockIndex(c) for c in iter_block_counts(n, len(spec.components))]
-    elements = [projector_onto_labels(party, groups[idx.counts], d**n)
-                for idx in indices]
-    return Povm(party, tuple(elements)), indices
+    counts = classify_copies_label(spec, party, np.arange(d**n), n)
+    rows, block_of = np.unique(counts, axis=0, return_inverse=True)
+    elements = [diagonal_operator(party, block_of == j)
+                for j in range(len(rows))]
+    return (Povm(party, tuple(elements)),
+            [BlockIndex(c) for c in rows.tolist()])
 
 
 def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
@@ -203,7 +201,8 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
         counts = np.array([as_generator(ss).multinomial(n, csq)
                            for ss in seeds])
         picks = np.arange(trials)
-        logp = _log2_block_probabilities(counts, csq)
+        lmult = log2_multinomial(counts)
+        logp = _log2_block_probabilities(counts, lmult, csq)
         for t, (row, lp) in enumerate(zip(counts.tolist(), logp.tolist())):
             transcript.add(f"trial{t}", party, _flat_outcome(tuple(row)),
                            2.0 ** lp)
@@ -215,15 +214,14 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
             _verify_psi_blocks(spec, state, povm, indices, probs)
         cum = np.cumsum(probs)
         counts = np.array([idx.counts for idx in indices])
+        lmult = log2_multinomial(counts)
         picks = []
         for t, ss in enumerate(seeds):
-            gen = as_generator(ss)
-            o = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
-            o = min(o, len(probs) - 1)
+            o = _draw(cum, as_generator(ss))
             picks.append(o)
             transcript.add(f"trial{t}", party, o, float(probs[o]))
     # yields per row of ``counts``; ``picks`` selects each trial's row
-    yields = _block_yield_table(counts, spec)
+    yields = _block_yield_table(counts, lmult, spec)
     ghz_samples = yields[full][picks] / n
     epr_samples = {s: yields[s][picks] / n for s in subsets}
 

@@ -1,20 +1,25 @@
 """Local operations and classical communication: operators, POVMs, sampling.
 
-Operators act on one party's local space and are stored sparse, since the
-protocols only ever need diagonal weights, projectors, and permutations on
-local dimensions that grow like d**N. Classical communication is implicit:
-later operations may depend on outcome indices recorded in a transcript.
+Every local operator is a weighted label map on one party's labels,
+``|x> -> weights[x] |targets[x]>``: diagonal weightings, projectors and
+relabelings are the only operations the protocols need. Labels with a
+nonzero weight must land on distinct targets. That injectivity makes
+``M^dag M`` the diagonal matrix ``|weights|**2``, so a POVM is complete
+exactly when ``sum_j |w_j[x]|**2 = 1`` for every label x. Classical
+communication is implicit: later operations may depend on outcome indices
+recorded in a transcript.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations, compress
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hilbert import NORM_TOL, PureState
+from .hilbert import NORM_TOL, PureState, reduced_density
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -24,65 +29,77 @@ class ImpossibleOutcomeError(RuntimeError):
     """A measurement branch with probability at (numerical) zero was forced."""
 
 
+@lru_cache(maxsize=16)
+def _identity_labels(dim: int) -> np.ndarray:
+    """Shared read-only targets of every diagonal operator on ``dim`` labels."""
+    labels = np.arange(dim, dtype=np.int64)
+    labels.flags.writeable = False
+    return labels
+
+
 @dataclass(frozen=True)
 class LocalOperator:
-    """A matrix acting on one party's local space (out_dim x in_dim)."""
+    """Weighted label map on one party: ``|x> -> weights[x] |targets[x]>``.
+
+    ``targets`` defaults to the identity (a diagonal operator) and
+    ``out_dim`` to the input dimension ``len(weights)``. Boolean weights
+    (0/1 projectors) stay boolean, one byte a label; other real weights
+    are kept as float64, complex ones as complex128.
+    """
 
     party: int
-    matrix: sp.csc_matrix
+    weights: np.ndarray
+    targets: np.ndarray | None = None
+    out_dim: int | None = None
 
     def __post_init__(self):
-        m = self.matrix
-        if not sp.issparse(m):
-            m = sp.csc_matrix(np.asarray(m, dtype=complex))
+        w = np.asarray(self.weights)
+        w = w.astype(bool if w.dtype == bool
+                     else complex if np.iscomplexobj(w) else float)
+        if w.ndim != 1 or not len(w):
+            raise ValueError("operator weights must be a non-empty vector")
+        out_dim = len(w) if self.out_dim is None else int(self.out_dim)
+        if self.targets is None:
+            t = _identity_labels(len(w))
         else:
-            m = m.tocsc().astype(complex)
-        if m.ndim != 2:
-            raise ValueError("operator matrix must be 2-dimensional")
-        object.__setattr__(self, "matrix", m)
+            t = np.asarray(self.targets, dtype=np.int64)
+            if t.shape != w.shape:
+                raise ValueError("weights and targets differ in length")
+            live = t[w != 0]
+            if np.unique(live).size != live.size:
+                raise ValueError("two weighted labels share a target")
+        if t.min() < 0 or t.max() >= out_dim:
+            raise ValueError(f"target label outside 0..{out_dim - 1}")
         object.__setattr__(self, "party", int(self.party))
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "targets", t)
+        object.__setattr__(self, "out_dim", out_dim)
 
     @property
     def in_dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def identity_operator(party: int, dim: int) -> LocalOperator:
-    return LocalOperator(party, sp.identity(dim, dtype=complex, format="csc"))
+        return len(self.weights)
 
 
 def diagonal_operator(party: int, values) -> LocalOperator:
-    values = np.asarray(values, dtype=complex)
-    return LocalOperator(party, sp.diags(values, format="csc"))
+    return LocalOperator(party, values)
 
 
 def projector_onto_labels(party: int, labels, dim: int) -> LocalOperator:
-    """Diagonal 0/1 projector onto the given local labels."""
-    diag = np.zeros(dim, dtype=complex)
-    for l in labels:
-        if not 0 <= l < dim:
-            raise ValueError(f"label {l} out of range for dim {dim}")
-        diag[l] = 1.0
-    return diagonal_operator(party, diag)
+    """Diagonal 0/1 projector onto the given local labels (a label at or
+    above ``dim`` widens the weights and fails the target range check)."""
+    hit = np.bincount(np.asarray(labels, dtype=np.int64), minlength=dim) > 0
+    return LocalOperator(party, hit, out_dim=dim)
 
 
 def permutation_operator(party: int, mapping: dict[int, int],
                          dim: int) -> LocalOperator:
     """Unitary relabeling |old> -> |new>; labels absent from the map stay."""
-    perm = np.arange(dim)
-    for old, new in mapping.items():
-        if not (0 <= old < dim and 0 <= new < dim):
-            raise ValueError(f"label map {old}->{new} out of range for dim {dim}")
-        perm[old] = new
-    if len(set(perm.tolist())) != dim:
-        raise ValueError("label map is not a permutation")
-    data = np.ones(dim, dtype=complex)
-    return LocalOperator(party, sp.csc_matrix((data, (perm, np.arange(dim))),
-                                              shape=(dim, dim)))
+    old = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
+    if old.size and (old.min() < 0 or old.max() >= dim):
+        raise ValueError(f"label map source outside 0..{dim - 1}")
+    targets = np.arange(dim)
+    targets[old] = list(mapping.values())
+    return LocalOperator(party, np.ones(dim), targets, dim)
 
 
 @dataclass(frozen=True)
@@ -110,43 +127,63 @@ class Povm:
 
 def check_completeness(p: Povm, dim: int | None = None,
                        tol: float = NORM_TOL) -> bool:
-    """True iff sum_j M_j^dag M_j is the identity within tol (max entry)."""
-    if dim is None:
-        dim = p.in_dim
-    elif dim != p.in_dim:
+    """True iff sum_j M_j^dag M_j is the identity within tol (max entry),
+    that is, iff every label's squared weights sum to 1."""
+    if dim is not None and dim != p.in_dim:
         raise ValueError(f"POVM acts on dim {p.in_dim}, not {dim}")
-    total = sp.csc_matrix((dim, dim), dtype=complex)
+    total = np.zeros(p.in_dim)
     for e in p.elements:
-        total = total + e.matrix.conj().T @ e.matrix
-    diff = total - sp.identity(dim, dtype=complex, format="csc")
-    if diff.nnz == 0:
-        return True
-    return float(np.abs(diff.data).max()) <= tol
+        total += np.abs(e.weights) ** 2
+    return float(np.abs(total - 1.0).max()) <= tol
 
 
-def _apply_matrix(s: PureState, party: int, m: sp.csc_matrix):
-    """Return (amplitude map, squared norm) of (m on party) applied to s."""
-    indptr, indices, data = m.indptr, m.indices, m.data
-    amps: dict[tuple[int, ...], complex] = {}
-    for labels, amp in s.amplitudes.items():
-        col = labels[party]
-        for k in range(indptr[col], indptr[col + 1]):
-            nl = labels[:party] + (int(indices[k]),) + labels[party + 1:]
-            amps[nl] = amps.get(nl, 0j) + data[k] * amp
-    sq = sum(abs(v) ** 2 for v in amps.values())
-    return amps, sq
+def _party_labels(s: PureState, party: int, in_dim: int):
+    """The party's label and the amplitude of every term, in support order."""
+    if in_dim != s.local_dims[party]:
+        raise ValueError(
+            f"operator in_dim {in_dim} != local dim "
+            f"{s.local_dims[party]} of party {party}")
+    n = s.support_size
+    labels = np.fromiter((l[party] for l in s.amplitudes), np.int64, n)
+    return labels, np.fromiter(s.amplitudes.values(), complex, n)
+
+
+def _squared_norm(amps: np.ndarray) -> float:
+    """sum |a|**2 over ``amps`` as a running sum in support order, each
+    term squared by libm ``pow``: numpy's pairwise sum and its vector
+    square both move the last bit of some probabilities, and transcripts
+    print 17 digits."""
+    total = 0.0
+    for h in np.hypot(amps.real, amps.imag).tolist():
+        total += h ** 2
+    return total
+
+
+def _weighted(op: LocalOperator, labels: np.ndarray, amps: np.ndarray):
+    """Mask of the terms whose label has a nonzero weight, and their
+    weighted amplitudes (the others contribute nothing)."""
+    w = op.weights[labels]
+    live = w != 0
+    return live, w[live] * amps[live]
+
+
+def _rewrite(s: PureState, op: LocalOperator):
+    """The label-rewrite rule: output dims, then the rewritten label tuples
+    and amplitudes of every term with a nonzero weight, in support order."""
+    p = op.party
+    labels, amps = _party_labels(s, p, op.in_dim)
+    live, amps = _weighted(op, labels, amps)
+    new = [l if l[p] == t else l[:p] + (t,) + l[p + 1:]
+           for l, t in zip(compress(s.amplitudes, live.tolist()),
+                           op.targets[labels[live]].tolist())]
+    dims = s.local_dims[:p] + (op.out_dim,) + s.local_dims[p + 1:]
+    return dims, new, amps
 
 
 def apply_operator(s: PureState, op: LocalOperator) -> PureState:
     """Apply without renormalizing (for unitaries and linear-algebra checks)."""
-    if op.in_dim != s.local_dims[op.party]:
-        raise ValueError(
-            f"operator in_dim {op.in_dim} != local dim "
-            f"{s.local_dims[op.party]} of party {op.party}")
-    amps, _ = _apply_matrix(s, op.party, op.matrix)
-    dims = (s.local_dims[:op.party] + (op.out_dim,)
-            + s.local_dims[op.party + 1:])
-    return PureState(dims, amps)
+    dims, labels, amps = _rewrite(s, op)
+    return PureState(dims, dict(zip(labels, amps.tolist())))
 
 
 def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
@@ -155,18 +192,13 @@ def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
     Probability is the squared norm of the unnormalized branch. A branch at
     numerically zero probability raises rather than returning garbage.
     """
-    if op.in_dim != s.local_dims[op.party]:
-        raise ValueError(
-            f"operator in_dim {op.in_dim} != local dim "
-            f"{s.local_dims[op.party]} of party {op.party}")
-    amps, sq = _apply_matrix(s, op.party, op.matrix)
+    dims, labels, amps = _rewrite(s, op)
+    sq = _squared_norm(amps)
     if sq <= IMPOSSIBLE_EPS:
         raise ImpossibleOutcomeError(
             f"outcome on party {op.party} has probability {sq:.3e}")
-    n = math.sqrt(sq)
-    dims = (s.local_dims[:op.party] + (op.out_dim,)
-            + s.local_dims[op.party + 1:])
-    return PureState(dims, {l: a / n for l, a in amps.items()}), sq
+    return PureState(dims, dict(zip(labels,
+                                    (amps / math.sqrt(sq)).tolist()))), sq
 
 
 @dataclass(frozen=True)
@@ -222,15 +254,20 @@ def trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
 
 def outcome_probabilities(s: PureState, p: Povm) -> np.ndarray:
     """Born probabilities of every POVM outcome on s (must sum to 1)."""
-    probs = np.empty(len(p.elements))
-    for j, e in enumerate(p.elements):
-        _, sq = _apply_matrix(s, p.party, e.matrix)
-        probs[j] = sq
+    labels, amps = _party_labels(s, p.party, p.in_dim)
+    probs = np.array([_squared_norm(_weighted(e, labels, amps)[1])
+                      for e in p.elements])
     if abs(probs.sum() - 1.0) > NORM_TOL:
         raise ValueError(
             f"outcome probabilities sum to {probs.sum()}, not 1; "
             "POVM incomplete or state unnormalized")
     return probs
+
+
+def _draw(cum: np.ndarray, gen: np.random.Generator) -> int:
+    """Index drawn from cumulative outcome weights with one uniform variate."""
+    o = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
+    return min(o, len(cum) - 1)
 
 
 def sample(s: PureState, p: Povm, rng,
@@ -242,11 +279,7 @@ def sample(s: PureState, p: Povm, rng,
     """
     if not check_completeness(p):
         raise ValueError("POVM is not complete on its local space")
-    gen = as_generator(rng)
-    probs = outcome_probabilities(s, p)
-    cum = np.cumsum(probs)
-    outcome = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
-    outcome = min(outcome, len(probs) - 1)
+    outcome = _draw(np.cumsum(outcome_probabilities(s, p)), as_generator(rng))
     post, sq = apply_element(s, p.elements[outcome])
     entry = TranscriptEntry(str(step), p.party, outcome, float(sq))
     return outcome, post, entry
@@ -262,34 +295,7 @@ def check_local_orthogonality(components, tol: float = ORTHO_EPS) -> bool:
     if any(c.local_dims != shape for c in comps):
         raise ValueError("components have mismatched shapes")
     for party in range(len(shape)):
-        densities = [_compact_density(c, party) for c in comps]
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                if _density_overlap(densities[i], densities[j]) > tol:
-                    return False
+        rhos = [reduced_density(c, (party,)).matrix for c in comps]
+        if any(abs(np.vdot(a, b)) > tol for a, b in combinations(rhos, 2)):
+            return False
     return True
-
-
-def _compact_density(s: PureState, party: int) -> dict[tuple[int, int], complex]:
-    """Single-party reduced density as a sparse {(x, y): value} map."""
-    groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-    for labels, amp in s.amplitudes.items():
-        rest = labels[:party] + labels[party + 1:]
-        groups.setdefault(rest, []).append((labels[party], amp))
-    rho: dict[tuple[int, int], complex] = {}
-    for entries in groups.values():
-        for x, ax in entries:
-            for y, ay in entries:
-                key = (x, y)
-                rho[key] = rho.get(key, 0j) + ax * ay.conjugate()
-    return rho
-
-
-def _density_overlap(ra: dict, rb: dict) -> float:
-    small, big = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
-    tot = 0j
-    for key, v in small.items():
-        w = big.get(key)
-        if w is not None:
-            tot += v * w.conjugate()
-    return abs(tot)

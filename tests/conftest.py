@@ -1,0 +1,18 @@
+"""Shared test helpers."""
+
+import numpy as np
+import pytest
+
+
+def dense_matrix(op) -> np.ndarray:
+    """The out_dim x in_dim matrix of a weighted label map, entry by entry
+    from its definition |x> -> weights[x] |targets[x]>."""
+    m = np.zeros((op.out_dim, op.in_dim), dtype=complex)
+    for x, (w, t) in enumerate(zip(op.weights, op.targets)):
+        m[t, x] += w
+    return m
+
+
+@pytest.fixture
+def dense():
+    return dense_matrix

@@ -179,10 +179,17 @@ def test_decompose_entry_budget():
 def test_classify_copies_label():
     spec = psi_spec(0.6, 0.8)
     # party 0 binary digits, copy 0 most significant: label 5 = (1,0,1)
-    assert classify_copies_label(spec, 0, 5, 3) == (1, 2)
-    assert classify_copies_label(spec, 0, 0, 3) == (3, 0)
+    assert classify_copies_label(spec, 0, 5, 3).tolist() == [1, 2]
+    assert classify_copies_label(spec, 0, [5, 0], 3).tolist() == \
+        [[1, 2], [3, 0]]
     # party 1 ternary: label 7 = (0,2,1) -> one product digit, two paired
-    assert classify_copies_label(spec, 1, 7, 3) == (1, 2)
+    assert classify_copies_label(spec, 1, 7, 3).tolist() == [1, 2]
+    # psi' party 0: six local labels in four ranges of widths 1, 1, 2, 2
+    comp = (0, 1, 2, 2, 3, 3)
+    want = [[int(comp[x // 6] == c) + int(comp[x % 6] == c)
+             for c in range(4)] for x in range(36)]
+    spec = psi_prime_spec(0.5, 0.5, 0.5, 0.5)
+    assert classify_copies_label(spec, 0, np.arange(36), 2).tolist() == want
 
 
 # -- canonical row labels ----------------------------------------------------

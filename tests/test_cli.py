@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -337,6 +340,19 @@ def test_amplitude_slop_boundary(capsys):
     assert code == EXIT_OK
 
 
+def test_cli_import_leaves_scipy_sparse_out():
+    # operators are weighted label maps; nothing should pull in the sparse
+    # matrix package (a fresh interpreter sees the real import graph)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, eprghz.cli; print('scipy.sparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+
+
 # -- golden output ---------------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -361,6 +377,12 @@ GOLDEN = Path(__file__).parent / "golden"
     ("fidelity_sweep", ("fidelity", "--psi", "0.6", "0.8", "--n-sweep",
                         "5,20")),
     ("verify_4", ("verify", "--blocks-max-n", "4", "--seed", "0")),
+    ("extract_psi_prime_4", ("extract", "--psi-prime", "0.6", "0.5", "0.4",
+                             "0.4795831523312719", "-N", "4", "--trials",
+                             "300", "--seed", "11", "--transcript",
+                             "TRANSCRIPT")),
+    ("prepare_4", ("prepare", "--psi", "0.6", "0.8", "-N", "4", "--trials",
+                   "2", "--seed", "5", "--transcript", "TRANSCRIPT")),
 ])
 def test_golden_output(capsys, tmp_path, name, argv):
     """Stdout and transcripts stay byte-identical to the recorded runs

@@ -5,43 +5,85 @@ import math
 import numpy as np
 import pytest
 
-from eprghz.canonical import copies, psi, psi_prime, psi_prime_spec, psi_spec
+from eprghz.canonical import (CanonicalComponent, StateSpec, copies, psi,
+                              psi_prime, psi_prime_spec, psi_spec)
 from eprghz.extraction import block_measurement_povm
-from eprghz.hilbert import PureState, states_equal
+from eprghz.hilbert import NORM_TOL, PureState, states_equal
 from eprghz.locc import (
-    ImpossibleOutcomeError, Povm, Transcript, apply_element, apply_operator,
-    as_generator, check_completeness, check_local_orthogonality,
-    diagonal_operator, identity_operator, outcome_probabilities,
+    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, apply_element,
+    apply_operator, as_generator, check_completeness,
+    check_local_orthogonality, diagonal_operator, outcome_probabilities,
     permutation_operator, projector_onto_labels, sample, trial_seeds,
 )
+from eprghz.preparation import ghz_weighting_povm, row_shorten_povm
 
 
 # -- operator constructors ---------------------------------------------------
 
-def test_identity_and_diagonal():
-    op = identity_operator(1, 3)
+def test_identity_and_diagonal(dense):
+    op = diagonal_operator(1, np.ones(3))
     assert op.party == 1 and op.in_dim == op.out_dim == 3
+    assert np.allclose(dense(op), np.eye(3))
     d = diagonal_operator(0, [0.6, 0.8])
-    assert np.allclose(d.matrix.toarray(), np.diag([0.6, 0.8]))
+    assert np.allclose(dense(d), np.diag([0.6, 0.8]))
 
 
-def test_projector_onto_labels():
+def test_projector_onto_labels(dense):
     p = projector_onto_labels(2, (0, 2), 3)
-    assert np.allclose(p.matrix.toarray(), np.diag([1.0, 0.0, 1.0]))
+    assert np.allclose(dense(p), np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         projector_onto_labels(0, (3,), 3)
+    with pytest.raises(ValueError):
+        projector_onto_labels(0, (-1,), 3)
 
 
-def test_permutation_operator():
+def test_permutation_operator(dense):
     # partial maps are completed by the identity, then checked bijective
     op = permutation_operator(0, {0: 1, 1: 0}, 3)
-    m = op.matrix.toarray()
+    m = dense(op)
     assert np.allclose(m @ m.conj().T, np.eye(3))
     assert m[1, 0] == 1.0 and m[2, 2] == 1.0
     with pytest.raises(ValueError):
         permutation_operator(0, {0: 1}, 3)      # 0 and 1 both land on 1
     with pytest.raises(ValueError):
         permutation_operator(0, {0: 5}, 3)
+    with pytest.raises(ValueError):
+        permutation_operator(0, {5: 0}, 3)
+
+
+def test_local_operator_refuses_non_injective_map():
+    # labels 0 and 2 both weighted and both sent to 1
+    with pytest.raises(ValueError):
+        LocalOperator(0, [0.6, 0.0, 0.8], [1, 1, 1], 2)
+    # a zero-weight label may share a target: it is never written
+    op = LocalOperator(0, [0.6, 0.0, 0.8], [1, 1, 0], 2)
+    assert op.in_dim == 3 and op.out_dim == 2
+
+
+def test_local_operator_refuses_out_of_range_target():
+    with pytest.raises(ValueError):
+        LocalOperator(0, [1.0, 1.0], [0, 2], 2)
+    with pytest.raises(ValueError):
+        LocalOperator(0, [1.0, 1.0], [-1, 0], 2)
+    with pytest.raises(ValueError):
+        LocalOperator(0, [1.0, 1.0, 1.0], out_dim=2)
+
+
+def test_weighted_map_applies_like_its_dense_matrix(dense):
+    # |x> -> w[x] |t[x]> on party 1 of a generic state, against the
+    # dense matrix contracted with the dense amplitude tensor
+    rng = np.random.default_rng(3)
+    dims = (2, 3, 2)
+    vec = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    amps = {l: v for l, v in zip(np.ndindex(*dims), vec)}
+    op = LocalOperator(1, [0.5, -0.3j, 0.0], [3, 0, 0], 4)
+    out = apply_operator(PureState(dims, amps), op)
+    want = np.einsum("yx,axb->ayb", dense(op), vec.reshape(dims))
+    got = np.zeros((2, 4, 2), dtype=complex)
+    for l, a in out.amplitudes.items():
+        got[l] = a
+    assert out.local_dims == (2, 4, 2)
+    assert np.allclose(got, want, atol=1e-12)
 
 
 # -- applying operators ------------------------------------------------------
@@ -54,7 +96,7 @@ def test_apply_operator_is_linear_no_renormalize():
 
 def test_apply_operator_dim_mismatch():
     with pytest.raises(ValueError):
-        apply_operator(psi(0.6, 0.8), identity_operator(0, 3))
+        apply_operator(psi(0.6, 0.8), diagonal_operator(0, np.ones(3)))
 
 
 def test_apply_element_probability():
@@ -79,9 +121,11 @@ def test_povm_validation():
     with pytest.raises(ValueError):
         Povm(0, ())
     with pytest.raises(ValueError):
-        Povm(0, (identity_operator(0, 2), identity_operator(1, 2)))
+        Povm(0, (diagonal_operator(0, np.ones(2)),
+                 diagonal_operator(1, np.ones(2))))
     with pytest.raises(ValueError):
-        Povm(0, (identity_operator(0, 2), identity_operator(0, 3)))
+        Povm(0, (diagonal_operator(0, np.ones(2)),
+                 diagonal_operator(0, np.ones(3))))
 
 
 def test_check_completeness():
@@ -95,6 +139,45 @@ def test_check_completeness():
         check_completeness(p, dim=3)
 
 
+def _package_povms():
+    """Every kind of POVM the package builds, plus the negative control
+    (a block measurement with its last element dropped)."""
+    povms = []
+    for lam in ([1.0], (0.64, 0.48, 0.48, 0.36),
+                np.full(5, 1.0 / math.sqrt(5.0))):
+        povms.append(ghz_weighting_povm(lam)[0])
+    rows = [([0, 1, 2, 3], 4), ([4, 5, 6, 7], 2), ([8, 9, 10, 11], 2),
+            ([12, 13, 14, 15], 1)]
+    povms += [st.povm for st in row_shorten_povm(rows, party=1)]
+    three = StateSpec(3, (CanonicalComponent(math.sqrt(0.4), (0,)),
+                          CanonicalComponent(math.sqrt(0.35), (1, 2), 3),
+                          CanonicalComponent(math.sqrt(0.25), (0, 1))))
+    for spec, n in ((psi_spec(0.6, 0.8), 3),
+                    (psi_prime_spec(0.6, 0.5, 0.4, math.sqrt(0.23)), 2),
+                    (three, 2)):
+        for party in (0, 1, 2):
+            povms.append(block_measurement_povm(spec, n, party)[0])
+    block = block_measurement_povm(psi_spec(0.6, 0.8), 3)[0]
+    povms.append(Povm(block.party, block.elements[:-1]))
+    return povms
+
+
+@pytest.mark.parametrize("povm", _package_povms())
+def test_completeness_agrees_with_dense_oracle(dense, povm):
+    total = sum(dense(e).conj().T @ dense(e) for e in povm.elements)
+    oracle = np.abs(total - np.eye(povm.in_dim)).max() <= NORM_TOL
+    assert check_completeness(povm) == oracle
+
+
+def test_dense_oracle_sees_the_negative_control(dense):
+    # the oracle itself must fail on the dropped element, or the
+    # agreement above would be vacuous for it
+    povm = _package_povms()[-1]
+    total = sum(dense(e).conj().T @ dense(e) for e in povm.elements)
+    assert np.abs(total - np.eye(povm.in_dim)).max() == pytest.approx(1.0)
+    assert not check_completeness(povm)
+
+
 def test_outcome_probabilities():
     povm = Povm(0, (projector_onto_labels(0, (0,), 2),
                     projector_onto_labels(0, (1,), 2)))
@@ -103,6 +186,43 @@ def test_outcome_probabilities():
     incomplete = Povm(0, (projector_onto_labels(0, (0,), 2),))
     with pytest.raises(ValueError):
         outcome_probabilities(psi(0.6, 0.8), incomplete)
+
+
+@pytest.mark.parametrize("case", ["block", "libm_squares"])
+def test_probabilities_match_the_term_by_term_rule(case):
+    # reference: build each branch as a dict in support order and add
+    # abs(amplitude) ** 2 one term after another; transcripts print 17
+    # digits, so the vectorized rule must agree exactly
+    rng = np.random.default_rng(11)
+    if case == "block":
+        c = np.sqrt(rng.dirichlet(np.ones(4)))
+        state = copies(psi_prime(*c), 4)
+        povm, _ = block_measurement_povm(psi_prime_spec(*c), 4, party=1)
+    else:
+        # magnitudes whose libm square x ** 2 differs in the last bit
+        # from x * x, the square numpy's vector power takes
+        xs = [x for x in rng.uniform(0.1, 0.3, 50_000).tolist()
+              if x ** 2 != x * x][:15]
+        xs.append(math.sqrt(1.0 - sum(x * x for x in xs)))
+        phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
+        state = PureState((1, 16, 16), {(0, i, i): x * ph for i, (x, ph)
+                                        in enumerate(zip(xs, phases))})
+        povm = row_shorten_povm([(list(range(16)), 8)], party=1)[0].povm
+    want = []
+    for e in povm.elements:
+        branch = {}
+        for l, a in state.amplitudes.items():
+            x = l[povm.party]
+            if e.weights[x]:
+                nl = l[:povm.party] + (int(e.targets[x]),) + l[povm.party + 1:]
+                branch[nl] = np.complex128(e.weights[x]) * a
+        total = 0.0
+        for v in branch.values():
+            total += abs(v) ** 2
+        want.append(total)
+    assert outcome_probabilities(state, povm).tolist() == want
+    j = int(np.argmax(want))
+    assert apply_element(state, povm.elements[j])[1] == want[j]
 
 
 def test_sample_rejects_incomplete_povm():

@@ -271,11 +271,11 @@ def test_row_shortening_outcome_counts():
         pytest.approx([0.5] * 2)
 
 
-def test_row_shortening_keep_all_is_identity():
+def test_row_shortening_keep_all_is_identity(dense):
     stages = row_shorten_povm([([0, 1], 2)], party=1, dim=4)
     assert len(stages) == 1 and len(stages[0].povm.elements) == 1
     assert stages[0].corrections == ({},)
-    m = stages[0].povm.elements[0].matrix.toarray()
+    m = dense(stages[0].povm.elements[0])
     assert np.allclose(m, np.eye(4))
 
 
