@@ -22,14 +22,6 @@ from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
 SQ2 = math.sqrt(2.0)
 
 
-def _embed_dims(parties, party_count, dim):
-    if party_count is None:
-        party_count = max(parties) + 1
-    if party_count <= max(parties):
-        raise ValueError(f"party_count {party_count} too small for {parties}")
-    return tuple(dim if p in parties else 1 for p in range(party_count))
-
-
 def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
     """t-level GHZ: (1/sqrt t) sum_i |i i ... i> on the given parties.
 
@@ -44,12 +36,13 @@ def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
         raise ValueError("a GHZ-type state needs at least 2 parties")
     if min(parties) < 0:
         raise ValueError(f"negative party id in {parties}")
-    dims = _embed_dims(parties, party_count, t)
-    amp = 1.0 / math.sqrt(t)
-    amps = {}
-    for i in range(t):
-        amps[tuple(i if p in parties else 0 for p in range(len(dims)))] = amp
-    return PureState(dims, amps)
+    party_count = max(parties) + 1 if party_count is None else party_count
+    if party_count <= max(parties):
+        raise ValueError(f"party_count {party_count} too small for {parties}")
+    dims = tuple(t if p in parties else 1 for p in range(party_count))
+    labels = np.zeros((t, len(dims)), dtype=np.int64)
+    labels[:, parties] = np.arange(t)[:, None]
+    return PureState.from_columns(dims, labels, np.full(t, 1.0 / math.sqrt(t)))
 
 
 def level_epr(r: int, parties, party_count: int | None = None) -> PureState:
@@ -66,18 +59,15 @@ def epr(parties, party_count: int | None = None) -> PureState:
 
 
 def ghz(n: int) -> PureState:
-    """The n-party GHZ state (|0...0> + |1...1>)/sqrt 2."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"GHZ needs n >= 2 parties, got {n}")
-    return level_ghz(2, range(n))
+    """The n-party GHZ state (|0...0> + |1...1>)/sqrt 2 (n >= 2)."""
+    return level_ghz(2, range(int(n)))
 
 
 def psi(c0: float, c1: float) -> PureState:
     """The tripartite seed state c0|000> + c1|1>(|11>+|22>)/sqrt2, dims (2,3,3)."""
     _check_unit(c0, c1)
-    amps = {(0, 0, 0): c0, (1, 1, 1): c1 / SQ2, (1, 2, 2): c1 / SQ2}
-    return PureState((2, 3, 3), amps)
+    return PureState.from_columns((2, 3, 3), [(0, 0, 0), (1, 1, 1), (1, 2, 2)],
+                                  [c0, c1 / SQ2, c1 / SQ2])
 
 
 def psi_prime(c0: float, c1: float, c2: float, c3: float) -> PureState:
@@ -88,13 +78,10 @@ def psi_prime(c0: float, c1: float, c2: float, c3: float) -> PureState:
     per party are disjoint across components.
     """
     _check_unit(c0, c1, c2, c3)
-    amps = {
-        (0, 0, 0): c0,
-        (1, 1, 1): c1 / SQ2, (1, 2, 2): c1 / SQ2,
-        (2, 3, 3): c2 / SQ2, (3, 3, 4): c2 / SQ2,
-        (4, 4, 5): c3 / SQ2, (5, 5, 5): c3 / SQ2,
-    }
-    return PureState((6, 6, 6), amps)
+    labels = [(0, 0, 0), (1, 1, 1), (1, 2, 2), (2, 3, 3), (3, 3, 4),
+              (4, 4, 5), (5, 5, 5)]
+    amps = [c0, c1 / SQ2, c1 / SQ2, c2 / SQ2, c2 / SQ2, c3 / SQ2, c3 / SQ2]
+    return PureState.from_columns((6, 6, 6), labels, amps)
 
 
 def _check_unit(*cs):
@@ -178,17 +165,11 @@ class StateSpec:
     def component_state(self, i: int) -> PureState:
         """Component ``i`` embedded in the full label space, normalized."""
         comp = self.components[i]
-        offs = self.offsets(i)
-        dims = self.local_dims()
-        if len(comp.support) == 1:
-            return PureState(dims, {offs: 1.0})
-        amp = 1.0 / math.sqrt(comp.level)
-        amps = {}
-        for q in range(comp.level):
-            labels = tuple(offs[p] + (q if comp.width(p) > 1 else 0)
-                           for p in range(self.party_count))
-            amps[labels] = amp
-        return PureState(dims, amps)
+        level = comp.level if len(comp.support) > 1 else 1
+        spread = [comp.width(p) > 1 for p in range(self.party_count)]
+        labels = np.outer(np.arange(level), spread) + self.offsets(i)
+        return PureState.from_columns(self.local_dims(), labels,
+                                      np.full(level, 1.0 / math.sqrt(level)))
 
     def squared_coefficients(self) -> tuple[float, ...]:
         return tuple(c.coefficient**2 for c in self.components)
@@ -247,11 +228,10 @@ def psi_general(spec: StateSpec) -> PureState:
     parts = [spec.component_state(i) for i in range(len(spec.components))]
     if len(parts) > 1 and not check_local_orthogonality(parts):
         raise ValueError("spec components are not locally orthogonal")
-    amps: dict[tuple[int, ...], complex] = {}
-    for comp, part in zip(spec.components, parts):
-        for labels, a in part.amplitudes.items():
-            amps[labels] = amps.get(labels, 0j) + comp.coefficient * a
-    return PureState(spec.local_dims(), amps)
+    return PureState.from_columns(
+        spec.local_dims(), np.concatenate([part.labels for part in parts]),
+        np.concatenate([c.coefficient * part.amps
+                        for c, part in zip(spec.components, parts)]))
 
 
 def copies(s: PureState, n: int) -> PureState:

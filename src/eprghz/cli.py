@@ -144,16 +144,15 @@ def cmd_extract(args) -> int:
     expected = expected_yields(spec, n)
     empirical = stderr = None
     transcript = None
+    full = tuple(range(spec.party_count))
     if args.trials > 0:
         report, transcript = run_extraction(spec, n, args.trials, args.seed,
                                             analytic=args.analytic)
         empirical = dict(report.epr_per_copy)
         stderr = {s: math.sqrt(v / report.trials)
                   for s, v in report.epr_variance.items()}
-        full = tuple(range(spec.party_count))
         empirical[full] = report.ghz_per_copy
         stderr[full] = math.sqrt(report.ghz_variance / report.trials)
-    full = tuple(range(spec.party_count))
     rows = []
     for s in sorted(expected.epr_per_copy):
         rows.append((n, _letters(s), expected.epr_per_copy[s],

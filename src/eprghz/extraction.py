@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import PureState, entanglement_entropy, entropy
+from .hilbert import entanglement_entropy, entropy, states_equal
 from .canonical import StateSpec, copies, psi_general
-from .locc import (Povm, Transcript, _draw, as_generator, diagonal_operator,
-                   outcome_probabilities, trial_seeds)
+from .locc import (Povm, Transcript, _draw, apply_element, as_generator,
+                   diagonal_operator, outcome_probabilities, trial_seeds)
 from .blocks import (BlockIndex, _block_yield_table, _log2_block_probabilities,
-                     _log2_factorial_ratio, classify_copies_label,
-                     iter_block_counts, log2_binomial_array,
-                     log2_multinomial)
+                     _log2_factorial_ratio, block_state, classify_copies_label,
+                     iter_block_counts, log2_binomial_array, log2_multinomial,
+                     verify_block_equivalence)
 
 MOMENT_ENUM_MAX = 200_000
 
@@ -239,27 +239,21 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
 
 def _flat_outcome(counts: tuple[int, ...]) -> int:
     """Deterministic scalar id for a count vector (for transcript lines):
-    its position in the lexicographic enumeration."""
-    n = sum(counts)
-    ncomp = len(counts)
-    rank = 0
-    remaining = n
-    for pos, k in enumerate(counts[:-1]):
-        comps_left = ncomp - pos - 1
-        for smaller in range(k):
-            rank += math.comb(remaining - smaller + comps_left - 1,
-                              comps_left - 1)
-        remaining -= k
+    its position in the lexicographic enumeration. At each position, the
+    vectors with a smaller entry there come first; with r copies and c
+    components left after it, they number sum_{s<k} C(r-s+c-1, c-1) =
+    C(r+c, c) - C(r-k+c, c) by the hockey-stick identity."""
+    rank, remaining, left = 0, sum(counts), len(counts) - 1
+    for k in counts[:-1]:
+        rank += (math.comb(remaining + left, left)
+                 - math.comb(remaining - k + left, left))
+        remaining, left = remaining - k, left - 1
     return rank
 
 
 def _verify_psi_blocks(spec, state, povm, indices, probs):
     """Post-measurement states of the 2-component seed must be the
     canonical pair x row-GHZ blocks."""
-    from .blocks import block_state, verify_block_equivalence
-    from .hilbert import states_equal
-    from .locc import apply_element
-
     if len(spec.components) != 2:
         return
     n = indices[0].n

@@ -1,21 +1,26 @@
 """Sparse multipartite pure states and bipartite entanglement measures.
 
 A state lives on a fixed tuple of parties; party ``p`` carries an integer
-local dimension and labels ``0..dim-1``. Amplitudes are a sparse map from
-per-party label tuples to complex numbers. Many-copy states keep one slot
-per party (local dimension ``d**N``), never one slot per copy: locality is
-per party.
+local dimension and labels ``0..dim-1``. It is two columns: an int64 label
+matrix (one row per support term, one column per party) and a complex128
+amplitude vector in the same row order. Row order is part of the state:
+operations keep their input's order and ``tensor`` puts its first factor's
+rows outer, so sums taken in support order are reproducible to the last
+bit. Many-copy states keep one slot per party (local dimension ``d**N``),
+never one slot per copy: locality is per party.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 PRUNE_EPS = 1e-12
 NORM_TOL = 1e-9
+INT64_MAX = 2**63 - 1
 
 # state support above this is refused by explicit constructions
 EXPLICIT_BUDGET = 10**7
@@ -25,35 +30,82 @@ class BudgetError(RuntimeError):
     """An explicit construction would exceed the support-size budget."""
 
 
+class Amplitudes(Mapping):
+    """Read-only ``label tuple -> amplitude`` view over a state's two
+    columns, ``labels`` and ``amps``: iteration follows the rows, and a
+    lookup scans them."""
+
+    def __init__(self, labels, amps):
+        self.labels, self.amps = labels, amps
+
+    def __len__(self):
+        return len(self.amps)
+
+    def __iter__(self):
+        return map(tuple, self.labels.tolist())
+
+    def __getitem__(self, key):
+        key = tuple(key)
+        if len(key) == self.labels.shape[1]:
+            hit = np.flatnonzero((self.labels == key).all(axis=1))
+            if hit.size:
+                return complex(self.amps[hit[0]])
+        raise KeyError(key)
+
+    def values(self):
+        return self.amps.tolist()
+
+    def items(self):
+        return list(zip(self, self.amps.tolist()))
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Sparse pure state: ``local_dims`` per party, label tuple -> amplitude.
-
-    Instances are immutable; every operation returns a new state. Amplitudes
-    with magnitude below ``PRUNE_EPS`` are dropped at construction.
+    """Sparse pure state: ``local_dims`` per party and its ``amplitudes``,
+    a mapping from label tuples or, through ``from_columns``, a label matrix
+    with distinct rows (not copied) and an amplitude vector, stored as
+    read-only columns behind an ``Amplitudes`` view. Instances are
+    immutable. Amplitudes below ``PRUNE_EPS`` are dropped at construction.
     """
 
     local_dims: tuple[int, ...]
-    amplitudes: dict[tuple[int, ...], complex]
+    amplitudes: Mapping[tuple[int, ...], complex]
+
+    @classmethod
+    def from_columns(cls, local_dims, labels, amps) -> "PureState":
+        return cls(local_dims, Amplitudes(labels, amps))
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.local_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"local dimensions must be >= 1, got {dims}")
-        amps = {}
-        for labels, amp in self.amplitudes.items():
-            labels = tuple(int(l) for l in labels)
-            if len(labels) != len(dims):
-                raise ValueError(
-                    f"label tuple {labels} does not match {len(dims)} parties")
-            for l, d in zip(labels, dims):
-                if not 0 <= l < d:
-                    raise ValueError(f"label {l} out of range for dim {d}")
-            amp = complex(amp)
-            if abs(amp) > PRUNE_EPS:
-                amps[labels] = amp
+        given = self.amplitudes
+        if not isinstance(given, Amplitudes):
+            given = Amplitudes(list(given), list(given.values()))
+        labels = np.asarray(given.labels, dtype=np.int64)
+        labels = labels if labels.size else labels.reshape(0, len(dims))
+        amps = np.asarray(given.amps, dtype=complex)
+        if labels.shape != (len(amps), len(dims)):
+            raise ValueError(
+                f"label matrix of shape {labels.shape} does not match "
+                f"{len(amps)} amplitudes on {len(dims)} parties")
+        top = np.array([min(d - 1, INT64_MAX) for d in dims], dtype=np.int64)
+        bad = ((labels < 0) | (labels > top)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"labels {tuple(labels[bad][0].tolist())} out "
+                             f"of range for dims {dims}")
+        keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS
+        if not keep.all():
+            labels, amps = labels[keep], amps[keep]
+        labels, amps = labels.view(), amps.view()
+        labels.flags.writeable = amps.flags.writeable = False
         object.__setattr__(self, "local_dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", Amplitudes(labels, amps))
+
+    labels = property(lambda self: self.amplitudes.labels,
+                      doc="Label matrix, shape (support, parties).")
+    amps = property(lambda self: self.amplitudes.amps,
+                    doc="Amplitude vector in the row order of ``labels``.")
 
     @property
     def party_count(self) -> int:
@@ -61,10 +113,10 @@ class PureState:
 
     @property
     def support_size(self) -> int:
-        return len(self.amplitudes)
+        return len(self.amps)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(squared_norm(self.amps))
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= tol
@@ -73,12 +125,25 @@ class PureState:
         n = self.norm()
         if n <= PRUNE_EPS:
             raise ValueError("cannot normalize a (numerically) zero state")
-        return PureState(self.local_dims,
-                         {l: a / n for l, a in self.amplitudes.items()})
+        # divide real and imaginary parts: numpy's complex division
+        # multiplies by a rounded reciprocal
+        return PureState.from_columns(
+            self.local_dims, self.labels,
+            (np.ascontiguousarray(self.amps).view(float) / n).view(complex))
 
     def __repr__(self):
         return (f"PureState(dims={self.local_dims}, "
                 f"support={self.support_size}, norm={self.norm():.6f})")
+
+
+def squared_norm(amps: np.ndarray) -> float:
+    """sum |a|**2 as a running sum in support order, each term squared by
+    libm ``pow``: numpy's pairwise sum and vector square both move the last
+    bit of some probabilities, and transcripts print 17 digits."""
+    total = 0.0
+    for h in np.hypot(amps.real, amps.imag).tolist():
+        total += h ** 2
+    return total
 
 
 @dataclass(frozen=True)
@@ -116,92 +181,95 @@ def tensor(a: PureState, b: PureState,
     ``a_map[i]`` / ``b_map[j]`` give the output slot of each input party
     (defaults: identity, requiring equal party counts). A slot fed by both
     inputs is merged: dimension ``da*db``, label ``la*db + lb``. A slot fed
-    by neither gets dimension 1 and label 0.
+    by neither gets dimension 1 and label 0. Output rows run over a's rows
+    outer and b's rows inner.
     """
-    if a_map is None and b_map is None and party_count is None:
-        if a.party_count != b.party_count:
-            raise ValueError(
-                f"party counts differ ({a.party_count} vs {b.party_count}); "
-                "pass an explicit alignment")
-    if a_map is None:
-        a_map = tuple(range(a.party_count))
-    if b_map is None:
-        b_map = tuple(range(b.party_count))
+    if (a_map is None and b_map is None and party_count is None
+            and a.party_count != b.party_count):
+        raise ValueError(
+            f"party counts differ ({a.party_count} vs {b.party_count}); "
+            "pass an explicit alignment")
+    a_map = tuple(range(a.party_count)) if a_map is None else tuple(a_map)
+    b_map = tuple(range(b.party_count)) if b_map is None else tuple(b_map)
     if party_count is None:
         party_count = max((*a_map, *b_map), default=-1) + 1
     if len(a_map) != a.party_count or len(b_map) != b.party_count:
         raise ValueError("alignment spec does not match party counts")
-    a_slot = {s: p for p, s in enumerate(a_map)}
-    b_slot = {s: p for p, s in enumerate(b_map)}
-    if len(a_slot) != len(a_map) or len(b_slot) != len(b_map):
+    if len(set(a_map)) != len(a_map) or len(set(b_map)) != len(b_map):
         raise ValueError("alignment maps two parties of one input to one slot")
+    if not set(a_map) | set(b_map) <= set(range(party_count)):
+        raise ValueError(f"alignment slot outside 0..{party_count - 1}")
 
-    dims = []
-    for s in range(party_count):
-        da = a.local_dims[a_slot[s]] if s in a_slot else 1
-        db = b.local_dims[b_slot[s]] if s in b_slot else 1
-        dims.append(da * db)
+    # both inputs on the output slots (dim 1, label 0 where absent)
+    da, db = [1] * party_count, [1] * party_count
+    la = np.zeros((a.support_size, party_count), dtype=np.int64)
+    lb = np.zeros((b.support_size, party_count), dtype=np.int64)
+    for d, lab, x, slots in ((da, la, a, a_map), (db, lb, b, b_map)):
+        for p, slot in enumerate(slots):
+            d[slot] = x.local_dims[p]
+        lab[:, list(slots)] = x.labels
+    dims = tuple(x * y for x, y in zip(da, db))
+    if any(min(x, y) > 1 and x * y - 1 > INT64_MAX for x, y in zip(da, db)):
+        raise ValueError("a merged dimension exceeds int64 labels")
+    labels = la[:, None] * np.array([min(y, INT64_MAX) for y in db]) + lb
+    return PureState.from_columns(dims, labels.reshape(-1, party_count),
+                                  np.multiply.outer(a.amps, b.amps).ravel())
 
-    amps: dict[tuple[int, ...], complex] = {}
-    for la, va in a.amplitudes.items():
-        for lb, vb in b.amplitudes.items():
-            out = []
-            for s in range(party_count):
-                xa = la[a_slot[s]] if s in a_slot else 0
-                if s in b_slot:
-                    out.append(xa * b.local_dims[b_slot[s]] + lb[b_slot[s]])
-                else:
-                    out.append(xa)
-            amps[tuple(out)] = va * vb
-    return PureState(tuple(dims), amps)
+
+def _row_codes(labels: np.ndarray) -> np.ndarray:
+    """One integer per row, equal for equal rows, in sorted row order."""
+    return np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _union(a: PureState, b: PureState):
+    """Both amplitude vectors spread over the union of the two supports,
+    in sorted label order: shape (2, union)."""
+    if a.local_dims != b.local_dims:
+        raise ValueError(f"shape mismatch: {a.local_dims} vs {b.local_dims}")
+    codes = _row_codes(np.concatenate([a.labels, b.labels]))
+    out = np.zeros((2, codes.max(initial=-1) + 1), dtype=complex)
+    out[0, codes[:a.support_size]] = a.amps
+    out[1, codes[a.support_size:]] = b.amps
+    return out
 
 
 def inner(a: PureState, b: PureState) -> complex:
     """<a|b>, conjugate-linear in ``a``."""
-    if a.local_dims != b.local_dims:
-        raise ValueError(f"shape mismatch: {a.local_dims} vs {b.local_dims}")
-    small, big = (a, b) if a.support_size <= b.support_size else (b, a)
-    tot = 0j
-    for labels, amp in small.amplitudes.items():
-        other = big.amplitudes.get(labels)
-        if other is not None:
-            if small is a:
-                tot += amp.conjugate() * other
-            else:
-                tot += other.conjugate() * amp
-    return tot
+    return complex(np.vdot(*_union(a, b)))
 
 
-def _split_labels(labels, keep, rest):
-    return (tuple(labels[p] for p in keep), tuple(labels[p] for p in rest))
+def _cut(s: PureState, parties):
+    """Sorted kept parties (a non-empty proper subset) and the rest."""
+    keep = sorted(set(int(p) for p in parties))
+    if not keep or len(keep) >= s.party_count:
+        raise ValueError("cut must be non-empty and proper")
+    if keep[0] < 0 or keep[-1] >= s.party_count:
+        raise ValueError(f"party out of range: {keep}")
+    return keep, [p for p in range(s.party_count) if p not in keep]
 
 
 def reduced_density(s: PureState, parties) -> DensityMatrix:
     """Partial trace onto ``parties`` (non-empty proper subset)."""
-    keep = tuple(sorted(set(int(p) for p in parties)))
-    if not keep or len(keep) >= s.party_count:
-        raise ValueError("subset must be non-empty and proper")
-    if keep[0] < 0 or keep[-1] >= s.party_count:
-        raise ValueError(f"party out of range: {keep}")
-    rest = tuple(p for p in range(s.party_count) if p not in keep)
+    keep, rest = _cut(s, parties)
     dims = [s.local_dims[p] for p in keep]
     dim = math.prod(dims)
     if dim > 4096:
         raise ValueError(
             f"dense reduced density of dimension {dim} refused; "
             "use entanglement_entropy for spectra of large cuts")
-    groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-    for labels, amp in s.amplitudes.items():
-        kl, rl = _split_labels(labels, keep, rest)
-        flat = 0
-        for l, d in zip(kl, dims):
-            flat = flat * d + l
-        groups.setdefault(rl, []).append((flat, amp))
+    # rho[x, y] sums a_i conj(a_j) over the pairs of terms i, j that
+    # agree on the traced parties: sort by those, pair within each group
+    group = _row_codes(s.labels[:, rest])
+    order = np.argsort(group, kind="stable")
+    group, labels, amps = group[order], s.labels[order], s.amps[order]
+    flat = np.ravel_multi_index(labels[:, keep].T, dims)
+    first = np.searchsorted(group, group)
+    size = np.searchsorted(group, group, side="right") - first
+    i = np.repeat(np.arange(len(group)), size)
+    j = np.repeat(first, size) + np.arange(len(i)) - np.repeat(
+        np.cumsum(size) - size, size)
     rho = np.zeros((dim, dim), dtype=complex)
-    for entries in groups.values():
-        for i, ai in entries:
-            for j, aj in entries:
-                rho[i, j] += ai * aj.conjugate()
+    np.add.at(rho, (flat[i], flat[j]), amps[i] * amps[j].conj())
     return DensityMatrix(dim, rho)
 
 
@@ -222,25 +290,12 @@ def entanglement_entropy(s: PureState, cut) -> float:
     Works on the compact coefficient matrix over occurring labels, so large
     local dimensions cost only the support size.
     """
-    keep = tuple(sorted(set(int(p) for p in cut)))
-    if not keep or len(keep) >= s.party_count:
-        raise ValueError("cut must be non-empty and proper")
-    if keep[0] < 0 or keep[-1] >= s.party_count:
-        raise ValueError(f"party out of range: {keep}")
-    rest = tuple(p for p in range(s.party_count) if p not in keep)
-    rows: dict[tuple[int, ...], int] = {}
-    cols: dict[tuple[int, ...], int] = {}
-    triples = []
-    for labels, amp in s.amplitudes.items():
-        kl, rl = _split_labels(labels, keep, rest)
-        i = rows.setdefault(kl, len(rows))
-        j = cols.setdefault(rl, len(cols))
-        triples.append((i, j, amp))
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for i, j, amp in triples:
-        mat[i, j] += amp
-    sv = np.linalg.svd(mat, compute_uv=False)
-    probs = sv**2
+    keep, rest = _cut(s, cut)
+    rows, cols = _row_codes(s.labels[:, keep]), _row_codes(s.labels[:, rest])
+    mat = np.zeros((rows.max(initial=-1) + 1, cols.max(initial=-1) + 1),
+                   dtype=complex)
+    mat[rows, cols] = s.amps
+    probs = np.linalg.svd(mat, compute_uv=False) ** 2
     return entropy(probs[probs > 1e-15])
 
 
@@ -255,44 +310,36 @@ def relabel(s: PureState, party: int, mapping: dict[int, int],
     if not 0 <= party < s.party_count:
         raise ValueError(f"party {party} out of range")
     dim = s.local_dims[party] if new_dim is None else int(new_dim)
-    seen: dict[int, int] = {}
-    amps = {}
-    for labels, amp in s.amplitudes.items():
-        old = labels[party]
-        new = int(mapping.get(old, old))
-        if not 0 <= new < dim:
-            raise ValueError(f"mapped label {new} out of range for dim {dim}")
-        if seen.setdefault(new, old) != old:
-            raise ValueError(f"label map is not injective on support at {new}")
-        amps[labels[:party] + (new,) + labels[party + 1:]] = amp
+    old, row_of = np.unique(s.labels[:, party], return_inverse=True)
+    new = np.array([mapping.get(x, x) for x in old.tolist()], dtype=np.int64)
+    if new.size and not 0 <= new.min() <= new.max() < dim:
+        raise ValueError(f"mapped label outside 0..{dim - 1}")
+    if np.unique(new).size != new.size:
+        raise ValueError("label map is not injective on the support")
+    labels = s.labels.copy()
+    labels[:, party] = new[row_of]
     dims = s.local_dims[:party] + (dim,) + s.local_dims[party + 1:]
-    return PureState(dims, amps)
+    return PureState.from_columns(dims, labels, s.amps)
 
 
 def amplitude_distance(a: PureState, b: PureState) -> float:
     """Max amplitude deviation after aligning global phases on a's
     largest-magnitude amplitude (label tie-break: smallest)."""
-    if a.local_dims != b.local_dims:
-        raise ValueError(f"shape mismatch: {a.local_dims} vs {b.local_dims}")
-    if not a.amplitudes and not b.amplitudes:
-        return 0.0
-    if not a.amplitudes or not b.amplitudes:
-        present = a.amplitudes or b.amplitudes
-        return max(abs(v) for v in present.values())
-    ref = min(a.amplitudes, key=lambda l: (-abs(a.amplitudes[l]), l))
-    va, vb = a.amplitudes[ref], b.amplitudes.get(ref, 0j)
+    xa, xb = _union(a, b)
+    if not a.support_size:
+        return float(np.abs(xb).max(initial=0.0))
+    # libm hypot, as Python's abs: numpy's complex abs may differ by an ulp
+    mags = np.hypot(xa.real, xa.imag)
+    ref = np.flatnonzero(mags == mags.max())[0]  # union is in label order
+    va, vb = complex(xa[ref]), complex(xb[ref])
     pa = va / abs(va)
     pb = vb / abs(vb) if abs(vb) > 0 else pa
-    worst = 0.0
-    for labels in a.amplitudes.keys() | b.amplitudes.keys():
-        xa = a.amplitudes.get(labels, 0j) / pa
-        xb = b.amplitudes.get(labels, 0j) / pb
-        worst = max(worst, abs(xa - xb))
-    return worst
+    diff = xa / pa - xb / pb
+    return float(np.hypot(diff.real, diff.imag).max())
 
 
 def states_equal(a: PureState, b: PureState, tol: float = NORM_TOL) -> bool:
     """Equality up to a global phase: amplitude_distance(a, b) <= tol, and
     a state equals the empty state only if it is empty itself."""
     return (amplitude_distance(a, b) <= tol
-            and bool(a.amplitudes) == bool(b.amplitudes))
+            and bool(a.support_size) == bool(b.support_size))

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 
-from .hilbert import NORM_TOL, PureState, reduced_density
+from .hilbert import NORM_TOL, PureState, squared_norm
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -137,53 +137,32 @@ def check_completeness(p: Povm, dim: int | None = None,
     return float(np.abs(total - 1.0).max()) <= tol
 
 
-def _party_labels(s: PureState, party: int, in_dim: int):
-    """The party's label and the amplitude of every term, in support order."""
-    if in_dim != s.local_dims[party]:
+def _weighted(s: PureState, op: LocalOperator):
+    """Mask of the terms of ``s`` with a nonzero weight on the operator's
+    party, and their weighted amplitudes in support order."""
+    if op.in_dim != s.local_dims[op.party]:
         raise ValueError(
-            f"operator in_dim {in_dim} != local dim "
-            f"{s.local_dims[party]} of party {party}")
-    n = s.support_size
-    labels = np.fromiter((l[party] for l in s.amplitudes), np.int64, n)
-    return labels, np.fromiter(s.amplitudes.values(), complex, n)
-
-
-def _squared_norm(amps: np.ndarray) -> float:
-    """sum |a|**2 over ``amps`` as a running sum in support order, each
-    term squared by libm ``pow``: numpy's pairwise sum and its vector
-    square both move the last bit of some probabilities, and transcripts
-    print 17 digits."""
-    total = 0.0
-    for h in np.hypot(amps.real, amps.imag).tolist():
-        total += h ** 2
-    return total
-
-
-def _weighted(op: LocalOperator, labels: np.ndarray, amps: np.ndarray):
-    """Mask of the terms whose label has a nonzero weight, and their
-    weighted amplitudes (the others contribute nothing)."""
-    w = op.weights[labels]
+            f"operator in_dim {op.in_dim} != local dim "
+            f"{s.local_dims[op.party]} of party {op.party}")
+    w = op.weights[s.labels[:, op.party]]
     live = w != 0
-    return live, w[live] * amps[live]
+    return live, w[live] * s.amps[live]
 
 
 def _rewrite(s: PureState, op: LocalOperator):
-    """The label-rewrite rule: output dims, then the rewritten label tuples
+    """The label-rewrite rule: output dims, then the rewritten label rows
     and amplitudes of every term with a nonzero weight, in support order."""
     p = op.party
-    labels, amps = _party_labels(s, p, op.in_dim)
-    live, amps = _weighted(op, labels, amps)
-    new = [l if l[p] == t else l[:p] + (t,) + l[p + 1:]
-           for l, t in zip(compress(s.amplitudes, live.tolist()),
-                           op.targets[labels[live]].tolist())]
+    live, amps = _weighted(s, op)
+    new = s.labels[live]
+    new[:, p] = op.targets[new[:, p]]
     dims = s.local_dims[:p] + (op.out_dim,) + s.local_dims[p + 1:]
     return dims, new, amps
 
 
 def apply_operator(s: PureState, op: LocalOperator) -> PureState:
     """Apply without renormalizing (for unitaries and linear-algebra checks)."""
-    dims, labels, amps = _rewrite(s, op)
-    return PureState(dims, dict(zip(labels, amps.tolist())))
+    return PureState.from_columns(*_rewrite(s, op))
 
 
 def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
@@ -193,12 +172,11 @@ def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
     numerically zero probability raises rather than returning garbage.
     """
     dims, labels, amps = _rewrite(s, op)
-    sq = _squared_norm(amps)
+    sq = squared_norm(amps)
     if sq <= IMPOSSIBLE_EPS:
         raise ImpossibleOutcomeError(
             f"outcome on party {op.party} has probability {sq:.3e}")
-    return PureState(dims, dict(zip(labels,
-                                    (amps / math.sqrt(sq)).tolist()))), sq
+    return PureState.from_columns(dims, labels, amps / math.sqrt(sq)), sq
 
 
 @dataclass(frozen=True)
@@ -254,9 +232,7 @@ def trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
 
 def outcome_probabilities(s: PureState, p: Povm) -> np.ndarray:
     """Born probabilities of every POVM outcome on s (must sum to 1)."""
-    labels, amps = _party_labels(s, p.party, p.in_dim)
-    probs = np.array([_squared_norm(_weighted(e, labels, amps)[1])
-                      for e in p.elements])
+    probs = np.array([squared_norm(_weighted(s, e)[1]) for e in p.elements])
     if abs(probs.sum() - 1.0) > NORM_TOL:
         raise ValueError(
             f"outcome probabilities sum to {probs.sum()}, not 1; "
@@ -285,17 +261,30 @@ def sample(s: PureState, p: Povm, rng,
     return outcome, post, entry
 
 
+def _shared_density(s: PureState, party: int, shared: np.ndarray):
+    """One-party density of ``s`` on the sorted labels ``shared`` only."""
+    keep = np.isin(s.labels[:, party], shared)
+    labels, amps = s.labels[keep], s.amps[keep]
+    group = np.unique(np.delete(labels, party, axis=1), axis=0,
+                      return_inverse=True)[1].reshape(-1)
+    m = np.zeros((group.max(initial=-1) + 1, len(shared)), dtype=complex)
+    m[group, np.searchsorted(shared, labels[:, party])] = amps
+    return m.T @ m.conj()
+
+
 def check_local_orthogonality(components, tol: float = ORTHO_EPS) -> bool:
     """True iff every pair of components has vanishing local density overlap
-    Tr[rho_i rho_j] on every party."""
+    Tr[rho_i rho_j] on every party. Only labels both components occupy on
+    a party contribute there, so the overlap is 0 when they share none."""
     comps = list(components)
-    if len(comps) < 2:
-        return True
-    shape = comps[0].local_dims
+    shape = comps[0].local_dims if comps else ()
     if any(c.local_dims != shape for c in comps):
         raise ValueError("components have mismatched shapes")
-    for party in range(len(shape)):
-        rhos = [reduced_density(c, (party,)).matrix for c in comps]
-        if any(abs(np.vdot(a, b)) > tol for a, b in combinations(rhos, 2)):
-            return False
+    for a, b in combinations(comps, 2):
+        for party in range(len(shape)):
+            shared = np.intersect1d(a.labels[:, party], b.labels[:, party])
+            if shared.size and abs(np.vdot(
+                    _shared_density(a, party, shared),
+                    _shared_density(b, party, shared))) > tol:
+                return False
     return True

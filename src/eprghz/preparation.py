@@ -18,11 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
-                      relabel, tensor)
+                      relabel, squared_norm, tensor)
 from .canonical import level_epr, level_ghz
 from .locc import (Povm, Transcript, apply_operator, as_generator,
                    diagonal_operator, permutation_operator, sample)
-from .blocks import block_rows, log2_binomial_array
+from .blocks import block_rows, _block_terms, log2_binomial_array
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,13 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
     return Window(n, k_minus, k_plus, alpha, beta)
 
 
-def _window_tuple(window) -> tuple[int, int]:
-    if isinstance(window, Window):
-        return window.k_minus, window.k_plus
-    k_minus, k_plus = window
-    return int(k_minus), int(k_plus)
+def _window_tuple(window, n: int) -> tuple[int, int]:
+    """(k_minus, k_plus) of a Window or a pair, checked against 0..n."""
+    k_minus, k_plus = ((window.k_minus, window.k_plus)
+                       if isinstance(window, Window) else map(int, window))
+    if not 0 <= k_minus <= k_plus <= n:
+        raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
+    return k_minus, k_plus
 
 
 def fidelity(n: int, c0_sq: float, window) -> float:
@@ -92,9 +94,7 @@ def fidelity(n: int, c0_sq: float, window) -> float:
     absolute rounding noise of huge log-binomial values.
     """
     n = int(n)
-    k_minus, k_plus = _window_tuple(window)
-    if not 0 <= k_minus <= k_plus <= n:
-        raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
+    k_minus, k_plus = _window_tuple(window, n)
     if c0_sq <= 0.0:
         return 1.0 if k_minus == 0 else 0.0
     if c0_sq >= 1.0:
@@ -124,7 +124,7 @@ def resource_count(n: int, window) -> ResourceCount:
     largest block multiplicity (at k0, the window point nearest N/2,
     smaller index on ties)."""
     n = int(n)
-    k_minus, k_plus = _window_tuple(window)
+    k_minus, k_plus = _window_tuple(window, n)
     candidates = [k for k in {n // 2, (n + 1) // 2} if k_minus <= k <= k_plus]
     if candidates:
         k0 = min(candidates)
@@ -138,25 +138,19 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
     """Explicit windowed target: the normalized restriction of the N-copy
     power to the window's blocks (small N only)."""
     n = int(n)
-    k_minus, k_plus = _window_tuple(window)
-    if not 0 <= k_minus <= k_plus <= n:
-        raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
+    k_minus, k_plus = _window_tuple(window, n)
     support = sum(math.comb(n, k) * 2**(n - k)
                   for k in range(k_minus, k_plus + 1))
     if support > EXPLICIT_BUDGET:
         raise BudgetError(f"windowed target needs {support} terms, "
                           f"budget is {EXPLICIT_BUDGET}")
-    amps: dict[tuple[int, ...], complex] = {}
-    for k, a, bcs in block_rows(n, k_minus, k_plus):
-        base = c0**k * c1**(n - k) / math.sqrt(len(bcs))
-        if base != 0.0:
-            for bc in bcs:
-                amps[(a, bc, bc)] = complex(base)
-    norm = math.sqrt(sum(abs(v)**2 for v in amps.values()))
+    labels, ks = _block_terms(n, k_minus, k_plus)
+    amps = np.array([c0**k * c1**(n - k) / math.sqrt(2**(n - k))
+                     for k in range(k_minus, k_plus + 1)])[ks - k_minus]
+    norm = math.sqrt(squared_norm(amps))
     if norm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
-    amps = {l: v / norm for l, v in amps.items()}
-    return PureState((2**n, 3**n, 3**n), amps)
+    return PureState.from_columns((2**n, 3**n, 3**n), labels, amps / norm)
 
 
 def ghz_weighting_povm(weights, party: int = 0
@@ -262,7 +256,7 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
     the N-copy label space.
     """
     n = int(n)
-    k_minus, k_plus = _window_tuple(window)
+    k_minus, k_plus = _window_tuple(window, n)
     if abs(c0 * c0 + c1 * c1 - 1.0) > NORM_TOL:
         raise ValueError(f"coefficients not normalized: {c0}, {c1}")
     big_r = sum(math.comb(n, k) for k in range(k_minus, k_plus + 1))

@@ -122,6 +122,22 @@ def test_extract_analytic_large_n(capsys):
     assert abs(float(ghz["empirical"]) - 1.0) < 0.01
 
 
+def test_extract_spec_with_a_wide_level(capsys, tmp_path):
+    """A level-5000 pair has local dimension 5001: the orthogonality check
+    of the spec's components must not need a dense one-party density."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"m": 3, "components": [
+        {"c": 0.6, "support": [0]},
+        {"c": 0.8, "support": [1, 2], "level": 5000}]}))
+    code, out, err = run(capsys, "extract", "--spec", str(path), "-N", "1",
+                         "--trials", "5", "--seed", "1")
+    assert (code, err) == (EXIT_OK, "")
+    table = rows_of(out)
+    assert [r["subset"] for r in table] == ["BC", "ABC"]
+    assert float(table[0]["expected"]) == pytest.approx(0.64 * math.log2(5000))
+    assert float(table[1]["expected"]) == 0.0
+
+
 def test_extract_explicit_budget_refusal(capsys):
     code, _, err = run(capsys, "extract", "--psi", "0.6", "0.8", "-N", "16",
                        "--trials", "1", "--seed", "1")
@@ -383,6 +399,8 @@ GOLDEN = Path(__file__).parent / "golden"
                              "TRANSCRIPT")),
     ("prepare_4", ("prepare", "--psi", "0.6", "0.8", "-N", "4", "--trials",
                    "2", "--seed", "5", "--transcript", "TRANSCRIPT")),
+    ("extract_spec3", ("extract", "--spec", "SPEC3", "-N", "3", "--trials",
+                       "200", "--seed", "7", "--transcript", "TRANSCRIPT")),
 ])
 def test_golden_output(capsys, tmp_path, name, argv):
     """Stdout and transcripts stay byte-identical to the recorded runs
@@ -390,7 +408,8 @@ def test_golden_output(capsys, tmp_path, name, argv):
     spec = tmp_path / "psi_prime_equal.json"
     spec.write_text(spec_to_json(psi_prime_spec(0.5, 0.5, 0.5, 0.5)))
     transcript = tmp_path / "transcript.tsv"
-    paths = {"SPEC": str(spec), "TRANSCRIPT": str(transcript)}
+    paths = {"SPEC": str(spec), "SPEC3": str(GOLDEN / "spec3.json"),
+             "TRANSCRIPT": str(transcript)}
     code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert (code, err) == (EXIT_OK, "")
     assert out == (GOLDEN / f"{name}.out").read_text()

@@ -10,8 +10,8 @@ from eprghz.canonical import (
     CanonicalComponent, StateSpec, psi_prime_spec, psi_spec, random_spec,
 )
 from eprghz.extraction import (
-    asymptotic_rates, block_measurement_povm, entropy_consistency,
-    expected_yields, run_extraction,
+    _flat_outcome, asymptotic_rates, block_measurement_povm,
+    entropy_consistency, expected_yields, run_extraction,
 )
 from eprghz.hilbert import BudgetError, entropy
 
@@ -229,3 +229,29 @@ def test_entropy_consistency_counts_crossing_subsets():
     assert r.per_subset[(1, 2)] == pytest.approx(0.3)
     assert r.per_subset[(0, 1)] == pytest.approx(0.2 * math.log2(3))
     assert r.full == pytest.approx(entropy((0.5, 0.3, 0.2)))
+
+
+# -- transcript outcome ids ----------------------------------------------------
+
+def _rank_by_loop(counts):
+    """The per-step summation loop that the closed form replaced."""
+    rank, remaining = 0, sum(counts)
+    for pos, k in enumerate(counts[:-1]):
+        left = len(counts) - pos - 1
+        for smaller in range(k):
+            rank += math.comb(remaining - smaller + left - 1, left - 1)
+        remaining -= k
+    return rank
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_flat_outcome_is_the_enumeration_position(m):
+    for n in range(11):
+        for position, counts in enumerate(iter_block_counts(n, m)):
+            assert _flat_outcome(counts) == position
+
+
+@pytest.mark.parametrize("counts", [(360_012, 639_988),
+                                    (250_113, 249_870, 250_001, 250_016)])
+def test_flat_outcome_matches_the_loop_at_large_n(counts):
+    assert _flat_outcome(counts) == _rank_by_loop(counts)

@@ -1,7 +1,10 @@
 """Sparse state container, tensor alignment, and entropy measures."""
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from eprghz.hilbert import (
     amplitude_distance, entanglement_entropy, entropy, inner, reduced_density,
     relabel, states_equal, tensor,
 )
-from eprghz.canonical import epr, ghz, psi, psi_prime
+from eprghz.canonical import copies, epr, ghz, psi, psi_prime
 
 SQ2 = math.sqrt(2.0)
 
@@ -42,6 +45,56 @@ def test_state_validation():
         PureState((2, 2), {(0,): 1.0})           # wrong arity
     with pytest.raises(ValueError):
         PureState((2, 2), {(0, 2): 1.0})         # label out of range
+    with pytest.raises(ValueError):
+        PureState((2, 2), {(1, -1): 1.0})        # negative label
+    with pytest.raises(ValueError):
+        PureState((2, 2), {(0, 0): 1.0, (1,): 1.0})   # ragged arity
+    # the same refusals for a label matrix and an amplitude vector
+    for labels in ([(0,)], [(0, 0, 1)], [(0, 2)], [(1, -1)], [(0, 0), (1,)]):
+        with pytest.raises(ValueError):
+            PureState.from_columns((2, 2), labels, np.ones(len(labels)))
+    with pytest.raises(ValueError):
+        PureState.from_columns((2, 2), [(0, 0)], [1.0, 1.0])  # lengths differ
+
+
+@pytest.mark.parametrize("state", [psi(0.6, 0.8), psi_prime(0.5, 0.5, 0.5, 0.5),
+                                   ghz(4), PureState((3,), {})],
+                         ids=["psi", "psi_prime", "ghz4", "empty"])
+def test_mapping_and_columnar_inputs_agree(state):
+    mapping = PureState(state.local_dims, dict(state.amplitudes.items()))
+    columns = PureState.from_columns(state.local_dims, state.labels.tolist(),
+                                     state.amps.tolist())
+    assert mapping == columns == state
+    assert list(mapping.amplitudes) == list(columns.amplitudes)
+    assert states_equal(mapping, columns, 0.0)
+
+
+def test_columns_are_read_only():
+    s = psi(0.6, 0.8)
+    assert isinstance(s.amplitudes, Mapping)
+    assert s.labels.shape == (3, 3) and s.labels.dtype == np.int64
+    assert s.amps.dtype == complex
+    with pytest.raises(ValueError):
+        s.labels[0, 0] = 1
+    with pytest.raises(ValueError):
+        s.amps[0] = 0.0
+    with pytest.raises(TypeError):
+        s.amplitudes[(0, 0, 0)] = 0.5
+
+
+def test_support_size_without_a_dict():
+    n = 10**5
+    diag = np.repeat(np.arange(n, dtype=np.int64)[:, None], 2, axis=1)
+    s = PureState.from_columns((n, n), diag, np.full(n, n ** -0.5))
+    tracemalloc.start()
+    try:
+        size = len(s.amplitudes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == s.support_size == n
+    assert not isinstance(s.amplitudes, dict)
+    assert peak < 10_000  # a dict of 1e5 label tuples takes megabytes
 
 
 def test_small_amplitudes_pruned():
@@ -81,6 +134,44 @@ def test_tensor_default_alignment():
     assert s.local_dims == (4, 4)
     assert set(s.amplitudes) == {(0, 0), (1, 1), (2, 2), (3, 3)}
     assert s.amplitudes[(3, 3)] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("a_map,b_map,party_count", [
+    (None, None, None),          # every slot merged
+    ((0, 1, 2), (3, 4, 5), 6),   # disjoint slots
+    ((0, 1, 2), (1, 2, 3), 4),   # two merged slots, one each alone
+    ((2, 0, 1), (0, 4, 2), 5),   # permuted maps, one slot fed by neither
+])
+def test_tensor_rows_run_a_outer_b_inner(a_map, b_map, party_count):
+    a, b = psi(0.6, 0.8), psi_prime(0.5, 0.5, 0.5, 0.5)
+    s = tensor(a, b, a_map, b_map, party_count)
+    a_map = a_map or (0, 1, 2)
+    b_map = b_map or (0, 1, 2)
+    want_labels, want_amps = [], []
+    for (la, va), (lb, vb) in itertools.product(a.amplitudes.items(),
+                                                b.amplitudes.items()):
+        row = [0] * s.party_count
+        for p, slot in enumerate(a_map):
+            row[slot] = la[p]
+        for p, slot in enumerate(b_map):
+            row[slot] = row[slot] * b.local_dims[p] + lb[p]
+        want_labels.append(tuple(row))
+        want_amps.append(va * vb)
+    assert list(s.amplitudes) == want_labels
+    assert s.amps.tolist() == want_amps
+
+
+@pytest.mark.parametrize("state", [psi(0.6, 0.8),
+                                   psi_prime(0.6, 0.5, 0.4, 0.4795831523312719),
+                                   ghz(3)], ids=["psi", "psi_prime", "ghz3"])
+def test_copies_rows_follow_product_order(state):
+    """Copy 0 is the most significant digit and the outermost row loop."""
+    out = copies(state, 3)
+    want = [tuple(sum(t[p] * state.local_dims[p] ** (2 - i)
+                      for i, t in enumerate(terms))
+                  for p in range(state.party_count))
+            for terms in itertools.product(state.amplitudes, repeat=3)]
+    assert list(out.amplitudes) == want
 
 
 def test_tensor_disjoint_slots():
@@ -256,6 +347,47 @@ def test_amplitude_distance():
     assert amplitude_distance(s, part) == pytest.approx(0.8 / SQ2)
     with pytest.raises(ValueError):
         amplitude_distance(s, PureState((2, 2), {(0, 0): 1.0}))
+
+
+def _distance_by_terms(a, b):
+    """The term-by-term rule that the array code replaced (reference)."""
+    amps_a, amps_b = dict(a.amplitudes.items()), dict(b.amplitudes.items())
+    if not amps_a:
+        return max((abs(v) for v in amps_b.values()), default=0.0)
+    ref = min(amps_a, key=lambda l: (-abs(amps_a[l]), l))
+    va, vb = amps_a[ref], amps_b.get(ref, 0j)
+    pa = va / abs(va)
+    pb = vb / abs(vb) if abs(vb) > 0 else pa
+    return max(abs(amps_a.get(l, 0j) / pa - amps_b.get(l, 0j) / pb)
+               for l in amps_a.keys() | amps_b.keys())
+
+
+def _phased_state(rng, dims):
+    labels = {tuple(int(rng.integers(d)) for d in dims)
+              for _ in range(int(rng.integers(1, 8)))}
+    mags = rng.choice([0.25, 0.5, 1.0], size=len(labels))   # many ties
+    phases = rng.choice([1, -1, 1j, -1j, np.exp(0.3j)], size=len(labels))
+    return PureState(dims, {l: complex(m * p)
+                            for l, m, p in zip(labels, mags, phases)})
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_amplitude_distance_matches_the_term_by_term_rule(seed):
+    rng = np.random.default_rng(seed)
+    a, b = _phased_state(rng, (3, 3, 2)), _phased_state(rng, (3, 3, 2))
+    assert amplitude_distance(a, b) == \
+        pytest.approx(_distance_by_terms(a, b), abs=1e-15)
+
+
+def test_amplitude_distance_near_tie_picks_the_smallest_label():
+    # |0.9553...+0.2955...j| is 1 by libm hypot (Python's abs) and one ulp
+    # less by numpy's complex abs; the tie with -1j goes to label (1, 0, 1)
+    a = PureState((3, 3, 2), {(1, 2, 1): -1j,
+                              (1, 0, 1): complex(0.955336489125606,
+                                                 0.29552020666133955)})
+    b = PureState((3, 3, 2), {(1, 0, 1): -0.5 + 0j, (2, 0, 0): 1.0 + 0j})
+    assert amplitude_distance(a, b) == _distance_by_terms(a, b)
 
 
 def test_budget_constant_sane():

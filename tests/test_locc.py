@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprghz.canonical import (CanonicalComponent, StateSpec, copies, psi,
                               psi_prime, psi_prime_spec, psi_spec)
 from eprghz.extraction import block_measurement_povm
-from eprghz.hilbert import NORM_TOL, PureState, states_equal
+from eprghz.hilbert import NORM_TOL, PureState, reduced_density, states_equal
 from eprghz.locc import (
-    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, apply_element,
+    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, _shared_density,
+    apply_element,
     apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
     permutation_operator, projector_onto_labels, sample, trial_seeds,
@@ -310,6 +313,34 @@ def test_local_orthogonality_detects_overlap():
     assert check_local_orthogonality([a])
     with pytest.raises(ValueError):
         check_local_orthogonality([a, PureState((3, 3), {(0, 0): 1.0})])
+
+
+def _random_component(rng, dims):
+    labels = {tuple(int(rng.integers(d)) for d in dims)
+              for _ in range(int(rng.integers(1, 7)))}
+    amps = {l: complex(rng.normal(), rng.normal()) for l in labels}
+    return PureState(dims, amps).normalized()
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_shared_density_overlap_matches_reduced_density(seed):
+    """The overlap on the shared labels equals Tr[rho_a rho_b] from the
+    full dense one-party densities (the independent oracle)."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(2, 4)))
+    a, b = _random_component(rng, dims), _random_component(rng, dims)
+    for party in range(len(dims)):
+        shared = np.intersect1d(a.labels[:, party], b.labels[:, party])
+        rho_a, rho_b = (reduced_density(s, (party,)).matrix for s in (a, b))
+        got_a, got_b = (_shared_density(s, party, shared) for s in (a, b))
+        assert np.allclose(got_a, rho_a[np.ix_(shared, shared)], atol=1e-12)
+        assert abs(np.vdot(got_a, got_b)) == \
+            pytest.approx(abs(np.vdot(rho_a, rho_b)), abs=1e-12)
+    oracle = all(abs(np.vdot(reduced_density(a, (p,)).matrix,
+                             reduced_density(b, (p,)).matrix)) <= 1e-12
+                 for p in range(len(dims)))
+    assert check_local_orthogonality([a, b]) == oracle
 
 
 # -- block measurement is party-independent ----------------------------------
