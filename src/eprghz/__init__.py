@@ -15,10 +15,10 @@ from .locc import (ImpossibleOutcomeError, LocalOperator, Povm, Transcript,
                    check_local_orthogonality, diagonal_operator,
                    outcome_probabilities, permutation_operator,
                    projector_onto_labels, sample, trial_seeds)
-from .blocks import (BlockDecomposition, BlockEntry, BlockIndex, block_state,
-                     block_probability, block_yields, decompose,
+from .blocks import (BlockDecomposition, BlockEntry, BlockIndex, block_labels,
+                     block_state, block_probability, block_yields, decompose,
                      iter_block_counts, log2_multinomial, multinomial_exact,
-                     verify_block_equivalence, zero_position_rows)
+                     verify_block_equivalence)
 from .extraction import (Rates, YieldReport, asymptotic_rates,
                          block_measurement_povm, entropy_consistency,
                          expected_yields, run_extraction)
@@ -35,8 +35,9 @@ __all__ = [
     "LocalOperator", "Povm", "PureState", "Rates", "ResourceCount",
     "ShortenStage", "StateSpec", "Transcript", "TranscriptEntry", "Window",
     "YieldReport", "amplitude_distance", "apply_element", "apply_operator",
-    "as_generator", "asymptotic_rates", "block_measurement_povm",
-    "block_probability", "block_state", "block_yields", "build_target",
+    "as_generator", "asymptotic_rates", "block_labels",
+    "block_measurement_povm", "block_probability", "block_state",
+    "block_yields", "build_target",
     "check_completeness", "check_local_orthogonality", "copies", "decompose",
     "diagonal_operator", "entanglement_entropy", "entropy",
     "entropy_consistency", "epr", "expected_yields", "fidelity",
@@ -50,5 +51,4 @@ __all__ = [
     "sample", "spec_from_dict", "spec_from_json", "spec_matches_state",
     "spec_to_dict", "spec_to_json", "states_equal", "target_window",
     "tensor", "trial_seeds", "verify_block_equivalence",
-    "zero_position_rows",
 ]

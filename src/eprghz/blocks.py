@@ -12,19 +12,26 @@ GHZ-type state over the full party set.
 Counting conventions for the 2-component seed state: k = number of copies
 carrying the product component |000>, r = 2**(N-k) (within-row range on the
 B/C pair), t = binomial(N, k) (row count).
+
+Canonical labeling of the seed's block (N, k): a row is the set of k copy
+slots carrying |000>, and rows run in lexicographic order of that set,
+which is ascending Alice label. Alice's label has binary digit 0 on those
+slots and 1 on the others (copy 0 most significant). Term e of a row
+(0 <= e < r) has Bob's (= Claire's) ternary label with digit 0 on the
+|000> slots and 1 + bit on the free slots, where the bits of e fill the
+free slots with the first free slot most significant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.special import gammaln
 
-from .hilbert import (EXPLICIT_BUDGET, BudgetError, PureState, relabel,
-                      states_equal, tensor)
+from .hilbert import (EXPLICIT_BUDGET, INT64_MAX, BudgetError, PureState,
+                      relabel, states_equal, tensor)
 from .canonical import StateSpec, level_epr, level_ghz
 
 EXACT_N_MAX = 30
@@ -232,54 +239,41 @@ def decompose(spec: StateSpec, n: int,
 
 # -- canonical labeling of the 2-component seed's blocks --------------------
 
-def zero_position_rows(n: int, k: int) -> list[tuple[int, ...]]:
-    """Rows of block (n, k): the k-subsets of copy slots carrying |000>,
-    in lexicographic order."""
-    return list(combinations(range(n), k))
-
-
 def row_a_label(n: int, zeros: tuple[int, ...]) -> int:
-    """Alice's flattened binary label for a row: 0 on |000> slots, 1 elsewhere."""
-    zs = set(zeros)
-    label = 0
-    for i in range(n):
-        label = label * 2 + (0 if i in zs else 1)
-    return label
+    """Scalar Alice label of the row with |000> on the slots ``zeros``."""
+    return sum(2 ** (n - 1 - i) for i in range(n) if i not in zeros)
 
 
 def row_bc_label(n: int, zeros: tuple[int, ...], e: int) -> int:
-    """Bob's (= Claire's) flattened ternary label for within-row index e.
+    """Scalar Bob (= Claire) label of term e of the row ``zeros``."""
+    free = [i for i in range(n) if i not in zeros]
+    bits = {slot: (e >> j) & 1 for j, slot in enumerate(reversed(free))}
+    return sum(3 ** (n - 1 - i) * (1 + bit) for i, bit in bits.items())
 
-    The N-k non-|000> slots take digits 1 or 2; ``e`` enumerates the
-    assignments lexicographically over slots (first slot most significant).
-    """
-    zs = set(zeros)
-    free = [i for i in range(n) if i not in zs]
-    bits = {}
-    for j, slot in enumerate(reversed(free)):
-        bits[slot] = (e >> j) & 1
-    label = 0
+
+def block_labels(n: int, k_minus: int, k_plus: int):
+    """Blocks k_minus..k_plus in the canonical labeling, as int64 arrays:
+    block index k and Alice label per row, then row and Bob (= Claire)
+    label per term. Refuses a window whose largest Bob label,
+    3**n - 3**k_minus, does not fit in int64."""
+    n, k_minus, k_plus = int(n), int(k_minus), int(k_plus)
+    if not 0 <= k_minus <= k_plus <= n:
+        raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
+    if 3**n - 3**k_minus > INT64_MAX:
+        raise ValueError(f"labels of block ({n}, {k_minus}) exceed int64")
+    # every term, slot by slot from copy 0, while its |000> count can still
+    # land in the window; each row's terms come out by ascending e
+    a = bc = zeros = np.zeros(1, dtype=np.int64)
     for i in range(n):
-        label = label * 3 + (0 if i in zs else 1 + bits[i])
-    return label
-
-
-def block_rows(n: int, k_minus: int, k_plus: int):
-    """Every row of blocks k_minus..k_plus, blocks ascending and rows
-    lexicographic within a block, as (k, Alice's label, Bob's (= Claire's)
-    labels in within-row order)."""
-    for k in range(k_minus, k_plus + 1):
-        for zeros in zero_position_rows(n, k):
-            yield (k, row_a_label(n, zeros),
-                   [row_bc_label(n, zeros, e) for e in range(2 ** (n - k))])
-
-
-def _block_terms(n: int, k_minus: int, k_plus: int):
-    """Label rows (a, bc, bc) of every term of blocks k_minus..k_plus in
-    block_rows order, and the block index k of each term."""
-    terms = np.array([(k, a, bc) for k, a, bcs in block_rows(n, k_minus, k_plus)
-                      for bc in bcs], dtype=np.int64).reshape(-1, 3)
-    return terms[:, [1, 2, 2]], terms[:, 0]
+        a = (2 * a[:, None] + [0, 1, 1]).ravel()
+        bc = (3 * bc[:, None] + [0, 1, 2]).ravel()
+        zeros = (zeros[:, None] + [1, 0, 0]).ravel()
+        live = (zeros <= k_plus) & (zeros + n - 1 - i >= k_minus)
+        a, bc, zeros = a[live], bc[live], zeros[live]
+    order = np.lexsort((a, zeros))
+    a, bc, zeros = a[order], bc[order], zeros[order]
+    first = np.diff(a, prepend=-1) != 0
+    return zeros[first], a[first], np.cumsum(first) - 1, bc
 
 
 def block_state(n: int, k: int) -> PureState:
@@ -291,7 +285,9 @@ def block_state(n: int, k: int) -> PureState:
     r, t = 2 ** (n - k), math.comb(n, k)
     if r * t > EXPLICIT_BUDGET:
         raise BudgetError(f"block support {r * t} exceeds the explicit budget")
-    return PureState.from_columns((2**n, 3**n, 3**n), _block_terms(n, k, k)[0],
+    _, a, row, bc = block_labels(n, k, k)
+    return PureState.from_columns((2**n, 3**n, 3**n),
+                                  np.column_stack([a[row], bc, bc]),
                                   np.full(r * t, 1.0 / math.sqrt(r * t)))
 
 
@@ -301,15 +297,11 @@ def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:
     target = block_state(n, k)  # checks the index and the budget first
     n, k = int(n), int(k)
     r, t = 2 ** (n - k), math.comb(n, k)
-    pair = level_epr(r, (1, 2), 3)
-    rows = level_ghz(t, (0, 1, 2))
-    joint = tensor(pair, rows)  # labels (g, e*t+g, e*t+g)
-
-    a_map, bc_map = {}, {}
-    for g, (_, a, bcs) in enumerate(block_rows(n, k, k)):
-        a_map[g] = a
-        for e, bc in enumerate(bcs):
-            bc_map[e * t + g] = bc
+    # labels (g, e*t+g, e*t+g) onto target row g*r + e
+    joint = tensor(level_epr(r, (1, 2), 3), level_ghz(t, (0, 1, 2)))
+    a_map = dict(enumerate(target.labels[::r, 0].tolist()))
+    bc_map = dict(zip(np.arange(r * t).reshape(r, t).T.ravel().tolist(),
+                      target.labels[:, 1].tolist()))
     out = relabel(joint, 0, a_map, new_dim=2**n)
     out = relabel(out, 1, bc_map, new_dim=3**n)
     out = relabel(out, 2, bc_map, new_dim=3**n)

@@ -33,10 +33,11 @@ class BudgetError(RuntimeError):
 class Amplitudes(Mapping):
     """Read-only ``label tuple -> amplitude`` view over a state's two
     columns, ``labels`` and ``amps``: iteration follows the rows, and a
-    lookup scans them."""
+    lookup bisects a sorted row index built on the first one."""
 
     def __init__(self, labels, amps):
         self.labels, self.amps = labels, amps
+        self._index = None
 
     def __len__(self):
         return len(self.amps)
@@ -45,18 +46,32 @@ class Amplitudes(Mapping):
         return map(tuple, self.labels.tolist())
 
     def __getitem__(self, key):
-        key = tuple(key)
-        if len(key) == self.labels.shape[1]:
-            hit = np.flatnonzero((self.labels == key).all(axis=1))
-            if hit.size:
-                return complex(self.amps[hit[0]])
-        raise KeyError(key)
+        probe = np.array([tuple(key)])
+        if (probe.dtype.kind not in "bi"
+                or probe.shape != (1, self.labels.shape[1])):
+            raise KeyError(key)
+        if self._index is None:
+            rows = _row_bytes(self.labels)
+            order = np.argsort(rows, kind="stable")
+            self._index = order, rows[order]
+        order, rows = self._index
+        probe = _row_bytes(probe)[0]
+        i = int(np.searchsorted(rows, probe))
+        if i == len(rows) or rows[i] != probe:
+            raise KeyError(key)
+        return complex(self.amps[order[i]])
 
     def values(self):
         return self.amps.tolist()
 
     def items(self):
         return list(zip(self, self.amps.tolist()))
+
+
+def _row_bytes(labels: np.ndarray) -> np.ndarray:
+    """Each row of an int64 label matrix as one opaque sortable value."""
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    return labels.view(np.dtype((np.void, labels.strides[0]))).ravel()
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,19 @@ def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
 
 @dataclass(frozen=True)
 class TranscriptEntry:
+    """One measurement outcome; its probability must lie in [0, 1]."""
+
     step: str
     party: int
     outcome: int
     probability: float
+
+    def __post_init__(self):
+        for name, kind in (("step", str), ("party", int), ("outcome", int),
+                           ("probability", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        if not -NORM_TOL <= self.probability <= 1.0 + NORM_TOL:
+            raise ValueError(f"probability {self.probability} outside [0,1]")
 
     def to_line(self) -> str:
         return f"{self.step}\t{self.party}\t{self.outcome}\t{self.probability:.17g}"
@@ -198,12 +207,8 @@ class Transcript:
 
     def add(self, step: str, party: int, outcome: int,
             probability: float) -> TranscriptEntry:
-        if not -NORM_TOL <= probability <= 1.0 + NORM_TOL:
-            raise ValueError(f"probability {probability} outside [0,1]")
-        e = TranscriptEntry(str(step), int(party), int(outcome),
-                            float(probability))
-        self.entries.append(e)
-        return e
+        self.entries.append(TranscriptEntry(step, party, outcome, probability))
+        return self.entries[-1]
 
     def branch_probability(self) -> float:
         return math.prod(e.probability for e in self.entries)
@@ -257,8 +262,7 @@ def sample(s: PureState, p: Povm, rng,
         raise ValueError("POVM is not complete on its local space")
     outcome = _draw(np.cumsum(outcome_probabilities(s, p)), as_generator(rng))
     post, sq = apply_element(s, p.elements[outcome])
-    entry = TranscriptEntry(str(step), p.party, outcome, float(sq))
-    return outcome, post, entry
+    return outcome, post, TranscriptEntry(step, p.party, outcome, sq)
 
 
 def _shared_density(s: PureState, party: int, shared: np.ndarray):

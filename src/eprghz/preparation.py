@@ -22,7 +22,7 @@ from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
 from .canonical import level_epr, level_ghz
 from .locc import (Povm, Transcript, apply_operator, as_generator,
                    diagonal_operator, permutation_operator, sample)
-from .blocks import block_rows, _block_terms, log2_binomial_array
+from .blocks import block_labels, log2_binomial_array
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,15 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
     if support > EXPLICIT_BUDGET:
         raise BudgetError(f"windowed target needs {support} terms, "
                           f"budget is {EXPLICIT_BUDGET}")
-    labels, ks = _block_terms(n, k_minus, k_plus)
+    ks, a, row, bc = block_labels(n, k_minus, k_plus)
     amps = np.array([c0**k * c1**(n - k) / math.sqrt(2**(n - k))
-                     for k in range(k_minus, k_plus + 1)])[ks - k_minus]
+                     for k in range(k_minus, k_plus + 1)])[ks[row] - k_minus]
     norm = math.sqrt(squared_norm(amps))
     if norm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
-    return PureState.from_columns((2**n, 3**n, 3**n), labels, amps / norm)
+    return PureState.from_columns((2**n, 3**n, 3**n),
+                                  np.column_stack([a[row], bc, bc]),
+                                  amps / norm)
 
 
 def ghz_weighting_povm(weights, party: int = 0
@@ -172,13 +174,10 @@ def ghz_weighting_povm(weights, party: int = 0
     if abs(float(w @ w) - 1.0) > NORM_TOL:
         raise ValueError(f"weights have squared sum {float(w @ w)}, need 1")
     t = len(w)
-    elements = []
-    corrections = []
-    for j in range(t):
-        elements.append(diagonal_operator(party, np.roll(w, j)))
-        corrections.append({m: (m - j) % t for m in range(t)
-                            if (m - j) % t != m})
-    return Povm(party, tuple(elements)), tuple(corrections)
+    elements = tuple(diagonal_operator(party, np.roll(w, j)) for j in range(t))
+    # outcome 0 needs no correction
+    return Povm(party, elements), tuple(
+        {m: (m - j) % t for m in range(t)} if j else {} for j in range(t))
 
 
 @dataclass(frozen=True)
@@ -204,43 +203,33 @@ def row_shorten_povm(rows: Sequence[tuple[Sequence[int], int]], party: int,
     keep labels; applied on each party sharing the labels, all outcomes
     land on the same shortened state with all row weights untouched.
     """
-    seen: set[int] = set()
+    rows = [(np.asarray(labels, dtype=np.int64).ravel(), int(keep))
+            for labels, keep in rows]
+    every = np.concatenate([np.zeros(0, np.int64)] + [l for l, _ in rows])
+    if np.unique(every).size != every.size:
+        raise ValueError("row labels repeat or rows overlap")
     for labels, keep in rows:
-        ls = set(labels)
-        if len(ls) != len(labels):
-            raise ValueError("row labels repeat")
-        if ls & seen:
-            raise ValueError("rows overlap")
-        seen |= ls
-        if not 1 <= keep <= len(labels):
-            raise ValueError(f"keep count {keep} outside 1..{len(labels)}")
-        if len(labels) % keep:
+        if not 1 <= keep <= len(labels) or len(labels) % keep:
             raise ValueError(
                 f"keep count {keep} does not divide row length {len(labels)}")
-    if dim is None:
-        dim = max(seen) + 1
-    if seen and max(seen) >= dim:
-        raise ValueError(f"row label {max(seen)} outside dimension {dim}")
+    top = int(every.max(initial=-1))
+    dim = top + 1 if dim is None else dim
+    if top >= dim:
+        raise ValueError(f"row label {top} outside dimension {dim}")
 
     stages = []
     for j, (labels, keep) in enumerate(rows):
-        labels = list(labels)
-        length = len(labels)
-        scale = math.sqrt(keep / length)
-        elements = []
-        corrections = []
-        for o in range(length // keep):
-            diag = np.full(dim, scale)
+        chunks = labels.reshape(-1, keep)
+        elements, corrections = [], []
+        for o, chunk in enumerate(chunks):
+            diag = np.full(dim, math.sqrt(keep / len(labels)))
             diag[labels] = 0.0
-            chunk = labels[o * keep:(o + 1) * keep]
             diag[chunk] = 1.0
             elements.append(diagonal_operator(party, diag))
-            corr: dict[int, int] = {}
-            for i in range(keep):
-                if chunk[i] != labels[i]:
-                    corr[chunk[i]] = labels[i]
-                    corr[labels[i]] = chunk[i]
-            corrections.append(corr)
+            # outcome 0 keeps the head; any other chunk is disjoint from it
+            swap = np.concatenate([chunk, chunks[0]]).tolist()
+            corrections.append(dict(zip(swap, swap[keep:] + swap[:keep]))
+                               if o else {})
         stages.append(ShortenStage(j, Povm(party, tuple(elements)),
                                    tuple(corrections)))
     return stages
@@ -253,7 +242,8 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
     Inputs: one R-level GHZ-type state (R = window row count) and
     N - k_minus B-C pairs. Steps: weight the rows, attach the pairs,
     shorten each row to its block's length, then relabel every party into
-    the N-copy label space.
+    the N-copy label space. Each row's shortening stage is built just
+    before it is sampled.
     """
     n = int(n)
     k_minus, k_plus = _window_tuple(window, n)
@@ -264,9 +254,10 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
     if big_r * pair_levels > EXPLICIT_BUDGET:
         raise BudgetError(f"protocol needs {big_r * pair_levels} terms, "
                           f"budget is {EXPLICIT_BUDGET}")
-    rows = list(block_rows(n, k_minus, k_plus))
+    ks, a, row, bc = block_labels(n, k_minus, k_plus)
 
-    lam = np.array([c0**k * c1**(n - k) for k, _, _ in rows])
+    lam = np.array([c0**k * c1**(n - k)
+                    for k in range(k_minus, k_plus + 1)])[ks - k_minus]
     nrm = float(np.linalg.norm(lam))
     if nrm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
@@ -285,15 +276,16 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
                 state, permutation_operator(p, corrections[outcome], big_r))
 
     if pair_levels > 1:
-        pair = level_epr(pair_levels, (0, 1), 2)
-        state = tensor(state, pair, b_map=(1, 2))
+        state = tensor(state, level_epr(pair_levels, (0, 1), 2), b_map=(1, 2))
     dim_bc = big_r * pair_levels
 
-    stage_rows = [([g * pair_levels + e for e in range(pair_levels)],
-                   len(bcs)) for g, (_, _, bcs) in enumerate(rows)]
-    for st in row_shorten_povm(stage_rows, party=1, dim=dim_bc):
+    # term e of row g sits at g*pair_levels + e on B and C; the row keeps
+    # the first 2**(n - k) of its labels
+    for g, keep in enumerate(np.bincount(row).tolist()):
+        labels = range(g * pair_levels, (g + 1) * pair_levels)
+        [st] = row_shorten_povm([(labels, keep)], party=1, dim=dim_bc)
         outcome, state, entry = sample(state, st.povm, gen,
-                                       step=f"shorten_row{st.row}")
+                                       step=f"shorten_row{g}")
         transcript.entries.append(entry)
         if st.corrections[outcome]:
             for p in (1, 2):
@@ -301,16 +293,13 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
                     state,
                     permutation_operator(p, st.corrections[outcome], dim_bc))
 
-    a_map = {g: a for g, (_, a, _) in enumerate(rows)}
-    bc_map = {g * pair_levels + e: bc for g, (_, _, bcs) in enumerate(rows)
-              for e, bc in enumerate(bcs)}
-    state = relabel(state, 0, a_map, new_dim=2**n)
+    e = np.arange(len(row)) - np.searchsorted(row, row)
+    bc_map = dict(zip((row * pair_levels + e).tolist(), bc.tolist()))
+    state = relabel(state, 0, dict(enumerate(a.tolist())), new_dim=2**n)
     state = relabel(state, 1, bc_map, new_dim=3**n)
     state = relabel(state, 2, bc_map, new_dim=3**n)
-
-    resources = ResourceCount({(1, 2): float(n - k_minus)},
-                              math.log2(big_r))
-    return state, transcript, resources
+    return state, transcript, ResourceCount({(1, 2): float(n - k_minus)},
+                                            math.log2(big_r))
 
 
 def prepare_exact_n2(c0: float, c1: float, seed=0

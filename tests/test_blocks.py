@@ -6,17 +6,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from eprghz import blocks
 from eprghz.blocks import (
-    BlockIndex, block_probability, block_state, block_yields,
+    BlockIndex, block_labels, block_probability, block_state, block_yields,
     classify_copies_label, decompose, iter_block_counts, log2_binomial_array,
     log2_multinomial, multinomial_exact, row_a_label, row_bc_label,
-    verify_block_equivalence, zero_position_rows,
+    verify_block_equivalence,
 )
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, psi, psi_prime, psi_prime_spec,
     psi_spec,
 )
-from eprghz.hilbert import BudgetError
+from eprghz.hilbert import BudgetError, amplitude_distance
+from eprghz.preparation import build_target, prepare_approx
 
 # block probabilities of psi(0.6, 0.8) at N=2, indexed by k = copies of the
 # product component: C(2,k) 0.36^k 0.64^(2-k)
@@ -194,11 +196,6 @@ def test_classify_copies_label():
 
 # -- canonical row labels ----------------------------------------------------
 
-def test_zero_position_rows():
-    assert zero_position_rows(3, 2) == list(combinations(range(3), 2))
-    assert zero_position_rows(2, 0) == [()]
-
-
 def test_row_labels_explicit():
     # n=2, zeros=(0,): copy 0 carries |000>, a = binary 01
     assert row_a_label(2, (0,)) == 1
@@ -212,13 +209,75 @@ def test_row_labels_explicit():
 def test_row_labels_bijective(n):
     seen = set()
     for k in range(n + 1):
-        for zeros in zero_position_rows(n, k):
+        for zeros in combinations(range(n), k):
             a = row_a_label(n, zeros)
             for e in range(2 ** (n - k)):
                 pair = (a, row_bc_label(n, zeros, e))
                 assert pair not in seen
                 seen.add(pair)
     assert len(seen) == 3**n
+
+
+def _scalar_rows(n, k):
+    """Block (n, k) by the scalar rule: (Alice label, Bob labels) per row,
+    rows in lexicographic zero-set order."""
+    return [(row_a_label(n, zeros),
+             [row_bc_label(n, zeros, e) for e in range(2 ** (n - k))])
+            for zeros in combinations(range(n), k)]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_block_labels_match_the_scalar_rule(n):
+    """Every window's array labeling is the scalar rule row by row and, as
+    a set, the support of the N-copy power inside the window."""
+    scalar = {k: _scalar_rows(n, k) for k in range(n + 1)}
+    if n:
+        power = copies(psi(0.6, 0.8), n).labels
+        assert (power[:, 1] == power[:, 2]).all()
+        power_k = n - np.array([bin(a).count("1")
+                                for a in power[:, 0].tolist()])
+    for k_minus in range(n + 1):
+        for k_plus in range(k_minus, n + 1):
+            ks, a, row, bc = block_labels(n, k_minus, k_plus)
+            want = [(k, a_g, bcs) for k in range(k_minus, k_plus + 1)
+                    for a_g, bcs in scalar[k]]
+            assert ks.tolist() == [k for k, _, _ in want]
+            assert a.tolist() == [a_g for _, a_g, _ in want]
+            assert row.tolist() == [g for g, (_, _, bcs) in enumerate(want)
+                                    for _ in bcs]
+            assert bc.tolist() == [x for _, _, bcs in want for x in bcs]
+            if n:
+                inside = (power_k >= k_minus) & (power_k <= k_plus)
+                assert set(zip(a[row].tolist(), bc.tolist())) == set(
+                    zip(power[inside, 0].tolist(), power[inside, 1].tolist()))
+                assert len(bc) == inside.sum()
+
+
+def test_block_consumers_never_call_the_scalar_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar label function called")
+
+    monkeypatch.setattr(blocks, "row_a_label", refuse)
+    monkeypatch.setattr(blocks, "row_bc_label", refuse)
+    assert verify_block_equivalence(6, 2)
+    assert block_state(5, 1).support_size == 5 * 2**4
+    target = build_target(5, 0.6, 0.8, (0, 4))
+    assert target.is_normalized()
+    state, _, _ = prepare_approx(5, 0.6, 0.8, seed=1, window=(0, 4))
+    assert amplitude_distance(state, target) < 1e-9
+
+
+def test_labels_beyond_int64_are_refused():
+    assert block_state(39, 38).support_size == 78
+    s = block_state(40, 39)  # largest Bob label 2 * 3**39 = 8.1e18
+    assert s.support_size == 80
+    assert int(s.labels[:, 1].max()) == 2 * 3**39
+    with pytest.raises(ValueError, match="int64"):
+        block_state(40, 38)
+    with pytest.raises(ValueError, match="int64"):
+        verify_block_equivalence(41, 40)
+    with pytest.raises(ValueError, match="int64"):
+        build_target(40, 0.6, 0.8, (38, 40))
 
 
 # -- block states and equivalence --------------------------------------------

@@ -401,6 +401,8 @@ GOLDEN = Path(__file__).parent / "golden"
                    "2", "--seed", "5", "--transcript", "TRANSCRIPT")),
     ("extract_spec3", ("extract", "--spec", "SPEC3", "-N", "3", "--trials",
                        "200", "--seed", "7", "--transcript", "TRANSCRIPT")),
+    ("prepare_6", ("prepare", "--psi", "0.6", "0.8", "-N", "6", "--seed", "5",
+                   "--transcript", "TRANSCRIPT")),
 ])
 def test_golden_output(capsys, tmp_path, name, argv):
     """Stdout and transcripts stay byte-identical to the recorded runs

@@ -97,6 +97,19 @@ def test_support_size_without_a_dict():
     assert peak < 10_000  # a dict of 1e5 label tuples takes megabytes
 
 
+def test_amplitude_lookups_on_a_large_state():
+    s = copies(psi(0.6, 0.8), 10)
+    assert s.support_size >= 5 * 10**4
+    items = s.amplitudes.items()
+    assert all(s.amplitudes[label] == amp for label, amp in items)
+    assert dict(s.amplitudes) == dict(items)
+    for missing in [(0, 0, 1), (1, 0, 0), (2**10, 0, 0), (-1, 0, 0),
+                    (2**70, 0, 0), (0.5, 0, 0), (0, 0), (0, 0, 0, 0)]:
+        assert missing not in s.amplitudes
+        with pytest.raises(KeyError):
+            s.amplitudes[missing]
+
+
 def test_small_amplitudes_pruned():
     s = PureState((2, 2), {(0, 0): 1.0, (1, 1): PRUNE_EPS / 10})
     assert s.support_size == 1

@@ -12,8 +12,8 @@ from eprghz.canonical import (CanonicalComponent, StateSpec, copies, psi,
 from eprghz.extraction import block_measurement_povm
 from eprghz.hilbert import NORM_TOL, PureState, reduced_density, states_equal
 from eprghz.locc import (
-    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, _shared_density,
-    apply_element,
+    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, TranscriptEntry,
+    _shared_density, apply_element,
     apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
     permutation_operator, projector_onto_labels, sample, trial_seeds,
@@ -275,6 +275,17 @@ def test_transcript_rejects_bad_probability():
         t.add("m", 0, 0, 1.5)
     with pytest.raises(ValueError):
         t.add("m", 0, 0, -0.2)
+
+
+def test_transcript_entry_validates_itself():
+    with pytest.raises(ValueError):
+        TranscriptEntry("s", 0, 0, 1.5)
+    with pytest.raises(ValueError):
+        TranscriptEntry("s", 0, 0, float("nan"))
+    e = TranscriptEntry(np.str_("s"), np.int64(1), np.int64(2),
+                        np.float64(0.5))
+    assert [type(x) for x in (e.step, e.party, e.outcome, e.probability)] == \
+        [str, int, int, float]
 
 
 # -- randomness plumbing -----------------------------------------------------
