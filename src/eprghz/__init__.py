@@ -22,8 +22,8 @@ from .blocks import (BlockDecomposition, BlockEntry, BlockIndex, block_labels,
 from .extraction import (Rates, YieldReport, asymptotic_rates,
                          block_measurement_povm, entropy_consistency,
                          expected_yields, run_extraction)
-from .preparation import (ResourceCount, ShortenStage, Window, build_target,
-                          fidelity, fidelity_bound, ghz_weighting_povm,
+from .preparation import (ResourceCount, Window, build_target, fidelity,
+                          fidelity_bound, ghz_weighting_povm,
                           prepare_approx, prepare_exact_n2, resource_count,
                           row_shorten_povm, target_window)
 
@@ -33,7 +33,7 @@ __all__ = [
     "BlockDecomposition", "BlockEntry", "BlockIndex", "BudgetError",
     "CanonicalComponent", "DensityMatrix", "ImpossibleOutcomeError",
     "LocalOperator", "Povm", "PureState", "Rates", "ResourceCount",
-    "ShortenStage", "StateSpec", "Transcript", "TranscriptEntry", "Window",
+    "StateSpec", "Transcript", "TranscriptEntry", "Window",
     "YieldReport", "amplitude_distance", "apply_element", "apply_operator",
     "as_generator", "asymptotic_rates", "block_labels",
     "block_measurement_povm", "block_probability", "block_state",

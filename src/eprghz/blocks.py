@@ -299,12 +299,12 @@ def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:
     r, t = 2 ** (n - k), math.comb(n, k)
     # labels (g, e*t+g, e*t+g) onto target row g*r + e
     joint = tensor(level_epr(r, (1, 2), 3), level_ghz(t, (0, 1, 2)))
-    a_map = dict(enumerate(target.labels[::r, 0].tolist()))
-    bc_map = dict(zip(np.arange(r * t).reshape(r, t).T.ravel().tolist(),
-                      target.labels[:, 1].tolist()))
-    out = relabel(joint, 0, a_map, new_dim=2**n)
-    out = relabel(out, 1, bc_map, new_dim=3**n)
-    out = relabel(out, 2, bc_map, new_dim=3**n)
+    bc_old = np.arange(r * t).reshape(r, t).T.ravel()
+    bc_new = target.labels[:, 1]
+    out = relabel(joint, 0, np.arange(t), target.labels[::r, 0],
+                  new_dim=2**n)
+    out = relabel(out, 1, bc_old, bc_new, new_dim=3**n)
+    out = relabel(out, 2, bc_old, bc_new, new_dim=3**n)
     return states_equal(out, target, tol)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from .hilbert import NORM_TOL, BudgetError, amplitude_distance
 from .canonical import (StateSpec, copies, psi, psi_spec, psi_prime_spec,
                         random_spec, spec_from_json)
-from .locc import (Povm, Transcript, check_completeness,
-                   check_local_orthogonality, trial_seeds)
+from .locc import (ImpossibleOutcomeError, Povm, Transcript,
+                   check_completeness, check_local_orthogonality, trial_seeds)
 from .blocks import decompose, verify_block_equivalence
 from .extraction import (asymptotic_rates, block_measurement_povm,
                          entropy_consistency, expected_yields, run_extraction)
@@ -249,19 +249,13 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
         for s in specs)
     results.append(("local_orthogonality", ok))
 
-    checks = []
-    for lam in ([1.0],
-                (0.64, 0.48, 0.48, 0.36),
-                np.full(5, 1.0 / math.sqrt(5.0))):
-        povm, _ = ghz_weighting_povm(lam)
-        checks.append(check_completeness(povm))
     w = rng.random(8) + 0.1
-    povm, _ = ghz_weighting_povm(w / np.linalg.norm(w))
-    checks.append(check_completeness(povm))
-    stages = row_shorten_povm([([0, 1, 2, 3], 4), ([4, 5, 6, 7], 2),
-                               ([8, 9, 10, 11], 2), ([12, 13, 14, 15], 1)],
-                              party=1)
-    checks += [check_completeness(st.povm) for st in stages]
+    stages = [ghz_weighting_povm(lam) for lam in (
+        [1.0], (0.64, 0.48, 0.48, 0.36), np.full(5, 1.0 / math.sqrt(5.0)),
+        w / np.linalg.norm(w))]
+    stages += [row_shorten_povm(range(4 * g, 4 * g + 4), keep, 1, dim=16)
+               for g, keep in enumerate((4, 2, 2, 1))]
+    checks = [check_completeness(povm) for povm, _ in stages]
     block_povm, _ = block_measurement_povm(psi_spec(0.6, 0.8), 3)
     checks.append(check_completeness(block_povm))
     if args.negative_control:
@@ -388,6 +382,9 @@ def main(argv=None) -> int:
         print("error: out of memory" + (f": {e}" if str(e) else ""),
               file=sys.stderr)
         return EXIT_USAGE
+    except ImpossibleOutcomeError as e:  # a forced zero-probability branch
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

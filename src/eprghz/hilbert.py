@@ -314,25 +314,42 @@ def entanglement_entropy(s: PureState, cut) -> float:
     return entropy(probs[probs > 1e-15])
 
 
-def relabel(s: PureState, party: int, mapping: dict[int, int],
-            new_dim: int | None = None) -> PureState:
-    """Apply an injective label map on one party (labels not in the map stay).
+def _has_repeats(x: np.ndarray) -> bool:
+    """Whether some entry of ``x`` repeats (sorts: faster than np.unique)."""
+    x = np.sort(x)
+    return bool((x[1:] == x[:-1]).any())
 
-    ``new_dim`` widens (or renames within) the party's local dimension; by
-    default the current dimension is kept and mapped labels must fit in it.
+
+def _label_map(old, new) -> tuple[np.ndarray, np.ndarray]:
+    """The map ``old[i] -> new[i]`` as int64 vectors, ``old`` distinct."""
+    old, new = np.asarray(old, np.int64), np.asarray(new, np.int64)
+    if old.ndim != 1 or old.shape != new.shape or _has_repeats(old):
+        raise ValueError("a label map needs two int vectors of one length "
+                         "with no repeated old label")
+    return old, new
+
+
+def relabel(s: PureState, party: int, old, new,
+            new_dim: int | None = None) -> PureState:
+    """Apply the injective label map ``old[i] -> new[i]`` (two int arrays;
+    labels not in ``old`` stay) on one party. ``new_dim`` widens (or
+    renames within) the party's local dimension; by default the current
+    dimension is kept and mapped labels must fit in it.
     """
     party = int(party)
     if not 0 <= party < s.party_count:
         raise ValueError(f"party {party} out of range")
+    old, new = _label_map(old, new)
     dim = s.local_dims[party] if new_dim is None else int(new_dim)
-    old, row_of = np.unique(s.labels[:, party], return_inverse=True)
-    new = np.array([mapping.get(x, x) for x in old.tolist()], dtype=np.int64)
-    if new.size and not 0 <= new.min() <= new.max() < dim:
+    mapped, row_of = np.unique(s.labels[:, party], return_inverse=True)
+    hit, order = np.isin(mapped, old), np.argsort(old)
+    mapped[hit] = new[order[np.searchsorted(old, mapped[hit], sorter=order)]]
+    if mapped.size and not 0 <= mapped.min() <= mapped.max() < dim:
         raise ValueError(f"mapped label outside 0..{dim - 1}")
-    if np.unique(new).size != new.size:
+    if _has_repeats(mapped):
         raise ValueError("label map is not injective on the support")
     labels = s.labels.copy()
-    labels[:, party] = new[row_of]
+    labels[:, party] = mapped[row_of]
     dims = s.local_dims[:party] + (dim,) + s.local_dims[party + 1:]
     return PureState.from_columns(dims, labels, s.amps)
 

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hilbert import NORM_TOL, PureState, squared_norm
+from .hilbert import NORM_TOL, PureState, _has_repeats, _label_map, squared_norm
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -65,8 +65,7 @@ class LocalOperator:
             t = np.asarray(self.targets, dtype=np.int64)
             if t.shape != w.shape:
                 raise ValueError("weights and targets differ in length")
-            live = t[w != 0]
-            if np.unique(live).size != live.size:
+            if _has_repeats(t[w != 0]):
                 raise ValueError("two weighted labels share a target")
         if t.min() < 0 or t.max() >= out_dim:
             raise ValueError(f"target label outside 0..{out_dim - 1}")
@@ -91,14 +90,13 @@ def projector_onto_labels(party: int, labels, dim: int) -> LocalOperator:
     return LocalOperator(party, hit, out_dim=dim)
 
 
-def permutation_operator(party: int, mapping: dict[int, int],
-                         dim: int) -> LocalOperator:
-    """Unitary relabeling |old> -> |new>; labels absent from the map stay."""
-    old = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
+def permutation_operator(party: int, old, new, dim: int) -> LocalOperator:
+    """Unitary relabeling |old[i]> -> |new[i]> (int arrays); others stay."""
+    old, new = _label_map(old, new)
     if old.size and (old.min() < 0 or old.max() >= dim):
         raise ValueError(f"label map source outside 0..{dim - 1}")
     targets = np.arange(dim)
-    targets[old] = list(mapping.values())
+    targets[old] = new
     return LocalOperator(party, np.ones(dim), targets, dim)
 
 

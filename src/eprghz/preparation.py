@@ -6,19 +6,19 @@ peak, with fidelity approaching 1 while the consumed resources stay within
 a sublinear excess of the asymptotic rates. The two measurement primitives
 are a weighting POVM (imprint arbitrary row weights on a uniform GHZ-type
 state, every outcome correctable) and row shortening (cut a row's length by
-an integer factor without touching any row weight).
-"""
+an integer factor without touching any row weight). Each returns its POVM
+and per-outcome corrections, label maps old[i] -> new[i] as int64 arrays
+``(old, new)``, which each entangled party applies."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
-                      relabel, squared_norm, tensor)
+                      _has_repeats, relabel, squared_norm, tensor)
 from .canonical import level_epr, level_ghz
 from .locc import (Povm, Transcript, apply_operator, as_generator,
                    diagonal_operator, permutation_operator, sample)
@@ -67,12 +67,15 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
     if not 0.5 < beta < 1.0:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     half = alpha * n**beta
-    k_minus = max(0, math.ceil(c0_sq * n - half))
-    k_plus = min(n, math.floor(c0_sq * n + half))
+    lo, hi = c0_sq * n - half, c0_sq * n + half
+    k_minus, k_plus = max(0, math.ceil(lo)), min(n, math.floor(hi))
     if c0_sq == 0.0:
         k_plus = 0
     if c0_sq == 1.0:
         k_minus = n
+    if k_minus > k_plus:
+        raise ValueError(f"window c0^2*N -/+ alpha*N^beta = [{lo:.6g}, "
+                         f"{hi:.6g}] holds no block index; raise --alpha")
     return Window(n, k_minus, k_plus, alpha, beta)
 
 
@@ -155,16 +158,15 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
                                   amps / norm)
 
 
-def ghz_weighting_povm(weights, party: int = 0
-                       ) -> tuple[Povm, tuple[dict[int, int], ...]]:
+def ghz_weighting_povm(weights, party: int = 0) -> tuple[Povm, tuple]:
     """Imprint row weights on a uniform t-level GHZ-type state.
 
     Element j is diagonal with entry weights[(m - j) mod t] at level m, so
     the t elements are cyclic shifts of one diagonal and completeness is
     the normalization of the weights. On the uniform state every outcome
-    has probability exactly 1/t, and applying outcome j's correction (the
-    cyclic relabeling m -> m - j, on every party) lands each branch on the
-    same weighted state.
+    has probability exactly 1/t, and outcome j's correction, the cyclic
+    relabeling m -> m - j as ``(old, new)`` int64 arrays (empty for j = 0),
+    applied on every party lands each branch on the same weighted state.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(w) < 1:
@@ -175,64 +177,60 @@ def ghz_weighting_povm(weights, party: int = 0
         raise ValueError(f"weights have squared sum {float(w @ w)}, need 1")
     t = len(w)
     elements = tuple(diagonal_operator(party, np.roll(w, j)) for j in range(t))
-    # outcome 0 needs no correction
+    m = np.arange(t)
     return Povm(party, elements), tuple(
-        {m: (m - j) % t for m in range(t)} if j else {} for j in range(t))
+        (m, (m - j) % t) if j else (m[:0], m[:0]) for j in range(t))
 
 
-@dataclass(frozen=True)
-class ShortenStage:
-    """One row's shortening measurement: POVM plus, per outcome, the label
-    map the entangled parties apply to pull the kept kets to the row head."""
+def row_shorten_povm(labels, keep: int, party: int,
+                     dim: int | None = None) -> tuple[Povm, tuple]:
+    """Cut one row, given by its distinct labels, to ``keep`` of them
+    without moving any row weight; ``keep`` must divide the row length.
 
-    row: int
-    povm: Povm
-    corrections: tuple[dict[int, int], ...]
-
-
-def row_shorten_povm(rows: Sequence[tuple[Sequence[int], int]], party: int,
-                     dim: int | None = None) -> list[ShortenStage]:
-    """Stages that cut each row to its keep count without moving weights.
-
-    ``rows`` lists (row labels, keep count) with disjoint label sets; keep
-    must divide the row length. Stage j has length/keep outcomes: outcome
-    o keeps the o-th chunk of row j's labels at unit weight, kills the
-    rest of that row, and scales every other label by sqrt(keep/length),
-    which makes the stage complete and every outcome probability exactly
-    keep/length. The correction maps the kept chunk onto the row's first
-    keep labels; applied on each party sharing the labels, all outcomes
-    land on the same shortened state with all row weights untouched.
+    Outcome o of length/keep keeps the o-th chunk of the row's labels at
+    unit weight, kills the rest of the row, and scales every other label
+    by sqrt(keep/length), which makes the POVM complete and every outcome
+    probability exactly keep/length. Correction o, as ``(old, new)`` int64
+    arrays, swaps the kept chunk with the row's first ``keep`` labels
+    (outcome 0's is empty); applied on each party sharing the labels, all
+    outcomes land on the same shortened state, row weights untouched.
     """
-    rows = [(np.asarray(labels, dtype=np.int64).ravel(), int(keep))
-            for labels, keep in rows]
-    every = np.concatenate([np.zeros(0, np.int64)] + [l for l, _ in rows])
-    if np.unique(every).size != every.size:
-        raise ValueError("row labels repeat or rows overlap")
-    for labels, keep in rows:
-        if not 1 <= keep <= len(labels) or len(labels) % keep:
-            raise ValueError(
-                f"keep count {keep} does not divide row length {len(labels)}")
-    top = int(every.max(initial=-1))
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    keep = int(keep)
+    if _has_repeats(labels):
+        raise ValueError("row labels repeat")
+    if not 1 <= keep <= len(labels) or len(labels) % keep:
+        raise ValueError(
+            f"keep count {keep} does not divide row length {len(labels)}")
+    top = int(labels.max())
     dim = top + 1 if dim is None else dim
     if top >= dim:
         raise ValueError(f"row label {top} outside dimension {dim}")
 
-    stages = []
-    for j, (labels, keep) in enumerate(rows):
-        chunks = labels.reshape(-1, keep)
-        elements, corrections = [], []
-        for o, chunk in enumerate(chunks):
-            diag = np.full(dim, math.sqrt(keep / len(labels)))
-            diag[labels] = 0.0
-            diag[chunk] = 1.0
-            elements.append(diagonal_operator(party, diag))
-            # outcome 0 keeps the head; any other chunk is disjoint from it
-            swap = np.concatenate([chunk, chunks[0]]).tolist()
-            corrections.append(dict(zip(swap, swap[keep:] + swap[:keep]))
-                               if o else {})
-        stages.append(ShortenStage(j, Povm(party, tuple(elements)),
-                                   tuple(corrections)))
-    return stages
+    chunks = labels.reshape(-1, keep)
+    elements, corrections = [], []
+    for o, chunk in enumerate(chunks):
+        diag = np.full(dim, math.sqrt(keep / len(labels)))
+        diag[labels] = 0.0
+        diag[chunk] = 1.0
+        elements.append(diagonal_operator(party, diag))
+        swap = np.concatenate([chunk, chunks[0]])
+        corrections.append((swap, np.roll(swap, keep)) if o
+                           else (labels[:0], labels[:0]))
+    return Povm(party, tuple(elements)), tuple(corrections)
+
+
+def _measure(state, stage, parties, gen, transcript, step) -> PureState:
+    """Sample a (POVM, corrections) stage, record it, correct ``parties``."""
+    povm, corrections = stage
+    outcome, state, entry = sample(state, povm, gen, step=step)
+    transcript.entries.append(entry)
+    old, new = corrections[outcome]
+    if old.size:
+        for p in parties:
+            state = apply_operator(state, permutation_operator(
+                p, old, new, state.local_dims[p]))
+    return state
 
 
 def _prepare_windowed(n: int, c0: float, c1: float, window,
@@ -266,14 +264,9 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
     gen = as_generator(seed)
     transcript = Transcript()
 
-    state = level_ghz(big_r, (0, 1, 2))
-    povm, corrections = ghz_weighting_povm(lam, party=0)
-    outcome, state, entry = sample(state, povm, gen, step="weighting")
-    transcript.entries.append(entry)
-    if corrections[outcome]:
-        for p in (0, 1, 2):
-            state = apply_operator(
-                state, permutation_operator(p, corrections[outcome], big_r))
+    state = _measure(level_ghz(big_r, (0, 1, 2)),
+                     ghz_weighting_povm(lam, party=0), (0, 1, 2), gen,
+                     transcript, "weighting")
 
     if pair_levels > 1:
         state = tensor(state, level_epr(pair_levels, (0, 1), 2), b_map=(1, 2))
@@ -282,22 +275,15 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
     # term e of row g sits at g*pair_levels + e on B and C; the row keeps
     # the first 2**(n - k) of its labels
     for g, keep in enumerate(np.bincount(row).tolist()):
-        labels = range(g * pair_levels, (g + 1) * pair_levels)
-        [st] = row_shorten_povm([(labels, keep)], party=1, dim=dim_bc)
-        outcome, state, entry = sample(state, st.povm, gen,
-                                       step=f"shorten_row{g}")
-        transcript.entries.append(entry)
-        if st.corrections[outcome]:
-            for p in (1, 2):
-                state = apply_operator(
-                    state,
-                    permutation_operator(p, st.corrections[outcome], dim_bc))
+        labels = np.arange(g * pair_levels, (g + 1) * pair_levels)
+        state = _measure(state,
+                         row_shorten_povm(labels, keep, party=1, dim=dim_bc),
+                         (1, 2), gen, transcript, f"shorten_row{g}")
 
     e = np.arange(len(row)) - np.searchsorted(row, row)
-    bc_map = dict(zip((row * pair_levels + e).tolist(), bc.tolist()))
-    state = relabel(state, 0, dict(enumerate(a.tolist())), new_dim=2**n)
-    state = relabel(state, 1, bc_map, new_dim=3**n)
-    state = relabel(state, 2, bc_map, new_dim=3**n)
+    state = relabel(state, 0, np.arange(big_r), a, new_dim=2**n)
+    state = relabel(state, 1, row * pair_levels + e, bc, new_dim=3**n)
+    state = relabel(state, 2, row * pair_levels + e, bc, new_dim=3**n)
     return state, transcript, ResourceCount({(1, 2): float(n - k_minus)},
                                             math.log2(big_r))
 

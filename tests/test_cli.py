@@ -292,6 +292,16 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert path.read_text().startswith("subset,rate\n")
 
 
+EMPTY_WINDOW_PREPARE = ("prepare", "--psi", "0.6", "0.8", "-N", "3",
+                        "--alpha", "0.01", "--seed", "1")
+EMPTY_WINDOW_FIDELITY = ("fidelity", "--psi", "0.6", "0.8", "-N", "3",
+                         "--alpha", "0.01")
+# refusals whose wording is pinned: the interval c0^2 N -/+ alpha N^beta
+# (1.08 -/+ 0.0193 here) and the way out
+WORDING = {argv: "= [1.06067, 1.09933] holds no block index; raise --alpha"
+           for argv in (EMPTY_WINDOW_PREPARE, EMPTY_WINDOW_FIDELITY)}
+
+
 @pytest.mark.parametrize("argv", [
     ("rates",),                                            # no source
     ("rates", "--psi", "0.6", "0.8", "--psi-prime",
@@ -318,12 +328,28 @@ def test_out_flag_writes_file(capsys, tmp_path):
     ("verify", "--analytic"),                              # flag verify lacks
     ("extract", "--psi", "0.6", "0.8", "-N", "2", "--trials", "5", "--seed",
      "1", "--transcript", "missing-dir/t.tsv"),            # unwritable transcript
+    EMPTY_WINDOW_PREPARE,                                  # window holds no k
+    EMPTY_WINDOW_FIDELITY,
 ])
 def test_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert WORDING.get(argv, "") in err
+
+
+def test_impossible_outcome_is_an_invariant_failure(capsys, monkeypatch):
+    def forced(spec):
+        raise cli.ImpossibleOutcomeError(
+            "outcome on party 0 has probability 0.000e+00")
+
+    monkeypatch.setattr(cli, "asymptotic_rates", forced)
+    code, out, err = run(capsys, "rates", "--psi", "0.6", "0.8")
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_memory_error_is_a_refusal(capsys, monkeypatch):

@@ -8,13 +8,13 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprghz.hilbert import (
     EXPLICIT_BUDGET, NORM_TOL, PRUNE_EPS, DensityMatrix, PureState,
-    amplitude_distance, entanglement_entropy, entropy, inner, reduced_density,
-    relabel, states_equal, tensor,
+    _has_repeats, amplitude_distance, entanglement_entropy, entropy, inner,
+    reduced_density, relabel, states_equal, tensor,
 )
 from eprghz.canonical import copies, epr, ghz, psi, psi_prime
 
@@ -315,13 +315,13 @@ def test_entanglement_entropy_large_local_dims():
 
 def test_relabel_roundtrip():
     s = psi(0.6, 0.8)
-    r = relabel(s, 1, {0: 2, 2: 0})
+    r = relabel(s, 1, [0, 2], [2, 0])
     assert set(r.amplitudes) == {(0, 2, 0), (1, 1, 1), (1, 0, 2)}
-    assert states_equal(relabel(r, 1, {2: 0, 0: 2}), s)
+    assert states_equal(relabel(r, 1, [2, 0], [0, 2]), s)
 
 
 def test_relabel_widens_dimension():
-    r = relabel(psi(0.6, 0.8), 0, {1: 7}, new_dim=8)
+    r = relabel(psi(0.6, 0.8), 0, [1], [7], new_dim=8)
     assert r.local_dims == (8, 3, 3)
     assert (7, 1, 1) in r.amplitudes
 
@@ -329,11 +329,81 @@ def test_relabel_widens_dimension():
 def test_relabel_errors():
     s = psi(0.6, 0.8)
     with pytest.raises(ValueError):
-        relabel(s, 5, {})
+        relabel(s, 5, [], [])
     with pytest.raises(ValueError):
-        relabel(s, 1, {1: 9})                # out of range, dim kept
+        relabel(s, 1, [1], [9])              # out of range, dim kept
     with pytest.raises(ValueError):
-        relabel(s, 1, {1: 2})                # collides with existing label 2
+        relabel(s, 1, [1], [2])              # collides with existing label 2
+    with pytest.raises(ValueError):
+        relabel(s, 1, [0, 1], [1])           # sides of different length
+    with pytest.raises(ValueError):
+        relabel(s, 1, [0, 0], [1, 2])        # old label 0 repeated
+    with pytest.raises(ValueError):
+        relabel(s, 1, [[0, 1]], [[1, 0]])    # not vectors
+
+
+def dict_relabel(s, party, old, new, new_dim=None):
+    """Reference: the dict rule relabel followed before label maps became
+    (old, new) arrays, refusing what a dict cannot hold (a repeated old
+    label) as the array form does."""
+    old, new = list(old), list(new)
+    if len(old) != len(new) or len(set(old)) != len(old):
+        raise ValueError("not a label map")
+    mapping = dict(zip(old, new))
+    if not 0 <= party < s.party_count:
+        raise ValueError(f"party {party} out of range")
+    dim = s.local_dims[party] if new_dim is None else int(new_dim)
+    support = sorted(set(s.labels[:, party].tolist()))
+    mapped = [mapping.get(x, x) for x in support]
+    if mapped and not 0 <= min(mapped) <= max(mapped) < dim:
+        raise ValueError("mapped label outside the dimension")
+    if len(set(mapped)) != len(mapped):
+        raise ValueError("label map is not injective on the support")
+    to = dict(zip(support, mapped))
+    dims = s.local_dims[:party] + (dim,) + s.local_dims[party + 1:]
+    return PureState(dims, {l[:party] + (to[l[party]],) + l[party + 1:]: a
+                            for l, a in s.amplitudes.items()})
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 8),
+       st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_relabel_matches_the_dict_rule(seed, party, size, widen, repeat):
+    # small label ranges so that maps often collide on the support, leave
+    # the dimension, or repeat an old label
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, dims=(4, 5, 6), support=int(rng.integers(1, 9)))
+    dim = s.local_dims[party]
+    new_dim = dim + 3 if widen else None
+    old = rng.choice(dim + 2, size=min(size, dim + 2), replace=repeat)
+    new = rng.integers(0, dim + 3, size=len(old))
+    try:
+        want = dict_relabel(s, party, old.tolist(), new.tolist(), new_dim)
+    except ValueError:
+        with pytest.raises(ValueError):
+            relabel(s, party, old, new, new_dim)
+        return
+    got = relabel(s, party, old, new, new_dim)
+    assert got.local_dims == want.local_dims
+    assert dict(got.amplitudes.items()) == dict(want.amplitudes.items())
+    assert np.array_equal(got.amps, s.amps)      # row order kept
+
+
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=12),
+       st.integers(0, 3))
+@example([], 0)
+@example([5], 0)
+@example([2**63 - 1, 2**63 - 1], 0)
+@example([2**63 - 1, 2**63 - 2], 0)
+@example([-2**63, 2**63 - 1], 0)
+@example([-2**63, -2**63], 0)
+@settings(max_examples=300, deadline=None)
+def test_repeat_check_matches_unique(xs, near_max):
+    # near_max > 0 packs the entries next to the int64 maximum
+    x = np.array(xs, dtype=np.int64)
+    if near_max:
+        x = np.iinfo(np.int64).max - np.abs(x % 4)
+    assert _has_repeats(x) == (np.unique(x).size != x.size)
 
 
 # -- equality up to phase ----------------------------------------------------

@@ -42,16 +42,20 @@ def test_projector_onto_labels(dense):
 
 def test_permutation_operator(dense):
     # partial maps are completed by the identity, then checked bijective
-    op = permutation_operator(0, {0: 1, 1: 0}, 3)
+    op = permutation_operator(0, [0, 1], [1, 0], 3)
     m = dense(op)
     assert np.allclose(m @ m.conj().T, np.eye(3))
     assert m[1, 0] == 1.0 and m[2, 2] == 1.0
     with pytest.raises(ValueError):
-        permutation_operator(0, {0: 1}, 3)      # 0 and 1 both land on 1
+        permutation_operator(0, [0], [1], 3)    # 0 and 1 both land on 1
     with pytest.raises(ValueError):
-        permutation_operator(0, {0: 5}, 3)
+        permutation_operator(0, [0], [5], 3)
     with pytest.raises(ValueError):
-        permutation_operator(0, {5: 0}, 3)
+        permutation_operator(0, [5], [0], 3)
+    with pytest.raises(ValueError):
+        permutation_operator(0, [0, 1], [1], 3)         # sides differ
+    with pytest.raises(ValueError):
+        permutation_operator(0, [0, 0, 1], [1, 2, 0], 3)   # old 0 repeated
 
 
 def test_local_operator_refuses_non_injective_map():
@@ -149,9 +153,9 @@ def _package_povms():
     for lam in ([1.0], (0.64, 0.48, 0.48, 0.36),
                 np.full(5, 1.0 / math.sqrt(5.0))):
         povms.append(ghz_weighting_povm(lam)[0])
-    rows = [([0, 1, 2, 3], 4), ([4, 5, 6, 7], 2), ([8, 9, 10, 11], 2),
-            ([12, 13, 14, 15], 1)]
-    povms += [st.povm for st in row_shorten_povm(rows, party=1)]
+    for g, keep in enumerate((4, 2, 2, 1)):
+        povms.append(row_shorten_povm(range(4 * g, 4 * g + 4), keep,
+                                      party=1, dim=16)[0])
     three = StateSpec(3, (CanonicalComponent(math.sqrt(0.4), (0,)),
                           CanonicalComponent(math.sqrt(0.35), (1, 2), 3),
                           CanonicalComponent(math.sqrt(0.25), (0, 1))))
@@ -210,7 +214,7 @@ def test_probabilities_match_the_term_by_term_rule(case):
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
         state = PureState((1, 16, 16), {(0, i, i): x * ph for i, (x, ph)
                                         in enumerate(zip(xs, phases))})
-        povm = row_shorten_povm([(list(range(16)), 8)], party=1)[0].povm
+        povm = row_shorten_povm(range(16), 8, party=1)[0]
     want = []
     for e in povm.elements:
         branch = {}

@@ -160,10 +160,9 @@ def corrected_outcome_states(weights):
     for j, el in enumerate(povm.elements):
         post, prob = apply_element(state, el)
         assert prob == pytest.approx(1.0 / t, abs=1e-9)
-        if corrections[j]:
-            for p in range(3):
-                post = apply_operator(
-                    post, permutation_operator(p, corrections[j], t))
+        old, new = corrections[j]
+        for p in range(3):
+            post = apply_operator(post, permutation_operator(p, old, new, t))
         outs.append(post)
     return outs
 
@@ -244,53 +243,51 @@ def test_row_shortening_preserves_weights(raw, keep):
             for r in range(len(w))]
     state = weighted_row_state(w, length)
     masses = row_masses(state, rows)
-    for stage in row_shorten_povm(rows, party=1):
-        assert check_completeness(stage.povm)
-        probs = outcome_probabilities(state, stage.povm)
+    for labels, keep in rows:
+        povm, corrections = row_shorten_povm(labels, keep, party=1,
+                                             dim=length * len(w))
+        assert check_completeness(povm)
+        probs = outcome_probabilities(state, povm)
         assert probs == pytest.approx(np.full(length // keep, keep / length),
                                       abs=1e-9)
         # take outcome 1 when there is one, else 0: exercises the swap
-        o = min(1, len(stage.povm.elements) - 1)
-        state, _ = apply_element(state, stage.povm.elements[o])
-        if stage.corrections[o]:
-            for p in (1, 2):
-                state = apply_operator(state, permutation_operator(
-                    p, stage.corrections[o], state.local_dims[1]))
+        o = min(1, len(povm.elements) - 1)
+        state, _ = apply_element(state, povm.elements[o])
+        for p in (1, 2):
+            state = apply_operator(state, permutation_operator(
+                p, *corrections[o], state.local_dims[1]))
         assert row_masses(state, rows) == pytest.approx(masses, abs=1e-9)
 
 
 def test_row_shortening_outcome_counts():
     # length 4 rows: keep 1 gives 4 outcomes at 1/4, keep 2 gives 2 at 1/2
-    stages = row_shorten_povm([([0, 1, 2, 3], 1), ([4, 5, 6, 7], 2)], party=1)
-    assert len(stages[0].povm.elements) == 4
-    assert len(stages[1].povm.elements) == 2
+    first, _ = row_shorten_povm([0, 1, 2, 3], 1, party=1, dim=8)
+    second, _ = row_shorten_povm([4, 5, 6, 7], 2, party=1, dim=8)
+    assert len(first.elements) == 4
+    assert len(second.elements) == 2
     state = weighted_row_state(np.sqrt([0.5, 0.5]), 4)
-    assert outcome_probabilities(state, stages[0].povm) == \
-        pytest.approx([0.25] * 4)
-    assert outcome_probabilities(state, stages[1].povm) == \
-        pytest.approx([0.5] * 2)
+    assert outcome_probabilities(state, first) == pytest.approx([0.25] * 4)
+    assert outcome_probabilities(state, second) == pytest.approx([0.5] * 2)
 
 
 def test_row_shortening_keep_all_is_identity(dense):
-    stages = row_shorten_povm([([0, 1], 2)], party=1, dim=4)
-    assert len(stages) == 1 and len(stages[0].povm.elements) == 1
-    assert stages[0].corrections == ({},)
-    m = dense(stages[0].povm.elements[0])
+    povm, corrections = row_shorten_povm([0, 1], 2, party=1, dim=4)
+    assert len(povm.elements) == 1 and len(corrections) == 1
+    old, new = corrections[0]                  # an identity map
+    assert np.array_equal(old, new)
+    m = dense(povm.elements[0])
     assert np.allclose(m, np.eye(4))
 
 
 def test_row_shortening_outcomes_converge():
     # every outcome lands on the same shortened state after its swap
-    rows = [([0, 1, 2, 3], 2)]
     state = weighted_row_state([1.0], 4)
-    stages = row_shorten_povm(rows, party=1)
+    povm, corrections = row_shorten_povm([0, 1, 2, 3], 2, party=1)
     landed = []
-    for o, el in enumerate(stages[0].povm.elements):
+    for el, (old, new) in zip(povm.elements, corrections):
         post, _ = apply_element(state, el)
-        if stages[0].corrections[o]:
-            for p in (1, 2):
-                post = apply_operator(
-                    post, permutation_operator(p, stages[0].corrections[o], 4))
+        for p in (1, 2):
+            post = apply_operator(post, permutation_operator(p, old, new, 4))
         landed.append(post)
     assert states_equal(landed[0], landed[1])
     assert set(landed[0].amplitudes) == {(0, 0, 0), (0, 1, 1)}
@@ -298,13 +295,11 @@ def test_row_shortening_outcomes_converge():
 
 def test_row_shortening_validation():
     with pytest.raises(ValueError):
-        row_shorten_povm([([0, 1], 2), ([1, 2], 1)], party=1)   # overlap
+        row_shorten_povm([0, 1, 2], 2, party=1)             # 2 !| 3
     with pytest.raises(ValueError):
-        row_shorten_povm([([0, 1, 2], 2)], party=1)             # 2 !| 3
+        row_shorten_povm([0, 0], 1, party=1)                # repeat
     with pytest.raises(ValueError):
-        row_shorten_povm([([0, 0], 1)], party=1)                # repeat
-    with pytest.raises(ValueError):
-        row_shorten_povm([([0, 5], 1)], party=1, dim=4)         # outside dim
+        row_shorten_povm([0, 5], 1, party=1, dim=4)         # outside dim
 
 
 # -- the full protocol -------------------------------------------------------------
