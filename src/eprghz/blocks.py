@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .hilbert import (EXPLICIT_BUDGET, INT64_MAX, BudgetError, PureState,
                       relabel, states_equal, tensor)
@@ -38,36 +37,92 @@ EXACT_N_MAX = 30
 LN2 = math.log(2.0)
 DECOMPOSE_MAX_ENTRIES = 200_000
 _FACTORIALS = tuple(math.factorial(j) for j in range(EXACT_N_MAX + 1))
+# closed-form sums over k visit at most _BULK_CHUNK k at a time and
+# _BULK_MAX in all (a bulk that wide is N above about 1e14)
+_BULK_CHUNK = 2**16
+_BULK_MAX = 10**8
+# counts above this are not exact in float64
+_COUNT_MAX = 2**53
+# -ln of the Binomial(n, p) mass a bulk may leave out on each side, 2**-65
+_TAIL_LOG = 65 * LN2
 
 
 def _log2_factorial_ratio(top, *bottoms) -> np.ndarray:
     """log2(top! / prod(b!)) elementwise over broadcast integer arrays.
 
     The package's one log-combinatorics rule: log2 of the exact integer
-    where top <= EXACT_N_MAX, gammaln above. Callers keep every b <= top.
+    where top <= EXACT_N_MAX, gammaln above; scipy is imported only when
+    some top needs gammaln. Callers keep every b <= top.
     """
     top = np.asarray(top)
-    out = gammaln(top + 1.0)
-    for b in bottoms:
-        out = out - gammaln(b + 1.0)
-    out = np.asarray(out / LN2)
     small = top <= EXACT_N_MAX
-    if small.any():
-        small = np.broadcast_to(small, out.shape)
-        cols = [np.broadcast_to(x, out.shape)[small].tolist()
-                for x in (top, *bottoms)]
-        out[small] = [
-            math.log2(_FACTORIALS[t] // math.prod(_FACTORIALS[k] for k in ks))
-            for t, *ks in zip(*cols)]
+    if not small.any():
+        return _log2_gamma_ratio(top, *bottoms)
+    cols = np.broadcast_arrays(top, *bottoms)
+    small = np.broadcast_to(small, cols[0].shape)
+    out = np.empty(cols[0].shape)
+    out[small] = [
+        math.log2(_FACTORIALS[t] // math.prod(_FACTORIALS[k] for k in ks))
+        for t, *ks in zip(*(x[small].tolist() for x in cols))]
+    if not small.all():
+        big = ~small
+        out[big] = _log2_gamma_ratio(*(x[big] for x in cols))
     return out
 
 
+def _log2_gamma_ratio(top, *bottoms) -> np.ndarray:
+    from scipy.special import gammaln
+
+    out = gammaln(top + 1.0)
+    for b in bottoms:
+        out = out - gammaln(b + 1.0)
+    return np.asarray(out / LN2)
+
+
 def log2_binomial_array(n: int, ks) -> np.ndarray:
-    """log2 C(n, k) for every entry of ``ks``."""
+    """log2 C(n, k) for every entry of ``ks``; n at most 2**53."""
+    if n > _COUNT_MAX:
+        raise ValueError(f"N = {n} exceeds 2**53, beyond which counts are "
+                         "not exact in float64")
     ks = np.asarray(ks, dtype=np.int64)
     if np.any((ks < 0) | (ks > n)):
         raise ValueError(f"binomial index outside 0..{n}")
     return _log2_factorial_ratio(n, ks, n - ks)
+
+
+def _binomial_bulk(n: int, p: float) -> tuple[int, int]:
+    """[lo, hi]: the k outside it carry Binomial(n, p) mass below 2**-64.
+
+    Bernstein's inequality bounds each tail, P(K - np >= t) and
+    P(np - K >= t), by exp(-t**2 / (2 (np(1-p) + t/3))); the t below makes
+    that 2**-65, about 9.5 standard deviations at large n. Clipped to
+    0..n; a certain outcome (p at 0 or 1) is its own bulk.
+    """
+    if p <= 0.0:
+        return 0, 0
+    if p >= 1.0:
+        return n, n
+    a = _TAIL_LOG
+    t = a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * n * p * (1.0 - p))
+    return max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
+
+
+def _binomial_bulk_chunks(n: int, p: float):
+    """The bulk of Binomial(n, p) in chunks of at most _BULK_CHUNK k: yields
+    the arrays k, log2 C(n, k) and log2 of the (unnormalized) pmf. A bulk
+    of more than _BULK_MAX k is refused before any work."""
+    lo, hi = _binomial_bulk(n, p)
+    if hi - lo >= _BULK_MAX:
+        raise BudgetError(f"binomial bulk of {hi - lo + 1} terms at N = {n} "
+                          f"exceeds the closed-form budget of {_BULK_MAX}")
+    for start in range(lo, hi + 1, _BULK_CHUNK):
+        ks = np.arange(start, min(start + _BULK_CHUNK, hi + 1))
+        lbin = log2_binomial_array(n, ks)
+        if not 0.0 < p < 1.0:  # the one certain outcome
+            yield ks, lbin, np.zeros(len(ks))
+            continue
+        yield ks, lbin, (lbin + ks * math.log2(p)
+                         + (n - ks) * math.log2(1.0 - p))
 
 
 def multinomial_exact(counts) -> int:

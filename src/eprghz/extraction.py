@@ -6,13 +6,14 @@ parties sharing canonical states: level-d pairs on each entangled
 component's support and a multiplicity-level GHZ-type state on the full
 party set. Expected per-copy yields follow by summing block probabilities;
 the component counts are multinomial, so every expectation reduces to
-binomial marginals, which keeps the sums O(N) at any N.
+binomial marginals, each summed over its bulk of O(sqrt(N)) terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 
 import numpy as np
 
@@ -20,10 +21,10 @@ from .hilbert import entanglement_entropy, entropy, states_equal
 from .canonical import StateSpec, copies, psi_general
 from .locc import (Povm, Transcript, _draw, apply_element, as_generator,
                    diagonal_operator, outcome_probabilities, trial_seeds)
-from .blocks import (BlockIndex, _block_yield_table, _log2_block_probabilities,
-                     _log2_factorial_ratio, block_state, classify_copies_label,
-                     iter_block_counts, log2_binomial_array, log2_multinomial,
-                     verify_block_equivalence)
+from .blocks import (BlockIndex, _binomial_bulk_chunks, _block_yield_table,
+                     _log2_block_probabilities, _log2_factorial_ratio,
+                     block_state, classify_copies_label, iter_block_counts,
+                     log2_multinomial, verify_block_equivalence)
 
 MOMENT_ENUM_MAX = 200_000
 
@@ -63,50 +64,63 @@ def asymptotic_rates(spec: StateSpec) -> Rates:
     return Rates(per, full)
 
 
-def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) weights, normalized to unit sum."""
-    if p <= 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if p >= 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    ks = np.arange(n + 1, dtype=float)
-    logp = (log2_binomial_array(n, np.arange(n + 1))
-            + ks * math.log2(p) + (n - ks) * math.log2(1.0 - p))
-    w = np.exp2(logp - logp.max())
-    return w / w.sum()
+def _binomial_expectations(n: int, p: float, fs) -> list[float]:
+    """E[f(K)] for each f of ``fs``, K ~ Binomial(n, p), summed over the
+    bulk only (blocks._binomial_bulk: mass left out below 2**-64).
+
+    Each f maps a chunk's arrays k and log2 C(n, k) to values. Every
+    chunk's pmf is normalized on its own and the chunks are merged by
+    their mass, so a bulk that fits one chunk gives exactly the sums over
+    one normalized pmf array.
+    """
+    parts = []
+    for ks, lbin, logp in _binomial_bulk_chunks(n, p):
+        peak = float(logp.max())
+        w = np.exp2(logp - peak)
+        mass = float(w.sum())
+        pmf = w / mass
+        parts.append((peak, mass, [float(pmf @ f(ks, lbin)) for f in fs]))
+    top = max(peak for peak, _, _ in parts)
+    masses = [mass * 2.0 ** (peak - top) for peak, mass, _ in parts]
+    total = math.fsum(masses)
+    return [math.fsum(m / total * means[i] for m, (_, _, means) in
+                      zip(masses, parts)) for i in range(len(fs))]
+
+
+def _log2_units(c: float, level: int) -> float:
+    """c**2 * log2(level), correctly rounded: a product of rounded factors
+    can land an ulp off, so it is formed with 40 digits first."""
+    ctx = Context(prec=40)
+    return float(ctx.divide(ctx.multiply(ctx.power(Decimal(c), 2),
+                                         ctx.ln(level)), ctx.ln(2)))
 
 
 def expected_yields(spec: StateSpec, n: int) -> YieldReport:
-    """Exact finite-N expected yields by summing block probabilities.
+    """Finite-N expected yields by summing block probabilities.
 
-    Component counts are jointly multinomial, so per-subset sums use the
-    binomial marginal of each count and the row-multiplicity term uses
-    log2(N!/prod k_i!) = log2 N! - sum_i log2 k_i!, again marginal by
-    marginal. Variances need joint moments: computed exactly for the
-    2-component case at any N and by full block enumeration when small.
+    Component counts are jointly multinomial with E[k_i] = N c_i^2, so each
+    entangled support earns c_i^2 log2(level) per copy exactly, and the
+    row-multiplicity term uses log2(N!/prod k_i!) = log2 N! - sum_i log2
+    k_i!, summed binomial marginal by marginal. Those sums, like the
+    2-component variances, run over each marginal's bulk only: k outside
+    it carry mass below 2**-64 (Bernstein's inequality), so work is
+    O(sqrt(N)) and memory O(chunk) at any N. Other variances need
+    joint moments: computed by full block enumeration when small.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    csq = spec.squared_coefficients()
-    lf = _log2_factorial_ratio(np.arange(n + 1))  # log2(j!) for j = 0..n
     full = tuple(range(spec.party_count))
 
-    pmfs = [_binomial_pmf(n, c) for c in csq]
-    ks = np.arange(n + 1, dtype=float)
-
     epr: dict[tuple[int, ...], float] = {}
-    ghz = float(lf[n])
-    for comp, pmf in zip(spec.components, pmfs):
-        ghz -= float(pmf @ lf)
+    ghz = float(_log2_factorial_ratio(n))
+    for comp, c in zip(spec.components, spec.squared_coefficients()):
+        ghz -= _binomial_expectations(
+            n, c, [lambda ks, _: _log2_factorial_ratio(ks)])[0]
         if len(comp.support) < 2:
             continue
-        units = math.log2(comp.level) * float(pmf @ ks) / n
-        epr[comp.support] = epr.get(comp.support, 0.0) + units
+        epr[comp.support] = (epr.get(comp.support, 0.0)
+                             + _log2_units(comp.coefficient, comp.level))
     ghz = ghz / n
     # full-support component units live in the full-set (GHZ) account
     ghz += epr.pop(full, 0.0)
@@ -118,28 +132,24 @@ def expected_yields(spec: StateSpec, n: int) -> YieldReport:
 def _yield_variances(spec, n, epr_mean, ghz_mean):
     csq = spec.squared_coefficients()
     ncomp = len(csq)
+    full = tuple(range(spec.party_count))
     subsets = sorted({c.support for c in spec.components
-                      if len(c.support) >= 2
-                      and c.support != tuple(range(spec.party_count))})
+                      if len(c.support) >= 2 and c.support != full})
     if ncomp == 2:
-        pmf = _binomial_pmf(n, csq[0])
-        k0 = np.arange(n + 1, dtype=float)
-        counts = (k0, n - k0)
-        lmult = log2_binomial_array(n, np.arange(n + 1))
-        ghz_vals = lmult / n
-        for comp, k in zip(spec.components, counts):
-            if comp.support == tuple(range(spec.party_count)) and \
-                    len(comp.support) >= 2:
-                ghz_vals = ghz_vals + math.log2(comp.level) * k / n
-        ghz_var = float(pmf @ (ghz_vals - ghz_mean) ** 2)
-        epr_var = {}
-        for s in subsets:
-            vals = np.zeros(n + 1)
-            for comp, k in zip(spec.components, counts):
-                if comp.support == s:
-                    vals = vals + math.log2(comp.level) * k / n
-            epr_var[s] = float(pmf @ (vals - epr_mean.get(s, 0.0)) ** 2)
-        return epr_var, ghz_var
+        def deviation(s, mean):
+            """f(k0) = (units per copy on support s - mean)**2."""
+            def f(ks, lbin):
+                vals = lbin / n if s == full else np.zeros(len(ks))
+                for comp, k in zip(spec.components, (ks, n - ks)):
+                    if comp.support == s and len(s) >= 2:
+                        vals = vals + math.log2(comp.level) * k / n
+                return (vals - mean) ** 2
+            return f
+
+        ghz_var, *epr_vars = _binomial_expectations(
+            n, csq[0], [deviation(full, ghz_mean)]
+            + [deviation(s, epr_mean.get(s, 0.0)) for s in subsets])
+        return dict(zip(subsets, epr_vars)), ghz_var
 
     total_entries = math.comb(n + ncomp - 1, ncomp - 1)
     if total_entries > MOMENT_ENUM_MAX:
@@ -149,7 +159,6 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
     lmult = log2_multinomial(counts)
     w = np.exp2(_log2_block_probabilities(counts, lmult, csq))  # 0 if dead
     y = _block_yield_table(counts, lmult, spec)
-    full = tuple(range(spec.party_count))
     ghz2 = float(w @ (y[full] / n - ghz_mean) ** 2)
     acc2 = {s: float(w @ (y[s] / n - epr_mean.get(s, 0.0)) ** 2)
             for s in subsets}

@@ -22,7 +22,7 @@ from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
 from .canonical import level_epr, level_ghz
 from .locc import (Povm, Transcript, apply_operator, as_generator,
                    diagonal_operator, permutation_operator, sample)
-from .blocks import block_labels, log2_binomial_array
+from .blocks import _binomial_bulk_chunks, block_labels, log2_binomial_array
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,13 @@ def fidelity(n: int, c0_sq: float, window) -> float:
     """Squared overlap of the windowed target with the full N-copy power:
     the binomial mass inside the window.
 
-    Summed as the complement of the tail mass when the window holds the
-    bulk, so the result stays monotone in N instead of drowning in the
-    absolute rounding noise of huge log-binomial values.
+    Only the binomial bulk is summed (blocks._binomial_bulk: the k left out
+    carry mass below 2**-64 by Bernstein's inequality), in chunks, so work
+    is O(sqrt(N)) and memory O(chunk) at any N; a window wholly
+    outside the bulk gives 0, within 2**-64 of its mass. Summed as the
+    complement of the tail mass when the window holds the bulk, so the
+    result stays monotone in N instead of drowning in the absolute
+    rounding noise of huge log-binomial values.
     """
     n = int(n)
     k_minus, k_plus = _window_tuple(window, n)
@@ -102,15 +106,18 @@ def fidelity(n: int, c0_sq: float, window) -> float:
         return 1.0 if k_minus == 0 else 0.0
     if c0_sq >= 1.0:
         return 1.0 if k_plus == n else 0.0
-    ks = np.arange(n + 1)
-    logp = (log2_binomial_array(n, ks) + ks * math.log2(c0_sq)
-            + (n - ks) * math.log2(1.0 - c0_sq))
-    p = np.exp2(logp)
-    total = float(p.sum())
-    inside = float(p[k_minus:k_plus + 1].sum())
+    total = inside = left = right = 0.0
+    for ks, _, logp in _binomial_bulk_chunks(n, c0_sq):
+        p = np.exp2(logp)
+        start = int(ks[0])
+        a = min(max(k_minus - start, 0), len(p))
+        b = min(max(k_plus + 1 - start, 0), len(p))
+        total += float(p.sum())
+        inside += float(p[a:b].sum())
+        left += float(p[:a].sum())
+        right += float(p[b:].sum())
     if inside >= total / 2.0:
-        tails = float(p[:k_minus].sum()) + float(p[k_plus + 1:].sum())
-        return min(1.0, max(0.0, (total - tails) / total))
+        return min(1.0, max(0.0, (total - (left + right)) / total))
     return min(1.0, max(0.0, inside / total))
 
 
@@ -167,15 +174,22 @@ def ghz_weighting_povm(weights, party: int = 0) -> tuple[Povm, tuple]:
     has probability exactly 1/t, and outcome j's correction, the cyclic
     relabeling m -> m - j as ``(old, new)`` int64 arrays (empty for j = 0),
     applied on every party lands each branch on the same weighted state.
+    The t*t diagonal entries, 16 bytes each with their corrections, count
+    against EXPLICIT_BUDGET before anything is built.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(w) < 1:
         raise ValueError("weights must be a non-empty vector")
+    t = len(w)
+    if t * t > EXPLICIT_BUDGET:
+        raise BudgetError(
+            f"weighting POVM over {t} rows needs {t * t} diagonal entries "
+            f"(about {16 * t * t / 2**20:.0f} MiB), budget is "
+            f"{EXPLICIT_BUDGET} entries")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     if abs(float(w @ w) - 1.0) > NORM_TOL:
         raise ValueError(f"weights have squared sum {float(w @ w)}, need 1")
-    t = len(w)
     elements = tuple(diagonal_operator(party, np.roll(w, j)) for j in range(t))
     m = np.arange(t)
     return Povm(party, elements), tuple(
@@ -204,8 +218,9 @@ def row_shorten_povm(labels, keep: int, party: int,
             f"keep count {keep} does not divide row length {len(labels)}")
     top = int(labels.max())
     dim = top + 1 if dim is None else dim
-    if top >= dim:
-        raise ValueError(f"row label {top} outside dimension {dim}")
+    if labels.min() < 0 or top >= dim:
+        raise ValueError(f"row labels {int(labels.min())}..{top} outside "
+                         f"0..{dim - 1}")
 
     chunks = labels.reshape(-1, keep)
     elements, corrections = [], []

@@ -42,6 +42,18 @@ def test_log2_factorial_large_matches_bigint():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+def test_log2_factorial_rule_per_entry():
+    # exact integers up to EXACT_N_MAX and gammaln above, entry by entry,
+    # whether a call mixes both kinds or holds one
+    from scipy.special import gammaln
+    tops = np.arange(61)
+    want = [math.log2(math.factorial(t)) for t in range(31)]
+    want += list(gammaln(tops[31:] + 1.0) / math.log(2.0))
+    assert blocks._log2_factorial_ratio(tops).tolist() == want
+    assert blocks._log2_factorial_ratio(tops[31:]).tolist() == want[31:]
+    assert [float(blocks._log2_factorial_ratio(t)) for t in tops] == want
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (30, 15), (100, 3), (1000, 500)])
 def test_log2_binomial_matches_comb(n, k):
     assert float(log2_binomial_array(n, k)) == pytest.approx(

@@ -330,6 +330,10 @@ WORDING = {argv: "= [1.06067, 1.09933] holds no block index; raise --alpha"
      "1", "--transcript", "missing-dir/t.tsv"),            # unwritable transcript
     EMPTY_WINDOW_PREPARE,                                  # window holds no k
     EMPTY_WINDOW_FIDELITY,
+    ("prepare", "--psi", "0.935", "0.3546477125261065", "-N", "20",
+     "--alpha", "0.42"),                                   # 21,700-row POVM
+    ("fidelity", "--psi", "0.6", "0.8", "-N", str(10**20)),  # N above 2**53
+    ("extract", "--psi", "0.6", "0.8", "-N", str(10**15)),   # 2.9e8-term bulk
 ])
 def test_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -393,6 +397,24 @@ def test_cli_import_leaves_scipy_sparse_out():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_cold_paths_leave_scipy_out():
+    # scipy serves only gammaln above EXACT_N_MAX: import, rates and small
+    # block tables must not load it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import os, sys, eprghz.cli as c\n"
+             "print('scipy' in sys.modules)\n"
+             "c.main(['rates', '--psi', '0.6', '0.8', '--out', os.devnull])\n"
+             "c.main(['blocks', '--psi', '0.6', '0.8', '-N', '3', '--out',"
+             " os.devnull])\n"
+             "print('scipy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\nFalse\n"
 
 
 # -- golden output ---------------------------------------------------------------

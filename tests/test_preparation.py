@@ -11,7 +11,8 @@ from eprghz.blocks import block_probability
 from eprghz.canonical import copies, level_ghz, psi, psi_spec
 from eprghz.extraction import block_measurement_povm
 from eprghz.hilbert import (
-    BudgetError, PureState, amplitude_distance, inner, states_equal,
+    EXPLICIT_BUDGET, BudgetError, PureState, amplitude_distance, inner,
+    states_equal,
 )
 from eprghz.locc import (
     apply_element, apply_operator, check_completeness, outcome_probabilities,
@@ -212,6 +213,16 @@ def test_weighting_povm_validation():
         ghz_weighting_povm([])
 
 
+def test_weighting_povm_budget():
+    # t*t diagonal entries count against the explicit budget before any
+    # element is built; prepare -N 8 needs t = 247
+    povm, _ = ghz_weighting_povm(np.full(247, 1 / math.sqrt(247)))
+    assert len(povm.elements) == 247
+    t = math.isqrt(EXPLICIT_BUDGET) + 1
+    with pytest.raises(BudgetError, match=f"{t * t} diagonal entries"):
+        ghz_weighting_povm(np.full(t, 1 / math.sqrt(t)))
+
+
 # -- row shortening ---------------------------------------------------------------
 
 def weighted_row_state(row_weights, length, dim=None):
@@ -300,6 +311,8 @@ def test_row_shortening_validation():
         row_shorten_povm([0, 0], 1, party=1)                # repeat
     with pytest.raises(ValueError):
         row_shorten_povm([0, 5], 1, party=1, dim=4)         # outside dim
+    with pytest.raises(ValueError, match="outside 0..3"):
+        row_shorten_povm([-1, 0], 1, party=0, dim=4)        # -1 wraps to 3
 
 
 # -- the full protocol -------------------------------------------------------------
