@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from .hilbert import NORM_TOL, BudgetError, amplitude_distance
+from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError,
+                      amplitude_distance)
 from .canonical import (StateSpec, copies, psi, psi_spec, psi_prime_spec,
                         random_spec, spec_from_json)
 from .locc import (ImpossibleOutcomeError, Povm, Transcript,
@@ -24,9 +25,8 @@ from .blocks import decompose, verify_block_equivalence
 from .extraction import (asymptotic_rates, block_measurement_povm,
                          entropy_consistency, expected_yields, run_extraction)
 from .preparation import (build_target, fidelity, fidelity_bound,
-                          ghz_weighting_povm, prepare_approx,
-                          prepare_exact_n2, resource_count, row_shorten_povm,
-                          target_window)
+                          ghz_weighting_povm, prepare_approx, resource_count,
+                          row_shorten_povm, target_window)
 
 EXIT_OK, EXIT_INVARIANT, EXIT_USAGE = 0, 1, 2
 AMPLITUDE_SLOP = 1e-3
@@ -172,21 +172,15 @@ def cmd_prepare(args) -> int:
     n = args.n
     branches = args.trials if args.trials > 0 else 1
     seed0 = 0 if args.seed is None else args.seed
-    if n == 2:
-        window = (0, 2)
-        target = copies(psi(c0, c1), 2)
-    else:
-        window = target_window(n, c0 * c0, args.alpha, args.beta)
-        target = build_target(n, c0, c1, window)
+    window = ((0, 2) if n == 2
+              else target_window(n, c0 * c0, args.alpha, args.beta))
+    target = (copies(psi(c0, c1), 2) if n == 2
+              else build_target(n, c0, c1, window))
     worst = 0.0
-    resources = None
     combined = Transcript()
     for i, ss in enumerate(trial_seeds(seed0, branches)):
-        if n == 2:
-            state, transcript, resources = prepare_exact_n2(c0, c1, seed=ss)
-        else:
-            state, transcript, resources = prepare_approx(
-                n, c0, c1, args.alpha, args.beta, seed=ss, window=window)
+        state, transcript, resources = prepare_approx(n, c0, c1, seed=ss,
+                                                      window=window)
         worst = max(worst, amplitude_distance(state, target))
         for e in transcript.entries:
             combined.add(f"branch{i}.{e.step}", e.party, e.outcome,
@@ -233,11 +227,15 @@ def cmd_blocks(args) -> int:
 
 
 def _verify_suites(args) -> list[tuple[str, bool]]:
+    m = args.blocks_max_n
+    if m + 1 > math.log(2 * EXPLICIT_BUDGET + 1, 3):  # sum of 3**n, n <= m
+        raise BudgetError(f"block equivalence up to N = {m} needs (3**{m + 1}"
+                          f" - 1)/2 terms, budget is {EXPLICIT_BUDGET}")
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
     results = []
 
     ok = all(verify_block_equivalence(n, k)
-             for n in range(args.blocks_max_n + 1) for k in range(n + 1))
+             for n in range(m + 1) for k in range(n + 1))
     results.append(("block_equivalence", ok))
 
     specs = [psi_spec(0.6, 0.8),

@@ -153,12 +153,10 @@ class PureState:
 
 def squared_norm(amps: np.ndarray) -> float:
     """sum |a|**2 as a running sum in support order, each term squared by
-    libm ``pow``: numpy's pairwise sum and vector square both move the last
-    bit of some probabilities, and transcripts print 17 digits."""
-    total = 0.0
-    for h in np.hypot(amps.real, amps.imag).tolist():
-        total += h ** 2
-    return total
+    libm ``pow`` (``float_power``): a pairwise sum, ``h * h`` or ``np.power``
+    moves the last bit of some probabilities; transcripts print 17 digits."""
+    h = np.hypot(amps.real, amps.imag)
+    return float(np.cumsum(np.float_power(h, 2.0))[-1]) if h.size else 0.0
 
 
 @dataclass(frozen=True)

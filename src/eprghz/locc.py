@@ -26,7 +26,8 @@ ORTHO_EPS = 1e-12
 
 
 class ImpossibleOutcomeError(RuntimeError):
-    """A measurement branch with probability at (numerical) zero was forced."""
+    """A branch at (numerical) zero probability was forced, or a drawn
+    outcome's probability departs from the one its construction gives."""
 
 
 @lru_cache(maxsize=16)

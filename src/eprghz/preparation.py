@@ -20,8 +20,9 @@ import numpy as np
 from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
                       _has_repeats, relabel, squared_norm, tensor)
 from .canonical import level_epr, level_ghz
-from .locc import (Povm, Transcript, apply_operator, as_generator,
-                   diagonal_operator, permutation_operator, sample)
+from .locc import (ImpossibleOutcomeError, Povm, Transcript, _draw,
+                   apply_element, as_generator, check_completeness,
+                   diagonal_operator)
 from .blocks import _binomial_bulk_chunks, block_labels, log2_binomial_array
 
 
@@ -135,13 +136,26 @@ def resource_count(n: int, window) -> ResourceCount:
     smaller index on ties)."""
     n = int(n)
     k_minus, k_plus = _window_tuple(window, n)
-    candidates = [k for k in {n // 2, (n + 1) // 2} if k_minus <= k <= k_plus]
-    if candidates:
-        k0 = min(candidates)
-    else:
-        k0 = k_minus if k_minus > n / 2 else k_plus
+    k0 = min(max(n // 2, k_minus), k_plus)
     ghz = math.log2(k_plus - k_minus + 1) + float(log2_binomial_array(n, k0))
     return ResourceCount({(1, 2): float(n - k_minus)}, ghz)
+
+
+def _window_terms(what: str, n: int, k_minus: int, k_plus: int, shift):
+    """sum C(n, k) * 2**shift(k) over the window, refused above
+    EXPLICIT_BUDGET: first, before any big-integer work, if a summand near
+    its peak (k = n/3 or n/2) is, in log2 space, a bit over the budget."""
+    ks = np.clip([(n + 1) // 3, n // 2], k_minus, k_plus)
+    log2_term = float(np.max(log2_binomial_array(n, ks) + shift(ks)))
+    if log2_term > math.log2(EXPLICIT_BUDGET) + 1.0:
+        raise BudgetError(f"{what} needs 2**{log2_term:.1f} terms or more, "
+                          f"budget is {EXPLICIT_BUDGET}")
+    terms = sum(math.comb(n, k) * 2**shift(k)
+                for k in range(k_minus, k_plus + 1))
+    if terms > EXPLICIT_BUDGET:
+        raise BudgetError(f"{what} needs {terms} terms, "
+                          f"budget is {EXPLICIT_BUDGET}")
+    return terms
 
 
 def build_target(n: int, c0: float, c1: float, window) -> PureState:
@@ -149,11 +163,7 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
     power to the window's blocks (small N only)."""
     n = int(n)
     k_minus, k_plus = _window_tuple(window, n)
-    support = sum(math.comb(n, k) * 2**(n - k)
-                  for k in range(k_minus, k_plus + 1))
-    if support > EXPLICIT_BUDGET:
-        raise BudgetError(f"windowed target needs {support} terms, "
-                          f"budget is {EXPLICIT_BUDGET}")
+    _window_terms("windowed target", n, k_minus, k_plus, lambda k: n - k)
     ks, a, row, bc = block_labels(n, k_minus, k_plus)
     amps = np.array([c0**k * c1**(n - k) / math.sqrt(2**(n - k))
                      for k in range(k_minus, k_plus + 1)])[ks[row] - k_minus]
@@ -236,37 +246,44 @@ def row_shorten_povm(labels, keep: int, party: int,
 
 
 def _measure(state, stage, parties, gen, transcript, step) -> PureState:
-    """Sample a (POVM, corrections) stage, record it, correct ``parties``."""
+    """Check a (POVM, corrections) stage, draw from its builder's uniform
+    law, apply that element alone, record it and relabel ``parties``."""
     povm, corrections = stage
-    outcome, state, entry = sample(state, povm, gen, step=step)
-    transcript.entries.append(entry)
+    if not check_completeness(povm):
+        raise ValueError("POVM is not complete on its local space")
+    m = len(povm.elements)
+    outcome = _draw(np.arange(1, m + 1) / m, gen)
+    state, sq = apply_element(state, povm.elements[outcome])
+    if abs(sq - 1.0 / m) > NORM_TOL:
+        raise ImpossibleOutcomeError(f"{step}: outcome {outcome} has "
+                                     f"probability {sq:.17g}, not 1/{m}")
+    transcript.add(step, povm.party, outcome, sq)
     old, new = corrections[outcome]
     if old.size:
         for p in parties:
-            state = apply_operator(state, permutation_operator(
-                p, old, new, state.local_dims[p]))
+            state = relabel(state, p, old, new)
     return state
 
 
-def _prepare_windowed(n: int, c0: float, c1: float, window,
-                      seed) -> tuple[PureState, Transcript, ResourceCount]:
-    """Run one branch of the preparation protocol.
-
+def prepare_approx(n: int, c0: float, c1: float, seed=0,
+                   window: Window | None = None
+                   ) -> tuple[PureState, Transcript, ResourceCount]:
+    """One branch of the windowed preparation protocol, landing exactly on
+    build_target for the same window (default: target_window(n, c0**2)).
     Inputs: one R-level GHZ-type state (R = window row count) and
     N - k_minus B-C pairs. Steps: weight the rows, attach the pairs,
-    shorten each row to its block's length, then relabel every party into
-    the N-copy label space. Each row's shortening stage is built just
-    before it is sampled.
+    shorten each row to its block's length (each stage built just before
+    it is sampled), then relabel every party into the N-copy label space.
     """
     n = int(n)
+    if window is None:
+        window = target_window(n, c0 * c0)
     k_minus, k_plus = _window_tuple(window, n)
     if abs(c0 * c0 + c1 * c1 - 1.0) > NORM_TOL:
         raise ValueError(f"coefficients not normalized: {c0}, {c1}")
-    big_r = sum(math.comb(n, k) for k in range(k_minus, k_plus + 1))
+    big_r = _window_terms("protocol", n, k_minus, k_plus,
+                          lambda k: n - k_minus) >> (n - k_minus)
     pair_levels = 2**(n - k_minus)
-    if big_r * pair_levels > EXPLICIT_BUDGET:
-        raise BudgetError(f"protocol needs {big_r * pair_levels} terms, "
-                          f"budget is {EXPLICIT_BUDGET}")
     ks, a, row, bc = block_labels(n, k_minus, k_plus)
 
     lam = np.array([c0**k * c1**(n - k)
@@ -274,17 +291,12 @@ def _prepare_windowed(n: int, c0: float, c1: float, window,
     nrm = float(np.linalg.norm(lam))
     if nrm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
-    lam = lam / nrm
 
-    gen = as_generator(seed)
-    transcript = Transcript()
-
+    gen, transcript = as_generator(seed), Transcript()
     state = _measure(level_ghz(big_r, (0, 1, 2)),
-                     ghz_weighting_povm(lam, party=0), (0, 1, 2), gen,
+                     ghz_weighting_povm(lam / nrm, party=0), (0, 1, 2), gen,
                      transcript, "weighting")
-
-    if pair_levels > 1:
-        state = tensor(state, level_epr(pair_levels, (0, 1), 2), b_map=(1, 2))
+    state = tensor(state, level_epr(pair_levels, (0, 1), 2), b_map=(1, 2))
     dim_bc = big_r * pair_levels
 
     # term e of row g sits at g*pair_levels + e on B and C; the row keeps
@@ -307,14 +319,4 @@ def prepare_exact_n2(c0: float, c1: float, seed=0
                      ) -> tuple[PureState, Transcript, ResourceCount]:
     """Two copies of the seed state, exactly, from 2 B-C pairs and a
     4-level GHZ-type state (2 canonical GHZ units), on every branch."""
-    return _prepare_windowed(2, c0, c1, (0, 2), seed)
-
-
-def prepare_approx(n: int, c0: float, c1: float, alpha: float = 1.0,
-                   beta: float = 0.6, seed=0, window: Window | None = None
-                   ) -> tuple[PureState, Transcript, ResourceCount]:
-    """Windowed preparation at explicit scale: every branch lands exactly
-    on build_target for the same window."""
-    if window is None:
-        window = target_window(n, c0 * c0, alpha, beta)
-    return _prepare_windowed(n, c0, c1, window, seed)
+    return prepare_approx(2, c0, c1, seed=seed, window=(0, 2))

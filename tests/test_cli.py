@@ -5,14 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eprghz import cli
+from eprghz import cli, preparation
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from eprghz.extraction import expected_yields
+from eprghz.locc import Povm, diagonal_operator
 from eprghz.preparation import fidelity, fidelity_bound
 from eprghz.canonical import psi_spec
 
@@ -341,6 +344,50 @@ def test_usage_errors(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert WORDING.get(argv, "") in err
+
+
+def test_huge_prepare_window_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "prepare", "--psi", "0.6", "0.8",
+                         "-N", "1000000")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: windowed target needs 2**1583")
+    assert err.endswith("terms or more, budget is 10000000\n")
+
+
+@pytest.mark.parametrize("max_n", ["15", str(10**40)])
+def test_verify_blocks_max_n_budget(capsys, max_n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--blocks-max-n", max_n)
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"error: block equivalence up to N = {max_n} needs "
+                   f"(3**{int(max_n) + 1} - 1)/2 terms, budget is 10000000\n")
+
+
+def test_verify_blocks_max_n_budget_boundary(capsys, monkeypatch):
+    """(3**15 - 1)/2 = 7,174,453 block terms fit the budget; the next
+    step does not. The block checks themselves are stubbed out."""
+    monkeypatch.setattr(cli, "verify_block_equivalence", lambda n, k: True)
+    assert run(capsys, "verify", "--blocks-max-n", "14")[0] == EXIT_OK
+    assert run(capsys, "verify", "--blocks-max-n", "15")[0] == EXIT_USAGE
+
+
+def test_skewed_stage_law_exits_1(capsys, monkeypatch):
+    def skewed(weights, party=0):
+        """A complete two-outcome stage whose law is 0.9/0.1, not 1/2."""
+        ones, empty = np.ones(len(weights)), np.zeros(0, dtype=np.int64)
+        return Povm(party, (diagonal_operator(party, math.sqrt(0.9) * ones),
+                            diagonal_operator(party, math.sqrt(0.1) * ones))
+                    ), ((empty, empty), (empty, empty))
+
+    monkeypatch.setattr(preparation, "ghz_weighting_povm", skewed)
+    code, out, err = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "3")
+    assert code == EXIT_INVARIANT and out == ""
+    assert err.startswith("error: weighting: outcome ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_impossible_outcome_is_an_invariant_failure(capsys, monkeypatch):

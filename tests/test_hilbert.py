@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from eprghz.hilbert import (
     EXPLICIT_BUDGET, NORM_TOL, PRUNE_EPS, DensityMatrix, PureState,
     _has_repeats, amplitude_distance, entanglement_entropy, entropy, inner,
-    reduced_density, relabel, states_equal, tensor,
+    reduced_density, relabel, squared_norm, states_equal, tensor,
 )
 from eprghz.canonical import copies, epr, ghz, psi, psi_prime
 
@@ -131,6 +131,32 @@ def test_norm_and_normalized():
     assert n.amplitudes[(0,)] == pytest.approx(0.6)
     with pytest.raises(ValueError):
         PureState((2,), {}).normalized()
+
+
+def _running_squared_norm(amps):
+    """Reference: a Python running sum in support order, each term squared
+    by libm pow (Python's float ``**``)."""
+    total = 0.0
+    for h in np.hypot(amps.real, amps.imag).tolist():
+        total += h ** 2
+    return total
+
+
+def test_squared_norm_matches_the_running_sum_bit_for_bit():
+    rng = np.random.default_rng(8)
+    h = rng.random(20_000)
+    # values whose vector square (h * h, np.power) rounds differently from
+    # libm pow: a switch to either fails on them one by one
+    odd = h[h * h != np.array([x ** 2 for x in h.tolist()])]
+    assert odd.size
+    for x in odd:
+        assert squared_norm(np.array([x])) == _running_squared_norm(
+            np.array([x]))
+    for size in (0, 1, 2, 7, 1000, 20_000):
+        amps = h[:size] * np.exp(2j * np.pi * rng.random(size))
+        assert squared_norm(amps) == _running_squared_norm(amps)
+        assert squared_norm(h[:size]) == _running_squared_norm(h[:size])
+    assert squared_norm(np.zeros(0, dtype=complex)) == 0.0
 
 
 def test_psi_is_normalized():

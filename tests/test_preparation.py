@@ -7,21 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprghz import locc, preparation
 from eprghz.blocks import block_probability
-from eprghz.canonical import copies, level_ghz, psi, psi_spec
+from eprghz.canonical import copies, level_epr, level_ghz, psi, psi_spec
 from eprghz.extraction import block_measurement_povm
 from eprghz.hilbert import (
     EXPLICIT_BUDGET, BudgetError, PureState, amplitude_distance, inner,
-    states_equal,
+    relabel, states_equal, tensor,
 )
 from eprghz.locc import (
-    apply_element, apply_operator, check_completeness, outcome_probabilities,
-    permutation_operator, trial_seeds,
+    ImpossibleOutcomeError, Povm, Transcript, apply_element, apply_operator,
+    check_completeness, diagonal_operator, outcome_probabilities,
+    permutation_operator, sample, trial_seeds,
 )
 from eprghz.preparation import (
-    ResourceCount, Window, build_target, fidelity, fidelity_bound,
-    ghz_weighting_povm, prepare_approx, prepare_exact_n2, resource_count,
-    row_shorten_povm, target_window,
+    ResourceCount, Window, _measure, _window_terms, build_target, fidelity,
+    fidelity_bound, ghz_weighting_povm, prepare_approx, prepare_exact_n2,
+    resource_count, row_shorten_povm, target_window,
 )
 
 HALF = math.sqrt(0.5)
@@ -374,6 +376,121 @@ def test_prepare_approx_pair_only():
 def test_prepare_approx_budget():
     with pytest.raises(BudgetError):
         prepare_approx(25, 0.0, 1.0, seed=0, window=Window(25, 0, 0, 1.0, 0.6))
+
+
+def test_window_budgets_keep_the_exact_decision():
+    """The log2 pre-check refuses only what the exact count refuses, on
+    every window whose labels fit in int64 (3**n - 3**k_minus)."""
+    for n in range(1, 41):
+        for k_minus in range(n + 1):
+            if 3**n - 3**k_minus > 2**63 - 1:
+                continue
+            for k_plus in range(k_minus, n + 1):
+                for shift in (lambda k: n - k, lambda k: n - k_minus):
+                    exact = sum(math.comb(n, k) * 2**shift(k)
+                                for k in range(k_minus, k_plus + 1))
+                    if exact > EXPLICIT_BUDGET:
+                        with pytest.raises(BudgetError):
+                            _window_terms("w", n, k_minus, k_plus, shift)
+                    else:
+                        assert _window_terms("w", n, k_minus, k_plus,
+                                             shift) == exact
+
+
+def test_huge_windows_are_refused_from_an_estimate():
+    n = 10**12
+    for call in (lambda: build_target(n, 0.6, 0.8, (0, n)),
+                 lambda: prepare_approx(n, 0.6, 0.8, window=(0, n))):
+        with pytest.raises(BudgetError, match=r"needs 2\*\*\S+ terms or more, "
+                           f"budget is {EXPLICIT_BUDGET}"):
+            call()
+
+
+def _shortening_state(rng):
+    """Four weighted rows on A, each with four B-C pair levels, laid out as
+    the protocol lays them out (row g's terms at 4g..4g+3 on B and C)."""
+    w = rng.random(4) + 0.1
+    rows = ghz_weighting_povm(w / np.linalg.norm(w))[0].elements[0]
+    return tensor(apply_element(level_ghz(4, (0, 1, 2)), rows)[0],
+                  level_epr(4, (0, 1), 2), b_map=(1, 2))
+
+
+def test_protocol_draw_matches_sample():
+    """A protocol stage draws the outcome that Born sampling draws from an
+    identically seeded generator, and records the same probability."""
+    rng = np.random.default_rng(4)
+    w = rng.random(5)
+    weighted = (level_ghz(5, (0, 1, 2)), ghz_weighting_povm(
+        w / np.linalg.norm(w)), (0, 1, 2))
+    state = _shortening_state(rng)
+    stages = [weighted] + [
+        (state, row_shorten_povm(range(4 * g, 4 * g + 4), keep, 1, dim=16),
+         (1, 2)) for g, keep in ((0, 1), (2, 2))]
+    for seed in range(200):
+        for state, (povm, corrections), parties in stages:
+            transcript = Transcript()
+            post = _measure(state, (povm, corrections), parties,
+                            np.random.default_rng(seed), transcript, "s")
+            want, branch, entry = sample(state, povm,
+                                         np.random.default_rng(seed))
+            assert transcript.entries[0].outcome == want
+            assert transcript.entries[0].probability == entry.probability
+            old, new = corrections[want]
+            for p in parties if old.size else ():
+                branch = relabel(branch, p, old, new)
+            assert amplitude_distance(post, branch) == 0.0
+
+
+def test_protocol_applies_only_the_drawn_element(monkeypatch):
+    """One completeness check and one applied element per stage, and no
+    Born evaluation of the other outcomes."""
+    calls = {"apply": 0, "complete": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the protocol evaluated every outcome")
+
+    monkeypatch.setattr(preparation, "apply_element",
+                        counted("apply", apply_element))
+    monkeypatch.setattr(preparation, "check_completeness",
+                        counted("complete", check_completeness))
+    for name in ("sample", "outcome_probabilities", "apply_operator",
+                 "permutation_operator"):
+        monkeypatch.setattr(locc, name, forbidden)
+    state, transcript, _ = prepare_approx(4, 0.6, 0.8, seed=3)
+    assert calls == {"apply": len(transcript), "complete": len(transcript)}
+    assert amplitude_distance(
+        state, build_target(4, 0.6, 0.8, target_window(4, 0.36))) < 1e-9
+
+
+def _skewed_weighting(weights, party=0):
+    """A complete two-outcome stage whose law is 0.9/0.1, not 1/2."""
+    t, empty = len(weights), np.zeros(0, dtype=np.int64)
+    return Povm(party, (diagonal_operator(party, np.full(t, math.sqrt(0.9))),
+                        diagonal_operator(party, np.full(t, math.sqrt(0.1))))
+                ), ((empty, empty), (empty, empty))
+
+
+def test_skewed_stage_law_is_an_impossible_outcome(monkeypatch):
+    monkeypatch.setattr(preparation, "ghz_weighting_povm", _skewed_weighting)
+    for seed in range(5):
+        with pytest.raises(ImpossibleOutcomeError, match="not 1/2"):
+            prepare_approx(3, 0.6, 0.8, seed=seed)
+
+
+def test_incomplete_stage_is_refused(monkeypatch):
+    def incomplete(*args, **kwargs):
+        povm, corrections = ghz_weighting_povm(*args, **kwargs)
+        return Povm(povm.party, povm.elements[:-1]), corrections[:-1]
+
+    monkeypatch.setattr(preparation, "ghz_weighting_povm", incomplete)
+    with pytest.raises(ValueError, match="not complete"):
+        prepare_approx(3, 0.6, 0.8, seed=1, window=(0, 3))
 
 
 def test_prepare_then_extract_round_trip():
