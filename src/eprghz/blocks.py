@@ -341,9 +341,8 @@ def block_state(n: int, k: int) -> PureState:
     if r * t > EXPLICIT_BUDGET:
         raise BudgetError(f"block support {r * t} exceeds the explicit budget")
     _, a, row, bc = block_labels(n, k, k)
-    return PureState.from_columns((2**n, 3**n, 3**n),
-                                  np.column_stack([a[row], bc, bc]),
-                                  np.full(r * t, 1.0 / math.sqrt(r * t)))
+    return PureState((2**n, 3**n, 3**n), np.column_stack([a[row], bc, bc]),
+                     np.full(r * t, 1.0 / math.sqrt(r * t)))
 
 
 def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:

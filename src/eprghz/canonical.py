@@ -42,7 +42,7 @@ def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
     dims = tuple(t if p in parties else 1 for p in range(party_count))
     labels = np.zeros((t, len(dims)), dtype=np.int64)
     labels[:, parties] = np.arange(t)[:, None]
-    return PureState.from_columns(dims, labels, np.full(t, 1.0 / math.sqrt(t)))
+    return PureState(dims, labels, np.full(t, 1.0 / math.sqrt(t)))
 
 
 def level_epr(r: int, parties, party_count: int | None = None) -> PureState:
@@ -66,8 +66,8 @@ def ghz(n: int) -> PureState:
 def psi(c0: float, c1: float) -> PureState:
     """The tripartite seed state c0|000> + c1|1>(|11>+|22>)/sqrt2, dims (2,3,3)."""
     _check_unit(c0, c1)
-    return PureState.from_columns((2, 3, 3), [(0, 0, 0), (1, 1, 1), (1, 2, 2)],
-                                  [c0, c1 / SQ2, c1 / SQ2])
+    return PureState((2, 3, 3), [(0, 0, 0), (1, 1, 1), (1, 2, 2)],
+                     [c0, c1 / SQ2, c1 / SQ2])
 
 
 def psi_prime(c0: float, c1: float, c2: float, c3: float) -> PureState:
@@ -81,7 +81,7 @@ def psi_prime(c0: float, c1: float, c2: float, c3: float) -> PureState:
     labels = [(0, 0, 0), (1, 1, 1), (1, 2, 2), (2, 3, 3), (3, 3, 4),
               (4, 4, 5), (5, 5, 5)]
     amps = [c0, c1 / SQ2, c1 / SQ2, c2 / SQ2, c2 / SQ2, c3 / SQ2, c3 / SQ2]
-    return PureState.from_columns((6, 6, 6), labels, amps)
+    return PureState((6, 6, 6), labels, amps)
 
 
 def _check_unit(*cs):
@@ -168,8 +168,8 @@ class StateSpec:
         level = comp.level if len(comp.support) > 1 else 1
         spread = [comp.width(p) > 1 for p in range(self.party_count)]
         labels = np.outer(np.arange(level), spread) + self.offsets(i)
-        return PureState.from_columns(self.local_dims(), labels,
-                                      np.full(level, 1.0 / math.sqrt(level)))
+        return PureState(self.local_dims(), labels,
+                         np.full(level, 1.0 / math.sqrt(level)))
 
     def squared_coefficients(self) -> tuple[float, ...]:
         return tuple(c.coefficient**2 for c in self.components)
@@ -228,7 +228,7 @@ def psi_general(spec: StateSpec) -> PureState:
     parts = [spec.component_state(i) for i in range(len(spec.components))]
     if len(parts) > 1 and not check_local_orthogonality(parts):
         raise ValueError("spec components are not locally orthogonal")
-    return PureState.from_columns(
+    return PureState(
         spec.local_dims(), np.concatenate([part.labels for part in parts]),
         np.concatenate([c.coefficient * part.amps
                         for c, part in zip(spec.components, parts)]))

@@ -59,7 +59,7 @@ def asymptotic_rates(spec: StateSpec) -> Rates:
     for comp in spec.components:
         if len(comp.support) >= 2:
             per[comp.support] = (per.get(comp.support, 0.0)
-                                 + comp.coefficient**2 * math.log2(comp.level))
+                                 + _log2_units(comp.coefficient, comp.level))
     full = entropy(spec.squared_coefficients())
     return Rates(per, full)
 

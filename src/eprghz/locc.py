@@ -19,7 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .hilbert import NORM_TOL, PureState, _has_repeats, _label_map, squared_norm
+from .hilbert import (NORM_TOL, PureState, _has_repeats, _label_map,
+                      _row_codes, squared_norm)
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -161,7 +162,7 @@ def _rewrite(s: PureState, op: LocalOperator):
 
 def apply_operator(s: PureState, op: LocalOperator) -> PureState:
     """Apply without renormalizing (for unitaries and linear-algebra checks)."""
-    return PureState.from_columns(*_rewrite(s, op))
+    return PureState(*_rewrite(s, op))
 
 
 def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
@@ -175,7 +176,7 @@ def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
     if sq <= IMPOSSIBLE_EPS:
         raise ImpossibleOutcomeError(
             f"outcome on party {op.party} has probability {sq:.3e}")
-    return PureState.from_columns(dims, labels, amps / math.sqrt(sq)), sq
+    return PureState(dims, labels, amps / math.sqrt(sq)), sq
 
 
 @dataclass(frozen=True)
@@ -268,8 +269,7 @@ def _shared_density(s: PureState, party: int, shared: np.ndarray):
     """One-party density of ``s`` on the sorted labels ``shared`` only."""
     keep = np.isin(s.labels[:, party], shared)
     labels, amps = s.labels[keep], s.amps[keep]
-    group = np.unique(np.delete(labels, party, axis=1), axis=0,
-                      return_inverse=True)[1].reshape(-1)
+    group = _row_codes(np.delete(labels, party, axis=1))
     m = np.zeros((group.max(initial=-1) + 1, len(shared)), dtype=complex)
     m[group, np.searchsorted(shared, labels[:, party])] = amps
     return m.T @ m.conj()

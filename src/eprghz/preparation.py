@@ -103,10 +103,6 @@ def fidelity(n: int, c0_sq: float, window) -> float:
     """
     n = int(n)
     k_minus, k_plus = _window_tuple(window, n)
-    if c0_sq <= 0.0:
-        return 1.0 if k_minus == 0 else 0.0
-    if c0_sq >= 1.0:
-        return 1.0 if k_plus == n else 0.0
     total = inside = left = right = 0.0
     for ks, _, logp in _binomial_bulk_chunks(n, c0_sq):
         p = np.exp2(logp)
@@ -170,9 +166,8 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
     norm = math.sqrt(squared_norm(amps))
     if norm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
-    return PureState.from_columns((2**n, 3**n, 3**n),
-                                  np.column_stack([a[row], bc, bc]),
-                                  amps / norm)
+    return PureState((2**n, 3**n, 3**n), np.column_stack([a[row], bc, bc]),
+                     amps / norm)
 
 
 def ghz_weighting_povm(weights, party: int = 0) -> tuple[Povm, tuple]:

@@ -16,3 +16,8 @@ def dense_matrix(op) -> np.ndarray:
 @pytest.fixture
 def dense():
     return dense_matrix
+
+
+def terms(state) -> dict:
+    """``label tuple -> amplitude`` for each term of ``state``, in row order."""
+    return dict(zip(map(tuple, state.labels.tolist()), state.amps.tolist()))

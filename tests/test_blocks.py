@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import terms
 
 from eprghz import blocks
 from eprghz.blocks import (
@@ -297,7 +298,7 @@ def test_labels_beyond_int64_are_refused():
 def test_block_state_explicit_n2_k1():
     s = block_state(2, 1)
     assert s.local_dims == (4, 9, 9)
-    assert s.amplitudes == pytest.approx(
+    assert terms(s) == pytest.approx(
         {(1, 1, 1): 0.5, (1, 2, 2): 0.5, (2, 3, 3): 0.5, (2, 6, 6): 0.5})
 
 
@@ -320,9 +321,9 @@ def test_blocks_partition_the_power():
     for k in range(3):
         b = block_state(2, k)
         coeff = 0.6**k * 0.8**(2 - k) * math.sqrt(math.comb(2, k))
-        for l, a in b.amplitudes.items():
+        for l, a in terms(b).items():
             total[l] = total.get(l, 0.0) + coeff * a
-    assert total == pytest.approx(dict(state.amplitudes))
+    assert total == pytest.approx(terms(state))
 
 
 # -- per-block yields --------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import terms
 
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, epr, ghz, level_epr, level_ghz,
@@ -23,10 +24,10 @@ SQ2 = math.sqrt(2.0)
 def test_epr_and_ghz():
     e = epr((0, 1))
     assert e.local_dims == (2, 2)
-    assert e.amplitudes[(0, 0)] == pytest.approx(1 / SQ2)
+    assert terms(e)[(0, 0)] == pytest.approx(1 / SQ2)
     g = ghz(3)
     assert g.local_dims == (2, 2, 2)
-    assert set(g.amplitudes) == {(0, 0, 0), (1, 1, 1)}
+    assert set(terms(g)) == {(0, 0, 0), (1, 1, 1)}
     with pytest.raises(ValueError):
         ghz(1)
 
@@ -34,15 +35,15 @@ def test_epr_and_ghz():
 def test_level_states_embed():
     s = level_epr(4, (1, 2), 3)
     assert s.local_dims == (1, 4, 4)
-    assert set(s.amplitudes) == {(0, q, q) for q in range(4)}
+    assert set(terms(s)) == {(0, q, q) for q in range(4)}
     g = level_ghz(3, (0, 2), 3)
     assert g.local_dims == (3, 1, 3)
-    assert g.amplitudes[(2, 0, 2)] == pytest.approx(1 / math.sqrt(3))
+    assert terms(g)[(2, 0, 2)] == pytest.approx(1 / math.sqrt(3))
 
 
 def test_level_one_is_product():
     s = level_ghz(1, (0, 1, 2))
-    assert s.amplitudes == {(0, 0, 0): 1.0}
+    assert terms(s) == {(0, 0, 0): 1.0}
 
 
 # -- seed states -------------------------------------------------------------
@@ -50,7 +51,7 @@ def test_level_one_is_product():
 def test_psi_amplitudes():
     s = psi(0.6, 0.8)
     assert s.local_dims == (2, 3, 3)
-    assert s.amplitudes == pytest.approx(
+    assert terms(s) == pytest.approx(
         {(0, 0, 0): 0.6, (1, 1, 1): 0.8 / SQ2, (1, 2, 2): 0.8 / SQ2})
 
 
@@ -58,7 +59,7 @@ def test_psi_prime_amplitudes():
     c = 0.5
     s = psi_prime(c, c, c, c)
     assert s.local_dims == (6, 6, 6)
-    assert s.amplitudes == pytest.approx({
+    assert terms(s) == pytest.approx({
         (0, 0, 0): c,
         (1, 1, 1): c / SQ2, (1, 2, 2): c / SQ2,    # B-C pair, A parked
         (2, 3, 3): c / SQ2, (3, 3, 4): c / SQ2,    # A-C pair, B parked
@@ -122,10 +123,10 @@ def test_psi_prime_spec_layout():
 
 def test_psi_general_matches_displayed_states():
     s = psi_general(psi_spec(0.6, 0.8))
-    assert s.amplitudes == pytest.approx(psi(0.6, 0.8).amplitudes)
+    assert terms(s) == pytest.approx(terms(psi(0.6, 0.8)))
     cs = np.sqrt((0.1, 0.2, 0.3, 0.4))
     s = psi_general(psi_prime_spec(*cs))
-    assert s.amplitudes == pytest.approx(psi_prime(*cs).amplitudes)
+    assert terms(s) == pytest.approx(terms(psi_prime(*cs)))
 
 
 def test_spec_matches_state():
@@ -199,10 +200,11 @@ def test_copies_label_flattening():
     assert s.local_dims == (4, 9, 9)
     assert s.support_size == 9
     # copy 0 is the most significant digit on every party
-    assert s.amplitudes[(0, 0, 0)] == pytest.approx(0.36)
-    assert s.amplitudes[(1, 1, 1)] == pytest.approx(0.6 * 0.8 / SQ2)
-    assert s.amplitudes[(2, 3, 3)] == pytest.approx(0.8 / SQ2 * 0.6)
-    assert s.amplitudes[(3, 5, 5)] == pytest.approx(0.32)  # (1,1,1)x(1,2,2)
+    t = terms(s)
+    assert t[(0, 0, 0)] == pytest.approx(0.36)
+    assert t[(1, 1, 1)] == pytest.approx(0.6 * 0.8 / SQ2)
+    assert t[(2, 3, 3)] == pytest.approx(0.8 / SQ2 * 0.6)
+    assert t[(3, 5, 5)] == pytest.approx(0.32)  # (1,1,1)x(1,2,2)
 
 
 def test_copies_identity_and_errors():

@@ -77,6 +77,17 @@ def test_rates_json_format(capsys):
     assert list(payload[0]) == sorted(payload[0])
 
 
+def test_rates_and_extract_print_one_epr_number(capsys):
+    # both form c_i**2 * log2(level) correctly rounded; a product of the
+    # rounded factors lands an ulp lower on this level-3 pair
+    spec = str(Path(__file__).parent / "golden" / "spec3.json")
+    _, rates, _ = run(capsys, "rates", "--spec", spec)
+    _, extract, _ = run(capsys, "extract", "--spec", spec, "-N", "5")
+    rate = {r["subset"]: r["rate"] for r in rows_of(rates)}
+    expected = {r["subset"]: r["expected"] for r in rows_of(extract)}
+    assert rate["BC"] == expected["BC"] == "0.55473687525240467"
+
+
 # -- extract -------------------------------------------------------------------
 
 def test_extract_expected_only(capsys):

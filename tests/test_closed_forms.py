@@ -118,7 +118,7 @@ def seed_spec(c0_sq):
     return psi_spec(math.sqrt(c0_sq), math.sqrt(1.0 - c0_sq))
 
 
-@pytest.mark.parametrize("c0_sq", C0_SQ)
+@pytest.mark.parametrize("c0_sq", C0_SQ + [-0.0])
 @pytest.mark.parametrize("n", NS)
 def test_fidelity_matches_full_range_sum(n, c0_sq):
     w = target_window(n, c0_sq)

@@ -4,17 +4,18 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from conftest import terms
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprghz.hilbert import (
     EXPLICIT_BUDGET, NORM_TOL, PRUNE_EPS, DensityMatrix, PureState,
-    _has_repeats, amplitude_distance, entanglement_entropy, entropy, inner,
-    reduced_density, relabel, squared_norm, states_equal, tensor,
+    _has_repeats, _row_codes, amplitude_distance, entanglement_entropy,
+    entropy, inner, reduced_density, relabel, squared_norm, states_equal,
+    tensor,
 )
 from eprghz.canonical import copies, epr, ghz, psi, psi_prime
 
@@ -30,62 +31,44 @@ def random_state(rng, dims=(3, 3, 3), support=6):
     labels = set()
     while len(labels) < support:
         labels.add(tuple(int(rng.integers(d)) for d in dims))
-    amps = {l: complex(rng.normal(), rng.normal()) for l in labels}
-    return PureState(dims, amps).normalized()
+    amps = [complex(rng.normal(), rng.normal()) for _ in labels]
+    return PureState(dims, list(labels), amps).normalized()
 
 
 # -- construction ------------------------------------------------------------
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        PureState((), {})
+        PureState((), [], [])
     with pytest.raises(ValueError):
-        PureState((2, 0), {})
-    with pytest.raises(ValueError):
-        PureState((2, 2), {(0,): 1.0})           # wrong arity
-    with pytest.raises(ValueError):
-        PureState((2, 2), {(0, 2): 1.0})         # label out of range
-    with pytest.raises(ValueError):
-        PureState((2, 2), {(1, -1): 1.0})        # negative label
-    with pytest.raises(ValueError):
-        PureState((2, 2), {(0, 0): 1.0, (1,): 1.0})   # ragged arity
-    # the same refusals for a label matrix and an amplitude vector
+        PureState((2, 0), [], [])
+    # wrong arity (short, long), label out of range, negative, ragged
     for labels in ([(0,)], [(0, 0, 1)], [(0, 2)], [(1, -1)], [(0, 0), (1,)]):
         with pytest.raises(ValueError):
-            PureState.from_columns((2, 2), labels, np.ones(len(labels)))
+            PureState((2, 2), labels, np.ones(len(labels)))
     with pytest.raises(ValueError):
-        PureState.from_columns((2, 2), [(0, 0)], [1.0, 1.0])  # lengths differ
-
-
-@pytest.mark.parametrize("state", [psi(0.6, 0.8), psi_prime(0.5, 0.5, 0.5, 0.5),
-                                   ghz(4), PureState((3,), {})],
-                         ids=["psi", "psi_prime", "ghz4", "empty"])
-def test_mapping_and_columnar_inputs_agree(state):
-    mapping = PureState(state.local_dims, dict(state.amplitudes.items()))
-    columns = PureState.from_columns(state.local_dims, state.labels.tolist(),
-                                     state.amps.tolist())
-    assert mapping == columns == state
-    assert list(mapping.amplitudes) == list(columns.amplitudes)
-    assert states_equal(mapping, columns, 0.0)
+        PureState((2, 2), [(0, 0)], [1.0, 1.0])  # lengths differ
 
 
 def test_columns_are_read_only():
     s = psi(0.6, 0.8)
-    assert isinstance(s.amplitudes, Mapping)
+    assert [f.name for f in dataclasses.fields(PureState)] == \
+        ["local_dims", "labels", "amps"]
+    assert s.amplitudes is s.amps
     assert s.labels.shape == (3, 3) and s.labels.dtype == np.int64
     assert s.amps.dtype == complex
     with pytest.raises(ValueError):
         s.labels[0, 0] = 1
     with pytest.raises(ValueError):
         s.amps[0] = 0.0
-    with pytest.raises(TypeError):
-        s.amplitudes[(0, 0, 0)] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.amps = np.zeros(3, dtype=complex)
 
 
 def test_support_size_without_a_dict():
     n = 10**5
     diag = np.repeat(np.arange(n, dtype=np.int64)[:, None], 2, axis=1)
-    s = PureState.from_columns((n, n), diag, np.full(n, n ** -0.5))
+    s = PureState((n, n), diag, np.full(n, n ** -0.5))
     tracemalloc.start()
     try:
         size = len(s.amplitudes)
@@ -97,23 +80,10 @@ def test_support_size_without_a_dict():
     assert peak < 10_000  # a dict of 1e5 label tuples takes megabytes
 
 
-def test_amplitude_lookups_on_a_large_state():
-    s = copies(psi(0.6, 0.8), 10)
-    assert s.support_size >= 5 * 10**4
-    items = s.amplitudes.items()
-    assert all(s.amplitudes[label] == amp for label, amp in items)
-    assert dict(s.amplitudes) == dict(items)
-    for missing in [(0, 0, 1), (1, 0, 0), (2**10, 0, 0), (-1, 0, 0),
-                    (2**70, 0, 0), (0.5, 0, 0), (0, 0), (0, 0, 0, 0)]:
-        assert missing not in s.amplitudes
-        with pytest.raises(KeyError):
-            s.amplitudes[missing]
-
-
 def test_small_amplitudes_pruned():
-    s = PureState((2, 2), {(0, 0): 1.0, (1, 1): PRUNE_EPS / 10})
+    s = PureState((2, 2), [(0, 0), (1, 1)], [1.0, PRUNE_EPS / 10])
     assert s.support_size == 1
-    assert (1, 1) not in s.amplitudes
+    assert (1, 1) not in terms(s)
 
 
 def test_state_is_immutable():
@@ -123,14 +93,14 @@ def test_state_is_immutable():
 
 
 def test_norm_and_normalized():
-    s = PureState((2,), {(0,): 3.0, (1,): 4.0})
+    s = PureState((2,), [(0,), (1,)], [3.0, 4.0])
     assert s.norm() == pytest.approx(5.0)
     assert not s.is_normalized()
     n = s.normalized()
     assert n.is_normalized()
-    assert n.amplitudes[(0,)] == pytest.approx(0.6)
+    assert terms(n)[(0,)] == pytest.approx(0.6)
     with pytest.raises(ValueError):
-        PureState((2,), {}).normalized()
+        PureState((2,), [], []).normalized()
 
 
 def _running_squared_norm(amps):
@@ -171,8 +141,8 @@ def test_tensor_default_alignment():
     s = tensor(epr((0, 1)), epr((0, 1)))
     # merged slots: label la*db + lb on each party
     assert s.local_dims == (4, 4)
-    assert set(s.amplitudes) == {(0, 0), (1, 1), (2, 2), (3, 3)}
-    assert s.amplitudes[(3, 3)] == pytest.approx(0.5)
+    assert set(terms(s)) == {(0, 0), (1, 1), (2, 2), (3, 3)}
+    assert terms(s)[(3, 3)] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("a_map,b_map,party_count", [
@@ -187,8 +157,8 @@ def test_tensor_rows_run_a_outer_b_inner(a_map, b_map, party_count):
     a_map = a_map or (0, 1, 2)
     b_map = b_map or (0, 1, 2)
     want_labels, want_amps = [], []
-    for (la, va), (lb, vb) in itertools.product(a.amplitudes.items(),
-                                                b.amplitudes.items()):
+    for (la, va), (lb, vb) in itertools.product(terms(a).items(),
+                                                terms(b).items()):
         row = [0] * s.party_count
         for p, slot in enumerate(a_map):
             row[slot] = la[p]
@@ -196,7 +166,7 @@ def test_tensor_rows_run_a_outer_b_inner(a_map, b_map, party_count):
             row[slot] = row[slot] * b.local_dims[p] + lb[p]
         want_labels.append(tuple(row))
         want_amps.append(va * vb)
-    assert list(s.amplitudes) == want_labels
+    assert list(terms(s)) == want_labels
     assert s.amps.tolist() == want_amps
 
 
@@ -207,25 +177,25 @@ def test_copies_rows_follow_product_order(state):
     """Copy 0 is the most significant digit and the outermost row loop."""
     out = copies(state, 3)
     want = [tuple(sum(t[p] * state.local_dims[p] ** (2 - i)
-                      for i, t in enumerate(terms))
+                      for i, t in enumerate(rows))
                   for p in range(state.party_count))
-            for terms in itertools.product(state.amplitudes, repeat=3)]
-    assert list(out.amplitudes) == want
+            for rows in itertools.product(terms(state), repeat=3)]
+    assert list(terms(out)) == want
 
 
 def test_tensor_disjoint_slots():
-    a = PureState((2,), {(1,): 1.0})
-    b = PureState((3,), {(2,): 1.0})
+    a = PureState((2,), [(1,)], [1.0])
+    b = PureState((3,), [(2,)], [1.0])
     s = tensor(a, b, a_map=(0,), b_map=(2,), party_count=4)
     # slot 1 and 3 fed by neither input: dimension 1, label 0
     assert s.local_dims == (2, 1, 3, 1)
-    assert set(s.amplitudes) == {(1, 0, 2, 0)}
+    assert set(terms(s)) == {(1, 0, 2, 0)}
 
 
 def test_tensor_alignment_errors():
     a, b = epr((0, 1)), epr((0, 1))
     with pytest.raises(ValueError):
-        tensor(a, PureState((2,), {(0,): 1.0}))   # counts differ, no maps
+        tensor(a, PureState((2,), [(0,)], [1.0]))  # counts differ, no maps
     with pytest.raises(ValueError):
         tensor(a, b, a_map=(0,))                  # map arity mismatch
     with pytest.raises(ValueError):
@@ -244,11 +214,11 @@ def test_tensor_norm_multiplicative():
 def test_inner_values():
     s = psi(0.6, 0.8)
     assert inner(s, s) == pytest.approx(1.0)
-    e0 = PureState((2, 3, 3), {(0, 0, 0): 1.0})
+    e0 = PureState((2, 3, 3), [(0, 0, 0)], [1.0])
     assert inner(e0, s) == pytest.approx(0.6)
     assert inner(s, e0) == pytest.approx(0.6)
     with pytest.raises(ValueError):
-        inner(s, PureState((2, 2), {(0, 0): 1.0}))
+        inner(s, PureState((2, 2), [(0, 0)], [1.0]))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -333,7 +303,8 @@ def test_entropy_cut_complement_symmetry(seed):
 
 def test_entanglement_entropy_large_local_dims():
     # support-sized cost: huge local dimensions must not matter
-    s = PureState((2**40, 3**40), {(0, 0): 1 / SQ2, (2**39, 3**39): 1 / SQ2})
+    s = PureState((2**40, 3**40), [(0, 0), (2**39, 3**39)],
+                  [1 / SQ2, 1 / SQ2])
     assert entanglement_entropy(s, (0,)) == pytest.approx(1.0)
 
 
@@ -342,14 +313,14 @@ def test_entanglement_entropy_large_local_dims():
 def test_relabel_roundtrip():
     s = psi(0.6, 0.8)
     r = relabel(s, 1, [0, 2], [2, 0])
-    assert set(r.amplitudes) == {(0, 2, 0), (1, 1, 1), (1, 0, 2)}
+    assert set(terms(r)) == {(0, 2, 0), (1, 1, 1), (1, 0, 2)}
     assert states_equal(relabel(r, 1, [2, 0], [0, 2]), s)
 
 
 def test_relabel_widens_dimension():
     r = relabel(psi(0.6, 0.8), 0, [1], [7], new_dim=8)
     assert r.local_dims == (8, 3, 3)
-    assert (7, 1, 1) in r.amplitudes
+    assert (7, 1, 1) in terms(r)
 
 
 def test_relabel_errors():
@@ -387,8 +358,9 @@ def dict_relabel(s, party, old, new, new_dim=None):
         raise ValueError("label map is not injective on the support")
     to = dict(zip(support, mapped))
     dims = s.local_dims[:party] + (dim,) + s.local_dims[party + 1:]
-    return PureState(dims, {l[:party] + (to[l[party]],) + l[party + 1:]: a
-                            for l, a in s.amplitudes.items()})
+    m = {l[:party] + (to[l[party]],) + l[party + 1:]: a
+         for l, a in terms(s).items()}
+    return PureState(dims, list(m), list(m.values()))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 8),
@@ -411,7 +383,7 @@ def test_relabel_matches_the_dict_rule(seed, party, size, widen, repeat):
         return
     got = relabel(s, party, old, new, new_dim)
     assert got.local_dims == want.local_dims
-    assert dict(got.amplitudes.items()) == dict(want.amplitudes.items())
+    assert terms(got) == terms(want)
     assert np.array_equal(got.amps, s.amps)      # row order kept
 
 
@@ -432,35 +404,48 @@ def test_repeat_check_matches_unique(xs, near_max):
     assert _has_repeats(x) == (np.unique(x).size != x.size)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(0, 4),
+       st.sampled_from([1, 3, 2**20, 2**62]))
+@example(0, 0, 3, 3)   # no rows
+@example(0, 5, 0, 3)   # no columns: every row is the empty row
+@example(0, 0, 0, 3)
+@settings(max_examples=300, deadline=None)
+def test_row_codes_match_unique(seed, rows, cols, top):
+    # a small ``top`` repeats rows often; 2**62 reaches far into int64
+    labels = np.random.default_rng(seed).integers(
+        0, top, size=(rows, cols), dtype=np.int64)
+    want = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+    got = _row_codes(labels)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # -- equality up to phase ----------------------------------------------------
 
 def test_states_equal_global_phase():
     s = psi(0.6, 0.8)
-    rot = PureState(s.local_dims,
-                    {l: a * np.exp(0.7j) for l, a in s.amplitudes.items()})
+    rot = PureState(s.local_dims, s.labels, s.amps * np.exp(0.7j))
     assert states_equal(s, rot)
     assert not states_equal(s, psi(0.8, 0.6))
-    assert states_equal(PureState((2,), {}), PureState((2,), {}))
-    assert not states_equal(s, PureState(s.local_dims, {}))
+    assert states_equal(PureState((2,), [], []), PureState((2,), [], []))
+    assert not states_equal(s, PureState(s.local_dims, [], []))
 
 
 def test_amplitude_distance():
     s = psi(0.6, 0.8)
-    rot = PureState(s.local_dims,
-                    {l: a * np.exp(-1.3j) for l, a in s.amplitudes.items()})
+    rot = PureState(s.local_dims, s.labels, s.amps * np.exp(-1.3j))
     assert amplitude_distance(s, rot) < 1e-15
-    assert amplitude_distance(s, PureState(s.local_dims, {})) == \
+    assert amplitude_distance(s, PureState(s.local_dims, [], [])) == \
         pytest.approx(0.6)
     # one dropped term: distance is that term's amplitude
-    part = PureState(s.local_dims, {(0, 0, 0): 0.6, (1, 1, 1): 0.8 / SQ2})
+    part = PureState(s.local_dims, [(0, 0, 0), (1, 1, 1)], [0.6, 0.8 / SQ2])
     assert amplitude_distance(s, part) == pytest.approx(0.8 / SQ2)
     with pytest.raises(ValueError):
-        amplitude_distance(s, PureState((2, 2), {(0, 0): 1.0}))
+        amplitude_distance(s, PureState((2, 2), [(0, 0)], [1.0]))
 
 
 def _distance_by_terms(a, b):
     """The term-by-term rule that the array code replaced (reference)."""
-    amps_a, amps_b = dict(a.amplitudes.items()), dict(b.amplitudes.items())
+    amps_a, amps_b = terms(a), terms(b)
     if not amps_a:
         return max((abs(v) for v in amps_b.values()), default=0.0)
     ref = min(amps_a, key=lambda l: (-abs(amps_a[l]), l))
@@ -476,8 +461,8 @@ def _phased_state(rng, dims):
               for _ in range(int(rng.integers(1, 8)))}
     mags = rng.choice([0.25, 0.5, 1.0], size=len(labels))   # many ties
     phases = rng.choice([1, -1, 1j, -1j, np.exp(0.3j)], size=len(labels))
-    return PureState(dims, {l: complex(m * p)
-                            for l, m, p in zip(labels, mags, phases)})
+    return PureState(dims, list(labels),
+                     [complex(m * p) for m, p in zip(mags, phases)])
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -492,10 +477,9 @@ def test_amplitude_distance_matches_the_term_by_term_rule(seed):
 def test_amplitude_distance_near_tie_picks_the_smallest_label():
     # |0.9553...+0.2955...j| is 1 by libm hypot (Python's abs) and one ulp
     # less by numpy's complex abs; the tie with -1j goes to label (1, 0, 1)
-    a = PureState((3, 3, 2), {(1, 2, 1): -1j,
-                              (1, 0, 1): complex(0.955336489125606,
-                                                 0.29552020666133955)})
-    b = PureState((3, 3, 2), {(1, 0, 1): -0.5 + 0j, (2, 0, 0): 1.0 + 0j})
+    a = PureState((3, 3, 2), [(1, 2, 1), (1, 0, 1)],
+                  [-1j, complex(0.955336489125606, 0.29552020666133955)])
+    b = PureState((3, 3, 2), [(1, 0, 1), (2, 0, 0)], [-0.5 + 0j, 1.0 + 0j])
     assert amplitude_distance(a, b) == _distance_by_terms(a, b)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,12 +83,11 @@ def test_weighted_map_applies_like_its_dense_matrix(dense):
     rng = np.random.default_rng(3)
     dims = (2, 3, 2)
     vec = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    amps = {l: v for l, v in zip(np.ndindex(*dims), vec)}
     op = LocalOperator(1, [0.5, -0.3j, 0.0], [3, 0, 0], 4)
-    out = apply_operator(PureState(dims, amps), op)
+    out = apply_operator(PureState(dims, list(np.ndindex(*dims)), vec), op)
     want = np.einsum("yx,axb->ayb", dense(op), vec.reshape(dims))
     got = np.zeros((2, 4, 2), dtype=complex)
-    for l, a in out.amplitudes.items():
+    for l, a in terms(out).items():
         got[l] = a
     assert out.local_dims == (2, 4, 2)
     assert np.allclose(got, want, atol=1e-12)
@@ -110,14 +110,14 @@ def test_apply_element_probability():
     s = psi(0.6, 0.8)
     post, prob = apply_element(s, projector_onto_labels(0, (0,), 2))
     assert prob == pytest.approx(0.36)
-    assert post.amplitudes == pytest.approx({(0, 0, 0): 1.0})
+    assert terms(post) == pytest.approx({(0, 0, 0): 1.0})
     post, prob = apply_element(s, projector_onto_labels(1, (1,), 3))
     assert prob == pytest.approx(0.32)
-    assert states_equal(post, PureState((2, 3, 3), {(1, 1, 1): 1.0}))
+    assert states_equal(post, PureState((2, 3, 3), [(1, 1, 1)], [1.0]))
 
 
 def test_impossible_outcome_raises():
-    product = PureState((2, 3, 3), {(0, 0, 0): 1.0})
+    product = PureState((2, 3, 3), [(0, 0, 0)], [1.0])
     with pytest.raises(ImpossibleOutcomeError):
         apply_element(product, projector_onto_labels(0, (1,), 2))
 
@@ -212,13 +212,13 @@ def test_probabilities_match_the_term_by_term_rule(case):
               if x ** 2 != x * x][:15]
         xs.append(math.sqrt(1.0 - sum(x * x for x in xs)))
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
-        state = PureState((1, 16, 16), {(0, i, i): x * ph for i, (x, ph)
-                                        in enumerate(zip(xs, phases))})
+        state = PureState((1, 16, 16), [(0, i, i) for i in range(16)],
+                          np.array(xs) * phases)
         povm = row_shorten_povm(range(16), 8, party=1)[0]
     want = []
     for e in povm.elements:
         branch = {}
-        for l, a in state.amplitudes.items():
+        for l, a in terms(state).items():
             x = l[povm.party]
             if e.weights[x]:
                 nl = l[:povm.party] + (int(e.targets[x]),) + l[povm.party + 1:]
@@ -322,19 +322,19 @@ def test_local_orthogonality_of_spec_components():
 
 def test_local_orthogonality_detects_overlap():
     # globally orthogonal but sharing label 0 on party 0
-    a = PureState((2, 2), {(0, 0): 1.0})
-    b = PureState((2, 2), {(0, 1): 1.0})
+    a = PureState((2, 2), [(0, 0)], [1.0])
+    b = PureState((2, 2), [(0, 1)], [1.0])
     assert not check_local_orthogonality([a, b])
     assert check_local_orthogonality([a])
     with pytest.raises(ValueError):
-        check_local_orthogonality([a, PureState((3, 3), {(0, 0): 1.0})])
+        check_local_orthogonality([a, PureState((3, 3), [(0, 0)], [1.0])])
 
 
 def _random_component(rng, dims):
     labels = {tuple(int(rng.integers(d)) for d in dims)
               for _ in range(int(rng.integers(1, 7)))}
-    amps = {l: complex(rng.normal(), rng.normal()) for l in labels}
-    return PureState(dims, amps).normalized()
+    amps = [complex(rng.normal(), rng.normal()) for _ in labels]
+    return PureState(dims, list(labels), amps).normalized()
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,17 @@ def test_fidelity_edge_coefficients():
     assert fidelity(5, 0.0, (0, 0)) == 1.0
     assert fidelity(5, 0.0, (1, 3)) == 0.0
     assert fidelity(5, 1.0, (2, 5)) == 1.0
+    # a certain outcome is its own binomial bulk: 1 where the window holds
+    # it, else 0, up to N = 2**53; above it every closed form refuses
+    for n in (1, 2, 5, 1000, 2**31, 2**53):
+        for c0_sq in (0.0, -0.0, 1.0):
+            certain = n if c0_sq == 1.0 else 0
+            for window in ((0, 0), (0, n), (n, n), (1, n), (0, n - 1),
+                           (n // 3, n // 2), (n // 2, n)):
+                want = 1.0 if window[0] <= certain <= window[1] else 0.0
+                assert fidelity(n, c0_sq, window) == want
+    with pytest.raises(ValueError):
+        fidelity(2**53 + 1, 0.0, (0, 0))
     with pytest.raises(ValueError):
         fidelity(5, 0.5, (2, 7))
 
@@ -172,8 +184,8 @@ def corrected_outcome_states(weights):
 
 def test_weighting_povm_four_weight_example():
     outs = corrected_outcome_states(np.array([0.64, 0.48, 0.48, 0.36]))
-    want = PureState((4, 4, 4), {(i, i, i): w
-                                 for i, w in enumerate([0.64, 0.48, 0.48, 0.36])})
+    want = PureState((4, 4, 4), [(i, i, i) for i in range(4)],
+                     [0.64, 0.48, 0.48, 0.36])
     for post in outs:
         assert states_equal(post, want)
 
@@ -201,7 +213,7 @@ def test_weighting_povm_large_t(t):
 def test_weighting_povm_with_zero_weights():
     # a one-hot weight vector turns the GHZ into a product state
     outs = corrected_outcome_states(np.array([1.0, 0.0, 0.0, 0.0]))
-    want = PureState((4, 4, 4), {(0, 0, 0): 1.0})
+    want = PureState((4, 4, 4), [(0, 0, 0)], [1.0])
     for post in outs:
         assert states_equal(post, want)
 
@@ -235,13 +247,13 @@ def weighted_row_state(row_weights, length, dim=None):
             l = r * length + x
             amps[(0, l, l)] = w / math.sqrt(length)
     d = dim or length * len(row_weights)
-    return PureState((1, d, d), amps)
+    return PureState((1, d, d), list(amps), list(amps.values()))
 
 
 def row_masses(state, rows, party=1):
     out = []
     for labels, _ in rows:
-        out.append(sum(abs(a) ** 2 for l, a in state.amplitudes.items()
+        out.append(sum(abs(a) ** 2 for l, a in terms(state).items()
                        if l[party] in set(labels)))
     return out
 
@@ -303,7 +315,7 @@ def test_row_shortening_outcomes_converge():
             post = apply_operator(post, permutation_operator(p, old, new, 4))
         landed.append(post)
     assert states_equal(landed[0], landed[1])
-    assert set(landed[0].amplitudes) == {(0, 0, 0), (0, 1, 1)}
+    assert set(terms(landed[0])) == {(0, 0, 0), (0, 1, 1)}
 
 
 def test_row_shortening_validation():
