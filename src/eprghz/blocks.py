@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (EXPLICIT_BUDGET, INT64_MAX, BudgetError, PureState,
-                      relabel, states_equal, tensor)
+                      _unique_rows, relabel, states_equal, tensor)
 from .canonical import StateSpec, level_epr, level_ghz
 
 EXACT_N_MAX = 30
@@ -45,14 +45,21 @@ _BULK_MAX = 10**8
 _COUNT_MAX = 2**53
 # -ln of the Binomial(n, p) mass a bulk may leave out on each side, 2**-65
 _TAIL_LOG = 65 * LN2
+# cephes lgam, the routine behind scipy's gammaln: ln (x-1)! below 13,
+# Stirling's series with cephes' correction polynomials above
+_LN_FACTORIALS = np.array([math.log(math.factorial(j)) for j in range(12)])
+_LN_SQRT_2PI = 0.91893853320467274178
+_STIRLING_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+               7.93650340457716943945e-4, -2.77777777730099687205e-3,
+               8.33333333333331927722e-2)
 
 
 def _log2_factorial_ratio(top, *bottoms) -> np.ndarray:
     """log2(top! / prod(b!)) elementwise over broadcast integer arrays.
 
     The package's one log-combinatorics rule: log2 of the exact integer
-    where top <= EXACT_N_MAX, gammaln above; scipy is imported only when
-    some top needs gammaln. Callers keep every b <= top.
+    where top <= EXACT_N_MAX, differences of _ln_factorial above. Callers
+    keep every b <= top.
     """
     top = np.asarray(top)
     small = top <= EXACT_N_MAX
@@ -71,19 +78,84 @@ def _log2_factorial_ratio(top, *bottoms) -> np.ndarray:
 
 
 def _log2_gamma_ratio(top, *bottoms) -> np.ndarray:
-    from scipy.special import gammaln
-
-    out = gammaln(top + 1.0)
+    out = _ln_factorial(top)
     for b in bottoms:
-        out = out - gammaln(b + 1.0)
+        out = out - _ln_factorial(b)
     return np.asarray(out / LN2)
+
+
+def _stirling(x):
+    return (x - 0.5) * np.log(x) - x + _LN_SQRT_2PI
+
+
+def _tail_mid(x):  # the rest of ln Γ(x) past _stirling, 13 <= x < 1000
+    p = 1.0 / (x * x)
+    a0, a1, a2, a3, a4 = _STIRLING_A
+    return ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+
+
+def _tail_large(x):  # the same for x >= 1000
+    p = 1.0 / (x * x)
+    return ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3)
+            * p + 0.0833333333333333333333) / x
+
+
+# (lo, hi, branch): each branch serves the integers lo <= x < hi
+_LGAM_BRANCHES = (
+    (1.0, 13.0, lambda x: _LN_FACTORIALS[x.astype(np.int64) - 1]),
+    (13.0, 1000.0, lambda x: _stirling(x) + _tail_mid(x)),
+    (1000.0, 1e8 + 1.0, lambda x: _stirling(x) + _tail_large(x)),
+    (1e8 + 1.0, math.inf, _stirling))
+
+
+def _ln_factorial(k) -> np.ndarray:
+    """ln k! for integers 0 <= k <= 2**53, elementwise: cephes lgam(k + 1)
+    in the same operations, so it equals scipy's gammaln(k + 1.0) except
+    where numpy's log and libm's differ in the last bit (at most 2 ulps of
+    the result). Each branch runs only on its own entries."""
+    x = np.asarray(k) + 1.0
+    out = np.empty(x.shape)
+    for lo, hi, branch in _LGAM_BRANCHES:
+        on = (x >= lo) & (x < hi)
+        if on.all():
+            out[...] = branch(x)
+            break
+        if on.any():
+            out[on] = branch(x[on])
+    return out
+
+
+def _log2_factorial_diff(a, b) -> np.ndarray:
+    """log2 a! - log2 b! elementwise over broadcast integer arrays, accurate
+    to the ulps of its own size rather than of log2 a!. Where both exceed
+    11, ln Γ(x) - ln Γ(y) with x = a + 1, y = b + 1 and d = x - y is taken
+    as d ln x + (y - 1/2) log1p(d / y) - d, the difference of the _stirling
+    terms, plus the difference of the tails; smaller entries subtract
+    log2 a! and log2 b!, which are small themselves."""
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    out = _log2_factorial_ratio(a) - _log2_factorial_ratio(b)
+    big = np.minimum(a, b) >= 12
+    if big.any():
+        x, y = a[big] + 1.0, b[big] + 1.0
+        d = x - y
+
+        def tail(z):
+            return np.where(z < 1000.0, _tail_mid(z), _tail_large(z))
+
+        out[big] = (d * np.log(x) + (y - 0.5) * np.log1p(d / y) - d
+                    + (tail(x) - tail(y))) / LN2
+    return out
+
+
+def _check_count(n: int) -> None:
+    if n > _COUNT_MAX:
+        raise ValueError(f"N = {n} exceeds 2**53, beyond which counts are "
+                         "not exact in float64")
 
 
 def log2_binomial_array(n: int, ks) -> np.ndarray:
     """log2 C(n, k) for every entry of ``ks``; n at most 2**53."""
-    if n > _COUNT_MAX:
-        raise ValueError(f"N = {n} exceeds 2**53, beyond which counts are "
-                         "not exact in float64")
+    _check_count(n)
     ks = np.asarray(ks, dtype=np.int64)
     if np.any((ks < 0) | (ks > n)):
         raise ValueError(f"binomial index outside 0..{n}")
@@ -107,22 +179,76 @@ def _binomial_bulk(n: int, p: float) -> tuple[int, int]:
     return max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
 
 
-def _binomial_bulk_chunks(n: int, p: float):
-    """The bulk of Binomial(n, p) in chunks of at most _BULK_CHUNK k: yields
-    the arrays k, log2 C(n, k) and log2 of the (unnormalized) pmf. A bulk
-    of more than _BULK_MAX k is refused before any work."""
+def _bulk_starts(n: int, p: float) -> range:
+    """First k of each chunk of the Binomial(n, p) bulk (chunks of
+    _BULK_CHUNK, the last one ending at the bulk's top); a bulk of more
+    than _BULK_MAX k, or n above 2**53, is refused before any work."""
+    _check_count(n)
     lo, hi = _binomial_bulk(n, p)
     if hi - lo >= _BULK_MAX:
         raise BudgetError(f"binomial bulk of {hi - lo + 1} terms at N = {n} "
                           f"exceeds the closed-form budget of {_BULK_MAX}")
-    for start in range(lo, hi + 1, _BULK_CHUNK):
-        ks = np.arange(start, min(start + _BULK_CHUNK, hi + 1))
-        lbin = log2_binomial_array(n, ks)
+    return range(lo, hi + 1, _BULK_CHUNK)
+
+
+def _chunk(starts: range, i: int) -> np.ndarray:
+    return np.arange(starts[i], min(starts[i] + _BULK_CHUNK,
+                                    starts.stop))
+
+
+def _binomial_bulk_chunks(n: int, p: float):
+    """The bulk of Binomial(n, p) in chunks: yields the arrays k and
+    log2 C(n, k) + k log2 p + (n - k) log2(1 - p), the log2 pmf."""
+    starts = _bulk_starts(n, p)
+    for i in range(len(starts)):
+        ks = _chunk(starts, i)
         if not 0.0 < p < 1.0:  # the one certain outcome
-            yield ks, lbin, np.zeros(len(ks))
+            yield ks, np.zeros(len(ks))
             continue
-        yield ks, lbin, (lbin + ks * math.log2(p)
-                         + (n - ks) * math.log2(1.0 - p))
+        yield ks, (log2_binomial_array(n, ks) + ks * math.log2(p)
+                   + (n - ks) * math.log2(1.0 - p))
+
+
+def _binomial_mode_chunks(n: int, p: float):
+    """As _binomial_bulk_chunks, but above EXACT_N_MAX log2 pmf(k) is taken
+    relative to the mode m, log2 pmf(k) - log2 pmf(m): the sum of
+    log2((n - j) / (j + 1)) from m outward to k, plus
+    (k - m) log2(p / (1 - p)).
+    Nothing as large as log2 C(n, k) is formed, so rounding cannot tilt
+    the pmf. The mode's chunk comes first, then the chunks above it
+    ascending and those below descending; each carries on the running
+    sum of its neighbour, so every k gets one sequential sum from m."""
+    if n <= EXACT_N_MAX or not 0.0 < p < 1.0:
+        yield from _binomial_bulk_chunks(n, p)
+        return
+    starts = _bulk_starts(n, p)
+    m = min(max(math.floor((n + 1) * p), starts.start), starts.stop - 1)
+    tilt = math.log2(p / (1.0 - p))
+
+    def steps(j):  # log2 C(n, j + 1) - log2 C(n, j)
+        return np.log2((n - j) / (j + 1.0))
+
+    def tilted(ks, s):
+        return ks, s + (ks - m) * tilt
+
+    home = (m - starts.start) // _BULK_CHUNK
+    ks = _chunk(starts, home)
+    i = m - int(ks[0])
+    up = np.cumsum(np.concatenate(([0.0], steps(ks[i:-1]))))
+    down = np.cumsum(np.concatenate(([0.0], -steps(ks[:i][::-1]))))
+    yield tilted(ks, np.concatenate((down[:0:-1], up)))
+    carry = up[-1]
+    for c in range(home + 1, len(starts)):
+        ks = _chunk(starts, c)
+        s = np.cumsum(np.concatenate(([carry], steps(ks - 1))))[1:]
+        carry = s[-1]
+        yield tilted(ks, s)
+    carry = down[-1]
+    for c in range(home - 1, -1, -1):
+        ks = _chunk(starts, c)
+        s = np.cumsum(np.concatenate(([carry], -steps(ks[::-1]))))[1:]
+        carry = s[-1]
+        yield tilted(ks, s[::-1])
 
 
 def multinomial_exact(counts) -> int:
@@ -268,8 +394,8 @@ def decompose(spec: StateSpec, n: int,
                 f"state dims {state.local_dims} do not match {n} copies of "
                 f"the spec (expected {expect}); unknown block structure")
         keys = classify_copies_label(spec, 0, state.labels[:, 0], n)
-        found, block = np.unique(keys, axis=0, return_inverse=True)
-        norms = np.sqrt(np.bincount(block.reshape(-1),
+        found, block = _unique_rows(keys)
+        norms = np.sqrt(np.bincount(block,
                                     np.abs(state.amps) ** 2, len(found)))
         projected = dict(zip(map(tuple, found.tolist()), norms.tolist()))
 

@@ -17,14 +17,17 @@ from decimal import Context, Decimal
 
 import numpy as np
 
-from .hilbert import entanglement_entropy, entropy, states_equal
+from .hilbert import (_unique_rows, entanglement_entropy, entropy,
+                      states_equal)
 from .canonical import StateSpec, copies, psi_general
 from .locc import (Povm, Transcript, _draw, apply_element, as_generator,
                    diagonal_operator, outcome_probabilities, trial_seeds)
-from .blocks import (BlockIndex, _binomial_bulk_chunks, _block_yield_table,
-                     _log2_block_probabilities, _log2_factorial_ratio,
-                     block_state, classify_copies_label, iter_block_counts,
-                     log2_multinomial, verify_block_equivalence)
+from .blocks import (EXACT_N_MAX, BlockIndex, _binomial_mode_chunks,
+                     _block_yield_table, _log2_block_probabilities,
+                     _log2_factorial_diff, _log2_factorial_ratio, block_state,
+                     classify_copies_label, iter_block_counts,
+                     log2_binomial_array, log2_multinomial,
+                     verify_block_equivalence)
 
 MOMENT_ENUM_MAX = 200_000
 
@@ -66,20 +69,21 @@ def asymptotic_rates(spec: StateSpec) -> Rates:
 
 def _binomial_expectations(n: int, p: float, fs) -> list[float]:
     """E[f(K)] for each f of ``fs``, K ~ Binomial(n, p), summed over the
-    bulk only (blocks._binomial_bulk: mass left out below 2**-64).
+    bulk only (blocks._binomial_bulk: mass left out below 2**-64), with
+    the pmf formed relative to its mode (blocks._binomial_mode_chunks).
 
-    Each f maps a chunk's arrays k and log2 C(n, k) to values. Every
-    chunk's pmf is normalized on its own and the chunks are merged by
-    their mass, so a bulk that fits one chunk gives exactly the sums over
-    one normalized pmf array.
+    Each f maps a chunk's array k to values. Every chunk's pmf is
+    normalized on its own and the chunks are merged by their mass, so a
+    bulk that fits one chunk gives exactly the sums over one normalized
+    pmf array.
     """
     parts = []
-    for ks, lbin, logp in _binomial_bulk_chunks(n, p):
+    for ks, logp in _binomial_mode_chunks(n, p):
         peak = float(logp.max())
         w = np.exp2(logp - peak)
         mass = float(w.sum())
         pmf = w / mass
-        parts.append((peak, mass, [float(pmf @ f(ks, lbin)) for f in fs]))
+        parts.append((peak, mass, [float(pmf @ f(ks)) for f in fs]))
     top = max(peak for peak, _, _ in parts)
     masses = [mass * 2.0 ** (peak - top) for peak, mass, _ in parts]
     total = math.fsum(masses)
@@ -115,8 +119,7 @@ def expected_yields(spec: StateSpec, n: int) -> YieldReport:
     epr: dict[tuple[int, ...], float] = {}
     ghz = float(_log2_factorial_ratio(n))
     for comp, c in zip(spec.components, spec.squared_coefficients()):
-        ghz -= _binomial_expectations(
-            n, c, [lambda ks, _: _log2_factorial_ratio(ks)])[0]
+        ghz -= _binomial_expectations(n, c, [_log2_factorial_ratio])[0]
         if len(comp.support) < 2:
             continue
         epr[comp.support] = (epr.get(comp.support, 0.0)
@@ -138,8 +141,9 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
     if ncomp == 2:
         def deviation(s, mean):
             """f(k0) = (units per copy on support s - mean)**2."""
-            def f(ks, lbin):
-                vals = lbin / n if s == full else np.zeros(len(ks))
+            def f(ks):
+                vals = (log2_binomial_array(n, ks) / n if s == full
+                        else np.zeros(len(ks)))
                 for comp, k in zip(spec.components, (ks, n - ks)):
                     if comp.support == s and len(s) >= 2:
                         vals = vals + math.log2(comp.level) * k / n
@@ -179,7 +183,7 @@ def block_measurement_povm(spec: StateSpec, n: int,
             f"local dimension {d}**{n} too large for an explicit projector "
             "family; use the analytic sampling path")
     counts = classify_copies_label(spec, party, np.arange(d**n), n)
-    rows, block_of = np.unique(counts, axis=0, return_inverse=True)
+    rows, block_of = _unique_rows(counts)
     elements = [diagonal_operator(party, block_of == j)
                 for j in range(len(rows))]
     return (Povm(party, tuple(elements)),
@@ -231,16 +235,28 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
             transcript.add(f"trial{t}", party, o, float(probs[o]))
     # yields per row of ``counts``; ``picks`` selects each trial's row
     yields = _block_yield_table(counts, lmult, spec)
-    ghz_samples = yields[full][picks] / n
-    epr_samples = {s: yields[s][picks] / n for s in subsets}
+    samples = {s: v[picks] / n for s, v in yields.items()}
+    # each yield at N <= EXACT_N_MAX is the correctly rounded log2 of an
+    # exact integer, and the samples' own spread is as good
+    spread = samples
+    if n > EXACT_N_MAX:
+        # yields of about N units vary by about sqrt(N), and log2 N! - sum
+        # log2 k_i! carries the rounding of log2 N!: the spread is taken
+        # from each trial's yields less the first trial's, formed from the
+        # count differences
+        drawn = counts[picks]
+        table = _block_yield_table(
+            drawn - drawn[0],
+            -_log2_factorial_diff(drawn, drawn[0]).sum(axis=-1), spec)
+        spread = {s: v / n for s, v in table.items()}
 
     ddof = 1 if trials > 1 else 0
     report = YieldReport(
         n,
-        {s: float(v.mean()) for s, v in epr_samples.items()},
-        float(ghz_samples.mean()),
-        {s: float(v.var(ddof=ddof)) for s, v in epr_samples.items()},
-        float(ghz_samples.var(ddof=ddof)),
+        {s: float(samples[s].mean()) for s in subsets},
+        float(samples[full].mean()),
+        {s: float(spread[s].var(ddof=ddof)) for s in subsets},
+        float(spread[full].var(ddof=ddof)),
         trials=trials,
     )
     return report, transcript

@@ -193,6 +193,16 @@ def _row_codes(labels: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _unique_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(labels, axis=0, return_inverse=True)`` from _row_codes:
+    the distinct rows in sorted order, and each row's code."""
+    codes = _row_codes(labels)
+    rows = np.empty((codes.max(initial=-1) + 1, labels.shape[1]),
+                    dtype=labels.dtype)
+    rows[codes] = labels
+    return rows, codes
+
+
 def _union(a: PureState, b: PureState):
     """Both amplitude vectors spread over the union of the two supports,
     in sorted label order: shape (2, union)."""

@@ -104,7 +104,7 @@ def fidelity(n: int, c0_sq: float, window) -> float:
     n = int(n)
     k_minus, k_plus = _window_tuple(window, n)
     total = inside = left = right = 0.0
-    for ks, _, logp in _binomial_bulk_chunks(n, c0_sq):
+    for ks, logp in _binomial_bulk_chunks(n, c0_sq):
         p = np.exp2(logp)
         start = int(ks[0])
         a = min(max(k_minus - start, 0), len(p))

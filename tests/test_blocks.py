@@ -44,8 +44,9 @@ def test_log2_factorial_large_matches_bigint():
 
 
 def test_log2_factorial_rule_per_entry():
-    # exact integers up to EXACT_N_MAX and gammaln above, entry by entry,
-    # whether a call mixes both kinds or holds one
+    # exact integers up to EXACT_N_MAX and ln Γ above (equal to scipy's
+    # gammaln on these tops), entry by entry, whether a call mixes both
+    # kinds or holds one
     from scipy.special import gammaln
     tops = np.arange(61)
     want = [math.log2(math.factorial(t)) for t in range(31)]
@@ -53,6 +54,49 @@ def test_log2_factorial_rule_per_entry():
     assert blocks._log2_factorial_ratio(tops).tolist() == want
     assert blocks._log2_factorial_ratio(tops[31:]).tolist() == want[31:]
     assert [float(blocks._log2_factorial_ratio(t)) for t in tops] == want
+
+
+def test_ln_factorial_matches_scipy_gammaln():
+    # the port runs cephes lgam (scipy's gammaln) at integer arguments in
+    # the same operations; where numpy's log and libm's differ in the last
+    # bit, the result moves by at most 2 ulps (one ulp of log x, times x)
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    rng = np.random.default_rng(20)
+    ks = np.concatenate([
+        np.arange(100_000), rng.integers(0, 2**53, 450_000, endpoint=True),
+        np.exp2(rng.uniform(0, 53, 450_000)).astype(np.int64)])
+    got, want = blocks._ln_factorial(ks), gammaln(ks + 1.0)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    assert np.count_nonzero(got != want) < 1e-4 * len(ks)
+
+
+def test_ln_factorial_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    ks = np.unique(np.concatenate([
+        np.arange(40), [999, 1000, 10**8, 10**8 + 1, 2**53],
+        np.exp2(rng.uniform(0, 53, 2000)).astype(np.int64)]))
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.loggamma(k + 1)) for k in ks.tolist()])
+    got = blocks._ln_factorial(ks)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+
+def test_log2_factorial_diff_against_mpmath():
+    # accurate to the ulps of |a - b| log2 max(a, b), not of log2 a!
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(22)
+    for base in (5, 40, 990, 5000, 10**6, 10**12, 2**52):
+        reach = 10 * math.isqrt(base) + 3
+        b = np.full(50, base)
+        a = np.maximum(base + rng.integers(-reach, reach + 1, 50), 0)
+        got = blocks._log2_factorial_diff(a, b)
+        with mpmath.workdps(40):
+            want = [float((mpmath.loggamma(x + 1) - mpmath.loggamma(base + 1))
+                          / mpmath.log(2)) for x in a.tolist()]
+        scale = np.maximum(np.abs(a - b) * np.log2(np.maximum(a, b) + 1.0),
+                           1.0)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(scale)), base
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (30, 15), (100, 3), (1000, 500)])

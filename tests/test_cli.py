@@ -458,21 +458,28 @@ def test_cli_import_leaves_scipy_sparse_out():
 
 
 def test_cold_paths_leave_scipy_out():
-    # scipy serves only gammaln above EXACT_N_MAX: import, rates and small
-    # block tables must not load it
+    # numpy is the only runtime dependency: import, small block tables and
+    # every closed form above EXACT_N_MAX run without loading scipy
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, (src, os.environ.get("PYTHONPATH")))))
+    calls = [
+        ["rates", "--psi", "0.6", "0.8"],
+        ["blocks", "--psi", "0.6", "0.8", "-N", "3"],
+        ["fidelity", "--psi", "0.6", "0.8", "-N", "100"],
+        ["blocks", "--psi-prime", "0.6", "0.5", "0.4", "0.4795831523312719",
+         "-N", "60"],
+        ["extract", "--psi", "0.6", "0.8", "-N", "1000000", "--analytic",
+         "--trials", "20", "--seed", "1"]]
     probe = ("import os, sys, eprghz.cli as c\n"
              "print('scipy' in sys.modules)\n"
-             "c.main(['rates', '--psi', '0.6', '0.8', '--out', os.devnull])\n"
-             "c.main(['blocks', '--psi', '0.6', '0.8', '-N', '3', '--out',"
-             " os.devnull])\n"
-             "print('scipy' in sys.modules)\n")
+             f"for argv in {calls!r}:\n"
+             "    assert c.main(argv + ['--out', os.devnull]) == 0\n"
+             "    print('scipy' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "False\nFalse\n"
+    assert done.stdout == "False\n" * (1 + len(calls))
 
 
 # -- golden output ---------------------------------------------------------------

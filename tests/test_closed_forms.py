@@ -1,8 +1,10 @@
 """Closed-form sums over the binomial bulk against full-range references.
 
 The references below are the O(N) sums over every k = 0..N that the bulk
-sums replaced: one array of length N + 1 per term. Where the bulk covers
-0..N the two must agree bit for bit; beyond that, within 4 ulps.
+sums replaced: one array of length N + 1 per term, with each expectation's
+pmf formed the way the program forms it (from exact log-binomials up to
+EXACT_N_MAX, relative to the mode above). Where the bulk covers 0..N the
+two must agree bit for bit; beyond that, within 4 ulps.
 """
 
 import math
@@ -14,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprghz.blocks import (_binomial_bulk, _log2_factorial_ratio,
-                           log2_binomial_array)
+from eprghz.blocks import (EXACT_N_MAX, _binomial_bulk,
+                           _log2_factorial_ratio, log2_binomial_array)
 from eprghz.canonical import (CanonicalComponent, StateSpec, psi_prime_spec,
                               psi_spec)
 from eprghz.extraction import _yield_variances, expected_yields
@@ -36,9 +38,20 @@ def ref_binomial_pmf(n, p):
         out = np.zeros(n + 1)
         out[n] = 1.0
         return out
-    ks = np.arange(n + 1, dtype=float)
-    logp = (log2_binomial_array(n, np.arange(n + 1))
-            + ks * math.log2(p) + (n - ks) * math.log2(1.0 - p))
+    ks = np.arange(n + 1)
+    if n <= EXACT_N_MAX:
+        logp = (log2_binomial_array(n, ks)
+                + ks * math.log2(p) + (n - ks) * math.log2(1.0 - p))
+    else:
+        # relative to the mode m: the steps log2 C(n, j+1) - log2 C(n, j)
+        # summed in sequence outward from m, plus (k - m) log2(p / q)
+        m = min(math.floor((n + 1) * p), n)
+        step = np.log2((n - ks[:-1]) / (ks[:-1] + 1.0))
+        logp = np.zeros(n + 1)
+        logp[m:] = np.cumsum(np.concatenate(([0.0], step[m:])))
+        logp[:m + 1] = np.cumsum(
+            np.concatenate(([0.0], -step[:m][::-1])))[::-1]
+        logp += (ks - m) * math.log2(p / (1.0 - p))
     w = np.exp2(logp - logp.max())
     return w / w.sum()
 
@@ -152,6 +165,43 @@ def test_four_component_yields_match_full_range_sums(n):
     y = expected_yields(spec, n)
     agree(y.ghz_per_copy, ref_ghz_per_copy(spec, n),
           covers(n, *spec.squared_coefficients()), ghz_scale(n))
+
+
+def mp_ghz_per_copy(mpmath, spec, n):
+    """(log2 N! - sum_i E[log2 K_i!]) / N, K_i ~ Binomial(N, c_i^2), at the
+    working precision: each pmf runs by its own recurrence over +-13 sigma."""
+    out = mpmath.loggamma(n + 1)
+    for c in spec.squared_coefficients():
+        p = mpmath.mpf(c)
+        sd = math.sqrt(n * c * (1.0 - c))
+        lo = max(0, math.floor(n * c - 13 * sd) - 5)
+        hi = min(n, math.ceil(n * c + 13 * sd) + 5)
+        lf = mpmath.loggamma(lo + 1)
+        pmf = mpmath.exp(mpmath.loggamma(n + 1) - lf
+                         - mpmath.loggamma(n - lo + 1)
+                         + lo * mpmath.log(p) + (n - lo) * mpmath.log(1 - p))
+        total = mean = 0
+        for k in range(lo, hi + 1):
+            total += pmf
+            mean += pmf * lf
+            pmf *= mpmath.mpf(n - k) / (k + 1) * p / (1 - p)
+            lf += mpmath.log(k + 1)
+        out -= mean / total
+    return out / mpmath.log(2) / n
+
+
+@pytest.mark.parametrize("n", [100, 10**3, 10**5, 10**6])
+def test_ghz_cell_against_mpmath(n):
+    # the pmf formed relative to its mode leaves only the rounding of the
+    # log-factorial sums themselves: within 4 ulps of log2 N!/N
+    mpmath = pytest.importorskip("mpmath")
+    for spec in (psi_spec(0.6, 0.8),
+                 psi_prime_spec(0.6, 0.5, 0.4,
+                                math.sqrt(1 - 0.36 - 0.25 - 0.16))):
+        got = expected_yields(spec, n).ghz_per_copy
+        with mpmath.workdps(40):
+            want = float(mp_ghz_per_copy(mpmath, spec, n))
+        assert abs(got - want) <= 4 * math.ulp(ghz_scale(n)), (got, want)
 
 
 def test_variances_with_a_full_support_component():

@@ -255,3 +255,31 @@ def test_flat_outcome_is_the_enumeration_position(m):
                                     (250_113, 249_870, 250_001, 250_016)])
 def test_flat_outcome_matches_the_loop_at_large_n(counts):
     assert _flat_outcome(counts) == _rank_by_loop(counts)
+
+
+def test_analytic_stderr_against_mpmath():
+    # at N = 1e6 the yields are about N units each and vary by about
+    # sqrt(N): the variances are formed from count differences, so they
+    # hold to far more digits than the 1e-12 the yields themselves allow
+    mpmath = pytest.importorskip("mpmath")
+    from eprghz.locc import as_generator, trial_seeds
+    n, trials, seed = 10**6, 20, 1
+    spec = psi_prime_spec(0.6, 0.5, 0.4, math.sqrt(1 - 0.36 - 0.25 - 0.16))
+    report, _ = run_extraction(spec, n, trials, seed, analytic=True)
+    counts = [as_generator(ss).multinomial(n, spec.squared_coefficients())
+              for ss in trial_seeds(seed, trials)]
+    with mpmath.workprec(200):
+        def variance(ys):
+            mean = sum(ys) / trials
+            return float(sum((y - mean) ** 2 for y in ys) / (trials - 1))
+
+        lf = [[mpmath.loggamma(int(k) + 1) / mpmath.log(2) for k in row]
+              for row in counts]
+        ghz = [(mpmath.loggamma(n + 1) / mpmath.log(2) - sum(r)) / n
+               for r in lf]
+        assert report.ghz_variance == pytest.approx(variance(ghz), rel=1e-14,
+                                                    abs=0.0)
+        for comp, i in zip(spec.components[1:], range(1, 4)):
+            epr = [mpmath.mpf(int(row[i])) / n for row in counts]
+            assert report.epr_variance[comp.support] == pytest.approx(
+                variance(epr), rel=4e-16, abs=0.0)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from eprghz.hilbert import (
     EXPLICIT_BUDGET, NORM_TOL, PRUNE_EPS, DensityMatrix, PureState,
-    _has_repeats, _row_codes, amplitude_distance, entanglement_entropy,
-    entropy, inner, reduced_density, relabel, squared_norm, states_equal,
-    tensor,
+    _has_repeats, _row_codes, _unique_rows, amplitude_distance,
+    entanglement_entropy, entropy, inner, reduced_density, relabel,
+    squared_norm, states_equal, tensor,
 )
 from eprghz.canonical import copies, epr, ghz, psi, psi_prime
 
@@ -414,9 +414,15 @@ def test_row_codes_match_unique(seed, rows, cols, top):
     # a small ``top`` repeats rows often; 2**62 reaches far into int64
     labels = np.random.default_rng(seed).integers(
         0, top, size=(rows, cols), dtype=np.int64)
-    want = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+    found, want = np.unique(labels, axis=0, return_inverse=True)
+    want = want.reshape(-1)
     got = _row_codes(labels)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    # and _unique_rows: the distinct rows themselves, in the same order
+    rows, codes = _unique_rows(labels)
+    assert np.array_equal(codes, want)
+    assert rows.dtype == found.dtype and rows.shape == found.shape
+    assert np.array_equal(rows, found)
 
 
 # -- equality up to phase ----------------------------------------------------
