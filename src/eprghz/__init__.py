@@ -7,17 +7,17 @@ from .hilbert import (BudgetError, DensityMatrix, PureState,
 from .canonical import (CanonicalComponent, StateSpec, copies, epr, ghz,
                         level_epr, level_ghz, psi, psi_general, psi_prime,
                         psi_prime_spec, psi_spec, random_spec,
-                        spec_from_dict, spec_from_json, spec_matches_state,
-                        spec_to_dict, spec_to_json)
+                        spec_from_dict, spec_from_json, spec_to_dict,
+                        spec_to_json)
 from .locc import (ImpossibleOutcomeError, LocalOperator, Povm, Transcript,
                    TranscriptEntry, apply_element, apply_operator,
                    as_generator, check_completeness,
                    check_local_orthogonality, diagonal_operator,
-                   outcome_probabilities, permutation_operator,
-                   projector_onto_labels, sample, trial_seeds)
-from .blocks import (BlockDecomposition, BlockEntry, BlockIndex, block_labels,
-                     block_state, block_probability, block_yields, decompose,
-                     iter_block_counts, log2_multinomial, multinomial_exact,
+                   outcome_probabilities, permutation_operator, sample,
+                   trial_seeds)
+from .blocks import (BlockDecomposition, block_labels, block_state,
+                     block_probability, block_yields, decompose,
+                     log2_multinomial, multinomial_exact,
                      verify_block_equivalence)
 from .extraction import (Rates, YieldReport, asymptotic_rates,
                          block_measurement_povm, entropy_consistency,
@@ -30,25 +30,22 @@ from .preparation import (ResourceCount, Window, build_target, fidelity,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition", "BlockEntry", "BlockIndex", "BudgetError",
-    "CanonicalComponent", "DensityMatrix", "ImpossibleOutcomeError",
-    "LocalOperator", "Povm", "PureState", "Rates", "ResourceCount",
-    "StateSpec", "Transcript", "TranscriptEntry", "Window",
+    "BlockDecomposition", "BudgetError", "CanonicalComponent", "DensityMatrix",
+    "ImpossibleOutcomeError", "LocalOperator", "Povm", "PureState", "Rates",
+    "ResourceCount", "StateSpec", "Transcript", "TranscriptEntry", "Window",
     "YieldReport", "amplitude_distance", "apply_element", "apply_operator",
     "as_generator", "asymptotic_rates", "block_labels",
     "block_measurement_povm", "block_probability", "block_state",
-    "block_yields", "build_target",
-    "check_completeness", "check_local_orthogonality", "copies", "decompose",
-    "diagonal_operator", "entanglement_entropy", "entropy",
-    "entropy_consistency", "epr", "expected_yields", "fidelity",
-    "fidelity_bound", "ghz", "ghz_weighting_povm", "inner",
-    "iter_block_counts", "level_epr", "level_ghz", "log2_multinomial",
-    "multinomial_exact", "outcome_probabilities",
-    "permutation_operator", "prepare_approx", "prepare_exact_n2",
-    "projector_onto_labels", "psi", "psi_general", "psi_prime",
-    "psi_prime_spec", "psi_spec", "random_spec", "reduced_density",
-    "relabel", "resource_count", "row_shorten_povm", "run_extraction",
-    "sample", "spec_from_dict", "spec_from_json", "spec_matches_state",
-    "spec_to_dict", "spec_to_json", "states_equal", "target_window",
-    "tensor", "trial_seeds", "verify_block_equivalence",
+    "block_yields", "build_target", "check_completeness",
+    "check_local_orthogonality", "copies", "decompose", "diagonal_operator",
+    "entanglement_entropy", "entropy", "entropy_consistency", "epr",
+    "expected_yields", "fidelity", "fidelity_bound", "ghz",
+    "ghz_weighting_povm", "inner", "level_epr", "level_ghz",
+    "log2_multinomial", "multinomial_exact", "outcome_probabilities",
+    "permutation_operator", "prepare_approx", "prepare_exact_n2", "psi",
+    "psi_general", "psi_prime", "psi_prime_spec", "psi_spec", "random_spec",
+    "reduced_density", "relabel", "resource_count", "row_shorten_povm",
+    "run_extraction", "sample", "spec_from_dict", "spec_from_json",
+    "spec_to_dict", "spec_to_json", "states_equal", "target_window", "tensor",
+    "trial_seeds", "verify_block_equivalence",
 ]

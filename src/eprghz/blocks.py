@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (EXPLICIT_BUDGET, INT64_MAX, BudgetError, PureState,
-                      _unique_rows, relabel, states_equal, tensor)
+                      _row_codes, relabel, states_equal, tensor)
 from .canonical import StateSpec, level_epr, level_ghz
 
 EXACT_N_MAX = 30
@@ -270,36 +270,41 @@ def log2_multinomial(counts):
                                  *np.moveaxis(counts, -1, 0))[()]
 
 
-@dataclass(frozen=True)
-class BlockIndex:
-    """Count vector (k_0, ..., k_l): copies carrying each spec component."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(k) for k in self.counts)
-        if not counts or any(k < 0 for k in counts):
-            raise ValueError(f"bad count vector {counts}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def k(self) -> int:
-        """Binomial shorthand: count of the first (product) component."""
-        return self.counts[0]
+def _block_counts(n: int, m: int) -> np.ndarray:
+    """Every count vector of m components summing to n, as the rows of an
+    int64 matrix in lexicographic order: each row's next entry runs over
+    0..(what is left) in turn, one column at a time."""
+    cols = []
+    left = np.array([n], dtype=np.int64)
+    for _ in range(m - 1):
+        reps = left + 1
+        first = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        cols = [np.repeat(c, reps) for c in cols] + [first]
+        left = np.repeat(left, reps) - first
+    return np.column_stack(cols + [left])
 
 
-def iter_block_counts(n: int, num_components: int):
-    """All count vectors with the given sum, lexicographically ascending."""
-    if num_components == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in iter_block_counts(n - first, num_components - 1):
-            yield (first,) + rest
+def _multinomials(counts: np.ndarray) -> np.ndarray:
+    """Exact N! / prod(k_i!) for each row of a count matrix, as Python ints
+    in an object array: the product over the columns of C(left, k_i), left
+    being what the columns before leave of N. Each C(top, k) is read from
+    top's row of Pascal's triangle, formed once, each entry from the one
+    before by one multiplication and one exact division."""
+    left = counts.sum(axis=1)
+    out = np.ones(len(counts), dtype=object)
+    for k in counts.T[:-1]:
+        tops = np.unique(left).tolist()
+        table, start = [], np.zeros(tops[-1] + 1, dtype=np.int64)
+        for top in tops:
+            start[top] = len(table)
+            c = 1
+            table.append(c)
+            for j in range(top):
+                c = c * (top - j) // (j + 1)
+                table.append(c)
+        out = out * np.array(table, dtype=object)[start[left] + k]
+        left = left - k
+    return out
 
 
 def _log2_block_probabilities(counts: np.ndarray, lmult: np.ndarray,
@@ -332,21 +337,19 @@ def block_probability(n: int, counts: tuple[int, ...], coeffs_sq) -> float:
 
 
 @dataclass(frozen=True)
-class BlockEntry:
-    index: BlockIndex
-    coefficient: float
-    multiplicity: int
-    log2_probability: float
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
+    """The blocks of an N-copy power as columns, one row per count vector
+    in lexicographic order. ``multiplicities`` holds exact Python ints
+    (they pass 2**63 near N = 60)."""
+
     n_copies: int
-    entries: tuple[BlockEntry, ...]
+    counts: np.ndarray
+    coefficients: np.ndarray
+    multiplicities: np.ndarray
+    log2_probabilities: np.ndarray
 
     def total_probability(self) -> float:
-        return float(sum(np.exp2(e.log2_probability) for e in self.entries
-                         if e.log2_probability > -math.inf))
+        return float(np.exp2(self.log2_probabilities).sum())
 
 
 def classify_copies_label(spec: StateSpec, party: int, labels,
@@ -383,10 +386,17 @@ def decompose(spec: StateSpec, n: int,
             f"{total} block entries exceed the enumeration budget "
             f"{DECOMPOSE_MAX_ENTRIES}; use block_probability or the "
             "expected-yield paths for large N")
-    coeffs = [c.coefficient for c in spec.components]
-    coeffs_sq = spec.squared_coefficients()
+    counts = _block_counts(n, ncomp)
+    # each coefficient c**k from a table of Python powers (numpy's vector
+    # power can differ in the last bit), multiplied in component order
+    coefficients = np.ones(len(counts))
+    for comp, k in zip(spec.components, counts.T):
+        c = comp.coefficient
+        coefficients = coefficients * np.array([c**j for j in range(n + 1)])[k]
+    mults = _multinomials(counts)
+    logps = _log2_block_probabilities(counts, log2_multinomial(counts),
+                                      spec.squared_coefficients())
 
-    projected: dict[tuple[int, ...], float] | None = None
     if state is not None:
         expect = tuple(d**n for d in spec.local_dims())
         if state.local_dims != expect:
@@ -394,28 +404,20 @@ def decompose(spec: StateSpec, n: int,
                 f"state dims {state.local_dims} do not match {n} copies of "
                 f"the spec (expected {expect}); unknown block structure")
         keys = classify_copies_label(spec, 0, state.labels[:, 0], n)
-        found, block = _unique_rows(keys)
-        norms = np.sqrt(np.bincount(block,
-                                    np.abs(state.amps) ** 2, len(found)))
-        projected = dict(zip(map(tuple, found.tolist()), norms.tolist()))
-
-    rows = list(iter_block_counts(n, ncomp))
-    table = np.array(rows)
-    logps = _log2_block_probabilities(table, log2_multinomial(table),
-                                      coeffs_sq).tolist()
-    entries = []
-    for counts, logp in zip(rows, logps):
-        coeff = math.prod(c**k for c, k in zip(coeffs, counts))
-        mult = multinomial_exact(counts)
-        if projected is not None:
-            norm = projected.get(counts, 0.0)
-            if abs(norm - coeff * math.sqrt(mult)) > tol:
-                raise ValueError(
-                    f"projection norm {norm} of block {counts} does not "
-                    f"match coefficient*sqrt(multiplicity) "
-                    f"{coeff * math.sqrt(mult)}")
-        entries.append(BlockEntry(BlockIndex(counts), coeff, mult, logp))
-    return BlockDecomposition(n, tuple(entries))
+        # every key is a row of the complete, sorted ``counts``: its code
+        # among both is its row
+        block = _row_codes(np.concatenate([counts, keys]))[len(counts):]
+        norms = np.sqrt(np.bincount(block, np.abs(state.amps) ** 2,
+                                    len(counts)))
+        want = coefficients * np.sqrt(mults.astype(float))
+        bad = np.flatnonzero(np.abs(norms - want) > tol)
+        if bad.size:
+            j = bad[0]
+            raise ValueError(
+                f"projection norm {norms[j]} of block "
+                f"{tuple(counts[j].tolist())} does not match "
+                f"coefficient*sqrt(multiplicity) {want[j]}")
+    return BlockDecomposition(n, counts, coefficients, mults, logps)
 
 
 # -- canonical labeling of the 2-component seed's blocks --------------------

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
-                      states_equal, tensor)
+from .hilbert import EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState, tensor
 
 SQ2 = math.sqrt(2.0)
 
@@ -300,8 +299,3 @@ def spec_to_json(spec: StateSpec) -> str:
 def spec_from_json(text: str) -> StateSpec:
     return spec_from_dict(json.loads(text))
 
-
-def spec_matches_state(spec: StateSpec, state: PureState,
-                       tol: float = NORM_TOL) -> bool:
-    """True iff the spec assembles to ``state`` (used as a cross-check)."""
-    return states_equal(psi_general(spec), state, tol)

@@ -61,26 +61,19 @@ def _letters(subset) -> str:
     return "".join(chr(ord("A") + p) for p in subset)
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
-def _emit_table(header, rows, args) -> None:
+def _emit_table(header, formats, columns, args) -> None:
+    """Write a table from its columns: CSV fills one %-template per row,
+    joined from ``formats`` (one per column), and JSON lists one object
+    per row. %.17g spells a float as format(x, ".17g") does; %.0s prints
+    nothing of its cell, leaving it empty or to a literal beside it."""
+    rows = list(zip(*columns))
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        template = ",".join(formats) + "\n"
+        text = ",".join(header) + "\n" + "".join(template % row
+                                                  for row in rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -134,7 +127,7 @@ def cmd_rates(args) -> int:
     full_rate = rates.full + per.pop(full, 0.0)
     rows = [(_letters(s), v) for s, v in sorted(per.items())]
     rows.append((_letters(full), full_rate))
-    _emit_table(("subset", "rate"), rows, args)
+    _emit_table(("subset", "rate"), ("%s", "%.17g"), zip(*rows), args)
     return EXIT_OK
 
 
@@ -142,8 +135,7 @@ def cmd_extract(args) -> int:
     spec = _load_spec(args)
     n = args.n
     expected = expected_yields(spec, n)
-    empirical = stderr = None
-    transcript = None
+    empirical, stderr, transcript = {}, {}, None
     full = tuple(range(spec.party_count))
     if args.trials > 0:
         report, transcript = run_extraction(spec, n, args.trials, args.seed,
@@ -153,17 +145,16 @@ def cmd_extract(args) -> int:
                   for s, v in report.epr_variance.items()}
         empirical[full] = report.ghz_per_copy
         stderr[full] = math.sqrt(report.ghz_variance / report.trials)
-    rows = []
-    for s in sorted(expected.epr_per_copy):
-        rows.append((n, _letters(s), expected.epr_per_copy[s],
-                     None if empirical is None else empirical[s],
-                     None if stderr is None else stderr[s]))
-    rows.append((n, _letters(full), expected.ghz_per_copy,
-                 None if empirical is None else empirical[full],
-                 None if stderr is None else stderr[full]))
+    subsets = sorted(expected.epr_per_copy) + [full]
+    means = {**expected.epr_per_copy, full: expected.ghz_per_copy}
+    sampled = "%.17g" if empirical else "%.0s"  # unsampled cells stay empty
     _write_transcript(transcript, args)
     _emit_table(("N", "subset", "expected", "empirical", "stderr"),
-                rows, args)
+                ("%d", "%s", "%.17g", sampled, sampled),
+                ([n] * len(subsets), [_letters(s) for s in subsets],
+                 [means[s] for s in subsets],
+                 [empirical.get(s) for s in subsets],
+                 [stderr.get(s) for s in subsets]), args)
     return EXIT_OK
 
 
@@ -187,11 +178,15 @@ def cmd_prepare(args) -> int:
                          e.probability)
     ok = worst <= 1e-9
     f = fidelity(n, c0 * c0, window)
-    rows = [(n, branches, worst, resources.epr_per_subset[(1, 2)],
-             resources.ghz, f, ok)]
+    row = (n, branches, worst, resources.epr_per_subset[(1, 2)],
+           resources.ghz, f, ok)
     _write_transcript(combined, args)
+    # ok is spelt in CSV as in JSON
     _emit_table(("N", "branches", "max_distance", "epr_BC", "ghz",
-                 "fidelity", "ok"), rows, args)
+                 "fidelity", "ok"),
+                ("%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g",
+                 "true%.0s" if ok else "false%.0s"),
+                zip(row), args)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -208,21 +203,21 @@ def cmd_fidelity(args) -> int:
                      fidelity_bound(n, args.alpha, args.beta),
                      rc.epr_per_subset[(1, 2)] / n, rc.ghz / n))
     _emit_table(("N", "k_minus", "k_plus", "F", "bound", "epr_per_copy",
-                 "ghz_per_copy"), rows, args)
+                 "ghz_per_copy"), ("%d",) * 3 + ("%.17g",) * 4, zip(*rows),
+                args)
     return EXIT_OK
 
 
 def cmd_blocks(args) -> int:
-    spec = _load_spec(args)
-    n = args.n
-    decomp = decompose(spec, n)
-    ncomp = len(spec.components)
+    d = decompose(_load_spec(args), args.n)
+    ncomp = d.counts.shape[1]
     header = tuple(f"k{i}" for i in range(ncomp)) + (
         "coefficient", "multiplicity", "log2_probability")
-    rows = [e.index.counts + (e.coefficient, e.multiplicity,
-                              e.log2_probability)
-            for e in decomp.entries]
-    _emit_table(header, rows, args)
+    _emit_table(header, ("%d",) * ncomp + ("%.17g", "%d", "%.17g"),
+                d.counts.T.tolist() + [d.coefficients.tolist(),
+                                       d.multiplicities.tolist(),
+                                       d.log2_probabilities.tolist()],
+                args)
     return EXIT_OK
 
 
@@ -272,8 +267,9 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
 
 def cmd_verify(args) -> int:
     results = _verify_suites(args)
-    rows = [(name, "pass" if ok else "fail") for name, ok in results]
-    _emit_table(("suite", "status"), rows, args)
+    _emit_table(("suite", "status"), ("%s", "%s"),
+                ([name for name, _ in results],
+                 ["pass" if ok else "fail" for _, ok in results]), args)
     return EXIT_OK if all(ok for _, ok in results) else EXIT_INVARIANT
 
 

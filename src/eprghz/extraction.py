@@ -22,12 +22,11 @@ from .hilbert import (_unique_rows, entanglement_entropy, entropy,
 from .canonical import StateSpec, copies, psi_general
 from .locc import (Povm, Transcript, _draw, apply_element, as_generator,
                    diagonal_operator, outcome_probabilities, trial_seeds)
-from .blocks import (EXACT_N_MAX, BlockIndex, _binomial_mode_chunks,
+from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
                      _block_yield_table, _log2_block_probabilities,
                      _log2_factorial_diff, _log2_factorial_ratio, block_state,
-                     classify_copies_label, iter_block_counts,
-                     log2_binomial_array, log2_multinomial,
-                     verify_block_equivalence)
+                     classify_copies_label, log2_binomial_array,
+                     log2_multinomial, verify_block_equivalence)
 
 MOMENT_ENUM_MAX = 200_000
 
@@ -158,8 +157,7 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
     total_entries = math.comb(n + ncomp - 1, ncomp - 1)
     if total_entries > MOMENT_ENUM_MAX:
         return {s: math.nan for s in subsets}, math.nan
-    counts = np.fromiter(iter_block_counts(n, ncomp),
-                         dtype=np.dtype((np.int64, ncomp)), count=total_entries)
+    counts = _block_counts(n, ncomp)
     lmult = log2_multinomial(counts)
     w = np.exp2(_log2_block_probabilities(counts, lmult, csq))  # 0 if dead
     y = _block_yield_table(counts, lmult, spec)
@@ -170,8 +168,9 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
 
 
 def block_measurement_povm(spec: StateSpec, n: int,
-                           party: int = 0) -> tuple[Povm, list[BlockIndex]]:
-    """Projective measurement onto block subspaces via one party's labels.
+                           party: int = 0) -> tuple[Povm, np.ndarray]:
+    """Projective measurement onto block subspaces via one party's labels,
+    and the count vector of each outcome as the rows of an int64 matrix.
 
     Any party works: component label ranges are disjoint on every party,
     so each local label sequence identifies the block. Outcomes follow the
@@ -186,8 +185,7 @@ def block_measurement_povm(spec: StateSpec, n: int,
     rows, block_of = _unique_rows(counts)
     elements = [diagonal_operator(party, block_of == j)
                 for j in range(len(rows))]
-    return (Povm(party, tuple(elements)),
-            [BlockIndex(c) for c in rows.tolist()])
+    return Povm(party, tuple(elements)), rows
 
 
 def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
@@ -221,12 +219,11 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
                            2.0 ** lp)
     else:
         state = copies(psi_general(spec), n)
-        povm, indices = block_measurement_povm(spec, n, party)
+        povm, counts = block_measurement_povm(spec, n, party)
         probs = outcome_probabilities(state, povm)
         if verify_blocks:
-            _verify_psi_blocks(spec, state, povm, indices, probs)
+            _verify_psi_blocks(spec, state, povm, counts, probs)
         cum = np.cumsum(probs)
-        counts = np.array([idx.counts for idx in indices])
         lmult = log2_multinomial(counts)
         picks = []
         for t, ss in enumerate(seeds):
@@ -276,20 +273,20 @@ def _flat_outcome(counts: tuple[int, ...]) -> int:
     return rank
 
 
-def _verify_psi_blocks(spec, state, povm, indices, probs):
+def _verify_psi_blocks(spec, state, povm, counts, probs):
     """Post-measurement states of the 2-component seed must be the
     canonical pair x row-GHZ blocks."""
     if len(spec.components) != 2:
         return
-    n = indices[0].n
-    for j, idx in enumerate(indices):
+    for j, (k, rest) in enumerate(counts.tolist()):
         if probs[j] <= 1e-12:
             continue
+        n = k + rest
         post, _ = apply_element(state, povm.elements[j])
-        k = idx.counts[0]
         if not states_equal(post, block_state(n, k), 1e-9):
-            raise AssertionError(f"post-measurement state of block {idx} is "
-                                 "not the canonical block state")
+            raise AssertionError(f"post-measurement state of block "
+                                 f"({n},{k}) is not the canonical block "
+                                 "state")
         if not verify_block_equivalence(n, k):
             raise AssertionError(f"block ({n},{k}) failed the canonical "
                                  "pair x GHZ equivalence")

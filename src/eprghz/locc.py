@@ -85,13 +85,6 @@ def diagonal_operator(party: int, values) -> LocalOperator:
     return LocalOperator(party, values)
 
 
-def projector_onto_labels(party: int, labels, dim: int) -> LocalOperator:
-    """Diagonal 0/1 projector onto the given local labels (a label at or
-    above ``dim`` widens the weights and fails the target range check)."""
-    hit = np.bincount(np.asarray(labels, dtype=np.int64), minlength=dim) > 0
-    return LocalOperator(party, hit, out_dim=dim)
-
-
 def permutation_operator(party: int, old, new, dim: int) -> LocalOperator:
     """Unitary relabeling |old[i]> -> |new[i]> (int arrays); others stay."""
     old, new = _label_map(old, new)

@@ -31,12 +31,12 @@ def test_criterion_01_two_copy_block_decomposition():
         c0, c1 = math.sqrt(c0_sq), math.sqrt(1.0 - c0_sq)
         power = copies(psi(c0, c1), 2)
         decomp = decompose(psi_spec(c0, c1), 2, state=power)
-        assert [e.index.counts for e in decomp.entries] == \
-            [(0, 2), (1, 1), (2, 0)]
-        assert [e.coefficient for e in decomp.entries] == \
+        assert decomp.counts.tolist() == [[0, 2], [1, 1], [2, 0]]
+        assert decomp.coefficients.tolist() == \
             pytest.approx([c1 * c1, c0 * c1, c0 * c0], abs=1e-12)
-        assert [e.multiplicity for e in decomp.entries] == [1, 2, 1]
-        total = sum(e.multiplicity * e.coefficient**2 for e in decomp.entries)
+        assert decomp.multiplicities.tolist() == [1, 2, 1]
+        total = sum(m * c**2 for m, c in zip(decomp.multiplicities,
+                                             decomp.coefficients.tolist()))
         assert total == pytest.approx(1.0, abs=1e-12)
     assert time.monotonic() - t0 < 1.0
 
@@ -155,7 +155,8 @@ def test_criterion_08_four_component_generalization(capsys):
     spec = psi_prime_spec(0.5, 0.5, 0.5, 0.5)
     power = copies(psi_general(spec), 2)
     decomp = decompose(spec, 2, state=power)
-    got = {e.index.counts: e.multiplicity for e in decomp.entries}
+    got = dict(zip(map(tuple, decomp.counts.tolist()),
+                   decomp.multiplicities))
     assert got == {
         (0, 0, 0, 2): 1, (0, 0, 1, 1): 2, (0, 0, 2, 0): 1,
         (0, 1, 0, 1): 2, (0, 1, 1, 0): 2, (0, 2, 0, 0): 1,
@@ -187,9 +188,10 @@ def test_criterion_10_sampled_block_frequencies():
         _, transcript = run_extraction(spec, n, trials=trials, seed=seed)
         decomp = decompose(spec, n)
         outcomes = np.array([e.outcome for e in transcript.entries])
-        freq = np.bincount(outcomes, minlength=len(decomp.entries)) / trials
-        for i, entry in enumerate(decomp.entries):
-            p = 2.0 ** entry.log2_probability
+        logps = decomp.log2_probabilities.tolist()
+        freq = np.bincount(outcomes, minlength=len(logps)) / trials
+        for i, logp in enumerate(logps):
+            p = 2.0 ** logp
             sigma = math.sqrt(p * (1.0 - p) / trials)
             assert abs(freq[i] - p) < 4.0 * sigma
     assert time.monotonic() - t0 < 60.0

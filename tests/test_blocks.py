@@ -1,7 +1,7 @@
 """Block enumeration, probabilities, canonical labels, and equivalence."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,10 +9,9 @@ from conftest import terms
 
 from eprghz import blocks
 from eprghz.blocks import (
-    BlockIndex, block_labels, block_probability, block_state, block_yields,
-    classify_copies_label, decompose, iter_block_counts, log2_binomial_array,
-    log2_multinomial, multinomial_exact, row_a_label, row_bc_label,
-    verify_block_equivalence,
+    _block_counts, block_labels, block_probability, block_state, block_yields,
+    classify_copies_label, decompose, log2_binomial_array, log2_multinomial,
+    multinomial_exact, row_a_label, row_bc_label, verify_block_equivalence,
 )
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, psi, psi_prime, psi_prime_spec,
@@ -130,21 +129,20 @@ def test_log2_multinomial_rows():
 
 # -- block index enumeration -------------------------------------------------
 
-def test_iter_block_counts_lex_and_complete():
-    counts = list(iter_block_counts(3, 3))
-    assert counts == sorted(counts)
-    assert len(counts) == math.comb(3 + 2, 2)
-    assert all(sum(c) == 3 for c in counts)
-    assert list(iter_block_counts(4, 1)) == [(4,)]
+def block_counts_oracle(n, m):
+    """Count vectors summing to n, filtered from the full product, which
+    is lexicographic by construction."""
+    return [c for c in product(range(n + 1), repeat=m) if sum(c) == n]
 
 
-def test_block_index():
-    idx = BlockIndex((2, 3))
-    assert idx.n == 5 and idx.k == 2
-    with pytest.raises(ValueError):
-        BlockIndex((-1, 2))
-    with pytest.raises(ValueError):
-        BlockIndex(())
+def test_block_counts_lex_and_complete():
+    # n = 0, one component, and psi-prime's four components at N = 40
+    for n, m in [(3, 3), (4, 1), (0, 3), (0, 1), (5, 1), (7, 2), (6, 5),
+                 (40, 4)]:
+        counts = _block_counts(n, m)
+        assert counts.dtype == np.int64 and counts.shape[1] == m
+        assert list(map(tuple, counts.tolist())) == block_counts_oracle(n, m)
+        assert len(counts) == math.comb(n + m - 1, m - 1)
 
 
 # -- block probabilities -----------------------------------------------------
@@ -179,10 +177,9 @@ def test_total_block_probability():
 def test_decompose_psi_n2_with_projection():
     state = copies(psi(0.6, 0.8), 2)
     d = decompose(psi_spec(0.6, 0.8), 2, state=state)
-    assert [e.index.counts for e in d.entries] == [(0, 2), (1, 1), (2, 0)]
-    assert [e.coefficient for e in d.entries] == \
-        pytest.approx([0.64, 0.48, 0.36])
-    assert [e.multiplicity for e in d.entries] == [1, 2, 1]
+    assert d.counts.tolist() == [[0, 2], [1, 1], [2, 0]]
+    assert d.coefficients.tolist() == pytest.approx([0.64, 0.48, 0.36])
+    assert d.multiplicities.tolist() == [1, 2, 1]
     assert d.total_probability() == pytest.approx(1.0)
 
 
@@ -190,20 +187,22 @@ def test_decompose_matches_loop_reference():
     # the per-block loop that one vectorized call replaced, same arithmetic
     spec = psi_prime_spec(0.1, 0.3, 0.5, math.sqrt(0.65))
     csq = spec.squared_coefficients()
-    for e in decompose(spec, 5).entries:
-        want = math.log2(multinomial_exact(e.index.counts))
-        for k, c in zip(e.index.counts, csq):
+    d = decompose(spec, 5)
+    for counts, logp in zip(d.counts.tolist(),
+                            d.log2_probabilities.tolist()):
+        want = math.log2(multinomial_exact(counts))
+        for k, c in zip(counts, csq):
             if k:
                 want += k * math.log2(c)
-        assert e.log2_probability == want
+        assert logp == want
 
 
 def test_decompose_psi_n3_frozen():
     d = decompose(psi_spec(0.6, 0.8), 3, state=copies(psi(0.6, 0.8), 3))
-    assert [e.coefficient for e in d.entries] == \
+    assert d.coefficients.tolist() == \
         pytest.approx([0.512, 0.384, 0.288, 0.216])
-    assert [e.multiplicity for e in d.entries] == [1, 3, 3, 1]
-    assert [2.0**e.log2_probability for e in d.entries] == \
+    assert d.multiplicities.tolist() == [1, 3, 3, 1]
+    assert np.exp2(d.log2_probabilities).tolist() == \
         pytest.approx([0.262144, 0.442368, 0.248832, 0.046656])
 
 
@@ -211,7 +210,7 @@ def test_decompose_psi_prime_n2_multiplicities():
     c = 0.5
     d = decompose(psi_prime_spec(c, c, c, c), 2,
                   state=copies(psi_prime(c, c, c, c), 2))
-    mults = {e.index.counts: e.multiplicity for e in d.entries}
+    mults = dict(zip(map(tuple, d.counts.tolist()), d.multiplicities))
     assert mults == {
         (0, 0, 0, 2): 1, (0, 0, 1, 1): 2, (0, 0, 2, 0): 1,
         (0, 1, 0, 1): 2, (0, 1, 1, 0): 2, (0, 2, 0, 0): 1,
@@ -219,6 +218,20 @@ def test_decompose_psi_prime_n2_multiplicities():
         (2, 0, 0, 0): 1,
     }
     assert d.total_probability() == pytest.approx(1.0)
+
+
+def test_decompose_multiplicities_are_exact():
+    # every row's multinomial as a Python int, past 2**63 at these N
+    spec3 = StateSpec(3, (CanonicalComponent(math.sqrt(0.4), (0,)),
+                          CanonicalComponent(math.sqrt(0.35), (1, 2), level=3),
+                          CanonicalComponent(0.5, (0, 1))))
+    for spec, n in [(psi_spec(0.6, 0.8), 400), (spec3, 60),
+                    (psi_prime_spec(0.5, 0.5, 0.5, 0.5), 40)]:
+        d = decompose(spec, n)
+        mults = d.multiplicities.tolist()
+        assert all(type(m) is int for m in mults)
+        assert mults == [multinomial_exact(r) for r in d.counts.tolist()]
+        assert max(mults) > 2**63
 
 
 def test_decompose_rejects_mismatched_state():

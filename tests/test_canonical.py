@@ -10,8 +10,7 @@ from conftest import terms
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, epr, ghz, level_epr, level_ghz,
     psi, psi_general, psi_prime, psi_prime_spec, psi_spec, random_spec,
-    spec_from_dict, spec_from_json, spec_matches_state, spec_to_dict,
-    spec_to_json,
+    spec_from_dict, spec_from_json, spec_to_dict, spec_to_json,
 )
 from eprghz.hilbert import BudgetError, PureState, inner, states_equal
 from eprghz.locc import check_local_orthogonality
@@ -130,8 +129,8 @@ def test_psi_general_matches_displayed_states():
 
 
 def test_spec_matches_state():
-    assert spec_matches_state(psi_spec(0.6, 0.8), psi(0.6, 0.8))
-    assert not spec_matches_state(psi_spec(0.6, 0.8), psi(0.8, 0.6))
+    assert states_equal(psi_general(psi_spec(0.6, 0.8)), psi(0.6, 0.8))
+    assert not states_equal(psi_general(psi_spec(0.6, 0.8)), psi(0.8, 0.6))
 
 
 @pytest.mark.parametrize("seed", range(10))

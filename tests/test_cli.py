@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from eprghz import cli, preparation
+from eprghz.blocks import block_probability, multinomial_exact
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from eprghz.extraction import expected_yields
@@ -209,6 +210,21 @@ def test_prepare_windowed_n4(capsys):
     assert row["ghz"] == "4" and row["ok"] == "true"
 
 
+def test_prepare_failed_check_prints_false(capsys, monkeypatch):
+    # a prepared state off its target prints ok as false and exits 1
+    monkeypatch.setattr(cli, "amplitude_distance", lambda a, b: 0.5)
+    argv = ("prepare", "--psi", "0.6", "0.8", "-N", "2", "--seed", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_INVARIANT
+    assert out == ("N,branches,max_distance,epr_BC,ghz,fidelity,ok\n"
+                   "2,1,0.5,2,2,1,false\n")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_INVARIANT
+    assert json.loads(out) == [{"N": 2, "branches": 1, "max_distance": 0.5,
+                                "epr_BC": 2.0, "ghz": 2.0, "fidelity": 1.0,
+                                "ok": False}]
+
+
 def test_prepare_transcript(capsys, tmp_path):
     path = tmp_path / "prep.tsv"
     code, _, _ = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "2",
@@ -272,6 +288,29 @@ def test_blocks_psi_prime_n2(capsys):
     table = rows_of(out)
     assert len(table) == 10
     assert sum(int(r["multiplicity"]) for r in table) == 16   # 4^2 rows
+
+
+def test_blocks_table_matches_the_scalar_oracle(capsys):
+    # every row of the psi-prime table at N = 40 (12,341 blocks, their
+    # multiplicities past 2**63), spelt from one block's Python arithmetic
+    amps = ("0.6", "0.5", "0.4", "0.4795831523312719")
+    n = 40
+    code, out, _ = run(capsys, "blocks", "--psi-prime", *amps, "-N", str(n))
+    assert code == EXIT_OK
+    spec = psi_prime_spec(*map(float, amps))
+    coeffs = [c.coefficient for c in spec.components]
+    csq = spec.squared_coefficients()
+    want = ["k0,k1,k2,k3,coefficient,multiplicity,log2_probability"]
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            for c in range(n + 1 - a - b):
+                row = (a, b, c, n - a - b - c)
+                coeff = math.prod(x ** k for x, k in zip(coeffs, row))
+                want.append(",".join(map(str, row)) + "," + ",".join((
+                    format(coeff, ".17g"), str(multinomial_exact(row)),
+                    format(block_probability(n, row, csq), ".17g"))))
+    assert out == "\n".join(want) + "\n"
+    assert max(int(line.split(",")[5]) for line in want[1:]) > 2**63
 
 
 # -- verify --------------------------------------------------------------------

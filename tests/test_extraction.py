@@ -1,11 +1,12 @@
 """Asymptotic rates, finite-N expected yields, and Monte-Carlo extraction."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from eprghz.blocks import block_probability, iter_block_counts
+from eprghz.blocks import block_probability
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, psi_prime_spec, psi_spec, random_spec,
 )
@@ -17,6 +18,12 @@ from eprghz.hilbert import BudgetError, entropy
 
 HALF = math.sqrt(0.5)
 FULL3 = (0, 1, 2)
+
+
+def block_counts_oracle(n, m):
+    """Count vectors summing to n, filtered from the full product, which
+    is lexicographic by construction."""
+    return [c for c in product(range(n + 1), repeat=m) if sum(c) == n]
 
 # frozen N=2 expectations for psi(0.6, 0.8): E[yield per copy] and the
 # variance across single runs, from the three block probabilities
@@ -105,7 +112,7 @@ def test_variances_match_enumeration_psi_prime():
     csq = spec.squared_coefficients()
     # brute-force joint moments over all blocks
     ghz_mean = ghz_sq = 0.0
-    for counts in iter_block_counts(n, 4):
+    for counts in block_counts_oracle(n, 4):
         p = 2.0 ** block_probability(n, counts, csq)
         v = math.log2(math.factorial(n)) - sum(
             math.log2(math.factorial(k)) for k in counts)
@@ -247,7 +254,7 @@ def _rank_by_loop(counts):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_flat_outcome_is_the_enumeration_position(m):
     for n in range(11):
-        for position, counts in enumerate(iter_block_counts(n, m)):
+        for position, counts in enumerate(block_counts_oracle(n, m)):
             assert _flat_outcome(counts) == position
 
 

@@ -17,7 +17,7 @@ from eprghz.locc import (
     _shared_density, apply_element,
     apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
-    permutation_operator, projector_onto_labels, sample, trial_seeds,
+    permutation_operator, sample, trial_seeds,
 )
 from eprghz.preparation import ghz_weighting_povm, row_shorten_povm
 
@@ -30,15 +30,6 @@ def test_identity_and_diagonal(dense):
     assert np.allclose(dense(op), np.eye(3))
     d = diagonal_operator(0, [0.6, 0.8])
     assert np.allclose(dense(d), np.diag([0.6, 0.8]))
-
-
-def test_projector_onto_labels(dense):
-    p = projector_onto_labels(2, (0, 2), 3)
-    assert np.allclose(dense(p), np.diag([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        projector_onto_labels(0, (3,), 3)
-    with pytest.raises(ValueError):
-        projector_onto_labels(0, (-1,), 3)
 
 
 def test_permutation_operator(dense):
@@ -108,10 +99,10 @@ def test_apply_operator_dim_mismatch():
 
 def test_apply_element_probability():
     s = psi(0.6, 0.8)
-    post, prob = apply_element(s, projector_onto_labels(0, (0,), 2))
+    post, prob = apply_element(s, diagonal_operator(0, [True, False]))
     assert prob == pytest.approx(0.36)
     assert terms(post) == pytest.approx({(0, 0, 0): 1.0})
-    post, prob = apply_element(s, projector_onto_labels(1, (1,), 3))
+    post, prob = apply_element(s, diagonal_operator(1, [False, True, False]))
     assert prob == pytest.approx(0.32)
     assert states_equal(post, PureState((2, 3, 3), [(1, 1, 1)], [1.0]))
 
@@ -119,7 +110,7 @@ def test_apply_element_probability():
 def test_impossible_outcome_raises():
     product = PureState((2, 3, 3), [(0, 0, 0)], [1.0])
     with pytest.raises(ImpossibleOutcomeError):
-        apply_element(product, projector_onto_labels(0, (1,), 2))
+        apply_element(product, diagonal_operator(0, [False, True]))
 
 
 # -- POVMs -------------------------------------------------------------------
@@ -186,11 +177,11 @@ def test_dense_oracle_sees_the_negative_control(dense):
 
 
 def test_outcome_probabilities():
-    povm = Povm(0, (projector_onto_labels(0, (0,), 2),
-                    projector_onto_labels(0, (1,), 2)))
+    povm = Povm(0, (diagonal_operator(0, [True, False]),
+                    diagonal_operator(0, [False, True])))
     probs = outcome_probabilities(psi(0.6, 0.8), povm)
     assert probs == pytest.approx([0.36, 0.64])
-    incomplete = Povm(0, (projector_onto_labels(0, (0,), 2),))
+    incomplete = Povm(0, (diagonal_operator(0, [True, False]),))
     with pytest.raises(ValueError):
         outcome_probabilities(psi(0.6, 0.8), incomplete)
 
@@ -233,14 +224,14 @@ def test_probabilities_match_the_term_by_term_rule(case):
 
 
 def test_sample_rejects_incomplete_povm():
-    incomplete = Povm(0, (projector_onto_labels(0, (0,), 2),))
+    incomplete = Povm(0, (diagonal_operator(0, [True, False]),))
     with pytest.raises(ValueError):
         sample(psi(0.6, 0.8), incomplete, 0)
 
 
 def test_sample_deterministic_under_seed():
-    povm = Povm(0, (projector_onto_labels(0, (0,), 2),
-                    projector_onto_labels(0, (1,), 2)))
+    povm = Povm(0, (diagonal_operator(0, [True, False]),
+                    diagonal_operator(0, [False, True])))
     s = psi(0.6, 0.8)
     a = sample(s, povm, 42, step="m")
     b = sample(s, povm, 42, step="m")
@@ -250,8 +241,8 @@ def test_sample_deterministic_under_seed():
 
 
 def test_sample_frequencies():
-    povm = Povm(0, (projector_onto_labels(0, (0,), 2),
-                    projector_onto_labels(0, (1,), 2)))
+    povm = Povm(0, (diagonal_operator(0, [True, False]),
+                    diagonal_operator(0, [False, True])))
     s = psi(0.6, 0.8)
     gen = np.random.default_rng(7)
     hits = sum(sample(s, povm, gen)[0] for _ in range(2000))
@@ -373,8 +364,7 @@ def test_block_povm_party_independent_psi(n):
             reference = probs
         else:
             assert probs == pytest.approx(reference, abs=1e-12)
-    assert [i.counts for i in indices] == \
-        [(k, n - k) for k in range(n + 1)]
+    assert indices.tolist() == [[k, n - k] for k in range(n + 1)]
 
 
 def test_block_povm_party_independent_psi_prime():

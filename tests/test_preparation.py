@@ -511,6 +511,6 @@ def test_prepare_then_extract_round_trip():
     state, _, _ = prepare_exact_n2(0.6, 0.8, seed=13)
     povm, indices = block_measurement_povm(psi_spec(0.6, 0.8), 2)
     probs = outcome_probabilities(state, povm)
-    want = [2.0 ** block_probability(2, idx.counts, (0.36, 0.64))
-            for idx in indices]
+    want = [2.0 ** block_probability(2, counts, (0.36, 0.64))
+            for counts in indices.tolist()]
     assert probs == pytest.approx(want, abs=1e-12)
