@@ -293,7 +293,7 @@ def _multinomials(counts: np.ndarray) -> np.ndarray:
     left = counts.sum(axis=1)
     out = np.ones(len(counts), dtype=object)
     for k in counts.T[:-1]:
-        tops = np.unique(left).tolist()
+        tops = np.flatnonzero(np.bincount(left)).tolist()
         table, start = [], np.zeros(tops[-1] + 1, dtype=np.int64)
         for top in tops:
             start[top] = len(table)

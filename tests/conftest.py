@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ def dense_matrix(op) -> np.ndarray:
 @pytest.fixture
 def dense():
     return dense_matrix
+
+
+def block_counts_oracle(n, m) -> list:
+    """Count vectors of m components summing to n, filtered from the full
+    product, which is lexicographic by construction."""
+    return [c for c in product(range(n + 1), repeat=m) if sum(c) == n]
 
 
 def terms(state) -> dict:

@@ -1,11 +1,11 @@
 """Block enumeration, probabilities, canonical labels, and equivalence."""
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import terms
+from conftest import block_counts_oracle, terms
 
 from eprghz import blocks
 from eprghz.blocks import (
@@ -128,12 +128,6 @@ def test_log2_multinomial_rows():
 
 
 # -- block index enumeration -------------------------------------------------
-
-def block_counts_oracle(n, m):
-    """Count vectors summing to n, filtered from the full product, which
-    is lexicographic by construction."""
-    return [c for c in product(range(n + 1), repeat=m) if sum(c) == n]
-
 
 def test_block_counts_lex_and_complete():
     # n = 0, one component, and psi-prime's four components at N = 40

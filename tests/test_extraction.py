@@ -1,10 +1,10 @@
 """Asymptotic rates, finite-N expected yields, and Monte-Carlo extraction."""
 
 import math
-from itertools import product
 
 import numpy as np
 import pytest
+from conftest import block_counts_oracle
 
 from eprghz.blocks import block_probability
 from eprghz.canonical import (
@@ -18,12 +18,6 @@ from eprghz.hilbert import BudgetError, entropy
 
 HALF = math.sqrt(0.5)
 FULL3 = (0, 1, 2)
-
-
-def block_counts_oracle(n, m):
-    """Count vectors summing to n, filtered from the full product, which
-    is lexicographic by construction."""
-    return [c for c in product(range(n + 1), repeat=m) if sum(c) == n]
 
 # frozen N=2 expectations for psi(0.6, 0.8): E[yield per copy] and the
 # variance across single runs, from the three block probabilities
