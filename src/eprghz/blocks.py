@@ -29,18 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (EXPLICIT_BUDGET, INT64_MAX, BudgetError, PureState,
-                      _row_codes, relabel, states_equal, tensor)
+from .hilbert import (INT64_MAX, PureState, _check_budget, _row_codes,
+                      relabel, states_equal, tensor)
 from .canonical import StateSpec, level_epr, level_ghz
 
 EXACT_N_MAX = 30
 LN2 = math.log(2.0)
-DECOMPOSE_MAX_ENTRIES = 200_000
 _FACTORIALS = tuple(math.factorial(j) for j in range(EXACT_N_MAX + 1))
-# closed-form sums over k visit at most _BULK_CHUNK k at a time and
-# _BULK_MAX in all (a bulk that wide is N above about 1e14)
+# closed-form sums over k visit at most _BULK_CHUNK k at a time
 _BULK_CHUNK = 2**16
-_BULK_MAX = 10**8
 # counts above this are not exact in float64
 _COUNT_MAX = 2**53
 # -ln of the Binomial(n, p) mass a bulk may leave out on each side, 2**-65
@@ -181,13 +178,11 @@ def _binomial_bulk(n: int, p: float) -> tuple[int, int]:
 
 def _bulk_starts(n: int, p: float) -> range:
     """First k of each chunk of the Binomial(n, p) bulk (chunks of
-    _BULK_CHUNK, the last one ending at the bulk's top); a bulk of more
-    than _BULK_MAX k, or n above 2**53, is refused before any work."""
+    _BULK_CHUNK, the last one ending at the bulk's top); a bulk over its
+    budget, or n above 2**53, is refused before any work."""
     _check_count(n)
     lo, hi = _binomial_bulk(n, p)
-    if hi - lo >= _BULK_MAX:
-        raise BudgetError(f"binomial bulk of {hi - lo + 1} terms at N = {n} "
-                          f"exceeds the closed-form budget of {_BULK_MAX}")
+    _check_budget(f"binomial bulk at N = {n}", "bulk entries", hi - lo + 1)
     return range(lo, hi + 1, _BULK_CHUNK)
 
 
@@ -274,6 +269,8 @@ def _block_counts(n: int, m: int) -> np.ndarray:
     """Every count vector of m components summing to n, as the rows of an
     int64 matrix in lexicographic order: each row's next entry runs over
     0..(what is left) in turn, one column at a time."""
+    _check_budget(f"block table of N = {n} over {m} components", "block rows",
+                  math.comb(n + m - 1, m - 1))
     cols = []
     left = np.array([n], dtype=np.int64)
     for _ in range(m - 1):
@@ -348,9 +345,6 @@ class BlockDecomposition:
     multiplicities: np.ndarray
     log2_probabilities: np.ndarray
 
-    def total_probability(self) -> float:
-        return float(np.exp2(self.log2_probabilities).sum())
-
 
 def classify_copies_label(spec: StateSpec, party: int, labels,
                           n: int) -> np.ndarray:
@@ -375,17 +369,18 @@ def decompose(spec: StateSpec, n: int,
 
     With ``state`` (the explicit N-copy state), each entry is verified
     against the projection norm: |projection| = coefficient * sqrt(mult).
+    Refused before any enumeration if the largest multiplicity has more
+    decimal digits than Python's int-to-str limit lets it print.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     ncomp = len(spec.components)
-    total = math.comb(n + ncomp - 1, ncomp - 1)
-    if total > DECOMPOSE_MAX_ENTRIES:
-        raise BudgetError(
-            f"{total} block entries exceed the enumeration budget "
-            f"{DECOMPOSE_MAX_ENTRIES}; use block_probability or the "
-            "expected-yield paths for large N")
+    _check_count(n)
+    q, r = divmod(n, ncomp)  # the most even count vector's is the largest
+    top = log2_multinomial([q + 1] * r + [q] * (ncomp - r)) / math.log2(10)
+    _check_budget(f"the largest multiplicity at N = {n}",
+                  "multiplicity digits", math.floor(top) + 1)
     counts = _block_counts(n, ncomp)
     # each coefficient c**k from a table of Python powers (numpy's vector
     # power can differ in the last bit), multiplied in component order
@@ -442,6 +437,7 @@ def block_labels(n: int, k_minus: int, k_plus: int):
     n, k_minus, k_plus = int(n), int(k_minus), int(k_plus)
     if not 0 <= k_minus <= k_plus <= n:
         raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
+    _check_budget(f"block labels at N = {n}", "explicit copies", n)
     if 3**n - 3**k_minus > INT64_MAX:
         raise ValueError(f"labels of block ({n}, {k_minus}) exceed int64")
     # every term, slot by slot from copy 0, while its |000> count can still
@@ -466,8 +462,7 @@ def block_state(n: int, k: int) -> PureState:
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"bad block index ({n}, {k})")
     r, t = 2 ** (n - k), math.comb(n, k)
-    if r * t > EXPLICIT_BUDGET:
-        raise BudgetError(f"block support {r * t} exceeds the explicit budget")
+    _check_budget(f"block ({n}, {k})", "explicit terms", r * t)
     _, a, row, bc = block_labels(n, k, k)
     return PureState((2**n, 3**n, 3**n), np.column_stack([a[row], bc, bc]),
                      np.full(r * t, 1.0 / math.sqrt(r * t)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState, tensor
+from .hilbert import NORM_TOL, PureState, _check_budget, tensor
 
 SQ2 = math.sqrt(2.0)
 
@@ -115,11 +115,14 @@ class CanonicalComponent:
         if self.level < 2:
             raise ValueError(f"level must be >= 2, got {self.level}")
 
+    @property
+    def terms(self) -> int:
+        """Kets of the component's state: its level, or 1 for a product."""
+        return self.level if len(self.support) >= 2 else 1
+
     def width(self, party: int) -> int:
         """Local label-range width this component occupies on ``party``."""
-        if len(self.support) >= 2 and party in self.support:
-            return self.level
-        return 1
+        return self.terms if party in self.support else 1
 
 
 @dataclass(frozen=True)
@@ -164,11 +167,10 @@ class StateSpec:
     def component_state(self, i: int) -> PureState:
         """Component ``i`` embedded in the full label space, normalized."""
         comp = self.components[i]
-        level = comp.level if len(comp.support) > 1 else 1
         spread = [comp.width(p) > 1 for p in range(self.party_count)]
-        labels = np.outer(np.arange(level), spread) + self.offsets(i)
+        labels = np.outer(np.arange(comp.terms), spread) + self.offsets(i)
         return PureState(self.local_dims(), labels,
-                         np.full(level, 1.0 / math.sqrt(level)))
+                         np.full(comp.terms, 1.0 / math.sqrt(comp.terms)))
 
     def squared_coefficients(self) -> tuple[float, ...]:
         return tuple(c.coefficient**2 for c in self.components)
@@ -243,14 +245,19 @@ def copies(s: PureState, n: int) -> PureState:
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1 copies, got {n}")
-    if s.support_size**n > EXPLICIT_BUDGET:
-        raise BudgetError(
-            f"support {s.support_size}^{n} exceeds the explicit budget "
-            f"{EXPLICIT_BUDGET:.0e}; use the analytic (log-space) paths")
+    _check_copies(s.support_size, n)
     out = s
     for _ in range(n - 1):
         out = tensor(out, s)
     return out
+
+
+def _check_copies(size: int, n: int) -> None:
+    """Refuse the n-copy power of a ``size``-term state over budget."""
+    what = f"the {n}-copy power of a {size}-term state"
+    _check_budget(what, "explicit copies", n)
+    _check_budget(what, "explicit terms", lambda: size**n,
+                  n * math.log2(max(size, 1)))
 
 
 # -- StateSpec serialization (consumed by the CLI --spec flag) --------------

@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError,
-                      amplitude_distance)
+from .hilbert import NORM_TOL, BudgetError, _check_budget, amplitude_distance
 from .canonical import (StateSpec, copies, psi, psi_spec, psi_prime_spec,
                         random_spec, spec_from_json)
 from .locc import (ImpossibleOutcomeError, Povm, Transcript,
@@ -218,14 +217,18 @@ def cmd_blocks(args) -> int:
                                        d.multiplicities.tolist(),
                                        d.log2_probabilities.tolist()],
                 args)
+    lost = np.count_nonzero(d.coefficients < 2.0**-1022)
+    if lost:
+        print(f"note: {lost} coefficients are below 2**-1022, the smallest "
+              "normal double: they lose digits or print as 0", file=sys.stderr)
     return EXIT_OK
 
 
 def _verify_suites(args) -> list[tuple[str, bool]]:
     m = args.blocks_max_n
-    if m + 1 > math.log(2 * EXPLICIT_BUDGET + 1, 3):  # sum of 3**n, n <= m
-        raise BudgetError(f"block equivalence up to N = {m} needs (3**{m + 1}"
-                          f" - 1)/2 terms, budget is {EXPLICIT_BUDGET}")
+    # the sum of 3**n over n <= m; at least 3**m, finite for any m
+    _check_budget(f"block equivalence up to N = {m}", "explicit terms",
+                  lambda: (3**(m + 1) - 1) // 2, min(m, 10**300) * math.log2(3))
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
     results = []
 
@@ -369,7 +372,7 @@ def main(argv=None) -> int:
         if args.command == "extract" and args.transcript and not args.trials:
             raise UsageError("--transcript needs a sampling run (--trials > 0)")
         return COMMANDS[args.command](args)
-    except (UsageError, BudgetError, ValueError, OSError) as e:
+    except (UsageError, BudgetError, ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:

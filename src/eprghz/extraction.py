@@ -17,18 +17,17 @@ from decimal import Context, Decimal
 
 import numpy as np
 
-from .hilbert import (_unique_rows, entanglement_entropy, entropy,
-                      states_equal)
-from .canonical import StateSpec, copies, psi_general
+from .hilbert import (BudgetError, _check_budget, _unique_rows,
+                      entanglement_entropy, entropy, states_equal)
+from .canonical import StateSpec, _check_copies, copies, psi_general
 from .locc import (Povm, Transcript, _draw, apply_element, as_generator,
                    diagonal_operator, outcome_probabilities, trial_seeds)
 from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
-                     _block_yield_table, _log2_block_probabilities,
+                     _block_yield_table, _check_count,
+                     _log2_block_probabilities,
                      _log2_factorial_diff, _log2_factorial_ratio, block_state,
                      classify_copies_label, log2_binomial_array,
                      log2_multinomial, verify_block_equivalence)
-
-MOMENT_ENUM_MAX = 200_000
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,7 @@ def expected_yields(spec: StateSpec, n: int) -> YieldReport:
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_count(n)
     full = tuple(range(spec.party_count))
 
     epr: dict[tuple[int, ...], float] = {}
@@ -154,10 +154,10 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
             + [deviation(s, epr_mean.get(s, 0.0)) for s in subsets])
         return dict(zip(subsets, epr_vars)), ghz_var
 
-    total_entries = math.comb(n + ncomp - 1, ncomp - 1)
-    if total_entries > MOMENT_ENUM_MAX:
+    try:
+        counts = _block_counts(n, ncomp)
+    except BudgetError:  # too many blocks: no exact path
         return {s: math.nan for s in subsets}, math.nan
-    counts = _block_counts(n, ncomp)
     lmult = log2_multinomial(counts)
     w = np.exp2(_log2_block_probabilities(counts, lmult, csq))  # 0 if dead
     y = _block_yield_table(counts, lmult, spec)
@@ -177,10 +177,8 @@ def block_measurement_povm(spec: StateSpec, n: int,
     lexicographic order of the count vectors.
     """
     d = spec.local_dims()[party]
-    if d**n > 4_000_000:
-        raise ValueError(
-            f"local dimension {d}**{n} too large for an explicit projector "
-            "family; use the analytic sampling path")
+    _check_budget(f"block measurement of {n} copies on party {party}",
+                  "projector labels", lambda: d**n, n * math.log2(d))
     counts = classify_copies_label(spec, party, np.arange(d**n), n)
     rows, block_of = _unique_rows(counts)
     elements = [diagonal_operator(party, block_of == j)
@@ -218,8 +216,9 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
             transcript.add(f"trial{t}", party, _flat_outcome(tuple(row)),
                            2.0 ** lp)
     else:
-        state = copies(psi_general(spec), n)
+        _check_copies(sum(c.terms for c in spec.components), n)
         povm, counts = block_measurement_povm(spec, n, party)
+        state = copies(psi_general(spec), n)
         probs = outcome_probabilities(state, povm)
         if verify_blocks:
             _verify_psi_blocks(spec, state, povm, counts, probs)

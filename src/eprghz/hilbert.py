@@ -13,6 +13,7 @@ never one slot per copy: locality is per party.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,35 @@ PRUNE_EPS = 1e-12
 NORM_TOL = 1e-9
 INT64_MAX = 2**63 - 1
 
-# state support above this is refused by explicit constructions
-EXPLICIT_BUDGET = 10**7
+# every resource limit, keyed "<scope> <unit>". An explicit label of N
+# copies has N digits, and int64 holds 63 binary ones; the digit limit is
+# Python's int-to-str limit, read at each check (0: none)
+_BUDGETS = {"explicit terms": 10**7, "explicit copies": 63,
+            "block rows": 200_000, "projector labels": 4_000_000,
+            "bulk entries": 10**8, "density rows": 4096,
+            "multiplicity digits": getattr(sys, "get_int_max_str_digits", int)}
 
 
 class BudgetError(RuntimeError):
-    """An explicit construction would exceed the support-size budget."""
+    """A request needs more than a limit of ``_BUDGETS``; raised by
+    ``_check_budget`` alone, before the work it guards is started."""
+
+
+def _check_budget(what: str, budget: str, need, log2_need=-math.inf):
+    """Return ``need`` if it is within ``_BUDGETS[budget]``, else raise
+    BudgetError. ``need`` is the exact amount or a function forming it;
+    a ``log2_need`` (at most log2 of the need) more than a bit over the
+    limit refuses without forming it, so astronomic needs cost nothing."""
+    limit = _BUDGETS[budget]
+    limit = limit() if callable(limit) else limit
+    if limit and log2_need > math.log2(limit) + 1:
+        need = f"at least 2**{log2_need:.8g}"
+    else:
+        need = need() if callable(need) else need
+        if not limit or need <= limit:
+            return need
+    unit = budget.split()[-1]
+    raise BudgetError(f"{what} needs {need} {unit}, budget is {limit} {unit}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +120,6 @@ class PureState:
             self.local_dims, self.labels,
             (np.ascontiguousarray(self.amps).view(float) / n).view(complex))
 
-    def __repr__(self):
-        return (f"PureState(dims={self.local_dims}, "
-                f"support={self.support_size}, norm={self.norm():.6f})")
-
 
 def squared_norm(amps: np.ndarray) -> float:
     """sum |a|**2 as a running sum in support order, each term squared by
@@ -130,9 +150,6 @@ class DensityMatrix:
             raise ValueError(f"trace {np.trace(m).real} != 1")
         if np.linalg.eigvalsh(m).min() < -tol:
             raise ValueError("density matrix has a negative eigenvalue")
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def tensor(a: PureState, b: PureState,
@@ -231,14 +248,12 @@ def _cut(s: PureState, parties):
 
 
 def reduced_density(s: PureState, parties) -> DensityMatrix:
-    """Partial trace onto ``parties`` (non-empty proper subset)."""
+    """Partial trace onto ``parties`` (non-empty proper subset), dense:
+    entanglement_entropy takes spectra of large cuts."""
     keep, rest = _cut(s, parties)
     dims = [s.local_dims[p] for p in keep]
-    dim = math.prod(dims)
-    if dim > 4096:
-        raise ValueError(
-            f"dense reduced density of dimension {dim} refused; "
-            "use entanglement_entropy for spectra of large cuts")
+    dim = _check_budget(f"dense reduced density on parties {keep}",
+                        "density rows", math.prod(dims))
     # rho[x, y] sums a_i conj(a_j) over the pairs of terms i, j that
     # agree on the traced parties: sort by those, pair within each group
     group = _row_codes(s.labels[:, rest])

@@ -203,15 +203,9 @@ class Transcript:
         self.entries.append(TranscriptEntry(step, party, outcome, probability))
         return self.entries[-1]
 
-    def branch_probability(self) -> float:
-        return math.prod(e.probability for e in self.entries)
-
     def to_text(self) -> str:
         header = "step\tparty\toutcome\tprobability"
         return "\n".join([header] + [e.to_line() for e in self.entries]) + "\n"
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (EXPLICIT_BUDGET, NORM_TOL, BudgetError, PureState,
-                      _has_repeats, relabel, squared_norm, tensor)
+from .hilbert import (NORM_TOL, PureState, _check_budget, _has_repeats,
+                      relabel, squared_norm, tensor)
 from .canonical import level_epr, level_ghz
 from .locc import (ImpossibleOutcomeError, Povm, Transcript, _draw,
                    apply_element, as_generator, check_completeness,
@@ -63,13 +63,13 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= c0_sq <= 1.0:
         raise ValueError(f"c0_sq {c0_sq} outside [0, 1]")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not 0.5 < beta < 1.0:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     half = alpha * n**beta
     lo, hi = c0_sq * n - half, c0_sq * n + half
-    k_minus, k_plus = max(0, math.ceil(lo)), min(n, math.floor(hi))
+    k_minus, k_plus = math.ceil(max(lo, 0)), math.floor(min(hi, n))
     if c0_sq == 0.0:
         k_plus = 0
     if c0_sq == 1.0:
@@ -138,20 +138,12 @@ def resource_count(n: int, window) -> ResourceCount:
 
 
 def _window_terms(what: str, n: int, k_minus: int, k_plus: int, shift):
-    """sum C(n, k) * 2**shift(k) over the window, refused above
-    EXPLICIT_BUDGET: first, before any big-integer work, if a summand near
-    its peak (k = n/3 or n/2) is, in log2 space, a bit over the budget."""
+    """sum C(n, k) * 2**shift(k) over the window, within the explicit
+    budget; its summand near the peak (k = n/3 or n/2) bounds it below."""
     ks = np.clip([(n + 1) // 3, n // 2], k_minus, k_plus)
-    log2_term = float(np.max(log2_binomial_array(n, ks) + shift(ks)))
-    if log2_term > math.log2(EXPLICIT_BUDGET) + 1.0:
-        raise BudgetError(f"{what} needs 2**{log2_term:.1f} terms or more, "
-                          f"budget is {EXPLICIT_BUDGET}")
-    terms = sum(math.comb(n, k) * 2**shift(k)
-                for k in range(k_minus, k_plus + 1))
-    if terms > EXPLICIT_BUDGET:
-        raise BudgetError(f"{what} needs {terms} terms, "
-                          f"budget is {EXPLICIT_BUDGET}")
-    return terms
+    return _check_budget(what, "explicit terms", lambda: sum(
+        math.comb(n, k) * 2**shift(k) for k in range(k_minus, k_plus + 1)),
+        float(np.max(log2_binomial_array(n, ks) + shift(ks))))
 
 
 def build_target(n: int, c0: float, c1: float, window) -> PureState:
@@ -179,18 +171,13 @@ def ghz_weighting_povm(weights, party: int = 0) -> tuple[Povm, tuple]:
     has probability exactly 1/t, and outcome j's correction, the cyclic
     relabeling m -> m - j as ``(old, new)`` int64 arrays (empty for j = 0),
     applied on every party lands each branch on the same weighted state.
-    The t*t diagonal entries, 16 bytes each with their corrections, count
-    against EXPLICIT_BUDGET before anything is built.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(w) < 1:
         raise ValueError("weights must be a non-empty vector")
     t = len(w)
-    if t * t > EXPLICIT_BUDGET:
-        raise BudgetError(
-            f"weighting POVM over {t} rows needs {t * t} diagonal entries "
-            f"(about {16 * t * t / 2**20:.0f} MiB), budget is "
-            f"{EXPLICIT_BUDGET} entries")
+    _check_budget(f"weighting POVM of {t} rows x {t} diagonal entries",
+                  "explicit terms", t * t)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     if abs(float(w @ w) - 1.0) > NORM_TOL:

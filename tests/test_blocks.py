@@ -1,6 +1,7 @@
 """Block enumeration, probabilities, canonical labels, and equivalence."""
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -157,12 +158,16 @@ def test_block_probability_validation():
     assert block_probability(2, (1, 1), (0.0, 1.0)) == -math.inf
 
 
+def total_probability(d):
+    return float(np.exp2(d.log2_probabilities).sum())
+
+
 def test_total_block_probability():
-    assert decompose(psi_spec(0.6, 0.8), 50).total_probability() == \
+    assert total_probability(decompose(psi_spec(0.6, 0.8), 50)) == \
         pytest.approx(1.0, abs=1e-9)
-    assert decompose(psi_prime_spec(0.5, 0.5, 0.5, 0.5),
-                     20).total_probability() == pytest.approx(1.0, abs=1e-9)
-    assert decompose(psi_spec(1.0, 0.0), 10).total_probability() == \
+    assert total_probability(decompose(psi_prime_spec(0.5, 0.5, 0.5, 0.5),
+                                       20)) == pytest.approx(1.0, abs=1e-9)
+    assert total_probability(decompose(psi_spec(1.0, 0.0), 10)) == \
         pytest.approx(1.0)
 
 
@@ -174,7 +179,7 @@ def test_decompose_psi_n2_with_projection():
     assert d.counts.tolist() == [[0, 2], [1, 1], [2, 0]]
     assert d.coefficients.tolist() == pytest.approx([0.64, 0.48, 0.36])
     assert d.multiplicities.tolist() == [1, 2, 1]
-    assert d.total_probability() == pytest.approx(1.0)
+    assert total_probability(d) == pytest.approx(1.0)
 
 
 def test_decompose_matches_loop_reference():
@@ -211,7 +216,7 @@ def test_decompose_psi_prime_n2_multiplicities():
         (1, 0, 0, 1): 2, (1, 0, 1, 0): 2, (1, 1, 0, 0): 2,
         (2, 0, 0, 0): 1,
     }
-    assert d.total_probability() == pytest.approx(1.0)
+    assert total_probability(d) == pytest.approx(1.0)
 
 
 def test_decompose_multiplicities_are_exact():
@@ -238,8 +243,30 @@ def test_decompose_rejects_mismatched_state():
 
 
 def test_decompose_entry_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=(
+            "^block table of N = 120 over 4 components needs 302621 rows, "
+            "budget is 200000 rows$")):
         decompose(psi_prime_spec(0.5, 0.5, 0.5, 0.5), 120)
+
+
+def test_decompose_refuses_unprintable_multiplicities():
+    """Refused exactly where the largest multiplicity, C(N, N/2), has more
+    digits than Python's int-to-str limit, read at call time."""
+    digits = {n: len(str(math.comb(n, n // 2))) for n in range(2125, 2140)}
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n, d in digits.items():
+            if d > 640:
+                with pytest.raises(BudgetError, match=(
+                        f"^the largest multiplicity at N = {n} needs {d} "
+                        "digits, budget is 640 digits$")):
+                    decompose(psi_spec(0.6, 0.8), n)
+            else:
+                str(decompose(psi_spec(0.6, 0.8), n).multiplicities.max())
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert min(digits.values()) <= 640 < max(digits.values())
 
 
 def test_classify_copies_label():

@@ -313,6 +313,23 @@ def test_blocks_table_matches_the_scalar_oracle(capsys):
     assert max(int(line.split(",")[5]) for line in want[1:]) > 2**63
 
 
+def test_blocks_notes_underflowed_coefficients(capsys):
+    """At N = 1500, 0.6**k0 * 0.8**k1 falls below the normal doubles for
+    the rows of large k0: one stderr note counts them, and the table is
+    the one spelt from Python arithmetic."""
+    n = 1500
+    code, out, err = run(capsys, "blocks", "--psi", "0.6", "0.8",
+                         "-N", str(n))
+    assert code == EXIT_OK
+    coeffs = [0.6**k * 0.8**(n - k) for k in range(n + 1)]
+    low = sum(c < 2.0**-1022 for c in coeffs)
+    assert 0 < low < n + 1
+    assert [r["coefficient"] for r in rows_of(out)] == [
+        format(c, ".17g") for c in coeffs]
+    assert err == (f"note: {low} coefficients are below 2**-1022, the "
+                   "smallest normal double: they lose digits or print as 0\n")
+
+
 # -- verify --------------------------------------------------------------------
 
 def test_verify_passes(capsys):
@@ -353,6 +370,11 @@ EMPTY_WINDOW_FIDELITY = ("fidelity", "--psi", "0.6", "0.8", "-N", "3",
 # (1.08 -/+ 0.0193 here) and the way out
 WORDING = {argv: "= [1.06067, 1.09933] holds no block index; raise --alpha"
            for argv in (EMPTY_WINDOW_PREPARE, EMPTY_WINDOW_FIDELITY)}
+# C(16000, 8000) has 4815 digits, over Python's default int-to-str limit
+BLOCKS_TOO_LONG = ("blocks", "--psi", "0.6", "0.8", "-N", "16000")
+WORDING[BLOCKS_TOO_LONG] = (
+    "error: the largest multiplicity at N = 16000 needs 4815 digits, "
+    "budget is 4300 digits\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -387,6 +409,7 @@ WORDING = {argv: "= [1.06067, 1.09933] holds no block index; raise --alpha"
      "--alpha", "0.42"),                                   # 21,700-row POVM
     ("fidelity", "--psi", "0.6", "0.8", "-N", str(10**20)),  # N above 2**53
     ("extract", "--psi", "0.6", "0.8", "-N", str(10**15)),   # 2.9e8-term bulk
+    BLOCKS_TOO_LONG,
 ])
 def test_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -403,8 +426,8 @@ def test_huge_prepare_window_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_USAGE and out == ""
     assert err.count("\n") == 1
-    assert err.startswith("error: windowed target needs 2**1583")
-    assert err.endswith("terms or more, budget is 10000000\n")
+    assert err.startswith("error: windowed target needs at least 2**1583")
+    assert err.endswith(" terms, budget is 10000000 terms\n")
 
 
 @pytest.mark.parametrize("max_n", ["15", str(10**40)])
@@ -413,8 +436,10 @@ def test_verify_blocks_max_n_budget(capsys, max_n):
     code, out, err = run(capsys, "verify", "--blocks-max-n", max_n)
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_USAGE and out == ""
+    # (3**16 - 1)/2 exactly; at 10**40 the lower bound 3**(10**40)
+    need = {"15": "21523360", str(10**40): "at least 2**1.5849625e+40"}
     assert err == (f"error: block equivalence up to N = {max_n} needs "
-                   f"(3**{int(max_n) + 1} - 1)/2 terms, budget is 10000000\n")
+                   f"{need[max_n]} terms, budget is 10000000 terms\n")
 
 
 def test_verify_blocks_max_n_budget_boundary(capsys, monkeypatch):

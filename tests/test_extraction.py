@@ -10,6 +10,7 @@ from eprghz.blocks import block_probability
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, psi_prime_spec, psi_spec, random_spec,
 )
+from eprghz import extraction
 from eprghz.extraction import (
     _flat_outcome, asymptotic_rates, block_measurement_povm,
     entropy_consistency, expected_yields, run_extraction,
@@ -131,7 +132,9 @@ def test_expected_yields_validation():
 # -- block measurement POVM ----------------------------------------------------
 
 def test_block_povm_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError, match=(
+            "^block measurement of 22 copies on party 0 needs 4194304 "
+            "labels, budget is 4000000 labels$")):
         block_measurement_povm(psi_spec(0.6, 0.8), 22)   # 2^22 labels
 
 
@@ -141,7 +144,7 @@ def test_run_extraction_explicit_statistics():
     spec = psi_spec(0.6, 0.8)
     trials = 4000
     report, transcript = run_extraction(spec, 2, trials, seed=11)
-    assert report.trials == trials and len(transcript) == trials
+    assert report.trials == trials and len(transcript.entries) == trials
     se = math.sqrt(N2_EPR_VAR / trials)
     assert abs(report.epr_per_copy[(1, 2)] - N2_EPR) < 4 * se
     se = math.sqrt(N2_GHZ_VAR / trials)
@@ -201,6 +204,26 @@ def test_run_extraction_validation():
         run_extraction(psi_spec(0.6, 0.8), 2, 0, seed=0)
     with pytest.raises(BudgetError):
         run_extraction(psi_spec(0.6, 0.8), 16, 1, seed=0)   # 3^16 support
+
+
+@pytest.mark.parametrize("spec, n, message", [
+    # 4**11 terms fit; party A's 4**11 labels do not
+    (StateSpec(3, (CanonicalComponent(math.sqrt(0.5), (0, 1)),
+                   CanonicalComponent(math.sqrt(0.5), (0, 2)))), 11,
+     "^block measurement of 11 copies on party 0 needs 4194304 labels, "
+     "budget is 4000000 labels$"),
+    (psi_spec(0.6, 0.8), 15, "^the 15-copy power of a 3-term state needs "
+     "14348907 terms, budget is 10000000 terms$"),
+])
+def test_explicit_extraction_refuses_before_building(monkeypatch, spec, n,
+                                                     message):
+    def unbuilt(*args):
+        raise AssertionError("the N-copy state was built")
+
+    monkeypatch.setattr(extraction, "copies", unbuilt)
+    monkeypatch.setattr(extraction, "psi_general", unbuilt)
+    with pytest.raises(BudgetError, match=message):
+        run_extraction(spec, n, 1, seed=1)
 
 
 # -- entropy consistency -------------------------------------------------------

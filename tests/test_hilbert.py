@@ -1,9 +1,12 @@
 """Sparse state container, tensor alignment, and entropy measures."""
 
+import ast
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprghz.hilbert import (
-    EXPLICIT_BUDGET, NORM_TOL, PRUNE_EPS, DensityMatrix, PureState,
-    _has_repeats, _row_codes, _unique_rows, amplitude_distance,
+    _BUDGETS, NORM_TOL, PRUNE_EPS, BudgetError, DensityMatrix, PureState,
+    _check_budget, _has_repeats, _row_codes, _unique_rows, amplitude_distance,
     entanglement_entropy, entropy, inner, reduced_density, relabel,
     squared_norm, states_equal, tensor,
 )
@@ -236,9 +239,9 @@ def test_inner_conjugate_symmetry(seed):
 def test_reduced_density_psi():
     rho = reduced_density(psi(0.6, 0.8), (0,))
     rho.validate()
-    assert np.allclose(sorted(rho.eigenvalues()), [0.36, 0.64])
+    assert np.allclose(sorted(np.linalg.eigvalsh(rho.matrix)), [0.36, 0.64])
     rho_b = reduced_density(psi(0.6, 0.8), (1,))
-    assert np.allclose(sorted(rho_b.eigenvalues()), [0.32, 0.32, 0.36])
+    assert np.allclose(sorted(np.linalg.eigvalsh(rho_b.matrix)), [0.32, 0.32, 0.36])
 
 
 def test_reduced_density_errors():
@@ -490,5 +493,71 @@ def test_amplitude_distance_near_tie_picks_the_smallest_label():
 
 
 def test_budget_constant_sane():
-    assert EXPLICIT_BUDGET == 10**7
+    assert {k: v for k, v in _BUDGETS.items() if not callable(v)} == {
+        "explicit terms": 10**7, "explicit copies": 63, "block rows": 200_000,
+        "projector labels": 4_000_000, "bulk entries": 10**8,
+        "density rows": 4096}
+    assert _BUDGETS["multiplicity digits"]() == sys.get_int_max_str_digits()
     assert NORM_TOL == 1e-9
+
+
+def test_check_budget_boundaries():
+    """At the limit passes and returns the need; one over is refused with
+    the exact amount; far over is refused from log2 alone, unformed."""
+    def unformed():
+        raise AssertionError("the exact need was formed")
+
+    assert _check_budget("x", "block rows", 200_000) == 200_000
+    assert _check_budget("x", "block rows", lambda: 7, 2.0) == 7
+    with pytest.raises(BudgetError, match=(
+            "^x needs 200001 rows, budget is 200000 rows$")):
+        _check_budget("x", "block rows", 200_001)
+    with pytest.raises(BudgetError, match=(
+            r"^x needs at least 2\*\*1e\+40 rows, budget is 200000 rows$")):
+        _check_budget("x", "block rows", unformed, 1e40)
+
+
+def _src_trees():
+    src = Path(__file__).resolve().parents[1] / "src" / "eprghz"
+    return {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+
+
+def _folded_ints(node):
+    """(node, value) for each largest int-valued expression of literals,
+    so that 10**7 is found as well as 10_000_000 (but not the 63 of
+    2**63 - 1)."""
+    if isinstance(node, (ast.Constant, ast.BinOp)) and all(
+            isinstance(x, (ast.Constant, ast.BinOp, ast.operator))
+            for x in ast.walk(node)):
+        value = eval(compile(ast.Expression(node), "<src>", "eval"))
+        if type(value) is int:
+            yield node, value
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _folded_ints(child)
+
+
+def test_every_budget_lives_in_the_one_table():
+    """One ``raise BudgetError`` in the package, and no budget's value or
+    name outside the table."""
+    raises, strays = [], []
+    limits = {v for v in _BUDGETS.values() if not callable(v)}
+    for name, tree in _src_trees().items():
+        table = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and isinstance(
+                    node.targets[0], ast.Name) and node.targets[0].id
+                    == "_BUDGETS"):
+                table = {id(x) for x in ast.walk(node)}
+            elif isinstance(node, ast.Assign):
+                strays += [f"{name}: {t.id}" for t in node.targets
+                           if isinstance(t, ast.Name)
+                           and "BUDGET" in t.id.upper()]
+        strays += [f"{name}:{node.lineno}: {value}"
+                   for node, value in _folded_ints(tree)
+                   if value in limits and id(node) not in table]
+        raises += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Raise) and "BudgetError" in
+                   ast.unparse(node.exc).split("(")[0]]
+    assert len(raises) == 1 and raises[0].startswith("hilbert.py:")
+    assert strays == []

@@ -260,8 +260,8 @@ def test_transcript_format():
     lines = text.splitlines()
     assert lines[0] == "step\tparty\toutcome\tprobability"
     assert lines[1] == "weighting\t0\t3\t0.25"
-    assert len(t) == 2
-    assert t.branch_probability() == pytest.approx(0.125)
+    assert len(t.entries) == 2
+    assert math.prod(e.probability for e in t.entries) == pytest.approx(0.125)
 
 
 def test_transcript_rejects_bad_probability():

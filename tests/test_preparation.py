@@ -13,8 +13,8 @@ from eprghz.blocks import block_probability
 from eprghz.canonical import copies, level_epr, level_ghz, psi, psi_spec
 from eprghz.extraction import block_measurement_povm
 from eprghz.hilbert import (
-    EXPLICIT_BUDGET, BudgetError, PureState, amplitude_distance, inner,
-    relabel, states_equal, tensor,
+    _BUDGETS, BudgetError, PureState, amplitude_distance, inner, relabel,
+    states_equal, tensor,
 )
 from eprghz.locc import (
     ImpossibleOutcomeError, Povm, Transcript, apply_element, apply_operator,
@@ -232,8 +232,11 @@ def test_weighting_povm_budget():
     # element is built; prepare -N 8 needs t = 247
     povm, _ = ghz_weighting_povm(np.full(247, 1 / math.sqrt(247)))
     assert len(povm.elements) == 247
-    t = math.isqrt(EXPLICIT_BUDGET) + 1
-    with pytest.raises(BudgetError, match=f"{t * t} diagonal entries"):
+    t = math.isqrt(_BUDGETS["explicit terms"]) + 1
+    assert t == 3163
+    with pytest.raises(BudgetError, match=(
+            "^weighting POVM of 3163 rows x 3163 diagonal entries needs "
+            "10004569 terms, budget is 10000000 terms$")):
         ghz_weighting_povm(np.full(t, 1 / math.sqrt(t)))
 
 
@@ -345,7 +348,8 @@ def test_prepare_exact_n2_transcript_shape():
     assert steps == ["weighting", "shorten_row0", "shorten_row1",
                      "shorten_row2", "shorten_row3"]
     # 1/4 weighting, rows shortened by factors (1, 2, 2, 4)
-    assert transcript.branch_probability() == pytest.approx(1 / 64)
+    assert math.prod(e.probability for e in transcript.entries) == \
+        pytest.approx(1 / 64)
 
 
 def test_prepare_exact_n2_needs_normalized_amplitudes():
@@ -401,7 +405,7 @@ def test_window_budgets_keep_the_exact_decision():
                 for shift in (lambda k: n - k, lambda k: n - k_minus):
                     exact = sum(math.comb(n, k) * 2**shift(k)
                                 for k in range(k_minus, k_plus + 1))
-                    if exact > EXPLICIT_BUDGET:
+                    if exact > _BUDGETS["explicit terms"]:
                         with pytest.raises(BudgetError):
                             _window_terms("w", n, k_minus, k_plus, shift)
                     else:
@@ -413,8 +417,8 @@ def test_huge_windows_are_refused_from_an_estimate():
     n = 10**12
     for call in (lambda: build_target(n, 0.6, 0.8, (0, n)),
                  lambda: prepare_approx(n, 0.6, 0.8, window=(0, n))):
-        with pytest.raises(BudgetError, match=r"needs 2\*\*\S+ terms or more, "
-                           f"budget is {EXPLICIT_BUDGET}"):
+        with pytest.raises(BudgetError, match=r"needs at least 2\*\*\S+ terms, "
+                           r"budget is 10000000 terms$"):
             call()
 
 
@@ -475,7 +479,8 @@ def test_protocol_applies_only_the_drawn_element(monkeypatch):
                  "permutation_operator"):
         monkeypatch.setattr(locc, name, forbidden)
     state, transcript, _ = prepare_approx(4, 0.6, 0.8, seed=3)
-    assert calls == {"apply": len(transcript), "complete": len(transcript)}
+    assert calls == {"apply": len(transcript.entries),
+                     "complete": len(transcript.entries)}
     assert amplitude_distance(
         state, build_target(4, 0.6, 0.8, target_window(4, 0.36))) < 1e-9
 
