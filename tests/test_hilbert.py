@@ -557,7 +557,7 @@ def test_every_budget_lives_in_the_one_table():
                    for node, value in _folded_ints(tree)
                    if value in limits and id(node) not in table]
         raises += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                   if isinstance(node, ast.Raise) and "BudgetError" in
-                   ast.unparse(node.exc).split("(")[0]]
+                   if isinstance(node, ast.Raise) and node.exc is not None
+                   and "BudgetError" in ast.unparse(node.exc).split("(")[0]]
     assert len(raises) == 1 and raises[0].startswith("hilbert.py:")
     assert strays == []
