@@ -138,6 +138,8 @@ class StateSpec:
         object.__setattr__(self, "party_count", int(self.party_count))
         if self.party_count < 2:
             raise ValueError("need at least 2 parties")
+        _check_budget("the state specification", "state parties",
+                      self.party_count)
         if not comps:
             raise ValueError("spec has no nonzero components")
         for c in comps:

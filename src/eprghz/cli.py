@@ -160,7 +160,8 @@ def cmd_extract(args) -> int:
 def cmd_prepare(args) -> int:
     c0, c1 = _renormalize(args.psi)
     n = args.n
-    branches = args.trials if args.trials > 0 else 1
+    branches = _check_budget("preparation", "sampling trials",
+                             args.trials if args.trials > 0 else 1)
     seed0 = 0 if args.seed is None else args.seed
     window = ((0, 2) if n == 2
               else target_window(n, c0 * c0, args.alpha, args.beta))
@@ -172,9 +173,9 @@ def cmd_prepare(args) -> int:
         state, transcript, resources = prepare_approx(n, c0, c1, seed=ss,
                                                       window=window)
         worst = max(worst, amplitude_distance(state, target))
-        for e in transcript.entries:
-            combined.add(f"branch{i}.{e.step}", e.party, e.outcome,
-                         e.probability)
+        combined.extend([f"branch{i}.{s}" for s in transcript.steps],
+                        transcript.parties, transcript.outcomes,
+                        transcript.probabilities)
     ok = worst <= 1e-9
     f = fidelity(n, c0 * c0, window)
     row = (n, branches, worst, resources.epr_per_subset[(1, 2)],

@@ -20,8 +20,9 @@ import numpy as np
 from .hilbert import (BudgetError, _check_budget, _unique_rows,
                       entanglement_entropy, entropy, states_equal)
 from .canonical import StateSpec, _check_copies, copies, psi_general
-from .locc import (Povm, Transcript, _draw, apply_element, as_generator,
-                   diagonal_operator, outcome_probabilities, trial_seeds)
+from .locc import (Povm, Transcript, apply_element, as_generator,
+                   diagonal_operator, outcome_probabilities, trial_seeds,
+                   trial_uniforms)
 from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
                      _block_yield_table, _check_count,
                      _log2_block_probabilities,
@@ -194,41 +195,44 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
 
     Explicit mode builds the N-copy state and measures it; analytic mode
     draws block indices from the multinomial law directly (identical
-    statistics at any N). Each trial uses its own sub-seed.
+    statistics at any N). Each trial uses its own sub-seed: explicit mode
+    reads the first uniform of every trial's stream at once
+    (``trial_uniforms``) and draws all outcomes in one ``searchsorted``.
     """
     n, trials = int(n), int(trials)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    _check_budget("extraction", "sampling trials", trials)
     csq = spec.squared_coefficients()
     full = tuple(range(spec.party_count))
     subsets = sorted({c.support for c in spec.components
                       if len(c.support) >= 2 and c.support != full})
-    seeds = trial_seeds(seed, trials)
-    transcript = Transcript()
 
     if analytic:
         counts = np.array([as_generator(ss).multinomial(n, csq)
-                           for ss in seeds])
+                           for ss in trial_seeds(seed, trials)])
         picks = np.arange(trials)
         lmult = log2_multinomial(counts)
         logp = _log2_block_probabilities(counts, lmult, csq)
-        for t, (row, lp) in enumerate(zip(counts.tolist(), logp.tolist())):
-            transcript.add(f"trial{t}", party, _flat_outcome(tuple(row)),
-                           2.0 ** lp)
+        outcomes = [_flat_outcome(tuple(row)) for row in counts.tolist()]
+        outcome_probs = [2.0 ** lp for lp in logp.tolist()]
     else:
+        u = trial_uniforms(seed, trials)
         _check_copies(sum(c.terms for c in spec.components), n)
         povm, counts = block_measurement_povm(spec, n, party)
         state = copies(psi_general(spec), n)
         probs = outcome_probabilities(state, povm)
         if verify_blocks:
             _verify_psi_blocks(spec, state, povm, counts, probs)
+        # locc._draw's arithmetic, one uniform per trial
         cum = np.cumsum(probs)
+        picks = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
+                           len(cum) - 1)
         lmult = log2_multinomial(counts)
-        picks = []
-        for t, ss in enumerate(seeds):
-            o = _draw(cum, as_generator(ss))
-            picks.append(o)
-            transcript.add(f"trial{t}", party, o, float(probs[o]))
+        outcomes, outcome_probs = picks, probs[picks]
+    transcript = Transcript()
+    transcript.extend([f"trial{t}" for t in range(trials)], party, outcomes,
+                      outcome_probs)
     # yields per row of ``counts``; ``picks`` selects each trial's row
     yields = _block_yield_table(counts, lmult, spec)
     samples = {s: v[picks] / n for s, v in yields.items()}

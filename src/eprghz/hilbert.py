@@ -24,11 +24,13 @@ INT64_MAX = 2**63 - 1
 
 # every resource limit, keyed "<scope> <unit>". An explicit label of N
 # copies has N digits, and int64 holds 63 binary ones; the digit limit is
-# Python's int-to-str limit, read at each check (0: none)
+# Python's int-to-str limit, read at each check (0: none). Tables name
+# parties by the letters A to Z
 _BUDGETS = {"explicit terms": 10**7, "explicit copies": 63,
             "block rows": 200_000, "projector labels": 4_000_000,
             "bulk entries": 10**8, "density rows": 4096,
-            "multiplicity digits": getattr(sys, "get_int_max_str_digits", int)}
+            "multiplicity digits": getattr(sys, "get_int_max_str_digits", int),
+            "sampling trials": 10**6, "state parties": 26}
 
 
 class BudgetError(RuntimeError):

@@ -188,24 +188,66 @@ class TranscriptEntry:
         if not -NORM_TOL <= self.probability <= 1.0 + NORM_TOL:
             raise ValueError(f"probability {self.probability} outside [0,1]")
 
-    def to_line(self) -> str:
-        return f"{self.step}\t{self.party}\t{self.outcome}\t{self.probability:.17g}"
+
+def _ints(values) -> list[int]:
+    """Python ints of an integer array or of any iterable (outcome ids of
+    many components can pass int64)."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.int64, copy=False).tolist()
+    return [int(v) for v in values]
 
 
 @dataclass
 class Transcript:
-    """Ordered record of measurement outcomes along one protocol branch."""
+    """Ordered record of measurement outcomes along one protocol branch,
+    held as four columns; ``entries`` forms the rows when read."""
 
-    entries: list[TranscriptEntry] = field(default_factory=list)
+    steps: list[str] = field(default_factory=list)
+    parties: list[int] = field(default_factory=list)
+    outcomes: list[int] = field(default_factory=list)
+    probabilities: list[float] = field(default_factory=list)
 
     def add(self, step: str, party: int, outcome: int,
             probability: float) -> TranscriptEntry:
-        self.entries.append(TranscriptEntry(step, party, outcome, probability))
-        return self.entries[-1]
+        e = TranscriptEntry(step, party, outcome, probability)
+        self.steps.append(e.step)
+        self.parties.append(e.party)
+        self.outcomes.append(e.outcome)
+        self.probabilities.append(e.probability)
+        return e
+
+    def extend(self, steps, parties, outcomes, probabilities) -> None:
+        """Append many rows; ``parties`` may be one party for all of them.
+        The probabilities are range-checked as one array, as ``add``
+        checks one."""
+        steps = [str(s) for s in steps]
+        probs = np.asarray(probabilities, dtype=float)
+        outcomes = _ints(outcomes)
+        parties = (_ints(parties) if np.ndim(parties)
+                   else [int(parties)] * len(steps))
+        if not len(steps) == len(parties) == len(outcomes) == len(probs):
+            raise ValueError("transcript columns differ in length")
+        bad = ~((probs >= -NORM_TOL) & (probs <= 1.0 + NORM_TOL))
+        if bad.any():
+            raise ValueError(f"probability {float(probs[bad][0])} "
+                             "outside [0,1]")
+        self.steps += steps
+        self.parties += parties
+        self.outcomes += outcomes
+        self.probabilities += probs.tolist()
+
+    @property
+    def entries(self) -> list[TranscriptEntry]:
+        return [TranscriptEntry(*row) for row in zip(
+            self.steps, self.parties, self.outcomes, self.probabilities)]
 
     def to_text(self) -> str:
-        header = "step\tparty\toutcome\tprobability"
-        return "\n".join([header] + [e.to_line() for e in self.entries]) + "\n"
+        """One tab-separated line per row under a header; %.17g spells a
+        float as format(x, ".17g") does."""
+        rows = zip(self.steps, self.parties, self.outcomes,
+                   self.probabilities)
+        return ("step\tparty\toutcome\tprobability\n"
+                + "".join("%s\t%d\t%d\t%.17g\n" % row for row in rows))
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -220,6 +262,117 @@ def as_generator(rng) -> np.random.Generator:
 def trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
     """Independent per-trial sub-seeds from one root seed."""
     return np.random.SeedSequence(int(seed)).spawn(int(trials))
+
+
+# numpy's SeedSequence hash and mix constants (bit_generator.pyx) and the
+# 128-bit PCG multiplier of its PCG64 (pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+# trial_uniforms forms at most _TRIAL_CHUNK trials' states at a time
+_TRIAL_CHUNK = 2**16
+
+
+def _hashmix(value: np.ndarray, const: int,
+             mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words, and the advanced constant
+    (``generate_state`` hashes the same way with ``_MULT_B``)."""
+    nxt = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(nxt)
+    return value ^ (value >> np.uint32(16)), nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _mix_in(pool: list, word, const: int) -> int:
+    """Mix one entropy word into each pool word; the advanced constant."""
+    for dst in range(len(pool)):
+        h, const = _hashmix(word, const)
+        pool[dst] = _mix(pool[dst], h)
+    return const
+
+
+def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each uint64 ``a`` times the constant ``b``."""
+    a0, a1 = a & np.uint64(_MASK32), a >> np.uint64(32)
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
+    mid = ((low >> np.uint64(32)) + (cross0 & np.uint64(_MASK32))
+           + (cross1 & np.uint64(_MASK32)))
+    return (a1 * b1 + (cross0 >> np.uint64(32)) + (cross1 >> np.uint64(32))
+            + (mid >> np.uint64(32)))
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on (high, low)
+    uint64 halves."""
+    hi = (_mul_hi64(lo, _PCG_LO) + lo * np.uint64(_PCG_HI)
+          + hi * np.uint64(_PCG_LO))
+    prod = lo * np.uint64(_PCG_LO)
+    lo = prod + inc_lo
+    return hi + inc_hi + (lo < prod), lo
+
+
+def trial_uniforms(seed: int, trials: int) -> np.ndarray:
+    """First uniform double of each trial's stream, in bulk: entry t is
+    bit-equal to ``as_generator(trial_seeds(seed, trials)[t]).random()``.
+
+    Trial t's SeedSequence mixes the root's entropy words (padded to 4)
+    and then its spawn key word t into a pool of 4 uint32 words; the
+    pool up to the last word is the same for every trial. The pool gives
+    4 uint64 words by ``generate_state``, which seed PCG64 (XSL-RR, 128
+    bits): state 0 and inc 2*seq + 1, a step, the seed added, a step. One
+    more step gives the output x, and the double is (x >> 11) * 2**-53.
+    """
+    trials = int(trials)
+    if not 0 <= trials <= 2**32:
+        raise ValueError(f"need 0 <= trials <= 2**32, got {trials}")
+    root = np.random.SeedSequence(int(seed)).entropy
+    words = [root >> s & _MASK32 for s in range(0, max(root.bit_length(), 1),
+                                                 32)]
+    words += [0] * (4 - len(words))
+    const, pool = _INIT_A, []
+    for w in words[:4]:
+        h, const = _hashmix(np.array([w], dtype=np.uint32), const)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[4:]:
+        const = _mix_in(pool, np.array([w], dtype=np.uint32), const)
+
+    out = np.empty(trials)
+    for start in range(0, trials, _TRIAL_CHUNK):
+        t = np.arange(start, min(start + _TRIAL_CHUNK, trials),
+                      dtype=np.uint32)
+        mixed = list(pool)
+        _mix_in(mixed, t, const)
+        # generate_state(4, uint64): 8 words cycling over the pool, paired
+        # little-endian
+        state, c = [], _INIT_B
+        for i in range(8):
+            v, c = _hashmix(mixed[i % 4], c, _MULT_B)
+            state.append(v.astype(np.uint64))
+        s0, s1, q0, q1 = (state[2 * j] | state[2 * j + 1] << np.uint64(32)
+                          for j in range(4))
+        inc_hi = q0 << np.uint64(1) | (q1 >= np.uint64(2**63))  # carry
+        inc_lo = q1 << np.uint64(1) | np.uint64(1)
+        lo = inc_lo + s1
+        hi = inc_hi + s0 + (lo < inc_lo)
+        for _ in range(2):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        rot = hi >> np.uint64(58)
+        x = hi ^ lo
+        x = x >> rot | x << ((np.uint64(64) - rot) % np.uint64(64))
+        out[start:start + len(t)] = (x >> np.uint64(11)) * 2.0**-53
+    return out
 
 
 def outcome_probabilities(s: PureState, p: Povm) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprghz import cli, preparation
+from eprghz import cli, extraction, preparation
 from eprghz.blocks import block_probability, multinomial_exact
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
@@ -19,6 +19,9 @@ from eprghz.extraction import expected_yields
 from eprghz.locc import Povm, diagonal_operator
 from eprghz.preparation import fidelity, fidelity_bound
 from eprghz.canonical import psi_spec
+
+
+LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def run(capsys, *argv):
@@ -448,6 +451,49 @@ def test_verify_blocks_max_n_budget_boundary(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_block_equivalence", lambda n, k: True)
     assert run(capsys, "verify", "--blocks-max-n", "14")[0] == EXIT_OK
     assert run(capsys, "verify", "--blocks-max-n", "15")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, scope, flags", [
+    ("extract", "extraction", ("--psi", "0.6", "0.8", "--analytic")),
+    ("prepare", "preparation", ("--psi", "0.6", "0.8")),
+])
+def test_trial_budget_refuses_before_any_seed(capsys, monkeypatch, command,
+                                              scope, flags):
+    """A trial count over the budget is one line and exit 2, with no seed
+    spawned; at the budget the request goes on to spawn them."""
+    class Reached(Exception):
+        pass
+
+    def seeds(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "trial_seeds", seeds)
+    monkeypatch.setattr(extraction, "trial_seeds", seeds)
+    code, out, err = run(capsys, command, *flags, "-N", "2", "--trials",
+                         "100000000", "--seed", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: {scope} needs 100000000 trials, budget is "
+                   "1000000 trials\n")
+    with pytest.raises(Reached):
+        main([command, *flags, "-N", "2", "--trials", "1000000", "--seed",
+              "1"])
+
+
+@pytest.mark.parametrize("m", [26, 27, 10**9])
+def test_party_budget(capsys, tmp_path, m):
+    """A spec names at most 26 parties, A to Z; more are refused before
+    any per-party tuple is built."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"m": m, "components": [
+        {"c": 0.6, "support": [0]}, {"c": 0.8, "support": [0, m - 1]}]}))
+    code, out, err = run(capsys, "rates", "--spec", str(path))
+    if m == 26:
+        assert (code, err) == (EXIT_OK, "")
+        assert [r["subset"] for r in rows_of(out)] == ["AZ", LETTERS]
+    else:
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"error: the state specification needs {m} parties, "
+                       "budget is 26 parties\n")
 
 
 def test_skewed_stage_law_exits_1(capsys, monkeypatch):

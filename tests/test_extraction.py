@@ -8,7 +8,8 @@ from conftest import block_counts_oracle
 
 from eprghz.blocks import block_probability
 from eprghz.canonical import (
-    CanonicalComponent, StateSpec, psi_prime_spec, psi_spec, random_spec,
+    CanonicalComponent, StateSpec, copies, psi_general, psi_prime_spec,
+    psi_spec, random_spec,
 )
 from eprghz import extraction
 from eprghz.extraction import (
@@ -16,6 +17,8 @@ from eprghz.extraction import (
     entropy_consistency, expected_yields, run_extraction,
 )
 from eprghz.hilbert import BudgetError, entropy
+from eprghz.locc import (_draw, as_generator, outcome_probabilities,
+                         trial_seeds)
 
 HALF = math.sqrt(0.5)
 FULL3 = (0, 1, 2)
@@ -226,6 +229,42 @@ def test_explicit_extraction_refuses_before_building(monkeypatch, spec, n,
         run_extraction(spec, n, 1, seed=1)
 
 
+def test_explicit_draws_equal_the_per_trial_generator_loop():
+    """All trials drawn at once pick what one Generator per trial and
+    ``locc._draw`` pick, kept here as the oracle, at a seed of several
+    words and 2**16 + 1 trials (past the kernel's chunk edge)."""
+    spec = psi_prime_spec(0.6, 0.5, 0.4, 0.4795831523312719)
+    n, trials, seed = 3, 2**16 + 1, 2**64 + 7
+    povm, _ = block_measurement_povm(spec, n)
+    probs = outcome_probabilities(copies(psi_general(spec), n), povm)
+    cum = np.cumsum(probs)
+    want = [_draw(cum, as_generator(ss)) for ss in trial_seeds(seed, trials)]
+    _, transcript = run_extraction(spec, n, trials, seed)
+    assert transcript.outcomes == want
+    assert transcript.probabilities == [float(probs[o]) for o in want]
+    assert transcript.steps == [f"trial{t}" for t in range(trials)]
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_trial_budget_is_checked_before_any_seed(monkeypatch, analytic):
+    """10**6 trials pass the check and reach the seeds (stubbed to stop
+    there); one more is refused before any seed is formed."""
+    class Reached(Exception):
+        pass
+
+    def seeds(*args):
+        raise Reached
+
+    monkeypatch.setattr(extraction, "trial_seeds", seeds)
+    monkeypatch.setattr(extraction, "trial_uniforms", seeds)
+    spec = psi_spec(0.6, 0.8)
+    with pytest.raises(Reached):
+        run_extraction(spec, 2, 10**6, seed=1, analytic=analytic)
+    with pytest.raises(BudgetError, match="^extraction needs 1000001 trials, "
+                       "budget is 1000000 trials$"):
+        run_extraction(spec, 2, 10**6 + 1, seed=1, analytic=analytic)
+
+
 # -- entropy consistency -------------------------------------------------------
 
 def test_entropy_consistency_named_states():
@@ -286,7 +325,6 @@ def test_analytic_stderr_against_mpmath():
     # sqrt(N): the variances are formed from count differences, so they
     # hold to far more digits than the 1e-12 the yields themselves allow
     mpmath = pytest.importorskip("mpmath")
-    from eprghz.locc import as_generator, trial_seeds
     n, trials, seed = 10**6, 20, 1
     spec = psi_prime_spec(0.6, 0.5, 0.4, math.sqrt(1 - 0.36 - 0.25 - 0.16))
     report, _ = run_extraction(spec, n, trials, seed, analytic=True)

@@ -496,7 +496,7 @@ def test_budget_constant_sane():
     assert {k: v for k, v in _BUDGETS.items() if not callable(v)} == {
         "explicit terms": 10**7, "explicit copies": 63, "block rows": 200_000,
         "projector labels": 4_000_000, "bulk entries": 10**8,
-        "density rows": 4096}
+        "density rows": 4096, "sampling trials": 10**6, "state parties": 26}
     assert _BUDGETS["multiplicity digits"]() == sys.get_int_max_str_digits()
     assert NORM_TOL == 1e-9
 

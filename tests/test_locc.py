@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import terms
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprghz.canonical import (CanonicalComponent, StateSpec, copies, psi,
@@ -17,7 +17,7 @@ from eprghz.locc import (
     _shared_density, apply_element,
     apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
-    permutation_operator, sample, trial_seeds,
+    permutation_operator, sample, trial_seeds, trial_uniforms,
 )
 from eprghz.preparation import ghz_weighting_povm, row_shorten_povm
 
@@ -272,6 +272,45 @@ def test_transcript_rejects_bad_probability():
         t.add("m", 0, 0, -0.2)
 
 
+def _transcript_by_entries(rows) -> Transcript:
+    t = Transcript()
+    for row in rows:
+        t.add(*row)
+    return t
+
+
+def test_bulk_transcript_equals_the_entry_by_entry_one():
+    """``extend`` of columns gives the columns, ``entries`` and text that
+    one ``add`` per row gives; the text is checked against each entry's
+    own spelling, one f-string line per entry."""
+    rows = [("trial0", 0, 3, 0.25), ("trial1", 0, 2**70, 1.0),
+            ("trial2", 0, 0, 5e-324), ("b0.w", 2, 1, 1.0 + 1e-10),
+            ("b0.w", 1, 7, -1e-10), ("x", 0, 1, 0.1 + 0.2)]
+    steps, parties, outcomes, probs = map(list, zip(*rows))
+    bulk = Transcript()
+    # one party for all rows, an outcome past int64, numpy columns
+    bulk.extend(steps[:3], 0, outcomes[:3], np.array(probs[:3]))
+    bulk.extend(steps[3:], np.array(parties[3:]), np.array(outcomes[3:]),
+                probs[3:])
+    one = _transcript_by_entries(rows)
+    assert bulk == one and bulk.entries == one.entries
+    lines = [f"{e.step}\t{e.party}\t{e.outcome}\t{e.probability:.17g}"
+             for e in one.entries]
+    text = "\n".join(["step\tparty\toutcome\tprobability"] + lines) + "\n"
+    assert bulk.to_text() == one.to_text() == text
+    assert Transcript().to_text() == "step\tparty\toutcome\tprobability\n"
+
+
+def test_bulk_transcript_rejects_bad_rows():
+    t = Transcript()
+    for bad in (1.5, float("nan"), -0.2):
+        with pytest.raises(ValueError, match=f"^probability {bad} outside"):
+            t.extend(["a", "b"], 0, [0, 1], [0.5, bad])
+    with pytest.raises(ValueError, match="differ in length"):
+        t.extend(["a", "b"], 0, [0], [0.5, 0.5])
+    assert t == Transcript()
+
+
 def test_transcript_entry_validates_itself():
     with pytest.raises(ValueError):
         TranscriptEntry("s", 0, 0, 1.5)
@@ -291,6 +330,35 @@ def test_as_generator_accepts_all_forms():
     assert g1.random() == g2.random()
     gen = np.random.default_rng(1)
     assert as_generator(gen) is gen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from([0, 2**32 - 1]),
+                 st.integers(0, 2**32).map(lambda k: 2**64 + k),
+                 st.integers(0, 2**32).map(lambda k: 2**200 + k),
+                 st.integers(0, 2**160)),
+       st.integers(1, 9))
+@example(0, 1)
+@example(2**32 - 1, 2**16)
+@example(2**64 + 7, 2**16 + 1)
+@example(2**200 + 3, 2**16 + 1)
+def test_trial_uniforms_equal_each_trial_streams_first_double(seed, trials):
+    """The bulk kernel against numpy itself: one Generator per spawned
+    SeedSequence. 2**16 + 1 trials cross the kernel's chunk edge."""
+    want = np.array([as_generator(ss).random()
+                     for ss in trial_seeds(seed, trials)])
+    got = trial_uniforms(seed, trials)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_trial_uniforms_refuse_a_bad_seed_as_numpy_does():
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence(-3)
+    with pytest.raises(ValueError) as kernel_error:
+        trial_uniforms(-3, 4)
+    assert str(kernel_error.value) == str(numpy_error.value)
+    assert trial_uniforms(5, 0).shape == (0,)
 
 
 def test_trial_seeds_deterministic_and_distinct():
