@@ -272,13 +272,6 @@ def test_transcript_rejects_bad_probability():
         t.add("m", 0, 0, -0.2)
 
 
-def _transcript_by_entries(rows) -> Transcript:
-    t = Transcript()
-    for row in rows:
-        t.add(*row)
-    return t
-
-
 def test_bulk_transcript_equals_the_entry_by_entry_one():
     """``extend`` of columns gives the columns, ``entries`` and text that
     one ``add`` per row gives; the text is checked against each entry's
@@ -292,7 +285,9 @@ def test_bulk_transcript_equals_the_entry_by_entry_one():
     bulk.extend(steps[:3], 0, outcomes[:3], np.array(probs[:3]))
     bulk.extend(steps[3:], np.array(parties[3:]), np.array(outcomes[3:]),
                 probs[3:])
-    one = _transcript_by_entries(rows)
+    one = Transcript()
+    for row in rows:
+        one.add(*row)
     assert bulk == one and bulk.entries == one.entries
     lines = [f"{e.step}\t{e.party}\t{e.outcome}\t{e.probability:.17g}"
              for e in one.entries]
