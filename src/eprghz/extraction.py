@@ -17,12 +17,11 @@ from decimal import Context, Decimal
 
 import numpy as np
 
-from .hilbert import (BudgetError, _check_budget, _unique_rows,
+from .hilbert import (BudgetError, PureState, _check_budget, _unique_rows,
                       entanglement_entropy, entropy, states_equal)
 from .canonical import StateSpec, _check_copies, copies, psi_general
-from .locc import (Povm, Transcript, apply_element, as_generator,
-                   diagonal_operator, outcome_probabilities, trial_seeds,
-                   trial_uniforms)
+from .locc import (Povm, Transcript, as_generator, diagonal_operator,
+                   projective_probabilities, trial_seeds, trial_uniforms)
 from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
                      _block_yield_table, _check_count,
                      _log2_block_probabilities,
@@ -168,10 +167,11 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
     return acc2, ghz2
 
 
-def block_measurement_povm(spec: StateSpec, n: int,
-                           party: int = 0) -> tuple[Povm, np.ndarray]:
-    """Projective measurement onto block subspaces via one party's labels,
-    and the count vector of each outcome as the rows of an int64 matrix.
+def block_outcomes(spec: StateSpec, n: int,
+                   party: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The block measurement as data: the count vector of each outcome as
+    the rows of an int64 matrix, and the outcome of each of ``party``'s
+    N-copy labels.
 
     Any party works: component label ranges are disjoint on every party,
     so each local label sequence identifies the block. Outcomes follow the
@@ -180,21 +180,28 @@ def block_measurement_povm(spec: StateSpec, n: int,
     d = spec.local_dims()[party]
     _check_budget(f"block measurement of {n} copies on party {party}",
                   "projector labels", lambda: d**n, n * math.log2(d))
-    counts = classify_copies_label(spec, party, np.arange(d**n), n)
-    rows, block_of = _unique_rows(counts)
+    return _unique_rows(classify_copies_label(spec, party, np.arange(d**n),
+                                              n))
+
+
+def block_measurement_povm(spec: StateSpec, n: int,
+                           party: int = 0) -> tuple[Povm, np.ndarray]:
+    """``block_outcomes`` expanded into one 0/1 diagonal per outcome, and
+    the count matrix."""
+    counts, block_of = block_outcomes(spec, n, party)
     elements = [diagonal_operator(party, block_of == j)
-                for j in range(len(rows))]
-    return Povm(party, tuple(elements)), rows
+                for j in range(len(counts))]
+    return Povm(party, tuple(elements)), counts
 
 
 def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
-                   analytic: bool = False, party: int = 0,
-                   verify_blocks: bool = False
+                   analytic: bool = False, verify_blocks: bool = False
                    ) -> tuple[YieldReport, Transcript]:
     """Sample the block measurement ``trials`` times and account the yields.
 
-    Explicit mode builds the N-copy state and measures it; analytic mode
-    draws block indices from the multinomial law directly (identical
+    Explicit mode builds the N-copy state and measures it on party 0's
+    labels (``block_outcomes``, no POVM is built); analytic mode draws
+    block indices from the multinomial law directly (identical
     statistics at any N). Each trial uses its own sub-seed: explicit mode
     reads the first uniform of every trial's stream at once
     (``trial_uniforms``) and draws all outcomes in one ``searchsorted``.
@@ -219,19 +226,19 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
     else:
         u = trial_uniforms(seed, trials)
         _check_copies(sum(c.terms for c in spec.components), n)
-        povm, counts = block_measurement_povm(spec, n, party)
+        counts, block_of = block_outcomes(spec, n)
         state = copies(psi_general(spec), n)
-        probs = outcome_probabilities(state, povm)
+        probs = projective_probabilities(state, 0, block_of)
+        lmult = log2_multinomial(counts)
         if verify_blocks:
-            _verify_psi_blocks(spec, state, povm, counts, probs)
+            _verify_blocks(spec, state, block_of, counts, lmult, probs)
         # locc._draw's arithmetic, one uniform per trial
         cum = np.cumsum(probs)
         picks = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
                            len(cum) - 1)
-        lmult = log2_multinomial(counts)
         outcomes, outcome_probs = picks, probs[picks]
     transcript = Transcript()
-    transcript.extend([f"trial{t}" for t in range(trials)], party, outcomes,
+    transcript.extend([f"trial{t}" for t in range(trials)], 0, outcomes,
                       outcome_probs)
     # yields per row of ``counts``; ``picks`` selects each trial's row
     yields = _block_yield_table(counts, lmult, spec)
@@ -276,16 +283,32 @@ def _flat_outcome(counts: tuple[int, ...]) -> int:
     return rank
 
 
-def _verify_psi_blocks(spec, state, povm, counts, probs):
-    """Post-measurement states of the 2-component seed must be the
-    canonical pair x row-GHZ blocks."""
-    if len(spec.components) != 2:
-        return
-    for j, (k, rest) in enumerate(counts.tolist()):
+def _verify_blocks(spec, state, block_of, counts, lmult, probs):
+    """Every branch of the block measurement must have the block's
+    probability, within 1e-12, and amplitudes of one magnitude; branches of
+    the seed's layout must be the canonical pair x row-GHZ blocks."""
+    seed_layout = (spec.party_count == 3 and [(c.support, c.level) for c in
+                                              spec.components]
+                   == [((0,), 2), ((1, 2), 2)])
+    want = np.exp2(_log2_block_probabilities(counts, lmult,
+                                             spec.squared_coefficients()))
+    outcome = block_of[state.labels[:, 0]]
+    for j, row in enumerate(counts.tolist()):
+        if abs(probs[j] - want[j]) > 1e-12:
+            raise AssertionError(f"block {tuple(row)} has probability "
+                                 f"{probs[j]!r}, not {want[j]!r}")
         if probs[j] <= 1e-12:
             continue
-        n = k + rest
-        post, _ = apply_element(state, povm.elements[j])
+        mask = outcome == j
+        mag = np.abs(state.amps[mask])
+        if mag.max() - mag.min() > 1e-12 * mag.max():
+            raise AssertionError(f"block {tuple(row)} has amplitudes of "
+                                 "unequal magnitude")
+        if not seed_layout:
+            continue
+        k, n = row[0], sum(row)
+        post = PureState(state.local_dims, state.labels[mask],
+                         state.amps[mask] / math.sqrt(probs[j]))
         if not states_equal(post, block_state(n, k), 1e-9):
             raise AssertionError(f"post-measurement state of block "
                                  f"({n},{k}) is not the canonical block "

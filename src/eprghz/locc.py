@@ -5,9 +5,13 @@ Every local operator is a weighted label map on one party's labels,
 relabelings are the only operations the protocols need. Labels with a
 nonzero weight must land on distinct targets. That injectivity makes
 ``M^dag M`` the diagonal matrix ``|weights|**2``, so a POVM is complete
-exactly when ``sum_j |w_j[x]|**2 = 1`` for every label x. Classical
-communication is implicit: later operations may depend on outcome indices
-recorded in a transcript.
+exactly when ``sum_j |w_j[x]|**2 = 1`` for every label x. The protocols
+apply measurements without forming a ``Povm``: a projective measurement is
+one label -> outcome array (``projective_probabilities``), and a
+preparation stage builds only the element it draws. A ``Povm`` is their
+expansion into every element, for completeness checks and Born sampling
+(``sample``). Classical communication is implicit: later operations may
+depend on outcome indices recorded in a transcript.
 """
 
 from __future__ import annotations
@@ -375,14 +379,34 @@ def trial_uniforms(seed: int, trials: int) -> np.ndarray:
     return out
 
 
-def outcome_probabilities(s: PureState, p: Povm) -> np.ndarray:
-    """Born probabilities of every POVM outcome on s (must sum to 1)."""
-    probs = np.array([squared_norm(_weighted(s, e)[1]) for e in p.elements])
+def _summing_to_one(probs: np.ndarray) -> np.ndarray:
     if abs(probs.sum() - 1.0) > NORM_TOL:
         raise ValueError(
             f"outcome probabilities sum to {probs.sum()}, not 1; "
             "POVM incomplete or state unnormalized")
     return probs
+
+
+def outcome_probabilities(s: PureState, p: Povm) -> np.ndarray:
+    """Born probabilities of every POVM outcome on s (must sum to 1)."""
+    return _summing_to_one(
+        np.array([squared_norm(_weighted(s, e)[1]) for e in p.elements]))
+
+
+def projective_probabilities(s: PureState, party: int,
+                             outcome_of: np.ndarray) -> np.ndarray:
+    """Born probabilities of the projective measurement that sends label x
+    of ``party`` to outcome ``outcome_of[x]`` (must sum to 1).
+
+    One ``bincount`` adds each outcome's terms in support order with the
+    libm squares of ``squared_norm``, so each probability is bit-equal to
+    ``outcome_probabilities`` on the 0/1 diagonals of the same map.
+    """
+    sq = np.hypot(s.amps.real, s.amps.imag)
+    np.float_power(sq, 2.0, out=sq)
+    return _summing_to_one(np.bincount(
+        outcome_of[s.labels[:, party]], weights=sq,
+        minlength=int(outcome_of.max(initial=-1)) + 1))
 
 
 def _draw(cum: np.ndarray, gen: np.random.Generator) -> int:

@@ -4,11 +4,15 @@ Two copies come out exactly; general N comes out as the normalized
 truncation of the N-copy power to a window of blocks around the probability
 peak, with fidelity approaching 1 while the consumed resources stay within
 a sublinear excess of the asymptotic rates. The two measurement primitives
-are a weighting POVM (imprint arbitrary row weights on a uniform GHZ-type
+are a weighting stage (imprint arbitrary row weights on a uniform GHZ-type
 state, every outcome correctable) and row shortening (cut a row's length by
-an integer factor without touching any row weight). Each returns its POVM
-and per-outcome corrections, label maps old[i] -> new[i] as int64 arrays
-``(old, new)``, which each entangled party applies."""
+an integer factor without touching any row weight). Each is one stage
+``(m, element, correction)``: m outcomes of probability 1/m, and for outcome
+o its diagonal element and its correction, a label map old[i] -> new[i] as
+int64 arrays ``(old, new)`` that each entangled party applies. The protocol
+builds only the drawn outcome's element; ``ghz_weighting_povm`` and
+``row_shorten_povm`` expand the same stages into every element, as POVMs
+for completeness checks."""
 
 from __future__ import annotations
 
@@ -21,8 +25,7 @@ from .hilbert import (NORM_TOL, PureState, _check_budget, _has_repeats,
                       relabel, squared_norm, tensor)
 from .canonical import level_epr, level_ghz
 from .locc import (ImpossibleOutcomeError, Povm, Transcript, _draw,
-                   apply_element, as_generator, check_completeness,
-                   diagonal_operator)
+                   apply_element, as_generator, diagonal_operator)
 from .blocks import _binomial_bulk_chunks, block_labels, log2_binomial_array
 
 
@@ -162,8 +165,9 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
                      amps / norm)
 
 
-def ghz_weighting_povm(weights, party: int = 0) -> tuple[Povm, tuple]:
-    """Imprint row weights on a uniform t-level GHZ-type state.
+def _weighting_stage(weights, party: int = 0):
+    """Imprint row weights on a uniform t-level GHZ-type state, as a stage
+    ``(t, element, correction)``.
 
     Element j is diagonal with entry weights[(m - j) mod t] at level m, so
     the t elements are cyclic shifts of one diagonal and completeness is
@@ -176,26 +180,26 @@ def ghz_weighting_povm(weights, party: int = 0) -> tuple[Povm, tuple]:
     if w.ndim != 1 or len(w) < 1:
         raise ValueError("weights must be a non-empty vector")
     t = len(w)
+    # the t diagonals of the expanded POVM bound what a t-row window costs
     _check_budget(f"weighting POVM of {t} rows x {t} diagonal entries",
                   "explicit terms", t * t)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     if abs(float(w @ w) - 1.0) > NORM_TOL:
         raise ValueError(f"weights have squared sum {float(w @ w)}, need 1")
-    elements = tuple(diagonal_operator(party, np.roll(w, j)) for j in range(t))
     m = np.arange(t)
-    return Povm(party, elements), tuple(
-        (m, (m - j) % t) if j else (m[:0], m[:0]) for j in range(t))
+    return (t, lambda j: diagonal_operator(party, np.roll(w, j)),
+            lambda j: (m, (m - j) % t) if j else (m[:0], m[:0]))
 
 
-def row_shorten_povm(labels, keep: int, party: int,
-                     dim: int | None = None) -> tuple[Povm, tuple]:
+def _shorten_stage(labels, keep: int, party: int, dim: int | None = None):
     """Cut one row, given by its distinct labels, to ``keep`` of them
-    without moving any row weight; ``keep`` must divide the row length.
+    without moving any row weight, as a stage ``(length/keep, element,
+    correction)``; ``keep`` must divide the row length.
 
-    Outcome o of length/keep keeps the o-th chunk of the row's labels at
-    unit weight, kills the rest of the row, and scales every other label
-    by sqrt(keep/length), which makes the POVM complete and every outcome
+    Outcome o keeps the o-th chunk of the row's labels at unit weight,
+    kills the rest of the row, and scales every other label by
+    sqrt(keep/length), which makes the stage complete and every outcome
     probability exactly keep/length. Correction o, as ``(old, new)`` int64
     arrays, swaps the kept chunk with the row's first ``keep`` labels
     (outcome 0's is empty); applied on each party sharing the labels, all
@@ -213,34 +217,58 @@ def row_shorten_povm(labels, keep: int, party: int,
     if labels.min() < 0 or top >= dim:
         raise ValueError(f"row labels {int(labels.min())}..{top} outside "
                          f"0..{dim - 1}")
-
     chunks = labels.reshape(-1, keep)
-    elements, corrections = [], []
-    for o, chunk in enumerate(chunks):
+
+    def element(o):
         diag = np.full(dim, math.sqrt(keep / len(labels)))
         diag[labels] = 0.0
-        diag[chunk] = 1.0
-        elements.append(diagonal_operator(party, diag))
-        swap = np.concatenate([chunk, chunks[0]])
-        corrections.append((swap, np.roll(swap, keep)) if o
-                           else (labels[:0], labels[:0]))
-    return Povm(party, tuple(elements)), tuple(corrections)
+        diag[chunks[o]] = 1.0
+        return diagonal_operator(party, diag)
+
+    def correction(o):
+        if not o:
+            return labels[:0], labels[:0]
+        swap = np.concatenate([chunks[o], chunks[0]])
+        return swap, np.roll(swap, keep)
+
+    return len(chunks), element, correction
+
+
+def _expand(stage) -> tuple[Povm, tuple]:
+    """A stage's every element as one POVM, and every correction."""
+    m, element, correction = stage
+    elements = tuple(element(o) for o in range(m))
+    return (Povm(elements[0].party, elements),
+            tuple(correction(o) for o in range(m)))
+
+
+def ghz_weighting_povm(weights, party: int = 0) -> tuple[Povm, tuple]:
+    """The weighting stage (``_weighting_stage``) expanded: its POVM and
+    per-outcome corrections."""
+    return _expand(_weighting_stage(weights, party))
+
+
+def row_shorten_povm(labels, keep: int, party: int,
+                     dim: int | None = None) -> tuple[Povm, tuple]:
+    """One row's shortening stage (``_shorten_stage``) expanded: its POVM
+    and per-outcome corrections."""
+    return _expand(_shorten_stage(labels, keep, party, dim))
 
 
 def _measure(state, stage, parties, gen, transcript, step) -> PureState:
-    """Check a (POVM, corrections) stage, draw from its builder's uniform
-    law, apply that element alone, record it and relabel ``parties``."""
-    povm, corrections = stage
-    if not check_completeness(povm):
-        raise ValueError("POVM is not complete on its local space")
-    m = len(povm.elements)
+    """Draw an outcome o of an ``(m, element, correction)`` stage from its
+    builder's uniform law 1/m, build and apply ``element(o)`` alone, check
+    its probability, record it and relabel ``parties`` by
+    ``correction(o)``."""
+    m, element, correction = stage
     outcome = _draw(np.arange(1, m + 1) / m, gen)
-    state, sq = apply_element(state, povm.elements[outcome])
+    op = element(outcome)
+    state, sq = apply_element(state, op)
     if abs(sq - 1.0 / m) > NORM_TOL:
         raise ImpossibleOutcomeError(f"{step}: outcome {outcome} has "
                                      f"probability {sq:.17g}, not 1/{m}")
-    transcript.add(step, povm.party, outcome, sq)
-    old, new = corrections[outcome]
+    transcript.add(step, op.party, outcome, sq)
+    old, new = correction(outcome)
     if old.size:
         for p in parties:
             state = relabel(state, p, old, new)
@@ -276,7 +304,7 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
 
     gen, transcript = as_generator(seed), Transcript()
     state = _measure(level_ghz(big_r, (0, 1, 2)),
-                     ghz_weighting_povm(lam / nrm, party=0), (0, 1, 2), gen,
+                     _weighting_stage(lam / nrm, party=0), (0, 1, 2), gen,
                      transcript, "weighting")
     state = tensor(state, level_epr(pair_levels, (0, 1), 2), b_map=(1, 2))
     dim_bc = big_r * pair_levels
@@ -286,7 +314,7 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     for g, keep in enumerate(np.bincount(row).tolist()):
         labels = np.arange(g * pair_levels, (g + 1) * pair_levels)
         state = _measure(state,
-                         row_shorten_povm(labels, keep, party=1, dim=dim_bc),
+                         _shorten_stage(labels, keep, party=1, dim=dim_bc),
                          (1, 2), gen, transcript, f"shorten_row{g}")
 
     e = np.arange(len(row)) - np.searchsorted(row, row)

@@ -16,7 +16,7 @@ from eprghz.blocks import block_probability, multinomial_exact
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from eprghz.extraction import expected_yields
-from eprghz.locc import Povm, diagonal_operator
+from eprghz.locc import diagonal_operator
 from eprghz.preparation import fidelity, fidelity_bound
 from eprghz.canonical import psi_spec
 
@@ -500,11 +500,10 @@ def test_skewed_stage_law_exits_1(capsys, monkeypatch):
     def skewed(weights, party=0):
         """A complete two-outcome stage whose law is 0.9/0.1, not 1/2."""
         ones, empty = np.ones(len(weights)), np.zeros(0, dtype=np.int64)
-        return Povm(party, (diagonal_operator(party, math.sqrt(0.9) * ones),
-                            diagonal_operator(party, math.sqrt(0.1) * ones))
-                    ), ((empty, empty), (empty, empty))
+        return (2, lambda o: diagonal_operator(
+            party, math.sqrt((0.9, 0.1)[o]) * ones), lambda o: (empty, empty))
 
-    monkeypatch.setattr(preparation, "ghz_weighting_povm", skewed)
+    monkeypatch.setattr(preparation, "_weighting_stage", skewed)
     code, out, err = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "3")
     assert code == EXIT_INVARIANT and out == ""
     assert err.startswith("error: weighting: outcome ")

@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 from conftest import block_counts_oracle
 
-from eprghz.blocks import block_probability
+from eprghz.blocks import block_probability, log2_multinomial
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, psi_general, psi_prime_spec,
     psi_spec, random_spec,
 )
 from eprghz import extraction
 from eprghz.extraction import (
-    _flat_outcome, asymptotic_rates, block_measurement_povm,
-    entropy_consistency, expected_yields, run_extraction,
+    _flat_outcome, _verify_blocks, asymptotic_rates, block_measurement_povm,
+    block_outcomes, entropy_consistency, expected_yields, run_extraction,
 )
-from eprghz.hilbert import BudgetError, entropy
+from eprghz.hilbert import BudgetError, PureState, entropy
 from eprghz.locc import (_draw, as_generator, outcome_probabilities,
-                         trial_seeds)
+                         projective_probabilities, trial_seeds)
 
 HALF = math.sqrt(0.5)
 FULL3 = (0, 1, 2)
@@ -141,6 +141,24 @@ def test_block_povm_guard():
         block_measurement_povm(psi_spec(0.6, 0.8), 22)   # 2^22 labels
 
 
+PSI_PRIME = psi_prime_spec(0.6, 0.5, 0.4, 0.4795831523312719)
+
+
+@pytest.mark.parametrize("spec, n", [
+    (psi_spec(0.6, 0.8), 6), (PSI_PRIME, 4),
+    (random_spec(3, np.random.default_rng(5)), 3),
+])
+def test_block_outcome_probabilities_equal_the_expanded_povm(spec, n):
+    """One bincount over the label map gives, bit for bit, the Born
+    probabilities of the 0/1 diagonals ``verify`` checks."""
+    state = copies(psi_general(spec), n)
+    povm, counts = block_measurement_povm(spec, n)
+    rows, block_of = block_outcomes(spec, n)
+    assert np.array_equal(rows, counts)
+    assert np.array_equal(projective_probabilities(state, 0, block_of),
+                          outcome_probabilities(state, povm))
+
+
 # -- sampling ------------------------------------------------------------------
 
 def test_run_extraction_explicit_statistics():
@@ -180,6 +198,59 @@ def test_run_extraction_verified_blocks():
     report, _ = run_extraction(psi_spec(0.6, 0.8), 2, 10, seed=1,
                                verify_blocks=True)
     assert report.n_copies == 2
+
+
+@pytest.mark.parametrize("spec, n", [
+    (PSI_PRIME, 3), (random_spec(3, np.random.default_rng(8)), 2),
+    # two components on all three parties: not the seed's layout
+    (random_spec(3, np.random.default_rng(14)), 2),
+])
+def test_run_extraction_verifies_every_spec(spec, n):
+    report, _ = run_extraction(spec, n, 10, seed=1, verify_blocks=True)
+    assert report.n_copies == n
+
+
+def _measured_blocks(spec, n):
+    state = copies(psi_general(spec), n)
+    counts, block_of = block_outcomes(spec, n)
+    return (state, block_of, counts, log2_multinomial(counts),
+            projective_probabilities(state, 0, block_of))
+
+
+def test_verify_blocks_refuses_a_wrong_probability():
+    state, block_of, counts, lmult, probs = _measured_blocks(PSI_PRIME, 3)
+    _verify_blocks(PSI_PRIME, state, block_of, counts, lmult, probs)
+    probs[7] += 1e-11
+    with pytest.raises(AssertionError, match=r"^block \(\d+, \d+, \d+, \d+\) "
+                       "has probability"):
+        _verify_blocks(PSI_PRIME, state, block_of, counts, lmult, probs)
+
+
+def test_verify_blocks_refuses_unequal_magnitudes():
+    """Two terms of one block exchange weight: the block's probability
+    stays, its amplitudes no longer share one magnitude."""
+    state, block_of, counts, lmult, _ = _measured_blocks(PSI_PRIME, 3)
+    outcome = block_of[state.labels[:, 0]]
+    j = int(np.argmax(np.bincount(outcome)))
+    a, b = np.flatnonzero(outcome == j)[:2]
+    amps = state.amps.copy()
+    r = math.hypot(abs(amps[a]), abs(amps[b]))
+    amps[a], amps[b] = r * math.cos(0.7), r * math.sin(0.7)
+    bent = PureState(state.local_dims, state.labels, amps)
+    probs = projective_probabilities(bent, 0, block_of)
+    with pytest.raises(AssertionError, match="unequal magnitude"):
+        _verify_blocks(PSI_PRIME, bent, block_of, counts, lmult, probs)
+
+
+def test_explicit_extraction_builds_no_povm(monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a POVM was built")
+
+    monkeypatch.setattr(extraction, "Povm", unbuilt)
+    monkeypatch.setattr(extraction, "diagonal_operator", unbuilt)
+    report, transcript = run_extraction(PSI_PRIME, 3, 50, seed=1,
+                                        verify_blocks=True)
+    assert report.trials == 50 and set(transcript.parties) == {0}
 
 
 def test_run_extraction_analytic_matches_expected():

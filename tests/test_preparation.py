@@ -17,14 +17,15 @@ from eprghz.hilbert import (
     states_equal, tensor,
 )
 from eprghz.locc import (
-    ImpossibleOutcomeError, Povm, Transcript, apply_element, apply_operator,
+    ImpossibleOutcomeError, Transcript, apply_element, apply_operator,
     check_completeness, diagonal_operator, outcome_probabilities,
     permutation_operator, sample, trial_seeds,
 )
 from eprghz.preparation import (
-    ResourceCount, Window, _measure, _window_terms, build_target, fidelity,
-    fidelity_bound, ghz_weighting_povm, prepare_approx, prepare_exact_n2,
-    resource_count, row_shorten_povm, target_window,
+    ResourceCount, Window, _expand, _measure, _shorten_stage,
+    _weighting_stage, _window_terms, build_target, fidelity, fidelity_bound,
+    ghz_weighting_povm, prepare_approx, prepare_exact_n2, resource_count,
+    row_shorten_povm, target_window,
 )
 
 HALF = math.sqrt(0.5)
@@ -431,21 +432,51 @@ def _shortening_state(rng):
                   level_epr(4, (0, 1), 2), b_map=(1, 2))
 
 
-def test_protocol_draw_matches_sample():
-    """A protocol stage draws the outcome that Born sampling draws from an
-    identically seeded generator, and records the same probability."""
-    rng = np.random.default_rng(4)
+def _protocol_stages(rng):
+    """A weighting stage and two shortening stages, each with the state it
+    acts on and the parties its corrections relabel."""
     w = rng.random(5)
-    weighted = (level_ghz(5, (0, 1, 2)), ghz_weighting_povm(
+    weighted = (level_ghz(5, (0, 1, 2)), _weighting_stage(
         w / np.linalg.norm(w)), (0, 1, 2))
     state = _shortening_state(rng)
-    stages = [weighted] + [
-        (state, row_shorten_povm(range(4 * g, 4 * g + 4), keep, 1, dim=16),
+    return [weighted] + [
+        (state, _shorten_stage(range(4 * g, 4 * g + 4), keep, 1, dim=16),
          (1, 2)) for g, keep in ((0, 1), (2, 2))]
+
+
+def test_stage_elements_are_the_expanded_povm():
+    """Each stage's element(o) is, bit for bit, the o-th element of the
+    POVM that ``verify`` checks for completeness, and correction(o) its
+    o-th correction."""
+    w = np.random.default_rng(6).random(7)
+    w /= np.linalg.norm(w)
+    pairs = [(_weighting_stage(w), ghz_weighting_povm(w))] + [
+        (_shorten_stage(range(8 * g, 8 * g + 8), keep, 1, dim=32),
+         row_shorten_povm(range(8 * g, 8 * g + 8), keep, 1, dim=32))
+        for g, keep in enumerate((1, 2, 4, 8))]
+    for (m, element, correction), (povm, corrections) in pairs:
+        assert check_completeness(povm)
+        assert len(povm.elements) == len(corrections) == m
+        for o in range(m):
+            built, want = element(o), povm.elements[o]
+            assert built.party == want.party
+            assert built.weights.dtype == want.weights.dtype
+            assert built.weights.tobytes() == want.weights.tobytes()
+            assert np.array_equal(built.targets, want.targets)
+            for got, expect in zip(correction(o), corrections[o]):
+                assert np.array_equal(got, expect)
+
+
+def test_protocol_draw_matches_sample():
+    """A protocol stage draws the outcome that Born sampling of the
+    expanded POVM draws from an identically seeded generator, and records
+    the same probability."""
+    stages = [(state, stage, _expand(stage), parties) for state, stage,
+              parties in _protocol_stages(np.random.default_rng(4))]
     for seed in range(200):
-        for state, (povm, corrections), parties in stages:
+        for state, stage, (povm, corrections), parties in stages:
             transcript = Transcript()
-            post = _measure(state, (povm, corrections), parties,
+            post = _measure(state, stage, parties,
                             np.random.default_rng(seed), transcript, "s")
             want, branch, entry = sample(state, povm,
                                          np.random.default_rng(seed))
@@ -458,9 +489,9 @@ def test_protocol_draw_matches_sample():
 
 
 def test_protocol_applies_only_the_drawn_element(monkeypatch):
-    """One completeness check and one applied element per stage, and no
-    Born evaluation of the other outcomes."""
-    calls = {"apply": 0, "complete": 0}
+    """One element built and applied per stage, no POVM formed, and no
+    Born evaluation or completeness sum over the other outcomes."""
+    calls = {"apply": 0, "element": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -473,14 +504,15 @@ def test_protocol_applies_only_the_drawn_element(monkeypatch):
 
     monkeypatch.setattr(preparation, "apply_element",
                         counted("apply", apply_element))
-    monkeypatch.setattr(preparation, "check_completeness",
-                        counted("complete", check_completeness))
-    for name in ("sample", "outcome_probabilities", "apply_operator",
-                 "permutation_operator"):
+    monkeypatch.setattr(preparation, "diagonal_operator",
+                        counted("element", diagonal_operator))
+    monkeypatch.setattr(preparation, "Povm", forbidden)
+    for name in ("sample", "outcome_probabilities", "check_completeness",
+                 "apply_operator", "permutation_operator"):
         monkeypatch.setattr(locc, name, forbidden)
     state, transcript, _ = prepare_approx(4, 0.6, 0.8, seed=3)
     assert calls == {"apply": len(transcript.entries),
-                     "complete": len(transcript.entries)}
+                     "element": len(transcript.entries)}
     assert amplitude_distance(
         state, build_target(4, 0.6, 0.8, target_window(4, 0.36))) < 1e-9
 
@@ -488,26 +520,28 @@ def test_protocol_applies_only_the_drawn_element(monkeypatch):
 def _skewed_weighting(weights, party=0):
     """A complete two-outcome stage whose law is 0.9/0.1, not 1/2."""
     t, empty = len(weights), np.zeros(0, dtype=np.int64)
-    return Povm(party, (diagonal_operator(party, np.full(t, math.sqrt(0.9))),
-                        diagonal_operator(party, np.full(t, math.sqrt(0.1))))
-                ), ((empty, empty), (empty, empty))
+    return (2, lambda o: diagonal_operator(
+        party, np.full(t, math.sqrt((0.9, 0.1)[o]))), lambda o: (empty, empty))
 
 
 def test_skewed_stage_law_is_an_impossible_outcome(monkeypatch):
-    monkeypatch.setattr(preparation, "ghz_weighting_povm", _skewed_weighting)
+    monkeypatch.setattr(preparation, "_weighting_stage", _skewed_weighting)
     for seed in range(5):
         with pytest.raises(ImpossibleOutcomeError, match="not 1/2"):
             prepare_approx(3, 0.6, 0.8, seed=seed)
 
 
 def test_incomplete_stage_is_refused(monkeypatch):
+    """A stage that drops its last outcome draws from a 1/(m-1) law that
+    its elements (probability 1/m each) cannot meet."""
     def incomplete(*args, **kwargs):
-        povm, corrections = ghz_weighting_povm(*args, **kwargs)
-        return Povm(povm.party, povm.elements[:-1]), corrections[:-1]
+        m, element, correction = _weighting_stage(*args, **kwargs)
+        return m - 1, element, correction
 
-    monkeypatch.setattr(preparation, "ghz_weighting_povm", incomplete)
-    with pytest.raises(ValueError, match="not complete"):
-        prepare_approx(3, 0.6, 0.8, seed=1, window=(0, 3))
+    monkeypatch.setattr(preparation, "_weighting_stage", incomplete)
+    for seed in range(5):
+        with pytest.raises(ImpossibleOutcomeError, match="not 1/7$"):
+            prepare_approx(3, 0.6, 0.8, seed=seed, window=(0, 3))
 
 
 def test_prepare_then_extract_round_trip():
