@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (INT64_MAX, PureState, _check_budget, _row_codes,
-                      relabel, states_equal, tensor)
+                      _valid_state, relabel, states_equal, tensor)
 from .canonical import StateSpec, level_epr, level_ghz
 
 EXACT_N_MAX = 30
@@ -464,8 +464,9 @@ def block_state(n: int, k: int) -> PureState:
     r, t = 2 ** (n - k), math.comb(n, k)
     _check_budget(f"block ({n}, {k})", "explicit terms", r * t)
     _, a, row, bc = block_labels(n, k, k)
-    return PureState((2**n, 3**n, 3**n), np.column_stack([a[row], bc, bc]),
-                     np.full(r * t, 1.0 / math.sqrt(r * t)))
+    # distinct in-range rows by construction: Bob's labels are distinct
+    return _valid_state((2**n, 3**n, 3**n), np.column_stack([a[row], bc, bc]),
+                        np.full(r * t, 1.0 / math.sqrt(r * t), dtype=complex))
 
 
 def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:

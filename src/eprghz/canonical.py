@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import NORM_TOL, PureState, _check_budget, tensor
+from .hilbert import (NORM_TOL, PureState, _check_budget, _valid_state,
+                      tensor)
 
 SQ2 = math.sqrt(2.0)
 
@@ -41,7 +42,9 @@ def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
     dims = tuple(t if p in parties else 1 for p in range(party_count))
     labels = np.zeros((t, len(dims)), dtype=np.int64)
     labels[:, parties] = np.arange(t)[:, None]
-    return PureState(dims, labels, np.full(t, 1.0 / math.sqrt(t)))
+    # distinct in-range rows by construction
+    return _valid_state(dims, labels,
+                        np.full(t, 1.0 / math.sqrt(t), dtype=complex))
 
 
 def level_epr(r: int, parties, party_count: int | None = None) -> PureState:

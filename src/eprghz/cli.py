@@ -19,16 +19,19 @@ from .hilbert import NORM_TOL, BudgetError, _check_budget, amplitude_distance
 from .canonical import (StateSpec, copies, psi, psi_spec, psi_prime_spec,
                         random_spec, spec_from_json)
 from .locc import (ImpossibleOutcomeError, Povm, Transcript,
-                   check_completeness, check_local_orthogonality, trial_seeds)
+                   check_completeness, check_local_orthogonality,
+                   stream_uniforms)
 from .blocks import decompose, verify_block_equivalence
 from .extraction import (asymptotic_rates, block_measurement_povm,
                          entropy_consistency, expected_yields, run_extraction)
 from .preparation import (build_target, fidelity, fidelity_bound,
                           ghz_weighting_povm, prepare_approx, resource_count,
-                          row_shorten_povm, target_window)
+                          row_shorten_povm, stage_count, target_window)
 
 EXIT_OK, EXIT_INVARIANT, EXIT_USAGE = 0, 1, 2
 AMPLITUDE_SLOP = 1e-3
+# prepare forms at most this many stage draws of its branches at a time
+_BRANCH_DRAWS = 2**16
 
 
 class UsageError(Exception):
@@ -169,13 +172,20 @@ def cmd_prepare(args) -> int:
               else build_target(n, c0, c1, window))
     worst = 0.0
     combined = Transcript()
-    for i, ss in enumerate(trial_seeds(seed0, branches)):
-        state, transcript, resources = prepare_approx(n, c0, c1, seed=ss,
-                                                      window=window)
-        worst = max(worst, amplitude_distance(state, target))
-        combined.extend([f"branch{i}.{s}" for s in transcript.steps],
-                        transcript.parties, transcript.outcomes,
-                        transcript.probabilities)
+    # branch i draws the first doubles of spawned stream i of the seed,
+    # formed for a chunk of branches at a time
+    stages = stage_count(n, window)
+    chunk = max(1, _BRANCH_DRAWS // stages)
+    for start in range(0, branches, chunk):
+        keys = np.arange(start, min(start + chunk, branches))
+        for i, draws in zip(keys.tolist(),
+                            stream_uniforms(seed0, stages, keys)):
+            state, transcript, resources = prepare_approx(
+                n, c0, c1, seed=draws, window=window)
+            worst = max(worst, amplitude_distance(state, target))
+            combined.extend(transcript.steps, transcript.parties,
+                            transcript.outcomes, transcript.probabilities,
+                            prefix=f"branch{i}.")
     ok = worst <= 1e-9
     f = fidelity(n, c0 * c0, window)
     row = (n, branches, worst, resources.epr_per_subset[(1, 2)],

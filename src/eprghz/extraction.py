@@ -238,8 +238,8 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
                            len(cum) - 1)
         outcomes, outcome_probs = picks, probs[picks]
     transcript = Transcript()
-    transcript.extend([f"trial{t}" for t in range(trials)], 0, outcomes,
-                      outcome_probs)
+    transcript.extend(range(trials), 0, outcomes, outcome_probs,
+                      prefix="trial")
     # yields per row of ``counts``; ``picks`` selects each trial's row
     yields = _block_yield_table(counts, lmult, spec)
     samples = {s: v[picks] / n for s, v in yields.items()}

@@ -62,6 +62,11 @@ class PureState:
     vector in the same row order, both stored read-only. Instances are
     immutable. Terms whose amplitude is below ``PRUNE_EPS`` are dropped at
     construction.
+
+    The constructor checks its input once: dimensions, shapes, label
+    ranges, and that no label row repeats. States that are valid by
+    construction (transforms of valid states, canonical states) are built
+    by ``_valid_state`` without the checks.
     """
 
     local_dims: tuple[int, ...]
@@ -84,14 +89,13 @@ class PureState:
         if bad.any():
             raise ValueError(f"labels {tuple(labels[bad][0].tolist())} out "
                              f"of range for dims {dims}")
-        keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS
-        if not keep.all():
-            labels, amps = labels[keep], amps[keep]
-        labels, amps = labels.view(), amps.view()
-        labels.flags.writeable = amps.flags.writeable = False
-        object.__setattr__(self, "local_dims", dims)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "amps", amps)
+        keys = _row_keys(labels, dims)
+        if _has_repeats(keys):
+            order = np.argsort(keys, kind="stable")
+            again = order[1:][keys[order[1:]] == keys[order[:-1]]]
+            raise ValueError(f"label row {tuple(labels[again[0]].tolist())} "
+                             "repeats")
+        _seal(self, dims, labels, amps)
 
     # the traced launcher under perfbench/ counts terms as
     # len(state.amplitudes), also before __post_init__ has run
@@ -118,9 +122,36 @@ class PureState:
             raise ValueError("cannot normalize a (numerically) zero state")
         # divide real and imaginary parts: numpy's complex division
         # multiplies by a rounded reciprocal
-        return PureState(
+        return _valid_state(
             self.local_dims, self.labels,
             (np.ascontiguousarray(self.amps).view(float) / n).view(complex))
+
+
+def _seal(s: PureState, dims: tuple[int, ...], labels: np.ndarray,
+          amps: np.ndarray, prune: bool = True) -> PureState:
+    """Store checked columns on ``s``: drop the terms below ``PRUNE_EPS``
+    (``prune``: the amplitudes may have changed) and freeze both."""
+    if prune:
+        keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS
+        if not keep.all():
+            labels, amps = labels[keep], amps[keep]
+    labels, amps = labels.view(), amps.view()
+    labels.flags.writeable = amps.flags.writeable = False
+    object.__setattr__(s, "local_dims", dims)
+    object.__setattr__(s, "labels", labels)
+    object.__setattr__(s, "amps", amps)
+    return s
+
+
+def _valid_state(dims: tuple[int, ...], labels: np.ndarray, amps: np.ndarray,
+                 prune: bool = True) -> PureState:
+    """A PureState from columns valid by construction, unchecked: ``dims``
+    a tuple of ints, ``labels`` an int64 matrix of shape (len(amps),
+    len(dims)) with distinct rows in range, ``amps`` complex128. The
+    transforms of valid states (``tensor``, ``relabel``, ``locc``'s
+    operator application) and the canonical ``level_ghz`` and
+    ``block_state`` build through here; the public constructor checks."""
+    return _seal(object.__new__(PureState), dims, labels, amps, prune)
 
 
 def squared_norm(amps: np.ndarray) -> float:
@@ -194,8 +225,8 @@ def tensor(a: PureState, b: PureState,
     if any(min(x, y) > 1 and x * y - 1 > INT64_MAX for x, y in zip(da, db)):
         raise ValueError("a merged dimension exceeds int64 labels")
     labels = la[:, None] * np.array([min(y, INT64_MAX) for y in db]) + lb
-    return PureState(dims, labels.reshape(-1, party_count),
-                     np.multiply.outer(a.amps, b.amps).ravel())
+    return _valid_state(dims, labels.reshape(-1, party_count),
+                        np.multiply.outer(a.amps, b.amps).ravel())
 
 
 def _row_codes(labels: np.ndarray) -> np.ndarray:
@@ -220,6 +251,19 @@ def _unique_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     dtype=labels.dtype)
     rows[codes] = labels
     return rows, codes
+
+
+def _row_keys(labels: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """One int64 per row, equal exactly for equal rows: the mixed-radix
+    code of the labels over ``dims`` when their product fits in int64,
+    else ``_row_codes``."""
+    if math.prod(dims) - 1 > INT64_MAX:
+        return _row_codes(labels)
+    keys = np.zeros(len(labels), dtype=np.int64)
+    for p, d in enumerate(dims):
+        keys *= d
+        keys += labels[:, p]
+    return keys
 
 
 def _union(a: PureState, b: PureState):
@@ -304,6 +348,16 @@ def _has_repeats(x: np.ndarray) -> bool:
     return bool((x[1:] == x[:-1]).any())
 
 
+def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of ``x`` sits in the sorted ``keys``, and whether it
+    is there: (index, found), one ``searchsorted``."""
+    at = np.searchsorted(keys, x)
+    if not keys.size:
+        return at, np.zeros(at.shape, dtype=bool)
+    np.minimum(at, len(keys) - 1, out=at)
+    return at, keys[at] == x
+
+
 def _label_map(old, new) -> tuple[np.ndarray, np.ndarray]:
     """The map ``old[i] -> new[i]`` as int64 vectors, ``old`` distinct."""
     old, new = np.asarray(old, np.int64), np.asarray(new, np.int64)
@@ -319,23 +373,34 @@ def relabel(s: PureState, party: int, old, new,
     labels not in ``old`` stay) on one party. ``new_dim`` widens (or
     renames within) the party's local dimension; by default the current
     dimension is kept and mapped labels must fit in it.
+
+    Each label of the party's column is looked up in the sorted ``old``,
+    and only the rows that hit are rewritten. The map must be injective on
+    the support: the labels it moves go to distinct labels, none of which
+    a label it leaves in place already holds.
     """
     party = int(party)
     if not 0 <= party < s.party_count:
         raise ValueError(f"party {party} out of range")
     old, new = _label_map(old, new)
     dim = s.local_dims[party] if new_dim is None else int(new_dim)
-    mapped, row_of = np.unique(s.labels[:, party], return_inverse=True)
-    hit, order = np.isin(mapped, old), np.argsort(old)
-    mapped[hit] = new[order[np.searchsorted(old, mapped[hit], sorter=order)]]
-    if mapped.size and not 0 <= mapped.min() <= mapped.max() < dim:
+    order = np.argsort(old)
+    old, new = old[order], new[order]
+    col = s.labels[:, party]
+    at, hit = _lookup(old, col)
+    at = at[hit]
+    moved = np.zeros(len(old), dtype=bool)
+    moved[at] = True
+    image, stay = np.sort(new[moved]), col[~hit]
+    if ((image.size and not 0 <= image[0] <= image[-1] < dim)
+            or (stay.size and stay.max() >= dim)):
         raise ValueError(f"mapped label outside 0..{dim - 1}")
-    if _has_repeats(mapped):
+    if _has_repeats(image) or _lookup(image, stay)[1].any():
         raise ValueError("label map is not injective on the support")
     labels = s.labels.copy()
-    labels[:, party] = mapped[row_of]
+    labels[hit, party] = new[at]
     dims = s.local_dims[:party] + (dim,) + s.local_dims[party + 1:]
-    return PureState(dims, labels, s.amps)
+    return _valid_state(dims, labels, s.amps, prune=False)
 
 
 def amplitude_distance(a: PureState, b: PureState) -> float:

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .hilbert import (NORM_TOL, PureState, _has_repeats, _label_map,
-                      _row_codes, squared_norm)
+                      _lookup, _row_codes, _valid_state, squared_norm)
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -148,7 +148,9 @@ def _weighted(s: PureState, op: LocalOperator):
 
 def _rewrite(s: PureState, op: LocalOperator):
     """The label-rewrite rule: output dims, then the rewritten label rows
-    and amplitudes of every term with a nonzero weight, in support order."""
+    and amplitudes of every term with a nonzero weight, in support order.
+    The operator's targets are in range and distinct where it weighs, so
+    the rows stay in range and distinct."""
     p = op.party
     live, amps = _weighted(s, op)
     new = s.labels[live]
@@ -159,7 +161,7 @@ def _rewrite(s: PureState, op: LocalOperator):
 
 def apply_operator(s: PureState, op: LocalOperator) -> PureState:
     """Apply without renormalizing (for unitaries and linear-algebra checks)."""
-    return PureState(*_rewrite(s, op))
+    return _valid_state(*_rewrite(s, op))
 
 
 def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
@@ -173,7 +175,7 @@ def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
     if sq <= IMPOSSIBLE_EPS:
         raise ImpossibleOutcomeError(
             f"outcome on party {op.party} has probability {sq:.3e}")
-    return PureState(dims, labels, amps / math.sqrt(sq)), sq
+    return _valid_state(dims, labels, amps / math.sqrt(sq)), sq
 
 
 @dataclass(frozen=True)
@@ -201,30 +203,47 @@ def _ints(values) -> list[int]:
     return [int(v) for v in values]
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
     """Ordered record of measurement outcomes along one protocol branch,
-    held as four columns; ``entries`` forms the rows when read."""
+    held as columns; ``entries`` forms the rows when read. Step names are
+    held as runs ``(prefix, names)`` and spelt ``prefix + str(name)`` only
+    when ``steps`` is read, so a numbered run such as
+    ``("trial", range(T))`` costs nothing until the transcript is."""
 
-    steps: list[str] = field(default_factory=list)
     parties: list[int] = field(default_factory=list)
     outcomes: list[int] = field(default_factory=list)
     probabilities: list[float] = field(default_factory=list)
+    _runs: list = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def steps(self) -> list[str]:
+        return [prefix + str(name) for prefix, names in self._runs
+                for name in names]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return ((self.steps, self.parties, self.outcomes, self.probabilities)
+                == (other.steps, other.parties, other.outcomes,
+                    other.probabilities))
 
     def add(self, step: str, party: int, outcome: int,
             probability: float) -> TranscriptEntry:
         e = TranscriptEntry(step, party, outcome, probability)
-        self.steps.append(e.step)
+        self._runs.append(("", (e.step,)))
         self.parties.append(e.party)
         self.outcomes.append(e.outcome)
         self.probabilities.append(e.probability)
         return e
 
-    def extend(self, steps, parties, outcomes, probabilities) -> None:
-        """Append many rows; ``parties`` may be one party for all of them.
-        The probabilities are range-checked as one array, as ``add``
-        checks one."""
-        steps = [str(s) for s in steps]
+    def extend(self, steps, parties, outcomes, probabilities,
+               prefix: str = "") -> None:
+        """Append many rows; step i is named ``prefix + str(steps[i])``,
+        and ``steps`` may be a ``range``, kept as one. ``parties`` may be
+        one party for all rows. The probabilities are range-checked as one
+        array, as ``add`` checks one."""
+        steps = steps if isinstance(steps, range) else list(steps)
         probs = np.asarray(probabilities, dtype=float)
         outcomes = _ints(outcomes)
         parties = (_ints(parties) if np.ndim(parties)
@@ -235,7 +254,7 @@ class Transcript:
         if bad.any():
             raise ValueError(f"probability {float(probs[bad][0])} "
                              "outside [0,1]")
-        self.steps += steps
+        self._runs.append((str(prefix), steps))
         self.parties += parties
         self.outcomes += outcomes
         self.probabilities += probs.tolist()
@@ -275,7 +294,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
-# trial_uniforms forms at most _TRIAL_CHUNK trials' states at a time
+# stream_uniforms forms at most _TRIAL_CHUNK streams' states at a time
 _TRIAL_CHUNK = 2**16
 
 
@@ -322,22 +341,15 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return hi + inc_hi + (lo < prod), lo
 
 
-def trial_uniforms(seed: int, trials: int) -> np.ndarray:
-    """First uniform double of each trial's stream, in bulk: entry t is
-    bit-equal to ``as_generator(trial_seeds(seed, trials)[t]).random()``.
-
-    Trial t's SeedSequence mixes the root's entropy words (padded to 4)
-    and then its spawn key word t into a pool of 4 uint32 words; the
-    pool up to the last word is the same for every trial. The pool gives
-    4 uint64 words by ``generate_state``, which seed PCG64 (XSL-RR, 128
-    bits): state 0 and inc 2*seq + 1, a step, the seed added, a step. One
-    more step gives the output x, and the double is (x >> 11) * 2**-53.
-    """
-    trials = int(trials)
-    if not 0 <= trials <= 2**32:
-        raise ValueError(f"need 0 <= trials <= 2**32, got {trials}")
-    root = np.random.SeedSequence(int(seed)).entropy
-    words = [root >> s & _MASK32 for s in range(0, max(root.bit_length(), 1),
+def _root_pool(seed: int) -> tuple[list, int]:
+    """The pool of 4 uint32 words (arrays of one entry) that
+    ``SeedSequence(seed)`` mixes from its entropy words, and the hash
+    constant after them. Fewer than 4 words hash out as zero words, so
+    the pool is the same whether or not a spawn key follows."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1),
                                                  32)]
     words += [0] * (4 - len(words))
     const, pool = _INIT_A, []
@@ -351,32 +363,92 @@ def trial_uniforms(seed: int, trials: int) -> np.ndarray:
                 pool[dst] = _mix(pool[dst], h)
     for w in words[4:]:
         const = _mix_in(pool, np.array([w], dtype=np.uint32), const)
+    return pool, const
 
-    out = np.empty(trials)
-    for start in range(0, trials, _TRIAL_CHUNK):
-        t = np.arange(start, min(start + _TRIAL_CHUNK, trials),
-                      dtype=np.uint32)
-        mixed = list(pool)
-        _mix_in(mixed, t, const)
-        # generate_state(4, uint64): 8 words cycling over the pool, paired
-        # little-endian
-        state, c = [], _INIT_B
-        for i in range(8):
-            v, c = _hashmix(mixed[i % 4], c, _MULT_B)
-            state.append(v.astype(np.uint64))
-        s0, s1, q0, q1 = (state[2 * j] | state[2 * j + 1] << np.uint64(32)
-                          for j in range(4))
-        inc_hi = q0 << np.uint64(1) | (q1 >= np.uint64(2**63))  # carry
-        inc_lo = q1 << np.uint64(1) | np.uint64(1)
-        lo = inc_lo + s1
-        hi = inc_hi + s0 + (lo < inc_lo)
-        for _ in range(2):
-            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
+def _pcg_doubles(pool: list, count: int) -> np.ndarray:
+    """The first ``count`` doubles of the PCG64 streams seeded from pools
+    (4 uint32 arrays of one length k): shape (k, count).
+
+    ``generate_state(4, uint64)`` hashes 8 words cycling over the pool and
+    pairs them little-endian: the seed s and the sequence q. PCG64
+    (XSL-RR, 128 bits) starts at state 0 with inc 2*q + 1, steps, adds s
+    and steps. Each double then takes one more step to its output x and
+    is (x >> 11) * 2**-53, as ``Generator.random()``.
+    """
+    state, c = [], _INIT_B
+    for i in range(8):
+        v, c = _hashmix(pool[i % 4], c, _MULT_B)
+        state.append(v.astype(np.uint64))
+    s0, s1, q0, q1 = (state[2 * j] | state[2 * j + 1] << np.uint64(32)
+                      for j in range(4))
+    inc_hi = q0 << np.uint64(1) | (q1 >= np.uint64(2**63))  # carry
+    inc_lo = q1 << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + s1
+    hi = inc_hi + s0 + (lo < inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((len(hi), count))
+    for j in range(count):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         rot = hi >> np.uint64(58)
         x = hi ^ lo
         x = x >> rot | x << ((np.uint64(64) - rot) % np.uint64(64))
-        out[start:start + len(t)] = (x >> np.uint64(11)) * 2.0**-53
+        out[:, j] = (x >> np.uint64(11)) * 2.0**-53
     return out
+
+
+def stream_uniforms(seed: int, count: int, keys=None) -> np.ndarray:
+    """The first ``count`` uniform doubles of numpy streams, computed in
+    numpy arithmetic without importing numpy.random: of the root stream
+    of ``SeedSequence(seed)`` (``keys`` None; shape (count,)), or of its
+    spawned children ``keys`` (trial indices below 2**32; shape
+    (len(keys), count)). Row t is bit-equal to
+    ``default_rng(SeedSequence(seed).spawn(T)[keys[t]]).random(count)``.
+
+    A child's SeedSequence mixes its spawn key word into the root's pool
+    of 4 uint32 words, so the pool is formed once and the children are
+    mixed, seeded and stepped as arrays, ``_TRIAL_CHUNK`` at a time.
+    """
+    count = int(count)
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
+    pool, const = _root_pool(seed)
+    if keys is None:
+        return _pcg_doubles(pool, count)[0]
+    keys = np.asarray(keys, dtype=np.int64).ravel()
+    if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
+        raise ValueError("spawn keys must lie in 0..2**32 - 1")
+    out = np.empty((len(keys), count))
+    for start in range(0, len(keys), _TRIAL_CHUNK):
+        t = keys[start:start + _TRIAL_CHUNK].astype(np.uint32)
+        mixed = list(pool)
+        _mix_in(mixed, t, const)
+        out[start:start + len(t)] = _pcg_doubles(mixed, count)
+    return out
+
+
+def trial_uniforms(seed: int, trials: int) -> np.ndarray:
+    """First uniform double of each trial's stream, in bulk: entry t is
+    bit-equal to ``as_generator(trial_seeds(seed, trials)[t]).random()``."""
+    trials = int(trials)
+    if not 0 <= trials <= 2**32:
+        raise ValueError(f"need 0 <= trials <= 2**32, got {trials}")
+    return stream_uniforms(seed, 1, np.arange(trials)).reshape(trials)
+
+
+def uniform_draws(rng, count: int) -> np.ndarray:
+    """The first ``count`` uniform doubles of a stream, as
+    ``Generator.random(count)`` gives them. An int seed's root stream is
+    computed by ``stream_uniforms`` (no numpy.random import); a Generator
+    or SeedSequence is drawn from; a float array is taken as the draws
+    themselves and must hold ``count`` of them."""
+    if isinstance(rng, np.ndarray) and rng.dtype.kind == "f":
+        if rng.shape != (count,):
+            raise ValueError(f"need {count} draws, got shape {rng.shape}")
+        return rng
+    if isinstance(rng, (int, np.integer)):
+        return stream_uniforms(rng, count)
+    return as_generator(rng).random(count)
 
 
 def _summing_to_one(probs: np.ndarray) -> np.ndarray:
@@ -409,9 +481,9 @@ def projective_probabilities(s: PureState, party: int,
         minlength=int(outcome_of.max(initial=-1)) + 1))
 
 
-def _draw(cum: np.ndarray, gen: np.random.Generator) -> int:
-    """Index drawn from cumulative outcome weights with one uniform variate."""
-    o = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
+def _draw(cum: np.ndarray, u: float) -> int:
+    """Index drawn from cumulative outcome weights with the uniform ``u``."""
+    o = int(np.searchsorted(cum, u * cum[-1], side="right"))
     return min(o, len(cum) - 1)
 
 
@@ -424,19 +496,30 @@ def sample(s: PureState, p: Povm, rng,
     """
     if not check_completeness(p):
         raise ValueError("POVM is not complete on its local space")
-    outcome = _draw(np.cumsum(outcome_probabilities(s, p)), as_generator(rng))
+    outcome = _draw(np.cumsum(outcome_probabilities(s, p)),
+                    uniform_draws(rng, 1)[0])
     post, sq = apply_element(s, p.elements[outcome])
     return outcome, post, TranscriptEntry(step, p.party, outcome, sq)
 
 
 def _shared_density(s: PureState, party: int, shared: np.ndarray):
     """One-party density of ``s`` on the sorted labels ``shared`` only."""
-    keep = np.isin(s.labels[:, party], shared)
+    at, keep = _lookup(shared, s.labels[:, party])
     labels, amps = s.labels[keep], s.amps[keep]
     group = _row_codes(np.delete(labels, party, axis=1))
     m = np.zeros((group.max(initial=-1) + 1, len(shared)), dtype=complex)
-    m[group, np.searchsorted(shared, labels[:, party])] = amps
+    m[group, at[keep]] = amps
     return m.T @ m.conj()
+
+
+def _shared_labels(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sorted distinct labels occurring in both ``x`` and ``y``
+    (``np.intersect1d``, by sorting: its ``np.unique`` loads numpy.ma)."""
+    x = np.sort(x)
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    x = x[first]
+    return x[_lookup(np.sort(y), x)[1]]
 
 
 def check_local_orthogonality(components, tol: float = ORTHO_EPS) -> bool:
@@ -449,7 +532,7 @@ def check_local_orthogonality(components, tol: float = ORTHO_EPS) -> bool:
         raise ValueError("components have mismatched shapes")
     for a, b in combinations(comps, 2):
         for party in range(len(shape)):
-            shared = np.intersect1d(a.labels[:, party], b.labels[:, party])
+            shared = _shared_labels(a.labels[:, party], b.labels[:, party])
             if shared.size and abs(np.vdot(
                     _shared_density(a, party, shared),
                     _shared_density(b, party, shared))) > tol:

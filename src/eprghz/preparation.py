@@ -25,7 +25,7 @@ from .hilbert import (NORM_TOL, PureState, _check_budget, _has_repeats,
                       relabel, squared_norm, tensor)
 from .canonical import level_epr, level_ghz
 from .locc import (ImpossibleOutcomeError, Povm, Transcript, _draw,
-                   apply_element, as_generator, diagonal_operator)
+                   apply_element, diagonal_operator, uniform_draws)
 from .blocks import _binomial_bulk_chunks, block_labels, log2_binomial_array
 
 
@@ -255,13 +255,13 @@ def row_shorten_povm(labels, keep: int, party: int,
     return _expand(_shorten_stage(labels, keep, party, dim))
 
 
-def _measure(state, stage, parties, gen, transcript, step) -> PureState:
+def _measure(state, stage, parties, u, transcript, step) -> PureState:
     """Draw an outcome o of an ``(m, element, correction)`` stage from its
-    builder's uniform law 1/m, build and apply ``element(o)`` alone, check
-    its probability, record it and relabel ``parties`` by
-    ``correction(o)``."""
+    builder's uniform law 1/m with the uniform ``u``, build and apply
+    ``element(o)`` alone, check its probability, record it and relabel
+    ``parties`` by ``correction(o)``."""
     m, element, correction = stage
-    outcome = _draw(np.arange(1, m + 1) / m, gen)
+    outcome = _draw(np.arange(1, m + 1) / m, u)
     op = element(outcome)
     state, sq = apply_element(state, op)
     if abs(sq - 1.0 / m) > NORM_TOL:
@@ -275,6 +275,14 @@ def _measure(state, stage, parties, gen, transcript, step) -> PureState:
     return state
 
 
+def stage_count(n: int, window) -> int:
+    """Stages one branch of ``prepare_approx`` measures, one uniform draw
+    each: the weighting stage and one shortening stage per window row."""
+    n = int(n)
+    k_minus, k_plus = _window_tuple(window, n)
+    return 1 + sum(math.comb(n, k) for k in range(k_minus, k_plus + 1))
+
+
 def prepare_approx(n: int, c0: float, c1: float, seed=0,
                    window: Window | None = None
                    ) -> tuple[PureState, Transcript, ResourceCount]:
@@ -284,6 +292,10 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     N - k_minus B-C pairs. Steps: weight the rows, attach the pairs,
     shorten each row to its block's length (each stage built just before
     it is sampled), then relabel every party into the N-copy label space.
+
+    Stage j draws with the j-th double of ``seed``'s stream
+    (``locc.uniform_draws``): an int seed's root stream, a Generator or
+    SeedSequence, or the ``stage_count`` doubles themselves.
     """
     n = int(n)
     if window is None:
@@ -302,10 +314,10 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     if nrm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
 
-    gen, transcript = as_generator(seed), Transcript()
+    draws, transcript = uniform_draws(seed, 1 + big_r), Transcript()
     state = _measure(level_ghz(big_r, (0, 1, 2)),
-                     _weighting_stage(lam / nrm, party=0), (0, 1, 2), gen,
-                     transcript, "weighting")
+                     _weighting_stage(lam / nrm, party=0), (0, 1, 2),
+                     draws[0], transcript, "weighting")
     state = tensor(state, level_epr(pair_levels, (0, 1), 2), b_map=(1, 2))
     dim_bc = big_r * pair_levels
 
@@ -315,7 +327,7 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
         labels = np.arange(g * pair_levels, (g + 1) * pair_levels)
         state = _measure(state,
                          _shorten_stage(labels, keep, party=1, dim=dim_bc),
-                         (1, 2), gen, transcript, f"shorten_row{g}")
+                         (1, 2), draws[1 + g], transcript, f"shorten_row{g}")
 
     e = np.arange(len(row)) - np.searchsorted(row, row)
     state = relabel(state, 0, np.arange(big_r), a, new_dim=2**n)

@@ -467,7 +467,7 @@ def test_trial_budget_refuses_before_any_seed(capsys, monkeypatch, command,
     def seeds(*args):
         raise Reached
 
-    monkeypatch.setattr(cli, "trial_seeds", seeds)
+    monkeypatch.setattr(cli, "stream_uniforms", seeds)
     monkeypatch.setattr(extraction, "trial_seeds", seeds)
     code, out, err = run(capsys, command, *flags, "-N", "2", "--trials",
                          "100000000", "--seed", "1")
@@ -589,6 +589,40 @@ def test_cold_paths_leave_scipy_out():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n" * (1 + len(calls))
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--psi", "0.6", "0.8", "-N", "4", "--trials", "50",
+     "--seed", "1"],
+    ["extract", "--psi-prime", "0.6", "0.5", "0.4", "0.4795831523312719",
+     "-N", "3", "--trials", "50", "--seed", str(2**128 + 5)],
+    ["extract", "--spec", "SPEC", "-N", "3", "--trials", "50", "--seed",
+     "7"],
+    ["prepare", "--psi", "0.6", "0.8", "-N", "5", "--seed", "3"],
+    ["prepare", "--psi", "0.6", "0.8", "-N", "2", "--trials", "5", "--seed",
+     "4", "--transcript", os.devnull],
+], ids=["psi", "psi-prime", "spec", "prepare", "prepare-branches"])
+def test_explicit_requests_leave_numpy_random_and_ma_out(argv):
+    """Explicit extract and prepare draw from streams computed in-package
+    and intersect labels by sorting, so ``python -m eprghz.cli`` never
+    imports numpy.random or numpy.ma (``-X importtime`` lists every module
+    the child imports)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    spec = str(Path(__file__).parent / "golden" / "spec3.json")
+    argv = [spec if a == "SPEC" else a for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "eprghz.cli", *argv,
+         "--out", os.devnull], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "numpy" in imported and "eprghz.locc" in imported
+    assert not {m for m in imported
+                if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])}
 
 
 # -- golden output ---------------------------------------------------------------

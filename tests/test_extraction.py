@@ -309,7 +309,8 @@ def test_explicit_draws_equal_the_per_trial_generator_loop():
     povm, _ = block_measurement_povm(spec, n)
     probs = outcome_probabilities(copies(psi_general(spec), n), povm)
     cum = np.cumsum(probs)
-    want = [_draw(cum, as_generator(ss)) for ss in trial_seeds(seed, trials)]
+    want = [_draw(cum, as_generator(ss).random())
+            for ss in trial_seeds(seed, trials)]
     _, transcript = run_extraction(spec, n, trials, seed)
     assert transcript.outcomes == want
     assert transcript.probabilities == [float(probs[o]) for o in want]

@@ -53,6 +53,32 @@ def test_state_validation():
         PureState((2, 2), [(0, 0)], [1.0, 1.0])  # lengths differ
 
 
+def test_repeated_rows_refused():
+    with pytest.raises(ValueError, match=r"^label row \(0,\) repeats$"):
+        PureState((2,), [(0,), (0,)], [0.6, 0.8])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 3),
+       st.sampled_from([2, 3, 2**20, 2**40]))
+@example(0, 0, 2, 2)
+@example(0, 2, 1, 2**40)
+@settings(max_examples=200, deadline=None)
+def test_repeat_refusal_matches_unique(seed, rows, cols, dim):
+    """A label matrix is refused exactly when ``np.unique`` over its rows
+    finds fewer rows; 2**40 on three parties passes int64, where the
+    check falls back to ``_row_codes``."""
+    rng = np.random.default_rng(seed)
+    top = int(rng.choice([1, 2, dim]))  # a small top repeats rows often
+    labels = rng.integers(0, top, size=(rows, cols), dtype=np.int64)
+    amps = rng.uniform(0.5, 1.0, size=rows)
+    if len(np.unique(labels, axis=0)) < rows:
+        with pytest.raises(ValueError, match="repeats$"):
+            PureState((dim,) * cols, labels, amps)
+    else:
+        s = PureState((dim,) * cols, labels, amps)
+        assert np.array_equal(s.labels, labels)
+
+
 def test_columns_are_read_only():
     s = psi(0.6, 0.8)
     assert [f.name for f in dataclasses.fields(PureState)] == \

@@ -17,7 +17,8 @@ from eprghz.locc import (
     _shared_density, apply_element,
     apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
-    permutation_operator, sample, trial_seeds, trial_uniforms,
+    permutation_operator, sample, stream_uniforms, trial_seeds,
+    trial_uniforms, uniform_draws,
 )
 from eprghz.preparation import ghz_weighting_povm, row_shorten_povm
 
@@ -296,6 +297,23 @@ def test_bulk_transcript_equals_the_entry_by_entry_one():
     assert Transcript().to_text() == "step\tparty\toutcome\tprobability\n"
 
 
+def test_numbered_steps_are_spelt_only_when_read():
+    """A numbered run of step names is held as its range; ``steps``,
+    ``entries`` and ``to_text`` spell it as one name per row would."""
+    t, one = Transcript(), Transcript()
+    t.add("w", 1, 0, 0.5)
+    t.extend(range(3), 0, np.array([2, 0, 1]), [0.25, 0.5, 0.25],
+             prefix="trial")
+    t.extend(["a", "b"], 2, [1, 1], [1.0, 1.0], prefix="branch7.")
+    assert t._runs[1] == ("trial", range(3))
+    for row in [("w", 1, 0, 0.5), ("trial0", 0, 2, 0.25),
+                ("trial1", 0, 0, 0.5), ("trial2", 0, 1, 0.25),
+                ("branch7.a", 2, 1, 1.0), ("branch7.b", 2, 1, 1.0)]:
+        one.add(*row)
+    assert t == one and t.steps == one.steps and t.entries == one.entries
+    assert t.to_text() == one.to_text()
+
+
 def test_bulk_transcript_rejects_bad_rows():
     t = Transcript()
     for bad in (1.5, float("nan"), -0.2):
@@ -354,6 +372,50 @@ def test_trial_uniforms_refuse_a_bad_seed_as_numpy_does():
         trial_uniforms(-3, 4)
     assert str(kernel_error.value) == str(numpy_error.value)
     assert trial_uniforms(5, 0).shape == (0,)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 5])
+@pytest.mark.parametrize("count", [0, 1, 2, 17, 40])
+def test_stream_uniforms_equal_numpy_generators(seed, count):
+    """The first ``count`` doubles of the root stream and of spawned
+    streams, bit for bit against numpy's own Generator, for seeds of one,
+    two and five entropy words."""
+    want = np.random.default_rng(seed).random(count)
+    got = stream_uniforms(seed, count)
+    assert got.shape == (count,) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    children = trial_seeds(seed, 6)
+    keys = [5, 0, 3]
+    want = np.array([np.random.default_rng(children[k]).random(count)
+                     for k in keys]).reshape(len(keys), count)
+    got = stream_uniforms(seed, count, keys)
+    assert got.shape == (len(keys), count)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # one double at a time from a Generator is the same stream
+    gen = np.random.default_rng(seed)
+    assert [gen.random() for _ in range(count)] == \
+        stream_uniforms(seed, count).tolist()
+
+
+def test_stream_uniforms_refuse_bad_input():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        stream_uniforms(-1, 3)
+    with pytest.raises(ValueError, match="count"):
+        stream_uniforms(1, -1)
+    with pytest.raises(ValueError, match="spawn keys"):
+        stream_uniforms(1, 2, [2**32])
+    assert stream_uniforms(1, 3, []).shape == (0, 3)
+
+
+def test_uniform_draws_of_every_source():
+    """An int seed's root stream, a Generator, a SeedSequence and the
+    draws themselves all give the same doubles."""
+    want = np.random.default_rng(11).random(5)
+    for rng in (11, np.int64(11), np.random.default_rng(11),
+                np.random.SeedSequence(11), want):
+        assert np.array_equal(uniform_draws(rng, 5), want)
+    with pytest.raises(ValueError, match="need 5 draws"):
+        uniform_draws(want[:4], 5)
 
 
 def test_trial_seeds_deterministic_and_distinct():

@@ -25,7 +25,7 @@ from eprghz.preparation import (
     ResourceCount, Window, _expand, _measure, _shorten_stage,
     _weighting_stage, _window_terms, build_target, fidelity, fidelity_bound,
     ghz_weighting_povm, prepare_approx, prepare_exact_n2, resource_count,
-    row_shorten_povm, target_window,
+    row_shorten_povm, stage_count, target_window,
 )
 
 HALF = math.sqrt(0.5)
@@ -343,6 +343,23 @@ def test_prepare_exact_n2_every_branch():
         assert resources == ResourceCount({(1, 2): 2.0}, 2.0)
 
 
+@pytest.mark.parametrize("n, seed", [(2, 0), (4, 7), (5, 2**64 + 3)])
+def test_prepare_draws_the_same_stream_from_every_source(n, seed):
+    """One uniform per stage: an int seed's stream computed in-package, a
+    Generator of the same seed, and the ``stage_count`` doubles passed in
+    give the same branch."""
+    window = target_window(n, 0.36) if n > 2 else (0, 2)
+    draws = np.random.default_rng(seed).random(stage_count(n, window))
+    runs = [prepare_approx(n, 0.6, 0.8, seed=rng, window=window)
+            for rng in (seed, np.random.default_rng(seed), draws)]
+    for state, transcript, _ in runs:
+        assert len(transcript.entries) == len(draws)
+        assert transcript == runs[0][1]
+        assert amplitude_distance(state, runs[0][0]) == 0.0
+    with pytest.raises(ValueError, match="draws"):
+        prepare_approx(n, 0.6, 0.8, seed=draws[1:], window=window)
+
+
 def test_prepare_exact_n2_transcript_shape():
     state, transcript, _ = prepare_exact_n2(0.6, 0.8, seed=1)
     steps = [e.step for e in transcript.entries]
@@ -477,7 +494,8 @@ def test_protocol_draw_matches_sample():
         for state, stage, (povm, corrections), parties in stages:
             transcript = Transcript()
             post = _measure(state, stage, parties,
-                            np.random.default_rng(seed), transcript, "s")
+                            np.random.default_rng(seed).random(), transcript,
+                            "s")
             want, branch, entry = sample(state, povm,
                                          np.random.default_rng(seed))
             assert transcript.entries[0].outcome == want
