@@ -173,7 +173,9 @@ def cmd_prepare(args) -> int:
     worst = 0.0
     combined = Transcript()
     # branch i draws the first doubles of spawned stream i of the seed,
-    # formed for a chunk of branches at a time
+    # formed for a chunk of branches at a time: a call per branch would
+    # re-form the root pool and step one stream alone, and one call for
+    # every branch would hold branches * stages doubles at once
     stages = stage_count(n, window)
     chunk = max(1, _BRANCH_DRAWS // stages)
     for start in range(0, branches, chunk):

@@ -21,7 +21,7 @@ from .hilbert import (BudgetError, PureState, _check_budget, _unique_rows,
                       entanglement_entropy, entropy, states_equal)
 from .canonical import StateSpec, _check_copies, copies, psi_general
 from .locc import (Povm, Transcript, as_generator, diagonal_operator,
-                   projective_probabilities, trial_seeds, trial_uniforms)
+                   projective_probabilities, stream_uniforms, trial_seeds)
 from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
                      _block_yield_table, _check_count,
                      _log2_block_probabilities,
@@ -204,7 +204,7 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
     block indices from the multinomial law directly (identical
     statistics at any N). Each trial uses its own sub-seed: explicit mode
     reads the first uniform of every trial's stream at once
-    (``trial_uniforms``) and draws all outcomes in one ``searchsorted``.
+    (``stream_uniforms``) and draws all outcomes in one ``searchsorted``.
     """
     n, trials = int(n), int(trials)
     if trials < 1:
@@ -224,7 +224,7 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
         outcomes = [_flat_outcome(tuple(row)) for row in counts.tolist()]
         outcome_probs = [2.0 ** lp for lp in logp.tolist()]
     else:
-        u = trial_uniforms(seed, trials)
+        u = stream_uniforms(seed, 1, np.arange(trials))[:, 0]
         _check_copies(sum(c.terms for c in spec.components), n)
         counts, block_of = block_outcomes(spec, n)
         state = copies(psi_general(spec), n)

@@ -89,10 +89,10 @@ class PureState:
         if bad.any():
             raise ValueError(f"labels {tuple(labels[bad][0].tolist())} out "
                              f"of range for dims {dims}")
-        keys = _row_keys(labels, dims)
-        if _has_repeats(keys):
-            order = np.argsort(keys, kind="stable")
-            again = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        codes = _row_codes(labels)
+        if codes.max(initial=-1) + 1 < len(codes):
+            order = np.argsort(codes, kind="stable")
+            again = order[1:][codes[order[1:]] == codes[order[:-1]]]
             raise ValueError(f"label row {tuple(labels[again[0]].tolist())} "
                              "repeats")
         _seal(self, dims, labels, amps)
@@ -128,13 +128,12 @@ class PureState:
 
 
 def _seal(s: PureState, dims: tuple[int, ...], labels: np.ndarray,
-          amps: np.ndarray, prune: bool = True) -> PureState:
+          amps: np.ndarray) -> PureState:
     """Store checked columns on ``s``: drop the terms below ``PRUNE_EPS``
-    (``prune``: the amplitudes may have changed) and freeze both."""
-    if prune:
-        keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS
-        if not keep.all():
-            labels, amps = labels[keep], amps[keep]
+    and freeze both."""
+    keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS
+    if not keep.all():
+        labels, amps = labels[keep], amps[keep]
     labels, amps = labels.view(), amps.view()
     labels.flags.writeable = amps.flags.writeable = False
     object.__setattr__(s, "local_dims", dims)
@@ -143,15 +142,15 @@ def _seal(s: PureState, dims: tuple[int, ...], labels: np.ndarray,
     return s
 
 
-def _valid_state(dims: tuple[int, ...], labels: np.ndarray, amps: np.ndarray,
-                 prune: bool = True) -> PureState:
+def _valid_state(dims: tuple[int, ...], labels: np.ndarray,
+                 amps: np.ndarray) -> PureState:
     """A PureState from columns valid by construction, unchecked: ``dims``
     a tuple of ints, ``labels`` an int64 matrix of shape (len(amps),
     len(dims)) with distinct rows in range, ``amps`` complex128. The
     transforms of valid states (``tensor``, ``relabel``, ``locc``'s
     operator application) and the canonical ``level_ghz`` and
     ``block_state`` build through here; the public constructor checks."""
-    return _seal(object.__new__(PureState), dims, labels, amps, prune)
+    return _seal(object.__new__(PureState), dims, labels, amps)
 
 
 def squared_norm(amps: np.ndarray) -> float:
@@ -251,19 +250,6 @@ def _unique_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     dtype=labels.dtype)
     rows[codes] = labels
     return rows, codes
-
-
-def _row_keys(labels: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """One int64 per row, equal exactly for equal rows: the mixed-radix
-    code of the labels over ``dims`` when their product fits in int64,
-    else ``_row_codes``."""
-    if math.prod(dims) - 1 > INT64_MAX:
-        return _row_codes(labels)
-    keys = np.zeros(len(labels), dtype=np.int64)
-    for p, d in enumerate(dims):
-        keys *= d
-        keys += labels[:, p]
-    return keys
 
 
 def _union(a: PureState, b: PureState):
@@ -400,7 +386,7 @@ def relabel(s: PureState, party: int, old, new,
     labels = s.labels.copy()
     labels[hit, party] = new[at]
     dims = s.local_dims[:party] + (dim,) + s.local_dims[party + 1:]
-    return _valid_state(dims, labels, s.amps, prune=False)
+    return _valid_state(dims, labels, s.amps)
 
 
 def amplitude_distance(a: PureState, b: PureState) -> float:

@@ -427,15 +427,6 @@ def stream_uniforms(seed: int, count: int, keys=None) -> np.ndarray:
     return out
 
 
-def trial_uniforms(seed: int, trials: int) -> np.ndarray:
-    """First uniform double of each trial's stream, in bulk: entry t is
-    bit-equal to ``as_generator(trial_seeds(seed, trials)[t]).random()``."""
-    trials = int(trials)
-    if not 0 <= trials <= 2**32:
-        raise ValueError(f"need 0 <= trials <= 2**32, got {trials}")
-    return stream_uniforms(seed, 1, np.arange(trials)).reshape(trials)
-
-
 def uniform_draws(rng, count: int) -> np.ndarray:
     """The first ``count`` uniform doubles of a stream, as
     ``Generator.random(count)`` gives them. An int seed's root stream is

@@ -303,8 +303,9 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     k_minus, k_plus = _window_tuple(window, n)
     if abs(c0 * c0 + c1 * c1 - 1.0) > NORM_TOL:
         raise ValueError(f"coefficients not normalized: {c0}, {c1}")
-    big_r = _window_terms("protocol", n, k_minus, k_plus,
-                          lambda k: n - k_minus) >> (n - k_minus)
+    _window_terms("protocol", n, k_minus, k_plus, lambda k: n - k_minus)
+    stages = stage_count(n, window)
+    big_r = stages - 1
     pair_levels = 2**(n - k_minus)
     ks, a, row, bc = block_labels(n, k_minus, k_plus)
 
@@ -314,7 +315,7 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     if nrm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
 
-    draws, transcript = uniform_draws(seed, 1 + big_r), Transcript()
+    draws, transcript = uniform_draws(seed, stages), Transcript()
     state = _measure(level_ghz(big_r, (0, 1, 2)),
                      _weighting_stage(lam / nrm, party=0), (0, 1, 2),
                      draws[0], transcript, "weighting")

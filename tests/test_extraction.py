@@ -328,7 +328,7 @@ def test_trial_budget_is_checked_before_any_seed(monkeypatch, analytic):
         raise Reached
 
     monkeypatch.setattr(extraction, "trial_seeds", seeds)
-    monkeypatch.setattr(extraction, "trial_uniforms", seeds)
+    monkeypatch.setattr(extraction, "stream_uniforms", seeds)
     spec = psi_spec(0.6, 0.8)
     with pytest.raises(Reached):
         run_extraction(spec, 2, 10**6, seed=1, analytic=analytic)

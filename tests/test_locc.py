@@ -18,7 +18,7 @@ from eprghz.locc import (
     apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
     permutation_operator, sample, stream_uniforms, trial_seeds,
-    trial_uniforms, uniform_draws,
+    uniform_draws,
 )
 from eprghz.preparation import ghz_weighting_povm, row_shorten_povm
 
@@ -356,11 +356,12 @@ def test_as_generator_accepts_all_forms():
 @example(2**64 + 7, 2**16 + 1)
 @example(2**200 + 3, 2**16 + 1)
 def test_trial_uniforms_equal_each_trial_streams_first_double(seed, trials):
-    """The bulk kernel against numpy itself: one Generator per spawned
-    SeedSequence. 2**16 + 1 trials cross the kernel's chunk edge."""
+    """Each trial's first uniform, as explicit extraction draws them in
+    bulk, against numpy itself: one Generator per spawned SeedSequence.
+    2**16 + 1 trials cross the kernel's chunk edge."""
     want = np.array([as_generator(ss).random()
                      for ss in trial_seeds(seed, trials)])
-    got = trial_uniforms(seed, trials)
+    got = stream_uniforms(seed, 1, np.arange(trials))[:, 0]
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -369,9 +370,9 @@ def test_trial_uniforms_refuse_a_bad_seed_as_numpy_does():
     with pytest.raises(ValueError) as numpy_error:
         np.random.SeedSequence(-3)
     with pytest.raises(ValueError) as kernel_error:
-        trial_uniforms(-3, 4)
+        stream_uniforms(-3, 1, np.arange(4))
     assert str(kernel_error.value) == str(numpy_error.value)
-    assert trial_uniforms(5, 0).shape == (0,)
+    assert stream_uniforms(5, 1, np.arange(0)).shape == (0, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 5])
