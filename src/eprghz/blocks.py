@@ -246,15 +246,6 @@ def _binomial_mode_chunks(n: int, p: float):
         yield tilted(ks, s[::-1])
 
 
-def multinomial_exact(counts) -> int:
-    """Exact N! / prod(k_i!) as a Python integer."""
-    total, out = 0, 1
-    for k in counts:
-        total += k
-        out *= math.comb(total, k)
-    return out
-
-
 def log2_multinomial(counts):
     """log2(N! / prod k_i!) over the last axis of an integer count array,
     N being the sum along that axis; a scalar for one count vector."""

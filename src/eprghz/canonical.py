@@ -72,20 +72,6 @@ def psi(c0: float, c1: float) -> PureState:
                      [c0, c1 / SQ2, c1 / SQ2])
 
 
-def psi_prime(c0: float, c1: float, c2: float, c3: float) -> PureState:
-    """Four-component tripartite state on dims (6,6,6).
-
-    Component subsets: c0 product |000>; c1 pairs B with C (A parked); c2
-    pairs A with C (B parked); c3 pairs A with B (C parked). Label ranges
-    per party are disjoint across components.
-    """
-    _check_unit(c0, c1, c2, c3)
-    labels = [(0, 0, 0), (1, 1, 1), (1, 2, 2), (2, 3, 3), (3, 3, 4),
-              (4, 4, 5), (5, 5, 5)]
-    amps = [c0, c1 / SQ2, c1 / SQ2, c2 / SQ2, c2 / SQ2, c3 / SQ2, c3 / SQ2]
-    return PureState((6, 6, 6), labels, amps)
-
-
 def _check_unit(*cs):
     if any(c < 0 for c in cs):
         raise ValueError(f"coefficients must be non-negative, got {cs}")

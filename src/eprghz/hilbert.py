@@ -28,7 +28,7 @@ INT64_MAX = 2**63 - 1
 # parties by the letters A to Z
 _BUDGETS = {"explicit terms": 10**7, "explicit copies": 63,
             "block rows": 200_000, "projector labels": 4_000_000,
-            "bulk entries": 10**8, "density rows": 4096,
+            "bulk entries": 10**8,
             "multiplicity digits": getattr(sys, "get_int_max_str_digits", int),
             "sampling trials": 10**6, "state parties": 26}
 
@@ -161,70 +161,20 @@ def squared_norm(amps: np.ndarray) -> float:
     return float(np.cumsum(np.float_power(h, 2.0))[-1]) if h.size else 0.0
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Dense reduced density matrix on an explicit party subset."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {m.shape} != ({self.dim}, {self.dim})")
-        object.__setattr__(self, "matrix", m)
-
-    def validate(self, tol: float = NORM_TOL) -> None:
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > tol:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > tol:
-            raise ValueError(f"trace {np.trace(m).real} != 1")
-        if np.linalg.eigvalsh(m).min() < -tol:
-            raise ValueError("density matrix has a negative eigenvalue")
-
-
-def tensor(a: PureState, b: PureState,
-           a_map: tuple[int, ...] | None = None,
-           b_map: tuple[int, ...] | None = None,
-           party_count: int | None = None) -> PureState:
-    """Tensor product with party alignment.
-
-    ``a_map[i]`` / ``b_map[j]`` give the output slot of each input party
-    (defaults: identity, requiring equal party counts). A slot fed by both
-    inputs is merged: dimension ``da*db``, label ``la*db + lb``. A slot fed
-    by neither gets dimension 1 and label 0. Output rows run over a's rows
-    outer and b's rows inner.
-    """
-    if (a_map is None and b_map is None and party_count is None
-            and a.party_count != b.party_count):
+def tensor(a: PureState, b: PureState) -> PureState:
+    """Tensor product of two states on the same parties: party p gets
+    dimension ``da*db`` and label ``la*db + lb``. Output row
+    ``i * b.support_size + j`` is a's row i with b's row j."""
+    if a.party_count != b.party_count:
         raise ValueError(
-            f"party counts differ ({a.party_count} vs {b.party_count}); "
-            "pass an explicit alignment")
-    a_map = tuple(range(a.party_count)) if a_map is None else tuple(a_map)
-    b_map = tuple(range(b.party_count)) if b_map is None else tuple(b_map)
-    if party_count is None:
-        party_count = max((*a_map, *b_map), default=-1) + 1
-    if len(a_map) != a.party_count or len(b_map) != b.party_count:
-        raise ValueError("alignment spec does not match party counts")
-    if len(set(a_map)) != len(a_map) or len(set(b_map)) != len(b_map):
-        raise ValueError("alignment maps two parties of one input to one slot")
-    if not set(a_map) | set(b_map) <= set(range(party_count)):
-        raise ValueError(f"alignment slot outside 0..{party_count - 1}")
-
-    # both inputs on the output slots (dim 1, label 0 where absent)
-    da, db = [1] * party_count, [1] * party_count
-    la = np.zeros((a.support_size, party_count), dtype=np.int64)
-    lb = np.zeros((b.support_size, party_count), dtype=np.int64)
-    for d, lab, x, slots in ((da, la, a, a_map), (db, lb, b, b_map)):
-        for p, slot in enumerate(slots):
-            d[slot] = x.local_dims[p]
-        lab[:, list(slots)] = x.labels
-    dims = tuple(x * y for x, y in zip(da, db))
+            f"party counts differ ({a.party_count} vs {b.party_count})")
+    da, db = a.local_dims, b.local_dims
     if any(min(x, y) > 1 and x * y - 1 > INT64_MAX for x, y in zip(da, db)):
         raise ValueError("a merged dimension exceeds int64 labels")
-    labels = la[:, None] * np.array([min(y, INT64_MAX) for y in db]) + lb
-    return _valid_state(dims, labels.reshape(-1, party_count),
+    labels = (a.labels[:, None] * np.array([min(y, INT64_MAX) for y in db])
+              + b.labels)
+    return _valid_state(tuple(x * y for x, y in zip(da, db)),
+                        labels.reshape(-1, a.party_count),
                         np.multiply.outer(a.amps, b.amps).ravel())
 
 
@@ -264,11 +214,6 @@ def _union(a: PureState, b: PureState):
     return out
 
 
-def inner(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in ``a``."""
-    return complex(np.vdot(*_union(a, b)))
-
-
 def _cut(s: PureState, parties):
     """Sorted kept parties (a non-empty proper subset) and the rest."""
     keep = sorted(set(int(p) for p in parties))
@@ -277,29 +222,6 @@ def _cut(s: PureState, parties):
     if keep[0] < 0 or keep[-1] >= s.party_count:
         raise ValueError(f"party out of range: {keep}")
     return keep, [p for p in range(s.party_count) if p not in keep]
-
-
-def reduced_density(s: PureState, parties) -> DensityMatrix:
-    """Partial trace onto ``parties`` (non-empty proper subset), dense:
-    entanglement_entropy takes spectra of large cuts."""
-    keep, rest = _cut(s, parties)
-    dims = [s.local_dims[p] for p in keep]
-    dim = _check_budget(f"dense reduced density on parties {keep}",
-                        "density rows", math.prod(dims))
-    # rho[x, y] sums a_i conj(a_j) over the pairs of terms i, j that
-    # agree on the traced parties: sort by those, pair within each group
-    group = _row_codes(s.labels[:, rest])
-    order = np.argsort(group, kind="stable")
-    group, labels, amps = group[order], s.labels[order], s.amps[order]
-    flat = np.ravel_multi_index(labels[:, keep].T, dims)
-    first = np.searchsorted(group, group)
-    size = np.searchsorted(group, group, side="right") - first
-    i = np.repeat(np.arange(len(group)), size)
-    j = np.repeat(first, size) + np.arange(len(i)) - np.repeat(
-        np.cumsum(size) - size, size)
-    rho = np.zeros((dim, dim), dtype=complex)
-    np.add.at(rho, (flat[i], flat[j]), amps[i] * amps[j].conj())
-    return DensityMatrix(dim, rho)
 
 
 def entropy(p) -> float:

@@ -122,12 +122,9 @@ class Povm:
         return self.elements[0].in_dim
 
 
-def check_completeness(p: Povm, dim: int | None = None,
-                       tol: float = NORM_TOL) -> bool:
+def check_completeness(p: Povm, tol: float = NORM_TOL) -> bool:
     """True iff sum_j M_j^dag M_j is the identity within tol (max entry),
     that is, iff every label's squared weights sum to 1."""
-    if dim is not None and dim != p.in_dim:
-        raise ValueError(f"POVM acts on dim {p.in_dim}, not {dim}")
     total = np.zeros(p.in_dim)
     for e in p.elements:
         total += np.abs(e.weights) ** 2

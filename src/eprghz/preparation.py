@@ -66,10 +66,7 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= c0_sq <= 1.0:
         raise ValueError(f"c0_sq {c0_sq} outside [0, 1]")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.5 < beta < 1.0:
-        raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
+    _window_shape(alpha, beta)
     half = alpha * n**beta
     lo, hi = c0_sq * n - half, c0_sq * n + half
     k_minus, k_plus = math.ceil(max(lo, 0)), math.floor(min(hi, n))
@@ -81,6 +78,14 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
         raise ValueError(f"window c0^2*N -/+ alpha*N^beta = [{lo:.6g}, "
                          f"{hi:.6g}] holds no block index; raise --alpha")
     return Window(n, k_minus, k_plus, alpha, beta)
+
+
+def _window_shape(alpha: float, beta: float) -> None:
+    """Refuse a half-width alpha N^beta unless alpha > 0 and 1/2 < beta < 1."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.5 < beta < 1.0:
+        raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
 
 
 def _window_tuple(window, n: int) -> tuple[int, int]:
@@ -149,12 +154,21 @@ def _window_terms(what: str, n: int, k_minus: int, k_plus: int, shift):
         float(np.max(log2_binomial_array(n, ks) + shift(ks))))
 
 
+def _check_terms(n: int, k_minus: int, k_plus: int, *whats: str) -> None:
+    """Refuse, in the order given, the "windowed target" (rows of 2**(n - k)
+    terms) or the "protocol" (2**(n - k_minus) pair levels on every row)
+    over the explicit budget, before anything is built."""
+    for what in whats:
+        _window_terms(what, n, k_minus, k_plus, lambda k: n - (
+            k if what == "windowed target" else k_minus))
+
+
 def build_target(n: int, c0: float, c1: float, window) -> PureState:
     """Explicit windowed target: the normalized restriction of the N-copy
     power to the window's blocks (small N only)."""
     n = int(n)
     k_minus, k_plus = _window_tuple(window, n)
-    _window_terms("windowed target", n, k_minus, k_plus, lambda k: n - k)
+    _check_terms(n, k_minus, k_plus, "windowed target")
     ks, a, row, bc = block_labels(n, k_minus, k_plus)
     amps = np.array([c0**k * c1**(n - k) / math.sqrt(2**(n - k))
                      for k in range(k_minus, k_plus + 1)])[ks[row] - k_minus]
@@ -303,7 +317,7 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     k_minus, k_plus = _window_tuple(window, n)
     if abs(c0 * c0 + c1 * c1 - 1.0) > NORM_TOL:
         raise ValueError(f"coefficients not normalized: {c0}, {c1}")
-    _window_terms("protocol", n, k_minus, k_plus, lambda k: n - k_minus)
+    _check_terms(n, k_minus, k_plus, "protocol")
     stages = stage_count(n, window)
     big_r = stages - 1
     pair_levels = 2**(n - k_minus)
@@ -319,7 +333,7 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     state = _measure(level_ghz(big_r, (0, 1, 2)),
                      _weighting_stage(lam / nrm, party=0), (0, 1, 2),
                      draws[0], transcript, "weighting")
-    state = tensor(state, level_epr(pair_levels, (0, 1), 2), b_map=(1, 2))
+    state = tensor(state, level_epr(pair_levels, (1, 2), 3))
     dim_bc = big_r * pair_levels
 
     # term e of row g sits at g*pair_levels + e on B and C; the row keeps

@@ -6,17 +6,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import block_counts_oracle, terms
+from conftest import block_counts_oracle, multinomial_exact, psi_prime, terms
 
 from eprghz import blocks
 from eprghz.blocks import (
     _block_counts, block_labels, block_probability, block_state, block_yields,
     classify_copies_label, decompose, log2_binomial_array, log2_multinomial,
-    multinomial_exact, row_a_label, row_bc_label, verify_block_equivalence,
+    row_a_label, row_bc_label, verify_block_equivalence,
 )
 from eprghz.canonical import (
-    CanonicalComponent, StateSpec, copies, psi, psi_prime, psi_prime_spec,
-    psi_spec,
+    CanonicalComponent, StateSpec, copies, psi, psi_prime_spec, psi_spec,
 )
 from eprghz.hilbert import BudgetError, amplitude_distance
 from eprghz.preparation import build_target, prepare_approx

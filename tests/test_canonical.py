@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import terms
+from conftest import inner, psi_prime, terms
 
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, epr, ghz, level_epr, level_ghz,
-    psi, psi_general, psi_prime, psi_prime_spec, psi_spec, random_spec,
+    psi, psi_general, psi_prime_spec, psi_spec, random_spec,
     spec_from_dict, spec_from_json, spec_to_dict, spec_to_json,
 )
-from eprghz.hilbert import BudgetError, PureState, inner, states_equal
+from eprghz.hilbert import BudgetError, PureState, states_equal
 from eprghz.locc import check_local_orthogonality
 
 SQ2 = math.sqrt(2.0)
@@ -72,7 +72,7 @@ def test_coefficient_validation():
     with pytest.raises(ValueError):
         psi(-0.6, 0.8)
     with pytest.raises(ValueError):
-        psi_prime(0.9, 0.9, 0.1, 0.1)
+        psi_prime_spec(0.9, 0.9, 0.1, 0.1)
 
 
 # -- component specs ---------------------------------------------------------

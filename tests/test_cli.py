@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import multinomial_exact
 
 from eprghz import cli, extraction, preparation
-from eprghz.blocks import block_probability, multinomial_exact
+from eprghz.blocks import block_probability
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from eprghz.extraction import expected_yields
@@ -431,6 +432,47 @@ def test_huge_prepare_window_is_refused_at_once(capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: windowed target needs at least 2**1583")
     assert err.endswith(" terms, budget is 10000000 terms\n")
+
+
+@pytest.mark.parametrize("n, need", [("13", "32002048"),
+                                     ("14", "at least 2**24.744834")])
+def test_prepare_terms_are_refused_before_any_state(capsys, monkeypatch, n,
+                                                    need):
+    """The protocol's terms are checked with the target's, before the
+    target or any branch is built: both builders are stubbed to fail."""
+    def built(*args, **kwargs):
+        raise AssertionError("a state was built before the budget check")
+
+    monkeypatch.setattr(cli, "build_target", built)
+    monkeypatch.setattr(cli, "prepare_approx", built)
+    code, out, err = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", n,
+                         "--seed", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: protocol needs {need} terms, budget is 10000000 "
+                   "terms\n")
+
+
+@pytest.mark.parametrize("command", ["prepare", "fidelity"])
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "-1", "alpha must be positive, got -1.0"),
+    ("--beta", "5", "beta must lie in (1/2, 1), got 5.0"),
+])
+def test_window_flags_are_checked_at_every_n(capsys, command, n, flag, value,
+                                             message):
+    """prepare -N 2 keeps every block whatever the window, but still
+    refuses the window flags that no N accepts."""
+    code, out, err = run(capsys, command, "--psi", "0.6", "0.8", "-N", n,
+                         flag, value)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_prepare_two_copies_ignores_the_window_width(capsys):
+    """A valid --alpha too small for any block still runs at N = 2, whose
+    exact protocol keeps every block."""
+    code, out, _ = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "2",
+                       "--alpha", "0.01", "--seed", "1")
+    assert code == EXIT_OK and rows_of(out)[0]["ok"] == "true"
 
 
 @pytest.mark.parametrize("max_n", ["15", str(10**40)])

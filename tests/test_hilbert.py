@@ -10,17 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import terms
+from conftest import inner, psi_prime, reduced_density, terms
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprghz.hilbert import (
-    _BUDGETS, NORM_TOL, PRUNE_EPS, BudgetError, DensityMatrix, PureState,
-    _check_budget, _has_repeats, _row_codes, _unique_rows, amplitude_distance,
-    entanglement_entropy, entropy, inner, reduced_density, relabel,
-    squared_norm, states_equal, tensor,
+    _BUDGETS, NORM_TOL, PRUNE_EPS, BudgetError, PureState, _check_budget,
+    _has_repeats, _row_codes, _unique_rows, amplitude_distance,
+    entanglement_entropy, entropy, relabel, squared_norm, states_equal,
+    tensor,
 )
-from eprghz.canonical import copies, epr, ghz, psi, psi_prime
+from eprghz.canonical import copies, epr, ghz, psi
 
 SQ2 = math.sqrt(2.0)
 
@@ -174,26 +174,14 @@ def test_tensor_default_alignment():
     assert terms(s)[(3, 3)] == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("a_map,b_map,party_count", [
-    (None, None, None),          # every slot merged
-    ((0, 1, 2), (3, 4, 5), 6),   # disjoint slots
-    ((0, 1, 2), (1, 2, 3), 4),   # two merged slots, one each alone
-    ((2, 0, 1), (0, 4, 2), 5),   # permuted maps, one slot fed by neither
-])
-def test_tensor_rows_run_a_outer_b_inner(a_map, b_map, party_count):
+def test_tensor_rows_run_a_outer_b_inner():
     a, b = psi(0.6, 0.8), psi_prime(0.5, 0.5, 0.5, 0.5)
-    s = tensor(a, b, a_map, b_map, party_count)
-    a_map = a_map or (0, 1, 2)
-    b_map = b_map or (0, 1, 2)
+    s = tensor(a, b)
     want_labels, want_amps = [], []
     for (la, va), (lb, vb) in itertools.product(terms(a).items(),
                                                 terms(b).items()):
-        row = [0] * s.party_count
-        for p, slot in enumerate(a_map):
-            row[slot] = la[p]
-        for p, slot in enumerate(b_map):
-            row[slot] = row[slot] * b.local_dims[p] + lb[p]
-        want_labels.append(tuple(row))
+        want_labels.append(tuple(x * d + y for x, d, y in
+                                 zip(la, b.local_dims, lb)))
         want_amps.append(va * vb)
     assert list(terms(s)) == want_labels
     assert s.amps.tolist() == want_amps
@@ -212,33 +200,18 @@ def test_copies_rows_follow_product_order(state):
     assert list(terms(out)) == want
 
 
-def test_tensor_disjoint_slots():
-    a = PureState((2,), [(1,)], [1.0])
-    b = PureState((3,), [(2,)], [1.0])
-    s = tensor(a, b, a_map=(0,), b_map=(2,), party_count=4)
-    # slot 1 and 3 fed by neither input: dimension 1, label 0
-    assert s.local_dims == (2, 1, 3, 1)
-    assert set(terms(s)) == {(1, 0, 2, 0)}
-
-
 def test_tensor_alignment_errors():
-    a, b = epr((0, 1)), epr((0, 1))
-    with pytest.raises(ValueError):
-        tensor(a, PureState((2,), [(0,)], [1.0]))  # counts differ, no maps
-    with pytest.raises(ValueError):
-        tensor(a, b, a_map=(0,))                  # map arity mismatch
-    with pytest.raises(ValueError):
-        tensor(a, b, a_map=(0, 0))                # two parties, one slot
+    with pytest.raises(ValueError, match=r"^party counts differ \(2 vs 1\)$"):
+        tensor(epr((0, 1)), PureState((2,), [(0,)], [1.0]))
 
 
 def test_tensor_norm_multiplicative():
     rng = np.random.default_rng(5)
     a, b = random_state(rng), random_state(rng)
-    assert tensor(a, b, a_map=(0, 1, 2), b_map=(3, 4, 5)).norm() == \
-        pytest.approx(a.norm() * b.norm())
+    assert tensor(a, b).norm() == pytest.approx(a.norm() * b.norm())
 
 
-# -- inner product -----------------------------------------------------------
+# -- the conftest oracles: inner product, one-party density -------------------
 
 def test_inner_values():
     s = psi(0.6, 0.8)
@@ -246,8 +219,6 @@ def test_inner_values():
     e0 = PureState((2, 3, 3), [(0, 0, 0)], [1.0])
     assert inner(e0, s) == pytest.approx(0.6)
     assert inner(s, e0) == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        inner(s, PureState((2, 2), [(0, 0)], [1.0]))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -260,34 +231,21 @@ def test_inner_conjugate_symmetry(seed):
     assert abs(inner(a, b)) <= 1.0 + 1e-12
 
 
-# -- reduced density and entropies -------------------------------------------
-
 def test_reduced_density_psi():
-    rho = reduced_density(psi(0.6, 0.8), (0,))
-    rho.validate()
-    assert np.allclose(sorted(np.linalg.eigvalsh(rho.matrix)), [0.36, 0.64])
-    rho_b = reduced_density(psi(0.6, 0.8), (1,))
-    assert np.allclose(sorted(np.linalg.eigvalsh(rho_b.matrix)), [0.32, 0.32, 0.36])
+    rho = reduced_density(psi(0.6, 0.8), 0)
+    assert np.allclose(rho, rho.conj().T) and np.trace(rho) == pytest.approx(1)
+    assert np.allclose(sorted(np.linalg.eigvalsh(rho)), [0.36, 0.64])
+    rho_b = reduced_density(psi(0.6, 0.8), 1)
+    assert np.allclose(sorted(np.linalg.eigvalsh(rho_b)), [0.32, 0.32, 0.36])
 
 
-def test_reduced_density_errors():
+# -- entropies -----------------------------------------------------------------
+
+def test_entanglement_entropy_cut_errors():
     s = psi(0.6, 0.8)
-    with pytest.raises(ValueError):
-        reduced_density(s, ())
-    with pytest.raises(ValueError):
-        reduced_density(s, (0, 1, 2))
-    with pytest.raises(ValueError):
-        reduced_density(s, (5,))
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.eye(3))
-    bad = DensityMatrix(2, np.array([[0.5, 0.3], [0.1, 0.5]]))
-    with pytest.raises(ValueError):
-        bad.validate()                       # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.eye(2)).validate()   # trace 2
+    for cut in ((), (0, 1, 2), (5,)):
+        with pytest.raises(ValueError):
+            entanglement_entropy(s, cut)
 
 
 def test_entropy_values():
@@ -522,7 +480,7 @@ def test_budget_constant_sane():
     assert {k: v for k, v in _BUDGETS.items() if not callable(v)} == {
         "explicit terms": 10**7, "explicit copies": 63, "block rows": 200_000,
         "projector labels": 4_000_000, "bulk entries": 10**8,
-        "density rows": 4096, "sampling trials": 10**6, "state parties": 26}
+        "sampling trials": 10**6, "state parties": 26}
     assert _BUDGETS["multiplicity digits"]() == sys.get_int_max_str_digits()
     assert NORM_TOL == 1e-9
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import terms
+from conftest import inner, terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,7 @@ from eprghz.blocks import block_probability
 from eprghz.canonical import copies, level_epr, level_ghz, psi, psi_spec
 from eprghz.extraction import block_measurement_povm
 from eprghz.hilbert import (
-    _BUDGETS, BudgetError, PureState, amplitude_distance, inner, relabel,
+    _BUDGETS, BudgetError, PureState, amplitude_distance, relabel,
     states_equal, tensor,
 )
 from eprghz.locc import (
@@ -446,7 +446,7 @@ def _shortening_state(rng):
     w = rng.random(4) + 0.1
     rows = ghz_weighting_povm(w / np.linalg.norm(w))[0].elements[0]
     return tensor(apply_element(level_ghz(4, (0, 1, 2)), rows)[0],
-                  level_epr(4, (0, 1), 2), b_map=(1, 2))
+                  level_epr(4, (1, 2), 3))
 
 
 def _protocol_stages(rng):
