@@ -472,8 +472,7 @@ def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:
     bc_new = target.labels[:, 1]
     out = relabel(joint, 0, np.arange(t), target.labels[::r, 0],
                   new_dim=2**n)
-    out = relabel(out, 1, bc_old, bc_new, new_dim=3**n)
-    out = relabel(out, 2, bc_old, bc_new, new_dim=3**n)
+    out = relabel(out, (1, 2), bc_old, bc_new, new_dim=3**n)
     return states_equal(out, target, tol)
 
 

@@ -75,7 +75,7 @@ def psi(c0: float, c1: float) -> PureState:
 def _check_unit(*cs):
     if any(c < 0 for c in cs):
         raise ValueError(f"coefficients must be non-negative, got {cs}")
-    if abs(sum(c * c for c in cs) - 1.0) > NORM_TOL:
+    if not abs(sum(c * c for c in cs) - 1.0) <= NORM_TOL:  # NaN too
         raise ValueError(f"squared coefficients sum to {sum(c*c for c in cs)}, not 1")
 
 

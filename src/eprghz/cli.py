@@ -94,9 +94,12 @@ def _renormalize(cs) -> tuple[float, ...]:
     """Accept amplitudes with small rounding slop; reject real mismatches.
 
     Truncated decimals like 0.7071 are renormalized (noted on stderr, never
-    silently); anything off by more than 1e-3 in squared sum is an error.
+    silently); anything off by more than 1e-3 in squared sum, or not
+    finite (NaN passes every comparison), is an error.
     """
     cs = [float(c) for c in cs]
+    if not all(map(math.isfinite, cs)):
+        raise UsageError(f"amplitudes must be finite, got {cs}")
     if any(c < 0 for c in cs):
         raise UsageError(f"amplitudes must be non-negative, got {cs}")
     s = sum(c * c for c in cs)

@@ -147,8 +147,8 @@ def _valid_state(dims: tuple[int, ...], labels: np.ndarray,
     """A PureState from columns valid by construction, unchecked: ``dims``
     a tuple of ints, ``labels`` an int64 matrix of shape (len(amps),
     len(dims)) with distinct rows in range, ``amps`` complex128. The
-    transforms of valid states (``tensor``, ``relabel``, ``locc``'s
-    operator application) and the canonical ``level_ghz`` and
+    transforms of valid states (``tensor``, and every protocol step:
+    diagonal weighting + ``relabel``) and the canonical ``level_ghz`` and
     ``block_state`` build through here; the public constructor checks."""
     return _seal(object.__new__(PureState), dims, labels, amps)
 
@@ -275,40 +275,42 @@ def _label_map(old, new) -> tuple[np.ndarray, np.ndarray]:
     return old, new
 
 
-def relabel(s: PureState, party: int, old, new,
+def relabel(s: PureState, parties, old, new,
             new_dim: int | None = None) -> PureState:
     """Apply the injective label map ``old[i] -> new[i]`` (two int arrays;
-    labels not in ``old`` stay) on one party. ``new_dim`` widens (or
-    renames within) the party's local dimension; by default the current
-    dimension is kept and mapped labels must fit in it.
+    labels not in ``old`` stay) on one party or on each of several parties
+    that share it: the package's one label map. ``new_dim`` widens (or
+    renames within) those parties' local dimension; by default each keeps
+    its own and mapped labels must fit in it.
 
-    Each label of the party's column is looked up in the sorted ``old``,
-    and only the rows that hit are rewritten. The map must be injective on
-    the support: the labels it moves go to distinct labels, none of which
-    a label it leaves in place already holds.
+    The map is sorted once and the label matrix copied once. Each label of
+    a party's column is looked up in the sorted ``old``, and only the rows
+    that hit are rewritten. The map must be injective on each party's
+    support: the labels it moves go to distinct labels, none of which a
+    label it leaves in place already holds.
     """
-    party = int(party)
-    if not 0 <= party < s.party_count:
-        raise ValueError(f"party {party} out of range")
     old, new = _label_map(old, new)
-    dim = s.local_dims[party] if new_dim is None else int(new_dim)
     order = np.argsort(old)
     old, new = old[order], new[order]
-    col = s.labels[:, party]
-    at, hit = _lookup(old, col)
-    at = at[hit]
-    moved = np.zeros(len(old), dtype=bool)
-    moved[at] = True
-    image, stay = np.sort(new[moved]), col[~hit]
-    if ((image.size and not 0 <= image[0] <= image[-1] < dim)
-            or (stay.size and stay.max() >= dim)):
-        raise ValueError(f"mapped label outside 0..{dim - 1}")
-    if _has_repeats(image) or _lookup(image, stay)[1].any():
-        raise ValueError("label map is not injective on the support")
-    labels = s.labels.copy()
-    labels[hit, party] = new[at]
-    dims = s.local_dims[:party] + (dim,) + s.local_dims[party + 1:]
-    return _valid_state(dims, labels, s.amps)
+    labels, dims = s.labels.copy(), list(s.local_dims)
+    for party in map(int, np.ravel(parties)):
+        if not 0 <= party < s.party_count:
+            raise ValueError(f"party {party} out of range")
+        dim = dims[party] if new_dim is None else int(new_dim)
+        col = labels[:, party]
+        at, hit = _lookup(old, col)
+        at = at[hit]
+        moved = np.zeros(len(old), dtype=bool)
+        moved[at] = True
+        image, stay = np.sort(new[moved]), col[~hit]
+        if ((image.size and not 0 <= image[0] <= image[-1] < dim)
+                or (stay.size and stay.max() >= dim)):
+            raise ValueError(f"mapped label outside 0..{dim - 1}")
+        if _has_repeats(image) or _lookup(image, stay)[1].any():
+            raise ValueError("label map is not injective on the support")
+        col[hit] = new[at]
+        dims[party] = dim
+    return _valid_state(tuple(dims), labels, s.amps)
 
 
 def amplitude_distance(a: PureState, b: PureState) -> float:

@@ -1,10 +1,11 @@
 """Local operations and classical communication: operators, POVMs, sampling.
 
-Every local operator is a weighted label map on one party's labels,
-``|x> -> weights[x] |targets[x]>``: diagonal weightings, projectors and
-relabelings are the only operations the protocols need. Labels with a
-nonzero weight must land on distinct targets. That injectivity makes
-``M^dag M`` the diagonal matrix ``|weights|**2``, so a POVM is complete
+Every protocol step is one of two kinds of local operation: a diagonal
+weighting of one party's labels, ``|x> -> weights[x] |x>`` (a
+``LocalOperator``: measurement elements and projectors), or a label
+permutation, ``hilbert.relabel`` (corrections and the final embedding).
+A weighting keeps labels and dimensions and drops the terms it weighs 0.
+``M^dag M`` is the diagonal matrix ``|weights|**2``, so a POVM is complete
 exactly when ``sum_j |w_j[x]|**2 = 1`` for every label x. The protocols
 apply measurements without forming a ``Povm``: a projective measurement is
 one label -> outcome array (``projective_probabilities``), and a
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .hilbert import (NORM_TOL, PureState, _has_repeats, _label_map,
-                      _lookup, _row_codes, _valid_state, squared_norm)
+from .hilbert import (NORM_TOL, PureState, _label_map, _lookup, _row_codes,
+                      _valid_state, squared_norm)
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -35,53 +35,30 @@ class ImpossibleOutcomeError(RuntimeError):
     outcome's probability departs from the one its construction gives."""
 
 
-@lru_cache(maxsize=16)
-def _identity_labels(dim: int) -> np.ndarray:
-    """Shared read-only targets of every diagonal operator on ``dim`` labels."""
-    labels = np.arange(dim, dtype=np.int64)
-    labels.flags.writeable = False
-    return labels
-
-
 @dataclass(frozen=True)
 class LocalOperator:
-    """Weighted label map on one party: ``|x> -> weights[x] |targets[x]>``.
+    """Diagonal weighting on one party: ``|x> -> weights[x] |x>``.
 
-    ``targets`` defaults to the identity (a diagonal operator) and
-    ``out_dim`` to the input dimension ``len(weights)``. Boolean weights
-    (0/1 projectors) stay boolean, one byte a label; other real weights
-    are kept as float64, complex ones as complex128.
+    Boolean weights (0/1 projectors) stay boolean, one byte a label; other
+    real weights are kept as float64, complex ones as complex128. Weights
+    already of that type are kept, not copied.
     """
 
     party: int
     weights: np.ndarray
-    targets: np.ndarray | None = None
-    out_dim: int | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights)
         w = w.astype(bool if w.dtype == bool
-                     else complex if np.iscomplexobj(w) else float)
+                     else complex if np.iscomplexobj(w) else float,
+                     copy=False)
         if w.ndim != 1 or not len(w):
             raise ValueError("operator weights must be a non-empty vector")
-        out_dim = len(w) if self.out_dim is None else int(self.out_dim)
-        if self.targets is None:
-            t = _identity_labels(len(w))
-        else:
-            t = np.asarray(self.targets, dtype=np.int64)
-            if t.shape != w.shape:
-                raise ValueError("weights and targets differ in length")
-            if _has_repeats(t[w != 0]):
-                raise ValueError("two weighted labels share a target")
-        if t.min() < 0 or t.max() >= out_dim:
-            raise ValueError(f"target label outside 0..{out_dim - 1}")
         object.__setattr__(self, "party", int(self.party))
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "targets", t)
-        object.__setattr__(self, "out_dim", out_dim)
 
     @property
-    def in_dim(self) -> int:
+    def dim(self) -> int:
         return len(self.weights)
 
 
@@ -89,14 +66,21 @@ def diagonal_operator(party: int, values) -> LocalOperator:
     return LocalOperator(party, values)
 
 
-def permutation_operator(party: int, old, new, dim: int) -> LocalOperator:
-    """Unitary relabeling |old[i]> -> |new[i]> (int arrays); others stay."""
+def permutation_operator(party, old, new, dim: int) -> tuple:
+    """Unitary relabeling |old[i]> -> |new[i]> (int arrays) of the labels
+    0..dim-1 of one party or several, as ``relabel``'s arguments
+    ``(party, old, new)``: apply it as ``relabel(s, *permutation_operator(
+    ...))``. The map, completed by the identity, must permute 0..dim-1,
+    so a correction is a local unitary; ``relabel`` itself only needs the
+    map to be injective on the support."""
     old, new = _label_map(old, new)
     if old.size and (old.min() < 0 or old.max() >= dim):
         raise ValueError(f"label map source outside 0..{dim - 1}")
-    targets = np.arange(dim)
-    targets[old] = new
-    return LocalOperator(party, np.ones(dim), targets, dim)
+    image = np.arange(dim)
+    image[old] = new
+    if not np.array_equal(np.sort(image), np.arange(dim)):
+        raise ValueError(f"label map does not permute 0..{dim - 1}")
+    return party, old, new
 
 
 @dataclass(frozen=True)
@@ -112,20 +96,20 @@ class Povm:
             raise ValueError("a POVM needs at least one element")
         if any(e.party != elems[0].party for e in elems):
             raise ValueError("POVM elements act on different parties")
-        if any(e.in_dim != elems[0].in_dim for e in elems):
-            raise ValueError("POVM elements have mismatched input dimensions")
+        if any(e.dim != elems[0].dim for e in elems):
+            raise ValueError("POVM elements have mismatched dimensions")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "party", int(elems[0].party))
 
     @property
-    def in_dim(self) -> int:
-        return self.elements[0].in_dim
+    def dim(self) -> int:
+        return self.elements[0].dim
 
 
 def check_completeness(p: Povm, tol: float = NORM_TOL) -> bool:
     """True iff sum_j M_j^dag M_j is the identity within tol (max entry),
     that is, iff every label's squared weights sum to 1."""
-    total = np.zeros(p.in_dim)
+    total = np.zeros(p.dim)
     for e in p.elements:
         total += np.abs(e.weights) ** 2
     return float(np.abs(total - 1.0).max()) <= tol
@@ -134,31 +118,20 @@ def check_completeness(p: Povm, tol: float = NORM_TOL) -> bool:
 def _weighted(s: PureState, op: LocalOperator):
     """Mask of the terms of ``s`` with a nonzero weight on the operator's
     party, and their weighted amplitudes in support order."""
-    if op.in_dim != s.local_dims[op.party]:
+    if op.dim != s.local_dims[op.party]:
         raise ValueError(
-            f"operator in_dim {op.in_dim} != local dim "
+            f"operator dim {op.dim} != local dim "
             f"{s.local_dims[op.party]} of party {op.party}")
     w = op.weights[s.labels[:, op.party]]
     live = w != 0
     return live, w[live] * s.amps[live]
 
 
-def _rewrite(s: PureState, op: LocalOperator):
-    """The label-rewrite rule: output dims, then the rewritten label rows
-    and amplitudes of every term with a nonzero weight, in support order.
-    The operator's targets are in range and distinct where it weighs, so
-    the rows stay in range and distinct."""
-    p = op.party
-    live, amps = _weighted(s, op)
-    new = s.labels[live]
-    new[:, p] = op.targets[new[:, p]]
-    dims = s.local_dims[:p] + (op.out_dim,) + s.local_dims[p + 1:]
-    return dims, new, amps
-
-
 def apply_operator(s: PureState, op: LocalOperator) -> PureState:
-    """Apply without renormalizing (for unitaries and linear-algebra checks)."""
-    return _valid_state(*_rewrite(s, op))
+    """Apply without renormalizing: keep the terms with a nonzero weight,
+    scaled by it; labels and dimensions are unchanged."""
+    live, amps = _weighted(s, op)
+    return _valid_state(s.local_dims, s.labels[live], amps)
 
 
 def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
@@ -167,12 +140,13 @@ def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
     Probability is the squared norm of the unnormalized branch. A branch at
     numerically zero probability raises rather than returning garbage.
     """
-    dims, labels, amps = _rewrite(s, op)
+    live, amps = _weighted(s, op)
     sq = squared_norm(amps)
     if sq <= IMPOSSIBLE_EPS:
         raise ImpossibleOutcomeError(
             f"outcome on party {op.party} has probability {sq:.3e}")
-    return _valid_state(dims, labels, amps / math.sqrt(sq)), sq
+    return _valid_state(s.local_dims, s.labels[live],
+                        amps / math.sqrt(sq)), sq
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ state, every outcome correctable) and row shortening (cut a row's length by
 an integer factor without touching any row weight). Each is one stage
 ``(m, element, correction)``: m outcomes of probability 1/m, and for outcome
 o its diagonal element and its correction, a label map old[i] -> new[i] as
-int64 arrays ``(old, new)`` that each entangled party applies. The protocol
-builds only the drawn outcome's element; ``ghz_weighting_povm`` and
-``row_shorten_povm`` expand the same stages into every element, as POVMs
-for completeness checks."""
+int64 arrays ``(old, new)`` that one ``relabel`` call applies on every
+entangled party. The protocol builds only the drawn outcome's element;
+``ghz_weighting_povm`` and ``row_shorten_povm`` expand the same stages
+into every element, as POVMs for completeness checks."""
 
 from __future__ import annotations
 
@@ -283,10 +283,7 @@ def _measure(state, stage, parties, u, transcript, step) -> PureState:
                                      f"probability {sq:.17g}, not 1/{m}")
     transcript.add(step, op.party, outcome, sq)
     old, new = correction(outcome)
-    if old.size:
-        for p in parties:
-            state = relabel(state, p, old, new)
-    return state
+    return relabel(state, parties, old, new) if old.size else state
 
 
 def stage_count(n: int, window) -> int:
@@ -346,8 +343,7 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
 
     e = np.arange(len(row)) - np.searchsorted(row, row)
     state = relabel(state, 0, np.arange(big_r), a, new_dim=2**n)
-    state = relabel(state, 1, row * pair_levels + e, bc, new_dim=3**n)
-    state = relabel(state, 2, row * pair_levels + e, bc, new_dim=3**n)
+    state = relabel(state, (1, 2), row * pair_levels + e, bc, new_dim=3**n)
     return state, transcript, ResourceCount({(1, 2): float(n - k_minus)},
                                             math.log2(big_r))
 

@@ -10,12 +10,24 @@ import pytest
 from eprghz.hilbert import PureState
 
 
-def dense_matrix(op) -> np.ndarray:
-    """The out_dim x in_dim matrix of a weighted label map, entry by entry
-    from its definition |x> -> weights[x] |targets[x]>."""
-    m = np.zeros((op.out_dim, op.in_dim), dtype=complex)
-    for x, (w, t) in enumerate(zip(op.weights, op.targets)):
-        m[t, x] += w
+def dense_matrix(op, dim=None) -> np.ndarray:
+    """The dense matrix of one local operation on one party, entry by entry
+    from its definition: a LocalOperator's diagonal |x> -> weights[x] |x>,
+    or the permutation |old[i]> -> |new[i]> (other labels stay) of a
+    ``permutation_operator`` tuple ``(party, old, new)`` on ``dim``
+    labels."""
+    if isinstance(op, tuple):
+        _, old, new = op
+        targets = list(range(dim))
+        for x, y in zip(old.tolist(), new.tolist()):
+            targets[x] = y
+        m = np.zeros((dim, dim), dtype=complex)
+        for x, y in enumerate(targets):
+            m[y, x] += 1.0
+        return m
+    m = np.zeros((len(op.weights),) * 2, dtype=complex)
+    for x, w in enumerate(op.weights):
+        m[x, x] = w
     return m
 
 

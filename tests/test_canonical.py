@@ -73,6 +73,8 @@ def test_coefficient_validation():
         psi(-0.6, 0.8)
     with pytest.raises(ValueError):
         psi_prime_spec(0.9, 0.9, 0.1, 0.1)
+    with pytest.raises(ValueError, match="sum to nan"):
+        psi_spec(math.nan, 1.0)          # NaN passes every comparison
 
 
 # -- component specs ---------------------------------------------------------

@@ -587,6 +587,28 @@ def test_malformed_spec_file(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("rates", "--psi", "nan", "1"),
+    ("rates", "--psi-prime", "0.5", "nan", "0.5", "0.5"),
+    ("blocks", "--psi", "nan", "1", "-N", "2"),
+    ("blocks", "--psi-prime", "inf", "0.5", "0.5", "0.5", "-N", "2"),
+    ("extract", "--psi", "nan", "1", "-N", "2"),
+    ("extract", "--psi-prime", "0.5", "0.5", "0.5", "nan", "-N", "2"),
+    ("fidelity", "--psi", "0.6", "nan", "-N", "5"),
+    ("prepare", "--psi", "1", "nan", "-N", "3"),
+    ("prepare", "--psi", "0.6", "nan", "-N", "2"),
+    ("prepare", "--psi", "nan", "1e308", "-N", "2"),
+    ("prepare", "--psi", "inf", "0", "-N", "2"),
+])
+def test_non_finite_amplitudes_are_refused(capsys, argv):
+    # NaN passes every comparison of the norm check, so it is refused
+    # first, before any table, warning or overflow
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: amplitudes must be finite, got [")
+    assert err.count("\n") == 1
+
+
 def test_amplitude_slop_boundary(capsys):
     # squared sum off by more than 1e-3 is refused, within is renormalized
     code, _, err = run(capsys, "rates", "--psi", "0.71", "0.71")
@@ -596,8 +618,9 @@ def test_amplitude_slop_boundary(capsys):
 
 
 def test_cli_import_leaves_scipy_sparse_out():
-    # operators are weighted label maps; nothing should pull in the sparse
-    # matrix package (a fresh interpreter sees the real import graph)
+    # operators are diagonal weightings and label maps; nothing should pull
+    # in the sparse matrix package (a fresh interpreter sees the real
+    # import graph)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(

@@ -2,7 +2,8 @@
 
 Every request must exit 0 (or 1 under ``--negative-control``) or be
 refused with exit 2 and exactly one ``error:`` line; none may end in a
-traceback. Each child runs under an address-space limit set in the child
+traceback or print a warning, and a request with a NaN or infinite
+amplitude must be refused. Each child runs under an address-space limit set in the child
 only, so a request that would outgrow it fails with MemoryError (exit 2)
 rather than taking the machine's memory.
 
@@ -59,15 +60,21 @@ def _number(x):
 
 # any float, or a unit vector's entry (which the CLI accepts)
 any_float = st.floats(allow_nan=True, allow_infinity=True)
+non_finite = st.sampled_from([math.nan, math.inf])
 
 
 @st.composite
 def unit_vector(draw, size):
+    """Any floats, or a unit vector, which has one entry made NaN or
+    infinite in half the draws: that alone must get it refused."""
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size,
                             max_size=size))
     if draw(st.booleans()) or not sum(weights):
         return draw(st.lists(any_float, min_size=size, max_size=size))
-    return [math.sqrt(w / sum(weights)) for w in weights]
+    vec = [math.sqrt(w / sum(weights)) for w in weights]
+    if draw(st.booleans()):
+        vec[draw(st.integers(0, size - 1))] = draw(non_finite)
+    return vec
 
 
 @st.composite
@@ -159,6 +166,22 @@ def request(draw, command):
     return [command, *argv], spec
 
 
+def has_non_finite_amplitude(argv, spec) -> bool:
+    """Whether the amplitudes after ``--psi`` or ``--psi-prime``, or the
+    component coefficients of a spec file, hold a NaN or an infinity."""
+    for flag, count in (("--psi", 2), ("--psi-prime", 4)):
+        if flag in argv:
+            at = argv.index(flag) + 1
+            return not all(math.isfinite(float(x))
+                           for x in argv[at:at + count])
+    try:
+        return any(isinstance(comp["c"], float)
+                   and not math.isfinite(comp["c"])
+                   for comp in json.loads(spec)["components"])
+    except (ValueError, TypeError, KeyError):
+        return False
+
+
 COMMANDS = ("rates", "extract", "prepare", "fidelity", "blocks", "verify")
 
 
@@ -170,6 +193,10 @@ def test_every_request_exits_cleanly(command, data):
     argv, spec = data.draw(request(command))
     code, err = run_cli(argv, spec)
     assert "Traceback" not in err, (argv, spec, err)
+    assert not any("Warning" in line for line in err.splitlines()), (
+        argv, spec, err)
+    if has_non_finite_amplitude(argv, spec):
+        assert code == 2, (argv, spec, err)
     if "--negative-control" in argv and code != 2:
         assert code == 1, (argv, err)
     elif code:

@@ -374,6 +374,43 @@ def test_relabel_matches_the_dict_rule(seed, party, size, widen, repeat):
     assert np.array_equal(got.amps, s.amps)      # row order kept
 
 
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+       st.integers(0, 8), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_relabel_of_several_parties_is_the_rule_per_party(seed, parties,
+                                                          size, widen):
+    # one call on several parties equals one dict-rule call per party in
+    # turn, refusals included
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, dims=(4, 5, 6), support=int(rng.integers(1, 9)))
+    new_dim = 9 if widen else None
+    old = rng.choice(7, size=min(size, 7), replace=False)
+    new = rng.integers(0, 8, size=len(old))
+    try:
+        want = s
+        for p in parties:
+            want = dict_relabel(want, p, old.tolist(), new.tolist(), new_dim)
+    except ValueError:
+        with pytest.raises(ValueError):
+            relabel(s, parties, old, new, new_dim)
+        return
+    got = relabel(s, parties, old, new, new_dim)
+    assert got.local_dims == want.local_dims
+    assert terms(got) == terms(want)
+    assert np.array_equal(got.amps, s.amps)      # row order kept
+
+
+def test_relabel_refuses_any_party_out_of_range():
+    s = psi(0.6, 0.8)
+    with pytest.raises(ValueError, match="party 3 out of range"):
+        relabel(s, (1, 3), [0], [0])
+    with pytest.raises(ValueError, match="outside 0..2"):
+        relabel(s, (1, 2), [1], [5])
+    assert set(terms(relabel(s, [1, 2], [0, 2], [2, 0]))) == {
+        (0, 2, 2), (1, 1, 1), (1, 0, 0)}
+
+
 @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=12),
        st.integers(0, 3))
 @example([], 0)

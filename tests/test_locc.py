@@ -1,17 +1,18 @@
 """Local operators, POVMs, sampling, transcripts, and orthogonality checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import psi_prime, reduced_density, terms
+from conftest import dense_matrix, psi_prime, reduced_density, terms
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprghz.canonical import (CanonicalComponent, StateSpec, copies, psi,
                               psi_prime_spec, psi_spec)
 from eprghz.extraction import block_measurement_povm
-from eprghz.hilbert import NORM_TOL, PureState, states_equal
+from eprghz.hilbert import NORM_TOL, PureState, relabel, states_equal
 from eprghz.locc import (
     ImpossibleOutcomeError, LocalOperator, Povm, Transcript, TranscriptEntry,
     _shared_density, apply_element,
@@ -27,22 +28,39 @@ from eprghz.preparation import ghz_weighting_povm, row_shorten_povm
 
 def test_identity_and_diagonal(dense):
     op = diagonal_operator(1, np.ones(3))
-    assert op.party == 1 and op.in_dim == op.out_dim == 3
+    assert op.party == 1 and op.dim == 3
     assert np.allclose(dense(op), np.eye(3))
     d = diagonal_operator(0, [0.6, 0.8])
     assert np.allclose(dense(d), np.diag([0.6, 0.8]))
 
 
+def test_local_operator_is_a_diagonal_weighting():
+    assert [f.name for f in dataclasses.fields(LocalOperator)] == [
+        "party", "weights"]
+    for values, kind in (([True, False], bool), ([1, 0], float),
+                         ([0.5, 1j], complex)):
+        assert LocalOperator(0, values).weights.dtype == kind
+    diag = np.full(4, 0.5)
+    assert LocalOperator(0, diag).weights is diag     # cast without a copy
+    with pytest.raises(ValueError):
+        LocalOperator(0, [])
+    with pytest.raises(ValueError):
+        LocalOperator(0, [[1.0, 0.0]])
+
+
 def test_permutation_operator(dense):
     # partial maps are completed by the identity, then checked bijective
-    op = permutation_operator(0, [0, 1], [1, 0], 3)
-    m = dense(op)
+    party, old, new = permutation_operator(0, [0, 1], [1, 0], 3)
+    assert party == 0
+    m = dense((party, old, new), 3)
     assert np.allclose(m @ m.conj().T, np.eye(3))
     assert m[1, 0] == 1.0 and m[2, 2] == 1.0
     with pytest.raises(ValueError):
         permutation_operator(0, [0], [1], 3)    # 0 and 1 both land on 1
     with pytest.raises(ValueError):
         permutation_operator(0, [0], [5], 3)
+    with pytest.raises(ValueError):
+        permutation_operator(0, [0], [-1], 3)
     with pytest.raises(ValueError):
         permutation_operator(0, [5], [0], 3)
     with pytest.raises(ValueError):
@@ -51,38 +69,51 @@ def test_permutation_operator(dense):
         permutation_operator(0, [0, 0, 1], [1, 2, 0], 3)   # old 0 repeated
 
 
-def test_local_operator_refuses_non_injective_map():
-    # labels 0 and 2 both weighted and both sent to 1
-    with pytest.raises(ValueError):
-        LocalOperator(0, [0.6, 0.0, 0.8], [1, 1, 1], 2)
-    # a zero-weight label may share a target: it is never written
-    op = LocalOperator(0, [0.6, 0.0, 0.8], [1, 1, 0], 2)
-    assert op.in_dim == 3 and op.out_dim == 2
+def _dense_vector(state) -> np.ndarray:
+    vec = np.zeros(state.local_dims, dtype=complex)
+    for label, a in terms(state).items():
+        vec[label] = a
+    return vec
 
 
-def test_local_operator_refuses_out_of_range_target():
-    with pytest.raises(ValueError):
-        LocalOperator(0, [1.0, 1.0], [0, 2], 2)
-    with pytest.raises(ValueError):
-        LocalOperator(0, [1.0, 1.0], [-1, 0], 2)
-    with pytest.raises(ValueError):
-        LocalOperator(0, [1.0, 1.0, 1.0], out_dim=2)
+def _contract(matrix, vec, party) -> np.ndarray:
+    """``matrix`` applied on axis ``party`` of a dense amplitude tensor."""
+    return np.moveaxis(np.tensordot(matrix, vec, axes=(1, party)), 0, party)
 
 
-def test_weighted_map_applies_like_its_dense_matrix(dense):
-    # |x> -> w[x] |t[x]> on party 1 of a generic state, against the
-    # dense matrix contracted with the dense amplitude tensor
-    rng = np.random.default_rng(3)
-    dims = (2, 3, 2)
-    vec = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    op = LocalOperator(1, [0.5, -0.3j, 0.0], [3, 0, 0], 4)
-    out = apply_operator(PureState(dims, list(np.ndindex(*dims)), vec), op)
-    want = np.einsum("yx,axb->ayb", dense(op), vec.reshape(dims))
-    got = np.zeros((2, 4, 2), dtype=complex)
-    for l, a in terms(out).items():
-        got[l] = a
-    assert out.local_dims == (2, 4, 2)
-    assert np.allclose(got, want, atol=1e-12)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2),
+       st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_local_operations_apply_like_their_dense_matrices(seed, party,
+                                                          parties):
+    """A diagonal weighting (complex and zero weights) and a permutation
+    shared by several parties, against dense contraction of the dense
+    amplitude tensor with each operation's matrix."""
+    rng = np.random.default_rng(seed)
+    dims = (3, 3, 3)
+    support = sorted(rng.choice(27, size=int(rng.integers(1, 28)),
+                                replace=False).tolist())
+    vec = rng.standard_normal(len(support)) + 1j * rng.standard_normal(
+        len(support))
+    s = PureState(dims, [np.unravel_index(i, dims) for i in support], vec)
+    weights = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * (
+        rng.random(3) < 0.7)
+    op = LocalOperator(party, weights)
+    out = apply_operator(s, op)
+    assert out.local_dims == dims
+    assert np.allclose(_dense_vector(out),
+                       _contract(dense_matrix(op), _dense_vector(s), party),
+                       atol=1e-12)
+    old = rng.permutation(3)[:int(rng.integers(0, 4))]
+    new = rng.permutation(old)
+    perm = permutation_operator(tuple(parties), old, new, 3)
+    want = _dense_vector(s)
+    for p in parties:
+        want = _contract(dense_matrix(perm, 3), want, p)
+    got = relabel(s, *perm)
+    assert got.local_dims == dims
+    assert np.array_equal(got.amps, s.amps)      # row order kept
+    assert np.array_equal(_dense_vector(got), want)
 
 
 # -- applying operators ------------------------------------------------------
@@ -162,7 +193,7 @@ def _package_povms():
 @pytest.mark.parametrize("povm", _package_povms())
 def test_completeness_agrees_with_dense_oracle(dense, povm):
     total = sum(dense(e).conj().T @ dense(e) for e in povm.elements)
-    oracle = np.abs(total - np.eye(povm.in_dim)).max() <= NORM_TOL
+    oracle = np.abs(total - np.eye(povm.dim)).max() <= NORM_TOL
     assert check_completeness(povm) == oracle
 
 
@@ -171,7 +202,7 @@ def test_dense_oracle_sees_the_negative_control(dense):
     # agreement above would be vacuous for it
     povm = _package_povms()[-1]
     total = sum(dense(e).conj().T @ dense(e) for e in povm.elements)
-    assert np.abs(total - np.eye(povm.in_dim)).max() == pytest.approx(1.0)
+    assert np.abs(total - np.eye(povm.dim)).max() == pytest.approx(1.0)
     assert not check_completeness(povm)
 
 
@@ -211,8 +242,7 @@ def test_probabilities_match_the_term_by_term_rule(case):
         for l, a in terms(state).items():
             x = l[povm.party]
             if e.weights[x]:
-                nl = l[:povm.party] + (int(e.targets[x]),) + l[povm.party + 1:]
-                branch[nl] = np.complex128(e.weights[x]) * a
+                branch[l] = np.complex128(e.weights[x]) * a
         total = 0.0
         for v in branch.values():
             total += abs(v) ** 2
