@@ -20,7 +20,7 @@ from .blocks import (BlockDecomposition, block_labels, block_state,
                      log2_multinomial, verify_block_equivalence)
 from .extraction import (Rates, YieldReport, asymptotic_rates,
                          block_measurement_povm, entropy_consistency,
-                         expected_yields, run_extraction)
+                         expected_means, expected_yields, run_extraction)
 from .preparation import (ResourceCount, Window, build_target, fidelity,
                           fidelity_bound, ghz_weighting_povm,
                           prepare_approx, prepare_exact_n2, resource_count,
@@ -38,7 +38,7 @@ __all__ = [
     "block_yields", "build_target", "check_completeness",
     "check_local_orthogonality", "copies", "decompose", "diagonal_operator",
     "entanglement_entropy", "entropy", "entropy_consistency", "epr",
-    "expected_yields", "fidelity", "fidelity_bound", "ghz",
+    "expected_means", "expected_yields", "fidelity", "fidelity_bound", "ghz",
     "ghz_weighting_povm", "level_epr", "level_ghz", "log2_multinomial",
     "outcome_probabilities", "permutation_operator", "prepare_approx",
     "prepare_exact_n2", "psi", "psi_general", "psi_prime_spec", "psi_spec",

@@ -23,7 +23,7 @@ from .locc import (ImpossibleOutcomeError, Povm, Transcript,
                    stream_uniforms)
 from .blocks import decompose, verify_block_equivalence
 from .extraction import (asymptotic_rates, block_measurement_povm,
-                         entropy_consistency, expected_yields, run_extraction)
+                         entropy_consistency, expected_means, run_extraction)
 from .preparation import (_check_terms, _window_shape, build_target, fidelity,
                           fidelity_bound, ghz_weighting_povm, prepare_approx,
                           resource_count, row_shorten_povm, stage_count,
@@ -31,6 +31,8 @@ from .preparation import (_check_terms, _window_shape, build_target, fidelity,
 
 EXIT_OK, EXIT_INVARIANT, EXIT_USAGE = 0, 1, 2
 AMPLITUDE_SLOP = 1e-3
+# tables and transcripts are written this many rows at a time
+_ROW_CHUNK = 2**12
 # prepare forms at most this many stage draws of its branches at a time
 _BRANCH_DRAWS = 2**16
 
@@ -44,6 +46,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # argparse takes only -5 and -0.5 for negative numbers, so -6e-1 or
+        # -inf would end --psi as an unknown flag: whatever float() reads
+        # is a value, and the amplitude checks refuse it with their message
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _at_least(lowest: int):
@@ -64,30 +76,77 @@ def _letters(subset) -> str:
     return "".join(chr(ord("A") + p) for p in subset)
 
 
+def _write_rows(fh, header, formats, columns, fmt) -> None:
+    """Write a table to ``fh`` from its columns, numpy arrays or sequences
+    of one length, ``_ROW_CHUNK`` rows at a time: only one chunk of each
+    column is sliced and turned into Python objects at once.
+
+    CSV (or TSV, ``fmt`` "tsv") fills one %-template per row, joined from
+    ``formats`` (one per column); %.17g spells a float as format(x,
+    ".17g") does, and %.0s prints nothing of its cell, leaving it empty or
+    to a literal beside it. JSON lists one object per row: each chunk's
+    ``json.dumps`` less its brackets, so the text equals one ``dumps`` of
+    every row."""
+    rows = len(columns[0])
+    sep = "\t" if fmt == "tsv" else ","
+    template = sep.join(formats) + "\n"
+    fh.write("[" if fmt == "json" else sep.join(header) + "\n")
+    for start in range(0, rows, _ROW_CHUNK):
+        chunk = zip(*(c[start:start + _ROW_CHUNK].tolist()
+                      if isinstance(c, np.ndarray)
+                      else c[start:start + _ROW_CHUNK] for c in columns))
+        if fmt == "json":
+            text = json.dumps([dict(zip(header, row)) for row in chunk],
+                              indent=2, sort_keys=True)
+            fh.write(("\n" if start == 0 else ",\n") + text[2:-2])
+        else:
+            fh.write("".join(template % row for row in chunk))
+    if fmt == "json":
+        fh.write("\n]\n" if rows else "]\n")
+
+
 def _emit_table(header, formats, columns, args) -> None:
-    """Write a table from its columns: CSV fills one %-template per row,
-    joined from ``formats`` (one per column), and JSON lists one object
-    per row. %.17g spells a float as format(x, ".17g") does; %.0s prints
-    nothing of its cell, leaving it empty or to a literal beside it."""
-    rows = list(zip(*columns))
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        template = ",".join(formats) + "\n"
-        text = ",".join(header) + "\n" + "".join(template % row
-                                                  for row in rows)
+    """Write a table to ``--out`` or stdout in ``--format``."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            _write_rows(fh, header, formats, columns, args.format)
     else:
-        sys.stdout.write(text)
+        _write_rows(sys.stdout, header, formats, columns, args.format)
+
+
+class _StepNames:
+    """A transcript's step names as a sequence whose slices are spelt from
+    its runs ``(prefix, names)`` only when read."""
+
+    def __init__(self, runs):
+        self.runs = runs
+        self.starts = np.cumsum([0] + [len(names) for _, names in runs])
+
+    def __len__(self) -> int:
+        return int(self.starts[-1])
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        start, stop, _ = rows.indices(len(self))
+        out = []
+        i = int(np.searchsorted(self.starts, start, side="right")) - 1
+        while start < stop:
+            prefix, names = self.runs[i]
+            first = int(self.starts[i])
+            out += [prefix + str(name)
+                    for name in names[start - first:stop - first]]
+            start, i = first + len(names), i + 1
+        return out
 
 
 def _write_transcript(transcript: Transcript | None, args) -> None:
+    """``Transcript.to_text`` written in row chunks."""
     if args.transcript:
         with open(args.transcript, "w") as fh:
-            fh.write(transcript.to_text())
+            _write_rows(fh, ("step", "party", "outcome", "probability"),
+                        ("%s", "%d", "%d", "%.17g"),
+                        (_StepNames(transcript._runs), transcript.parties,
+                         transcript.outcomes, transcript.probabilities),
+                        "tsv")
 
 
 def _renormalize(cs) -> tuple[float, ...]:
@@ -133,14 +192,15 @@ def cmd_rates(args) -> int:
     full_rate = rates.full + per.pop(full, 0.0)
     rows = [(_letters(s), v) for s, v in sorted(per.items())]
     rows.append((_letters(full), full_rate))
-    _emit_table(("subset", "rate"), ("%s", "%.17g"), zip(*rows), args)
+    _emit_table(("subset", "rate"), ("%s", "%.17g"), list(zip(*rows)),
+                args)
     return EXIT_OK
 
 
 def cmd_extract(args) -> int:
     spec = _load_spec(args)
     n = args.n
-    expected = expected_yields(spec, n)
+    epr_means, ghz_mean = expected_means(spec, n)
     empirical, stderr, transcript = {}, {}, None
     full = tuple(range(spec.party_count))
     if args.trials > 0:
@@ -151,8 +211,8 @@ def cmd_extract(args) -> int:
                   for s, v in report.epr_variance.items()}
         empirical[full] = report.ghz_per_copy
         stderr[full] = math.sqrt(report.ghz_variance / report.trials)
-    subsets = sorted(expected.epr_per_copy) + [full]
-    means = {**expected.epr_per_copy, full: expected.ghz_per_copy}
+    subsets = sorted(epr_means) + [full]
+    means = {**epr_means, full: ghz_mean}
     sampled = "%.17g" if empirical else "%.0s"  # unsampled cells stay empty
     _write_transcript(transcript, args)
     _emit_table(("N", "subset", "expected", "empirical", "stderr"),
@@ -209,7 +269,7 @@ def cmd_prepare(args) -> int:
                  "fidelity", "ok"),
                 ("%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g",
                  "true%.0s" if ok else "false%.0s"),
-                zip(row), args)
+                [(v,) for v in row], args)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -226,8 +286,8 @@ def cmd_fidelity(args) -> int:
                      fidelity_bound(n, args.alpha, args.beta),
                      rc.epr_per_subset[(1, 2)] / n, rc.ghz / n))
     _emit_table(("N", "k_minus", "k_plus", "F", "bound", "epr_per_copy",
-                 "ghz_per_copy"), ("%d",) * 3 + ("%.17g",) * 4, zip(*rows),
-                args)
+                 "ghz_per_copy"), ("%d",) * 3 + ("%.17g",) * 4,
+                list(zip(*rows)), args)
     return EXIT_OK
 
 
@@ -237,10 +297,8 @@ def cmd_blocks(args) -> int:
     header = tuple(f"k{i}" for i in range(ncomp)) + (
         "coefficient", "multiplicity", "log2_probability")
     _emit_table(header, ("%d",) * ncomp + ("%.17g", "%d", "%.17g"),
-                d.counts.T.tolist() + [d.coefficients.tolist(),
-                                       d.multiplicities.tolist(),
-                                       d.log2_probabilities.tolist()],
-                args)
+                (*d.counts.T, d.coefficients, d.multiplicities,
+                 d.log2_probabilities), args)
     lost = np.count_nonzero(d.coefficients < 2.0**-1022)
     if lost:
         print(f"note: {lost} coefficients are below 2**-1022, the smallest "

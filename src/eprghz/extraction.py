@@ -98,16 +98,32 @@ def _log2_units(c: float, level: int) -> float:
 
 
 def expected_yields(spec: StateSpec, n: int) -> YieldReport:
-    """Finite-N expected yields by summing block probabilities.
+    """Finite-N expected yields (``expected_means``) and their variances
+    across single protocol runs.
+
+    The 2-component variances, like the means, run over the binomial bulk
+    only: O(sqrt(N)) work and O(chunk) memory at any N. Other variances
+    need joint moments: computed by full block enumeration when small,
+    NaN above the block-row budget.
+    """
+    n = int(n)
+    epr, ghz = expected_means(spec, n)
+    epr_var, ghz_var = _yield_variances(spec, n, epr, ghz)
+    return YieldReport(n, epr, ghz, epr_var, ghz_var, trials=None)
+
+
+def expected_means(spec: StateSpec, n: int
+                   ) -> tuple[dict[tuple[int, ...], float], float]:
+    """Finite-N expected per-copy yields ``(epr_per_copy, ghz_per_copy)``
+    by summing block probabilities.
 
     Component counts are jointly multinomial with E[k_i] = N c_i^2, so each
     entangled support earns c_i^2 log2(level) per copy exactly, and the
     row-multiplicity term uses log2(N!/prod k_i!) = log2 N! - sum_i log2
-    k_i!, summed binomial marginal by marginal. Those sums, like the
-    2-component variances, run over each marginal's bulk only: k outside
-    it carry mass below 2**-64 (Bernstein's inequality), so work is
-    O(sqrt(N)) and memory O(chunk) at any N. Other variances need
-    joint moments: computed by full block enumeration when small.
+    k_i!, summed binomial marginal by marginal. Those sums run over each
+    marginal's bulk only: k outside it carry mass below 2**-64
+    (Bernstein's inequality), so work is O(sqrt(N)) and memory O(chunk)
+    at any N.
     """
     n = int(n)
     if n < 1:
@@ -126,9 +142,7 @@ def expected_yields(spec: StateSpec, n: int) -> YieldReport:
     ghz = ghz / n
     # full-support component units live in the full-set (GHZ) account
     ghz += epr.pop(full, 0.0)
-
-    epr_var, ghz_var = _yield_variances(spec, n, epr, ghz)
-    return YieldReport(n, epr, ghz, epr_var, ghz_var, trials=None)
+    return epr, ghz
 
 
 def _yield_variances(spec, n, epr_mean, ghz_mean):

@@ -1,6 +1,7 @@
 """Shared test helpers, and plain oracles for what the package computes
 another way."""
 
+import json
 import math
 from itertools import product
 
@@ -88,3 +89,16 @@ def reduced_density(state, party: int) -> np.ndarray:
             if li[:party] + li[party + 1:] == lj[:party] + lj[party + 1:]:
                 rho[li[party], lj[party]] += ai * aj.conjugate()
     return rho
+
+
+def one_shot_table(header, formats, columns, fmt) -> str:
+    """A CLI table formatted in one pass over every row, the way the CLI
+    wrote it before it wrote in row chunks: CSV from one %-template per
+    row, JSON from one ``json.dumps`` of every row. ``columns`` hold
+    Python objects."""
+    rows = list(zip(*columns))
+    if fmt == "json":
+        payload = [dict(zip(header, row)) for row in rows]
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    template = ",".join(formats) + "\n"
+    return ",".join(header) + "\n" + "".join(template % row for row in rows)

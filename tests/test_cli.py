@@ -7,17 +7,18 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import multinomial_exact
+from conftest import multinomial_exact, one_shot_table
 
 from eprghz import cli, extraction, preparation
 from eprghz.blocks import block_probability
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from eprghz.extraction import expected_yields
-from eprghz.locc import diagonal_operator
+from eprghz.locc import Transcript, diagonal_operator
 from eprghz.preparation import fidelity, fidelity_bound
 from eprghz.canonical import psi_spec
 
@@ -162,6 +163,30 @@ def test_extract_explicit_budget_refusal(capsys):
                        "--trials", "1", "--seed", "1")
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize("source, spec", [
+    (("--psi", "0.6", "0.8"), psi_spec(0.6, 0.8)),
+    (("--psi-prime", "0.6", "0.5", "0.4", "0.4795831523312719"),
+     psi_prime_spec(0.6, 0.5, 0.4, 0.4795831523312719)),
+], ids=["2-components", "4-components"])
+@pytest.mark.parametrize("sampling", [(), ("--analytic", "--trials", "5",
+                                           "--seed", "1")])
+def test_extract_runs_no_variance_pass(capsys, monkeypatch, source, spec,
+                                       sampling):
+    """extract prints the expected means and the sampled report: the
+    variance pass of ``expected_yields`` is stubbed to fail."""
+    def variances(*args):
+        raise AssertionError("extract ran the variance pass")
+
+    want = extraction.expected_means(spec, 6)
+    monkeypatch.setattr(extraction, "_yield_variances", variances)
+    code, out, err = run(capsys, "extract", *source, "-N", "6", *sampling)
+    assert (code, err) == (EXIT_OK, "")
+    table = rows_of(out)
+    assert [float(r["expected"]) for r in table] == [
+        *(v for _, v in sorted(want[0].items())), want[1]]
+    assert all((r["empirical"] != "") == bool(sampling) for r in table)
 
 
 def test_extract_writes_transcript(capsys, tmp_path):
@@ -599,6 +624,9 @@ def test_malformed_spec_file(capsys, tmp_path):
     ("prepare", "--psi", "0.6", "nan", "-N", "2"),
     ("prepare", "--psi", "nan", "1e308", "-N", "2"),
     ("prepare", "--psi", "inf", "0", "-N", "2"),
+    ("rates", "--psi", "-inf", "1"),
+    ("extract", "--psi-prime", "-inf", "0.5", "0.5", "0.5", "-N", "2"),
+    ("prepare", "--psi", "-inf", "1", "-N", "2"),
 ])
 def test_non_finite_amplitudes_are_refused(capsys, argv):
     # NaN passes every comparison of the norm check, so it is refused
@@ -607,6 +635,31 @@ def test_non_finite_amplitudes_are_refused(capsys, argv):
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: amplitudes must be finite, got [")
     assert err.count("\n") == 1
+
+
+NEGATIVE = "amplitudes must be non-negative, got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("rates", "--psi", "-0.6", "0.8"), NEGATIVE + "[-0.6, 0.8]"),
+    (("rates", "--psi", "-6e-1", "0.8"), NEGATIVE + "[-0.6, 0.8]"),
+    (("rates", "--psi-prime", "0.5", "-5E-1", "0.5", "0.5"),
+     NEGATIVE + "[0.5, -0.5, 0.5, 0.5]"),
+    (("extract", "--psi", "0.6", "-8e-1", "-N", "2"),
+     NEGATIVE + "[0.6, -0.8]"),
+    (("blocks", "--psi", "-6e-1", "0.8", "-N", "2"), NEGATIVE + "[-0.6, 0.8]"),
+    (("blocks", "--psi-prime", "0.5", "0.5", "0.5", "-.5e0", "-N", "2"),
+     NEGATIVE + "[0.5, 0.5, 0.5, -0.5]"),
+    (("fidelity", "--psi", "-6e-1", "0.8", "-N", "5"),
+     NEGATIVE + "[-0.6, 0.8]"),
+    (("prepare", "--psi", "0.6", "-8E-1", "-N", "3"),
+     NEGATIVE + "[0.6, -0.8]"),
+])
+def test_negative_amplitudes_in_any_float_spelling(capsys, argv, message):
+    """An amplitude that float() reads is a value, however it is spelt:
+    -6e-1 gets the amplitude check's message, as -0.6 does, and not
+    argparse's 'expected 2 arguments' (so does -inf, above)."""
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_amplitude_slop_boundary(capsys):
@@ -688,6 +741,91 @@ def test_explicit_requests_leave_numpy_random_and_ma_out(argv):
     assert "numpy" in imported and "eprghz.locc" in imported
     assert not {m for m in imported
                 if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])}
+
+
+# -- chunked writers and their memory ---------------------------------------------
+
+CHUNK = cli._ROW_CHUNK
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_emit_table_matches_the_one_shot_formatter(capsys, tmp_path, rows,
+                                                   fmt, to_file):
+    """Tables are written a chunk of rows at a time; at every chunk edge
+    the text equals one pass over all rows (the oracle in conftest)."""
+    k = np.arange(rows, dtype=np.int64)
+    columns = (k, np.sqrt(k) / 3.0, [f"s{i}" for i in range(rows)],
+               (None,) * rows)
+    header = ("k", "x", "name", "empty")
+    formats = ("%d", "%.17g", "%s", "%.0s")
+    path = tmp_path / "table.txt"
+    cli._emit_table(header, formats, columns, SimpleNamespace(
+        format=fmt, out=str(path) if to_file else None))
+    text = path.read_text() if to_file else capsys.readouterr().out
+    want = one_shot_table(header, formats, [
+        c.tolist() if isinstance(c, np.ndarray) else list(c)
+        for c in columns], fmt)
+    # as lines: pytest reports the first differing one, not a text diff
+    assert text.splitlines(True) == want.splitlines(True)
+
+
+def test_transcript_file_matches_to_text(tmp_path):
+    """Transcripts go through the same chunked writer; step names are
+    spelt from the runs one chunk at a time, across runs of every kind
+    (numbered, listed, single steps, empty) and across chunk edges."""
+    t = Transcript()
+    path = tmp_path / "transcript.tsv"
+    sizes = (CHUNK - 1, 0, 1, CHUNK + 2, 3)
+    for i, size in enumerate(sizes):
+        names = range(size) if i % 2 else [f"s{j}" for j in range(size)]
+        t.extend(names, i % 3, np.arange(size) % 7,
+                 np.linspace(0, 1, size), prefix=f"run{i}.")
+        t.add(f"single{i}", 2, i, 0.5)
+        cli._write_transcript(t, SimpleNamespace(transcript=str(path)))
+        assert (path.read_text().splitlines(True)
+                == t.to_text().splitlines(True))
+    cli._write_transcript(Transcript(), SimpleNamespace(transcript=str(path)))
+    assert path.read_text() == Transcript().to_text()
+
+
+# a forked child reads its own peak: a process started with exec inherits
+# its parent's peak RSS in ru_maxrss, and the test runner's can be larger
+PEAK_PROBE = (
+    "import os, resource, sys\n"
+    "pid = os.fork()\n"
+    "if pid == 0:\n"
+    "    import eprghz.cli\n"
+    "    code = eprghz.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "    print(peak, code, flush=True)\n"
+    "    os._exit(0)\n"
+    "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_largest_json_block_table_is_written_in_chunks():
+    """The 192,920-row table at the block-row budget's edge grows peak RSS
+    by at most 60 MB over a bare import in JSON (about 420 MB when the
+    whole text was built first)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["blocks", "--psi-prime", "0.6", "0.5", "0.4",
+            "0.4795831523312719", "-N", "103", "--format", "json", "--out",
+            os.devnull]
+
+    def peak_kib(*argv):
+        done = subprocess.run([sys.executable, "-c", PEAK_PROBE, *argv],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        peak, code = map(int, done.stdout.split())
+        assert code == EXIT_OK
+        return peak
+
+    assert peak_kib(*argv) - peak_kib() <= 60 * 1024
 
 
 # -- golden output ---------------------------------------------------------------

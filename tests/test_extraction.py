@@ -14,7 +14,8 @@ from eprghz.canonical import (
 from eprghz import extraction
 from eprghz.extraction import (
     _flat_outcome, _verify_blocks, asymptotic_rates, block_measurement_povm,
-    block_outcomes, entropy_consistency, expected_yields, run_extraction,
+    block_outcomes, entropy_consistency, expected_means, expected_yields,
+    run_extraction,
 )
 from eprghz.hilbert import BudgetError, PureState, entropy
 from eprghz.locc import (_draw, as_generator, outcome_probabilities,
@@ -127,9 +128,21 @@ def test_variances_nan_when_enumeration_too_large():
     assert y.epr_per_copy[(1, 2)] == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize("spec, n", [
+    (psi_spec(0.6, 0.8), 7), (psi_spec(0.6, 0.8), 10**6),
+    (psi_prime_spec(0.6, 0.5, 0.4, 0.4795831523312719), 40),
+])
+def test_expected_yields_means_are_expected_means(spec, n):
+    """expected_yields is expected_means plus the variance pass: the same
+    floats, to the bit."""
+    y = expected_yields(spec, n)
+    assert (y.epr_per_copy, y.ghz_per_copy) == expected_means(spec, n)
+
+
 def test_expected_yields_validation():
-    with pytest.raises(ValueError):
-        expected_yields(psi_spec(0.6, 0.8), 0)
+    for expected in (expected_means, expected_yields):
+        with pytest.raises(ValueError):
+            expected(psi_spec(0.6, 0.8), 0)
 
 
 # -- block measurement POVM ----------------------------------------------------
