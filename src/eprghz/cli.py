@@ -114,39 +114,13 @@ def _emit_table(header, formats, columns, args) -> None:
         _write_rows(sys.stdout, header, formats, columns, args.format)
 
 
-class _StepNames:
-    """A transcript's step names as a sequence whose slices are spelt from
-    its runs ``(prefix, names)`` only when read."""
-
-    def __init__(self, runs):
-        self.runs = runs
-        self.starts = np.cumsum([0] + [len(names) for _, names in runs])
-
-    def __len__(self) -> int:
-        return int(self.starts[-1])
-
-    def __getitem__(self, rows: slice) -> list[str]:
-        start, stop, _ = rows.indices(len(self))
-        out = []
-        i = int(np.searchsorted(self.starts, start, side="right")) - 1
-        while start < stop:
-            prefix, names = self.runs[i]
-            first = int(self.starts[i])
-            out += [prefix + str(name)
-                    for name in names[start - first:stop - first]]
-            start, i = first + len(names), i + 1
-        return out
-
-
 def _write_transcript(transcript: Transcript | None, args) -> None:
     """``Transcript.to_text`` written in row chunks."""
     if args.transcript:
         with open(args.transcript, "w") as fh:
             _write_rows(fh, ("step", "party", "outcome", "probability"),
                         ("%s", "%d", "%d", "%.17g"),
-                        (_StepNames(transcript._runs), transcript.parties,
-                         transcript.outcomes, transcript.probabilities),
-                        "tsv")
+                        [transcript.column(i) for i in range(4)], "tsv")
 
 
 def _renormalize(cs) -> tuple[float, ...]:
@@ -256,9 +230,7 @@ def cmd_prepare(args) -> int:
             state, transcript, resources = prepare_approx(
                 n, c0, c1, seed=draws, window=window)
             worst = max(worst, amplitude_distance(state, target))
-            combined.extend(transcript.steps, transcript.parties,
-                            transcript.outcomes, transcript.probabilities,
-                            prefix=f"branch{i}.")
+            combined.merge(transcript, prefix=f"branch{i}.")
     ok = worst <= 1e-9
     f = fidelity(n, c0 * c0, window)
     row = (n, branches, worst, resources.epr_per_subset[(1, 2)],

@@ -20,8 +20,8 @@ import numpy as np
 from .hilbert import (BudgetError, PureState, _check_budget, _unique_rows,
                       entanglement_entropy, entropy, states_equal)
 from .canonical import StateSpec, _check_copies, copies, psi_general
-from .locc import (Povm, Transcript, as_generator, diagonal_operator,
-                   projective_probabilities, stream_uniforms, trial_seeds)
+from .locc import (Povm, Transcript, _draw, as_generator, diagonal_operator,
+                   projective_probabilities, stream_uniforms, trial_seed)
 from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
                      _block_yield_table, _check_count,
                      _log2_block_probabilities,
@@ -129,20 +129,12 @@ def expected_means(spec: StateSpec, n: int
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_count(n)
-    full = tuple(range(spec.party_count))
-
-    epr: dict[tuple[int, ...], float] = {}
+    epr = dict(asymptotic_rates(spec).per_subset)
     ghz = float(_log2_factorial_ratio(n))
-    for comp, c in zip(spec.components, spec.squared_coefficients()):
+    for c in spec.squared_coefficients():
         ghz -= _binomial_expectations(n, c, [_log2_factorial_ratio])[0]
-        if len(comp.support) < 2:
-            continue
-        epr[comp.support] = (epr.get(comp.support, 0.0)
-                             + _log2_units(comp.coefficient, comp.level))
-    ghz = ghz / n
     # full-support component units live in the full-set (GHZ) account
-    ghz += epr.pop(full, 0.0)
-    return epr, ghz
+    return epr, ghz / n + epr.pop(tuple(range(spec.party_count)), 0.0)
 
 
 def _yield_variances(spec, n, epr_mean, ghz_mean):
@@ -218,7 +210,8 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
     block indices from the multinomial law directly (identical
     statistics at any N). Each trial uses its own sub-seed: explicit mode
     reads the first uniform of every trial's stream at once
-    (``stream_uniforms``) and draws all outcomes in one ``searchsorted``.
+    (``stream_uniforms``) and draws all outcomes in one ``searchsorted``;
+    analytic mode seeds each trial as it draws it (``trial_seed``).
     """
     n, trials = int(n), int(trials)
     if trials < 1:
@@ -230,13 +223,15 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
                       if len(c.support) >= 2 and c.support != full})
 
     if analytic:
-        counts = np.array([as_generator(ss).multinomial(n, csq)
-                           for ss in trial_seeds(seed, trials)])
-        picks = np.arange(trials)
+        drawn = np.empty((trials, len(csq)), dtype=np.int64)
+        for t in range(trials):
+            drawn[t] = as_generator(trial_seed(seed, t)).multinomial(n, csq)
+        counts, picks = _unique_rows(drawn)
         lmult = log2_multinomial(counts)
         logp = _log2_block_probabilities(counts, lmult, csq)
-        outcomes = [_flat_outcome(tuple(row)) for row in counts.tolist()]
-        outcome_probs = [2.0 ** lp for lp in logp.tolist()]
+        ids = np.array([_flat_outcome(tuple(row)) for row in counts.tolist()],
+                       dtype=object)
+        probs = np.array([2.0 ** lp for lp in logp.tolist()])
     else:
         u = stream_uniforms(seed, 1, np.arange(trials))[:, 0]
         _check_copies(sum(c.terms for c in spec.components), n)
@@ -246,15 +241,13 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
         lmult = log2_multinomial(counts)
         if verify_blocks:
             _verify_blocks(spec, state, block_of, counts, lmult, probs)
-        # locc._draw's arithmetic, one uniform per trial
-        cum = np.cumsum(probs)
-        picks = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
-                           len(cum) - 1)
-        outcomes, outcome_probs = picks, probs[picks]
+        ids = np.arange(len(counts))  # every block is an outcome
+        picks = _draw(np.cumsum(probs), u)
     transcript = Transcript()
-    transcript.extend(range(trials), 0, outcomes, outcome_probs,
+    transcript.extend(range(trials), 0, ids[picks], probs[picks],
                       prefix="trial")
-    # yields per row of ``counts``; ``picks`` selects each trial's row
+    # ids, probabilities and yields per row of ``counts`` (in analytic mode
+    # each distinct drawn row); ``picks`` selects each trial's row
     yields = _block_yield_table(counts, lmult, spec)
     samples = {s: v[picks] / n for s, v in yields.items()}
     # each yield at N <= EXACT_N_MAX is the correctly rounded log2 of an

@@ -18,8 +18,9 @@ depend on outcome indices recorded in a transcript.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -166,46 +167,69 @@ class TranscriptEntry:
             raise ValueError(f"probability {self.probability} outside [0,1]")
 
 
-def _ints(values) -> list[int]:
-    """Python ints of an integer array or of any iterable (outcome ids of
-    many components can pass int64)."""
-    if isinstance(values, np.ndarray):
-        return values.astype(np.int64, copy=False).tolist()
-    return [int(v) for v in values]
+class TranscriptColumn:
+    """Column ``index`` (steps, parties, outcomes, probabilities) of a
+    transcript's runs: a slice gives its rows' Python values, formed for
+    that slice only. A step is spelt ``prefix + str(name)``; a value held
+    once for a run is repeated over its rows."""
+
+    def __init__(self, runs: list, index: int):
+        self.runs, self.index = runs, index
+        self.starts = list(accumulate((len(run[1]) for run in runs),
+                                      initial=0))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, rows: slice) -> list:
+        start, stop, _ = rows.indices(len(self))
+        out = []
+        i = bisect_right(self.starts, start) - 1
+        while start < stop:
+            run, first = self.runs[i], self.starts[i]
+            values, rows = run[1 + self.index], len(run[1])
+            a, b = start - first, min(stop - first, rows)
+            if self.index == 0:
+                out += [run[0] + str(name) for name in values[a:b]]
+            elif isinstance(values, np.ndarray):
+                out += values[a:b].tolist()
+            else:
+                out += [values] * (b - a)
+            start, i = first + rows, i + 1
+        return out
 
 
 @dataclass(eq=False)
 class Transcript:
-    """Ordered record of measurement outcomes along one protocol branch,
-    held as columns; ``entries`` forms the rows when read. Step names are
-    held as runs ``(prefix, names)`` and spelt ``prefix + str(name)`` only
-    when ``steps`` is read, so a numbered run such as
-    ``("trial", range(T))`` costs nothing until the transcript is."""
+    """Ordered record of measurement outcomes along one protocol branch:
+    its runs ``(prefix, steps, parties, outcomes, probabilities)``, one per
+    ``add`` or ``extend``, each column kept as given (a step ``range`` as
+    the range, one value for a run as one value, arrays as own copies).
+    Every read goes through ``column``, a slice at a time, so a run such
+    as ``("trial", range(T))`` costs nothing until it is read."""
 
-    parties: list[int] = field(default_factory=list)
-    outcomes: list[int] = field(default_factory=list)
-    probabilities: list[float] = field(default_factory=list)
     _runs: list = field(default_factory=list, init=False, repr=False)
 
-    @property
-    def steps(self) -> list[str]:
-        return [prefix + str(name) for prefix, names in self._runs
-                for name in names]
+    def column(self, index: int) -> TranscriptColumn:
+        return TranscriptColumn(self._runs, index)
+
+    def _columns(self) -> list[list]:
+        return [self.column(i)[:] for i in range(4)]
+
+    steps = property(lambda self: self.column(0)[:])
+    parties = property(lambda self: self.column(1)[:])
+    outcomes = property(lambda self: self.column(2)[:])
+    probabilities = property(lambda self: self.column(3)[:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transcript):
             return NotImplemented
-        return ((self.steps, self.parties, self.outcomes, self.probabilities)
-                == (other.steps, other.parties, other.outcomes,
-                    other.probabilities))
+        return self._columns() == other._columns()
 
     def add(self, step: str, party: int, outcome: int,
             probability: float) -> TranscriptEntry:
         e = TranscriptEntry(step, party, outcome, probability)
-        self._runs.append(("", (e.step,)))
-        self.parties.append(e.party)
-        self.outcomes.append(e.outcome)
-        self.probabilities.append(e.probability)
+        self._runs.append(("", (e.step,), e.party, e.outcome, e.probability))
         return e
 
     def extend(self, steps, parties, outcomes, probabilities,
@@ -214,34 +238,37 @@ class Transcript:
         and ``steps`` may be a ``range``, kept as one. ``parties`` may be
         one party for all rows. The probabilities are range-checked as one
         array, as ``add`` checks one."""
-        steps = steps if isinstance(steps, range) else list(steps)
-        probs = np.asarray(probabilities, dtype=float)
-        outcomes = _ints(outcomes)
-        parties = (_ints(parties) if np.ndim(parties)
-                   else [int(parties)] * len(steps))
-        if not len(steps) == len(parties) == len(outcomes) == len(probs):
+        steps = steps if isinstance(steps, range) else tuple(steps)
+        parties = (np.array(parties, dtype=np.int64) if np.ndim(parties)
+                   else int(parties))
+        try:
+            outcomes = np.array(outcomes, dtype=np.int64)
+        except OverflowError:  # ids of many components can pass int64
+            outcomes = np.array(outcomes, dtype=object)
+        probs = np.array(probabilities, dtype=float)
+        if (np.shape(parties) not in ((), (len(steps),))
+                or not len(steps) == len(outcomes) == len(probs)):
             raise ValueError("transcript columns differ in length")
         bad = ~((probs >= -NORM_TOL) & (probs <= 1.0 + NORM_TOL))
         if bad.any():
             raise ValueError(f"probability {float(probs[bad][0])} "
                              "outside [0,1]")
-        self._runs.append((str(prefix), steps))
-        self.parties += parties
-        self.outcomes += outcomes
-        self.probabilities += probs.tolist()
+        self._runs.append((str(prefix), steps, parties, outcomes, probs))
+
+    def merge(self, other: Transcript, prefix: str = "") -> None:
+        """Append ``other``'s rows, steps prefixed (runs never change)."""
+        self._runs += [(str(prefix) + p, *rest) for p, *rest in other._runs]
 
     @property
     def entries(self) -> list[TranscriptEntry]:
-        return [TranscriptEntry(*row) for row in zip(
-            self.steps, self.parties, self.outcomes, self.probabilities)]
+        return [TranscriptEntry(*row) for row in zip(*self._columns())]
 
     def to_text(self) -> str:
         """One tab-separated line per row under a header; %.17g spells a
         float as format(x, ".17g") does."""
-        rows = zip(self.steps, self.parties, self.outcomes,
-                   self.probabilities)
         return ("step\tparty\toutcome\tprobability\n"
-                + "".join("%s\t%d\t%d\t%.17g\n" % row for row in rows))
+                + "".join("%s\t%d\t%d\t%.17g\n" % row
+                          for row in zip(*self._columns())))
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -256,6 +283,11 @@ def as_generator(rng) -> np.random.Generator:
 def trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
     """Independent per-trial sub-seeds from one root seed."""
     return np.random.SeedSequence(int(seed)).spawn(int(trials))
+
+
+def trial_seed(seed: int, t: int) -> np.random.SeedSequence:
+    """``trial_seeds(seed, trials)[t]`` alone: the root with spawn key t."""
+    return np.random.SeedSequence(int(seed), spawn_key=(int(t),))
 
 
 # numpy's SeedSequence hash and mix constants (bit_generator.pyx) and the
@@ -443,10 +475,11 @@ def projective_probabilities(s: PureState, party: int,
         minlength=int(outcome_of.max(initial=-1)) + 1))
 
 
-def _draw(cum: np.ndarray, u: float) -> int:
-    """Index drawn from cumulative outcome weights with the uniform ``u``."""
-    o = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    return min(o, len(cum) - 1)
+def _draw(cum: np.ndarray, u):
+    """Index drawn from cumulative outcome weights with the uniform ``u``,
+    or the indices drawn with each of an array of uniforms."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
+                      len(cum) - 1)
 
 
 def sample(s: PureState, p: Povm, rng,
@@ -458,8 +491,8 @@ def sample(s: PureState, p: Povm, rng,
     """
     if not check_completeness(p):
         raise ValueError("POVM is not complete on its local space")
-    outcome = _draw(np.cumsum(outcome_probabilities(s, p)),
-                    uniform_draws(rng, 1)[0])
+    outcome = int(_draw(np.cumsum(outcome_probabilities(s, p)),
+                        uniform_draws(rng, 1)[0]))
     post, sq = apply_element(s, p.elements[outcome])
     return outcome, post, TranscriptEntry(step, p.party, outcome, sq)
 

@@ -275,7 +275,7 @@ def _measure(state, stage, parties, u, transcript, step) -> PureState:
     ``element(o)`` alone, check its probability, record it and relabel
     ``parties`` by ``correction(o)``."""
     m, element, correction = stage
-    outcome = _draw(np.arange(1, m + 1) / m, u)
+    outcome = int(_draw(np.arange(1, m + 1) / m, u))
     op = element(outcome)
     state, sq = apply_element(state, op)
     if abs(sq - 1.0 / m) > NORM_TOL:

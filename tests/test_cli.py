@@ -535,7 +535,7 @@ def test_trial_budget_refuses_before_any_seed(capsys, monkeypatch, command,
         raise Reached
 
     monkeypatch.setattr(cli, "stream_uniforms", seeds)
-    monkeypatch.setattr(extraction, "trial_seeds", seeds)
+    monkeypatch.setattr(extraction, "trial_seed", seeds)
     code, out, err = run(capsys, command, *flags, "-N", "2", "--trials",
                          "100000000", "--seed", "1")
     assert (code, out) == (EXIT_USAGE, "")
@@ -772,20 +772,30 @@ def test_emit_table_matches_the_one_shot_formatter(capsys, tmp_path, rows,
 
 
 def test_transcript_file_matches_to_text(tmp_path):
-    """Transcripts go through the same chunked writer; step names are
-    spelt from the runs one chunk at a time, across runs of every kind
-    (numbered, listed, single steps, empty) and across chunk edges."""
+    """Transcripts go through the same chunked writer; every column is read
+    from the runs one chunk at a time, across runs of every kind (numbered
+    or listed steps, one party or a party array, int64 outcome arrays,
+    Python-int outcomes past int64, single steps, merged branches, empty)
+    and across chunk edges."""
     t = Transcript()
     path = tmp_path / "transcript.tsv"
-    sizes = (CHUNK - 1, 0, 1, CHUNK + 2, 3)
+    sizes = (CHUNK - 1, 0, 1, CHUNK + 2, 3, 2 * CHUNK + 1)
     for i, size in enumerate(sizes):
         names = range(size) if i % 2 else [f"s{j}" for j in range(size)]
-        t.extend(names, i % 3, np.arange(size) % 7,
-                 np.linspace(0, 1, size), prefix=f"run{i}.")
+        parties = i % 3 if i % 4 < 2 else np.arange(size) % 3
+        outcomes = (np.arange(size, dtype=np.int64) % 7 if i % 3
+                    else [2**63 + 5 * j for j in range(size)])
+        t.extend(names, parties, outcomes, np.linspace(0, 1, size),
+                 prefix=f"run{i}.")
         t.add(f"single{i}", 2, i, 0.5)
+        branch = Transcript()
+        branch.add("w", 0, 2**64, 0.25)
+        branch.extend([], 1, [], [])
+        t.merge(branch, prefix=f"branch{i}.")
         cli._write_transcript(t, SimpleNamespace(transcript=str(path)))
         assert (path.read_text().splitlines(True)
                 == t.to_text().splitlines(True))
+    assert t.to_text().count(f"\t{2**63 + 5}\t") == 2
     cli._write_transcript(Transcript(), SimpleNamespace(transcript=str(path)))
     assert path.read_text() == Transcript().to_text()
 
@@ -826,6 +836,35 @@ def test_largest_json_block_table_is_written_in_chunks():
         return peak
 
     assert peak_kib(*argv) - peak_kib() <= 60 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("mib, flags", [
+    (70, ("-N", "8", "--trials", "1000000")),
+    (35, ("-N", "2", "--analytic", "--trials", "100000")),
+])
+def test_sampled_extract_peak(mib, flags):
+    """Sampled ``extract`` grows peak RSS over a bare import by at most
+    ``mib`` MiB: the transcript keeps arrays, not one Python object a row
+    (about 102 MiB at 10**6 explicit trials when it did), and analytic
+    trials are seeded as they are drawn (about 60 MiB at 10**5 when every
+    sub-seed was spawned first)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def peak_kib(*argv):
+        done = subprocess.run([sys.executable, "-c", PEAK_PROBE, *argv],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        peak, code = map(int, done.stdout.split())
+        assert code == EXIT_OK
+        return peak
+
+    argv = ["extract", "--psi", "0.6", "0.8", *flags, "--seed", "1",
+            "--out", os.devnull]
+    assert peak_kib(*argv) - peak_kib() <= mib * 1024
 
 
 # -- golden output ---------------------------------------------------------------

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from conftest import block_counts_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eprghz.blocks import block_probability, log2_multinomial
+from eprghz.blocks import block_probability, block_yields, log2_multinomial
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, psi_general, psi_prime_spec,
     psi_spec, random_spec,
@@ -19,7 +21,7 @@ from eprghz.extraction import (
 )
 from eprghz.hilbert import BudgetError, PureState, entropy
 from eprghz.locc import (_draw, as_generator, outcome_probabilities,
-                         projective_probabilities, trial_seeds)
+                         projective_probabilities, trial_seed, trial_seeds)
 
 HALF = math.sqrt(0.5)
 FULL3 = (0, 1, 2)
@@ -330,6 +332,56 @@ def test_explicit_draws_equal_the_per_trial_generator_loop():
     assert transcript.steps == [f"trial{t}" for t in range(trials)]
 
 
+# one-word and multi-word root seeds (SeedSequence splits a seed into
+# 32-bit words, and a pool of 4 mixes more than 4 in afterwards)
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**160))
+
+
+def _same_draws(seed, t, child):
+    """Trial t's sub-seed formed alone draws what ``child`` draws."""
+    csq = (0.36, 0.25, 0.16, 0.23)
+    return np.array_equal(
+        as_generator(trial_seed(seed, t)).multinomial(10**6, csq),
+        as_generator(child).multinomial(10**6, csq))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, t=st.integers(0, 99))
+def test_trial_seed_is_the_spawned_child(seed, t):
+    assert _same_draws(seed, t, trial_seeds(seed, t + 1)[t])
+
+
+@pytest.mark.parametrize("seed", [7, 2**128 + 5])
+def test_trial_seed_is_the_spawned_child_past_2_16(seed):
+    """The same on both sides of 2**16, from one spawn of each seed."""
+    children = trial_seeds(seed, 2**16 + 2)
+    assert all(_same_draws(seed, t, children[t])
+               for t in (2**16 - 2, 2**16 - 1, 2**16, 2**16 + 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=SEEDS, trials=st.integers(1, 40),
+       n=st.sampled_from([1, 5, 300, 10**9]))
+def test_analytic_counts_equal_the_spawned_generator_loop(seed, trials, n):
+    """Analytic extraction seeds each trial as it draws it, and evaluates
+    each distinct drawn row once: its outcomes, probabilities and means
+    are those of one Generator per spawned child (``trial_seeds``), the
+    oracle, drawn row by row."""
+    spec = psi_prime_spec(0.6, 0.5, 0.4, 0.4795831523312719)
+    csq = spec.squared_coefficients()
+    counts = [tuple(as_generator(ss).multinomial(n, csq).tolist())
+              for ss in trial_seeds(seed, trials)]
+    report, transcript = run_extraction(spec, n, trials, seed, analytic=True)
+    assert transcript.outcomes == [_flat_outcome(c) for c in counts]
+    assert transcript.probabilities == [2.0 ** block_probability(n, c, csq)
+                                        for c in counts]
+    yields = [block_yields(c, spec) for c in counts]
+    assert report.ghz_per_copy == float(
+        (np.array([y[FULL3] for y in yields]) / n).mean())
+    for s, mean in report.epr_per_copy.items():
+        assert mean == float((np.array([y[s] for y in yields]) / n).mean())
+
+
 @pytest.mark.parametrize("analytic", [False, True])
 def test_trial_budget_is_checked_before_any_seed(monkeypatch, analytic):
     """10**6 trials pass the check and reach the seeds (stubbed to stop
@@ -340,7 +392,7 @@ def test_trial_budget_is_checked_before_any_seed(monkeypatch, analytic):
     def seeds(*args):
         raise Reached
 
-    monkeypatch.setattr(extraction, "trial_seeds", seeds)
+    monkeypatch.setattr(extraction, "trial_seed", seeds)
     monkeypatch.setattr(extraction, "stream_uniforms", seeds)
     spec = psi_spec(0.6, 0.8)
     with pytest.raises(Reached):

@@ -333,13 +333,46 @@ def test_numbered_steps_are_spelt_only_when_read():
     t.extend(range(3), 0, np.array([2, 0, 1]), [0.25, 0.5, 0.25],
              prefix="trial")
     t.extend(["a", "b"], 2, [1, 1], [1.0, 1.0], prefix="branch7.")
-    assert t._runs[1] == ("trial", range(3))
+    prefix, steps, party, outcomes, probs = t._runs[1]
+    assert (prefix, steps, party) == ("trial", range(3), 0)
+    assert outcomes.dtype == np.int64 and probs.dtype == float
     for row in [("w", 1, 0, 0.5), ("trial0", 0, 2, 0.25),
                 ("trial1", 0, 0, 0.5), ("trial2", 0, 1, 0.25),
                 ("branch7.a", 2, 1, 1.0), ("branch7.b", 2, 1, 1.0)]:
         one.add(*row)
     assert t == one and t.steps == one.steps and t.entries == one.entries
     assert t.to_text() == one.to_text()
+
+
+def test_transcript_keeps_its_own_copy_of_extended_arrays():
+    """Arrays given to ``extend`` are copied: changing them afterwards, or
+    the lists given, leaves the transcript as it was."""
+    parties, outcomes = np.array([0, 1, 2]), np.array([5, 6, 7])
+    probs, names = np.array([0.25, 0.5, 0.25]), ["a", "b", "c"]
+    t, want = Transcript(), Transcript()
+    t.extend(names, parties, outcomes, probs)
+    want.extend(["a", "b", "c"], [0, 1, 2], [5, 6, 7], [0.25, 0.5, 0.25])
+    parties[:], outcomes[:], probs[:] = 2, 9, 1.0
+    names[0] = "z"
+    assert t == want and t.to_text() == want.to_text()
+
+
+def test_merged_transcript_equals_the_prefixed_rows():
+    """``merge`` appends another transcript's rows with each step name
+    prefixed, as ``extend`` of its columns would."""
+    branch = Transcript()
+    branch.add("weighting", 0, 3, 0.25)
+    branch.extend(range(2), 1, [1, 2**70], [0.5, 0.5], prefix="row")
+    t, want = Transcript(), Transcript()
+    t.add("x", 2, 0, 1.0)
+    want.add("x", 2, 0, 1.0)
+    t.merge(branch, prefix="branch4.")
+    want.extend(["weighting", "row0", "row1"], [0, 1, 1], [3, 1, 2**70],
+                [0.25, 0.5, 0.5], prefix="branch4.")
+    assert t == want and t.entries == want.entries
+    assert t.steps == ["x", "branch4.weighting", "branch4.row0",
+                       "branch4.row1"]
+    assert branch.steps == ["weighting", "row0", "row1"]
 
 
 def test_bulk_transcript_rejects_bad_rows():
