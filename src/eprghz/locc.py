@@ -187,15 +187,15 @@ class TranscriptColumn:
         i = bisect_right(self.starts, start) - 1
         while start < stop:
             run, first = self.runs[i], self.starts[i]
-            values, rows = run[1 + self.index], len(run[1])
-            a, b = start - first, min(stop - first, rows)
+            values, size = run[1 + self.index], len(run[1])
+            a, b = start - first, min(stop - first, size)
             if self.index == 0:
                 out += [run[0] + str(name) for name in values[a:b]]
             elif isinstance(values, np.ndarray):
                 out += values[a:b].tolist()
             else:
                 out += [values] * (b - a)
-            start, i = first + rows, i + 1
+            start, i = first + size, i + 1
         return out
 
 
