@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (INT64_MAX, PureState, _check_budget, _row_codes,
-                      _valid_state, relabel, states_equal, tensor)
+from .hilbert import (INT64_MAX, PureState, _check_budget, _valid_state,
+                      relabel, states_equal, tensor)
 from .canonical import StateSpec, level_epr, level_ghz
 
 EXACT_N_MAX = 30
@@ -353,13 +353,9 @@ def classify_copies_label(spec: StateSpec, party: int, labels,
     return counts
 
 
-def decompose(spec: StateSpec, n: int,
-              state: PureState | None = None,
-              tol: float = 1e-9) -> BlockDecomposition:
+def decompose(spec: StateSpec, n: int) -> BlockDecomposition:
     """Enumerate all blocks of the N-copy power of the spec state.
 
-    With ``state`` (the explicit N-copy state), each entry is verified
-    against the projection norm: |projection| = coefficient * sqrt(mult).
     Refused before any enumeration if the largest multiplicity has more
     decimal digits than Python's int-to-str limit lets it print.
     """
@@ -382,27 +378,6 @@ def decompose(spec: StateSpec, n: int,
     mults = _multinomials(counts)
     logps = _log2_block_probabilities(counts, log2_multinomial(counts),
                                       spec.squared_coefficients())
-
-    if state is not None:
-        expect = tuple(d**n for d in spec.local_dims())
-        if state.local_dims != expect:
-            raise ValueError(
-                f"state dims {state.local_dims} do not match {n} copies of "
-                f"the spec (expected {expect}); unknown block structure")
-        keys = classify_copies_label(spec, 0, state.labels[:, 0], n)
-        # every key is a row of the complete, sorted ``counts``: its code
-        # among both is its row
-        block = _row_codes(np.concatenate([counts, keys]))[len(counts):]
-        norms = np.sqrt(np.bincount(block, np.abs(state.amps) ** 2,
-                                    len(counts)))
-        want = coefficients * np.sqrt(mults.astype(float))
-        bad = np.flatnonzero(np.abs(norms - want) > tol)
-        if bad.size:
-            j = bad[0]
-            raise ValueError(
-                f"projection norm {norms[j]} of block "
-                f"{tuple(counts[j].tolist())} does not match "
-                f"coefficient*sqrt(multiplicity) {want[j]}")
     return BlockDecomposition(n, counts, coefficients, mults, logps)
 
 
@@ -460,7 +435,7 @@ def block_state(n: int, k: int) -> PureState:
                         np.full(r * t, 1.0 / math.sqrt(r * t), dtype=complex))
 
 
-def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:
+def verify_block_equivalence(n: int, k: int) -> bool:
     """Check that block (n, k) is an r-level B-C pair times a t-level
     three-party GHZ, under the canonical relabeling."""
     target = block_state(n, k)  # checks the index and the budget first
@@ -473,7 +448,7 @@ def verify_block_equivalence(n: int, k: int, tol: float = 1e-9) -> bool:
     out = relabel(joint, 0, np.arange(t), target.labels[::r, 0],
                   new_dim=2**n)
     out = relabel(out, (1, 2), bc_old, bc_new, new_dim=3**n)
-    return states_equal(out, target, tol)
+    return states_equal(out, target)
 
 
 def _block_yield_table(counts: np.ndarray, lmult: np.ndarray,

@@ -185,15 +185,13 @@ def psi_prime_spec(c0: float, c1: float, c2: float, c3: float) -> StateSpec:
     return StateSpec(3, tuple(comps))
 
 
-def random_spec(party_count: int, rng: np.random.Generator,
-                num_components: int | None = None) -> StateSpec:
+def random_spec(party_count: int, rng: np.random.Generator) -> StateSpec:
     """Random member of the family: random supports, levels, and weights.
 
     Disjoint label ranges keep the components locally orthogonal whatever
     the draw, so every sample is a valid input to the block machinery.
     """
-    if num_components is None:
-        num_components = int(rng.integers(2, 5))
+    num_components = int(rng.integers(2, 5))
     comps = []
     for _ in range(num_components):
         size = int(rng.integers(1, party_count + 1))

@@ -17,8 +17,9 @@ from decimal import Context, Decimal
 
 import numpy as np
 
-from .hilbert import (BudgetError, PureState, _check_budget, _unique_rows,
-                      entanglement_entropy, entropy, states_equal)
+from .hilbert import (NORM_TOL, BudgetError, PureState, _check_budget,
+                      _unique_rows, entanglement_entropy, entropy,
+                      states_equal)
 from .canonical import StateSpec, _check_copies, copies, psi_general
 from .locc import (Povm, Transcript, _draw, as_generator, diagonal_operator,
                    projective_probabilities, stream_uniforms, trial_seed)
@@ -316,7 +317,7 @@ def _verify_blocks(spec, state, block_of, counts, lmult, probs):
         k, n = row[0], sum(row)
         post = PureState(state.local_dims, state.labels[mask],
                          state.amps[mask] / math.sqrt(probs[j]))
-        if not states_equal(post, block_state(n, k), 1e-9):
+        if not states_equal(post, block_state(n, k)):
             raise AssertionError(f"post-measurement state of block "
                                  f"({n},{k}) is not the canonical block "
                                  "state")
@@ -325,7 +326,7 @@ def _verify_blocks(spec, state, block_of, counts, lmult, probs):
                                  "pair x GHZ equivalence")
 
 
-def entropy_consistency(spec: StateSpec, tol: float = 1e-9) -> bool:
+def entropy_consistency(spec: StateSpec) -> bool:
     """Every bipartite entanglement entropy must equal the crossing rates:
     sum of l_T over subsets T crossing the cut, plus the full-set rate."""
     state = psi_general(spec)
@@ -339,6 +340,6 @@ def entropy_consistency(spec: StateSpec, tol: float = 1e-9) -> bool:
         for sub, l in rates.per_subset.items():
             if set(sub) & set(cut) and set(sub) & rest:
                 expect += l
-        if abs(entanglement_entropy(state, cut) - expect) > tol:
+        if abs(entanglement_entropy(state, cut) - expect) > NORM_TOL:
             return False
     return True

@@ -113,8 +113,8 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(squared_norm(self.amps))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= NORM_TOL
 
     def normalized(self) -> "PureState":
         n = self.norm()
@@ -329,8 +329,8 @@ def amplitude_distance(a: PureState, b: PureState) -> float:
     return float(np.hypot(diff.real, diff.imag).max())
 
 
-def states_equal(a: PureState, b: PureState, tol: float = NORM_TOL) -> bool:
-    """Equality up to a global phase: amplitude_distance(a, b) <= tol, and
-    a state equals the empty state only if it is empty itself."""
-    return (amplitude_distance(a, b) <= tol
+def states_equal(a: PureState, b: PureState) -> bool:
+    """Equality up to a global phase: amplitude_distance(a, b) <= NORM_TOL,
+    and a state equals the empty state only if it is empty itself."""
+    return (amplitude_distance(a, b) <= NORM_TOL
             and bool(a.support_size) == bool(b.support_size))

@@ -107,13 +107,13 @@ class Povm:
         return self.elements[0].dim
 
 
-def check_completeness(p: Povm, tol: float = NORM_TOL) -> bool:
-    """True iff sum_j M_j^dag M_j is the identity within tol (max entry),
+def check_completeness(p: Povm) -> bool:
+    """True iff sum_j M_j^dag M_j is the identity within NORM_TOL (max entry),
     that is, iff every label's squared weights sum to 1."""
     total = np.zeros(p.dim)
     for e in p.elements:
         total += np.abs(e.weights) ** 2
-    return float(np.abs(total - 1.0).max()) <= tol
+    return float(np.abs(total - 1.0).max()) <= NORM_TOL
 
 
 def _weighted(s: PureState, op: LocalOperator):
@@ -517,7 +517,7 @@ def _shared_labels(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[_lookup(np.sort(y), x)[1]]
 
 
-def check_local_orthogonality(components, tol: float = ORTHO_EPS) -> bool:
+def check_local_orthogonality(components) -> bool:
     """True iff every pair of components has vanishing local density overlap
     Tr[rho_i rho_j] on every party. Only labels both components occupy on
     a party contribute there, so the overlap is 0 when they share none."""
@@ -530,6 +530,6 @@ def check_local_orthogonality(components, tol: float = ORTHO_EPS) -> bool:
             shared = _shared_labels(a.labels[:, party], b.labels[:, party])
             if shared.size and abs(np.vdot(
                     _shared_density(a, party, shared),
-                    _shared_density(b, party, shared))) > tol:
+                    _shared_density(b, party, shared))) > ORTHO_EPS:
                 return False
     return True

@@ -8,7 +8,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from eprghz.blocks import decompose, log2_multinomial
+from eprghz.extraction import _verify_blocks, block_outcomes
 from eprghz.hilbert import PureState
+from eprghz.locc import projective_probabilities
 
 
 def dense_matrix(op, dim=None) -> np.ndarray:
@@ -60,6 +63,18 @@ def psi_prime(c0, c1, c2, c3) -> PureState:
               (4, 4, 5), (5, 5, 5)]
     amps = [c0, c1 / r, c1 / r, c2 / r, c2 / r, c3 / r, c3 / r]
     return PureState((6, 6, 6), labels, amps)
+
+
+def checked_decompose(spec, n, state):
+    """``decompose(spec, n)``, once the package's explicit-state block check
+    (``extraction._verify_blocks``, as ``run_extraction(...,
+    verify_blocks=True)`` runs it) has passed on ``state``, an explicit
+    N-copy state; a state that fails it raises ``AssertionError``."""
+    counts, block_of = block_outcomes(spec, n)
+    probs = projective_probabilities(state, 0, block_of)
+    _verify_blocks(spec, state, block_of, counts, log2_multinomial(counts),
+                   probs)
+    return decompose(spec, n)
 
 
 def multinomial_exact(counts) -> int:

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import checked_decompose
 
 from eprghz.blocks import decompose, verify_block_equivalence
 from eprghz.canonical import (copies, psi, psi_general, psi_prime_spec,
@@ -30,7 +31,7 @@ def test_criterion_01_two_copy_block_decomposition():
     for c0_sq in (0.36, 0.5):
         c0, c1 = math.sqrt(c0_sq), math.sqrt(1.0 - c0_sq)
         power = copies(psi(c0, c1), 2)
-        decomp = decompose(psi_spec(c0, c1), 2, state=power)
+        decomp = checked_decompose(psi_spec(c0, c1), 2, power)
         assert decomp.counts.tolist() == [[0, 2], [1, 1], [2, 0]]
         assert decomp.coefficients.tolist() == \
             pytest.approx([c1 * c1, c0 * c1, c0 * c0], abs=1e-12)
@@ -154,7 +155,7 @@ def test_criterion_08_four_component_generalization(capsys):
 
     spec = psi_prime_spec(0.5, 0.5, 0.5, 0.5)
     power = copies(psi_general(spec), 2)
-    decomp = decompose(spec, 2, state=power)
+    decomp = checked_decompose(spec, 2, power)
     got = dict(zip(map(tuple, decomp.counts.tolist()),
                    decomp.multiplicities))
     assert got == {
@@ -168,14 +169,13 @@ def test_criterion_08_four_component_generalization(capsys):
 def test_criterion_09_entropy_consistency_across_the_family():
     """Reported rates match the reduced-state entropies for the named
     seeds and for randomly generated component layouts."""
-    assert entropy_consistency(psi_spec(0.6, 0.8), tol=1e-9)
-    assert entropy_consistency(psi_prime_spec(0.5, 0.5, 0.5, 0.5), tol=1e-9)
-    assert entropy_consistency(psi_prime_spec(*np.sqrt((0.1, 0.2, 0.3, 0.4))),
-                               tol=1e-9)
+    assert entropy_consistency(psi_spec(0.6, 0.8))
+    assert entropy_consistency(psi_prime_spec(0.5, 0.5, 0.5, 0.5))
+    assert entropy_consistency(psi_prime_spec(*np.sqrt((0.1, 0.2, 0.3, 0.4))))
     rng = np.random.default_rng(2026)
     for parties in (3, 4):
         for _ in range(5):
-            assert entropy_consistency(random_spec(parties, rng), tol=1e-9)
+            assert entropy_consistency(random_spec(parties, rng))
 
 
 def test_criterion_10_sampled_block_frequencies():

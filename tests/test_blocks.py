@@ -6,7 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import block_counts_oracle, multinomial_exact, psi_prime, terms
+from conftest import (block_counts_oracle, checked_decompose,
+                      multinomial_exact, psi_prime, terms)
 
 from eprghz import blocks
 from eprghz.blocks import (
@@ -174,7 +175,7 @@ def test_total_block_probability():
 
 def test_decompose_psi_n2_with_projection():
     state = copies(psi(0.6, 0.8), 2)
-    d = decompose(psi_spec(0.6, 0.8), 2, state=state)
+    d = checked_decompose(psi_spec(0.6, 0.8), 2, state)
     assert d.counts.tolist() == [[0, 2], [1, 1], [2, 0]]
     assert d.coefficients.tolist() == pytest.approx([0.64, 0.48, 0.36])
     assert d.multiplicities.tolist() == [1, 2, 1]
@@ -196,7 +197,7 @@ def test_decompose_matches_loop_reference():
 
 
 def test_decompose_psi_n3_frozen():
-    d = decompose(psi_spec(0.6, 0.8), 3, state=copies(psi(0.6, 0.8), 3))
+    d = checked_decompose(psi_spec(0.6, 0.8), 3, copies(psi(0.6, 0.8), 3))
     assert d.coefficients.tolist() == \
         pytest.approx([0.512, 0.384, 0.288, 0.216])
     assert d.multiplicities.tolist() == [1, 3, 3, 1]
@@ -206,8 +207,8 @@ def test_decompose_psi_n3_frozen():
 
 def test_decompose_psi_prime_n2_multiplicities():
     c = 0.5
-    d = decompose(psi_prime_spec(c, c, c, c), 2,
-                  state=copies(psi_prime(c, c, c, c), 2))
+    d = checked_decompose(psi_prime_spec(c, c, c, c), 2,
+                          copies(psi_prime(c, c, c, c), 2))
     mults = dict(zip(map(tuple, d.counts.tolist()), d.multiplicities))
     assert mults == {
         (0, 0, 0, 2): 1, (0, 0, 1, 1): 2, (0, 0, 2, 0): 1,
@@ -233,12 +234,12 @@ def test_decompose_multiplicities_are_exact():
 
 
 def test_decompose_rejects_mismatched_state():
-    with pytest.raises(ValueError):
-        decompose(psi_spec(0.6, 0.8), 2, state=psi(0.6, 0.8))
-    # projection check catches a state from different coefficients
-    with pytest.raises(ValueError):
-        decompose(psi_spec(0.6, 0.8), 2,
-                  state=copies(psi(0.8, 0.6), 2))
+    # one copy where two are claimed: its labels land on the wrong blocks
+    with pytest.raises(AssertionError, match="probability"):
+        checked_decompose(psi_spec(0.6, 0.8), 2, psi(0.6, 0.8))
+    # the block probabilities catch a state from different coefficients
+    with pytest.raises(AssertionError, match="probability"):
+        checked_decompose(psi_spec(0.6, 0.8), 2, copies(psi(0.8, 0.6), 2))
 
 
 def test_decompose_entry_budget():

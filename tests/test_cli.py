@@ -404,6 +404,8 @@ BLOCKS_TOO_LONG = ("blocks", "--psi", "0.6", "0.8", "-N", "16000")
 WORDING[BLOCKS_TOO_LONG] = (
     "error: the largest multiplicity at N = 16000 needs 4815 digits, "
     "budget is 4300 digits\n")
+NOT_AN_INTEGER = ("extract", "--psi", "0.6", "0.8", "-N", "x")
+WORDING[NOT_AN_INTEGER] = "argument -N/--copies: invalid integer 'x'"
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,6 +441,7 @@ WORDING[BLOCKS_TOO_LONG] = (
     ("fidelity", "--psi", "0.6", "0.8", "-N", str(10**20)),  # N above 2**53
     ("extract", "--psi", "0.6", "0.8", "-N", str(10**15)),   # 2.9e8-term bulk
     BLOCKS_TOO_LONG,
+    NOT_AN_INTEGER,
 ])
 def test_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eprghz import blocks
 from eprghz.blocks import (EXACT_N_MAX, _binomial_bulk,
                            _log2_factorial_ratio, log2_binomial_array)
 from eprghz.canonical import (CanonicalComponent, StateSpec, psi_prime_spec,
                               psi_spec)
-from eprghz.extraction import _yield_variances, expected_yields
+from eprghz.extraction import (_yield_variances, expected_means,
+                               expected_yields)
 from eprghz.preparation import fidelity, target_window
 
 NS = [1, 2, 5, 20, 100, 10**3, 10**5]
@@ -188,6 +190,35 @@ def mp_ghz_per_copy(mpmath, spec, n):
             lf += mpmath.log(k + 1)
         out -= mean / total
     return out / mpmath.log(2) / n
+
+
+def mode_chunks(n, p):
+    """The (k, log2 pmf) pairs of _binomial_mode_chunks sorted by k, and
+    the k of its first chunk (the mode's)."""
+    chunks = list(blocks._binomial_mode_chunks(n, p))
+    ks = np.concatenate([k for k, _ in chunks])
+    logp = np.concatenate([v for _, v in chunks])
+    order = np.argsort(ks, kind="stable")
+    return ks[order], logp[order], chunks[0][0]
+
+
+@pytest.mark.parametrize("n, p", [(10**6, 0.36), (10**6, 0.5),
+                                  (12345, 0.01), (10**7, 0.9)])
+def test_mode_chunks_split_many_ways_match_one_chunk(monkeypatch, n, p):
+    # each chunk above or below the mode's carries on its neighbour's
+    # running sum, so every log2 pmf is the same sequential sum from the
+    # mode; the means merge chunk masses, which moves the GHZ cell by ulps
+    ks, logp, home = mode_chunks(n, p)
+    assert len(home) == len(ks)
+    epr, ghz = expected_means(seed_spec(p), n)
+    monkeypatch.setattr(blocks, "_BULK_CHUNK", 97)
+    many_ks, many_logp, home = mode_chunks(n, p)
+    assert ks[0] < home[0] and home[-1] < ks[-1]
+    assert np.array_equal(many_ks, ks)
+    assert np.array_equal(many_logp, logp)
+    many_epr, many_ghz = expected_means(seed_spec(p), n)
+    assert many_epr == epr
+    agree(many_ghz, ghz, False, ghz_scale(n))
 
 
 @pytest.mark.parametrize("n", [100, 10**3, 10**5, 10**6])

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import block_counts_oracle
+from conftest import block_counts_oracle, checked_decompose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprghz.blocks import block_probability, block_yields, log2_multinomial
+from eprghz.blocks import (block_probability, block_state, block_yields,
+                           log2_multinomial)
 from eprghz.canonical import (
-    CanonicalComponent, StateSpec, copies, psi_general, psi_prime_spec,
+    CanonicalComponent, StateSpec, copies, psi, psi_general, psi_prime_spec,
     psi_spec, random_spec,
 )
 from eprghz import extraction
@@ -255,6 +256,21 @@ def test_verify_blocks_refuses_unequal_magnitudes():
     probs = projective_probabilities(bent, 0, block_of)
     with pytest.raises(AssertionError, match="unequal magnitude"):
         _verify_blocks(PSI_PRIME, bent, block_of, counts, lmult, probs)
+
+
+@pytest.mark.parametrize("name, stub, message", [
+    # each post-measurement block compared with a different block
+    ("block_state", lambda n, k: block_state(n, (k + 1) % (n + 1)),
+     r"^post-measurement state of block \(2,\d\) is not the canonical"),
+    ("verify_block_equivalence", lambda n, k: False,
+     r"^block \(2,\d\) failed the canonical pair x GHZ equivalence$"),
+])
+def test_verify_blocks_negative_controls(monkeypatch, name, stub, message):
+    state = copies(psi(0.6, 0.8), 2)
+    checked_decompose(psi_spec(0.6, 0.8), 2, state)
+    monkeypatch.setattr(extraction, name, stub)
+    with pytest.raises(AssertionError, match=message):
+        checked_decompose(psi_spec(0.6, 0.8), 2, state)
 
 
 def test_explicit_extraction_builds_no_povm(monkeypatch):

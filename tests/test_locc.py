@@ -341,6 +341,8 @@ def test_numbered_steps_are_spelt_only_when_read():
                 ("branch7.a", 2, 1, 1.0), ("branch7.b", 2, 1, 1.0)]:
         one.add(*row)
     assert t == one and t.steps == one.steps and t.entries == one.entries
+    # a transcript equals only a transcript
+    assert (t == 1) is False and t != [t]
     assert t.to_text() == one.to_text()
 
 

@@ -198,7 +198,7 @@ def test_weighting_povm_outcomes_agree(raw, reverse):
     w = w / np.linalg.norm(w)
     outs = corrected_outcome_states(w)
     for post in outs[1:]:
-        assert states_equal(post, outs[0], tol=1e-9)
+        assert states_equal(post, outs[0])
 
 
 @pytest.mark.parametrize("t", [1, 2, 16, 64])
