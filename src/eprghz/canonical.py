@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,16 @@ def _check_unit(*cs):
         raise ValueError(f"squared coefficients sum to {sum(c*c for c in cs)}, not 1")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, float or string is refused, not cast."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CanonicalComponent:
     """One term of a StateSpec.
@@ -93,10 +104,10 @@ class CanonicalComponent:
     level: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "support",
-                           tuple(sorted(set(int(p) for p in self.support))))
+        object.__setattr__(self, "support", tuple(sorted(set(
+            _integer(p, "support entry") for p in self.support))))
         object.__setattr__(self, "coefficient", float(self.coefficient))
-        object.__setattr__(self, "level", int(self.level))
+        object.__setattr__(self, "level", _integer(self.level, "level"))
         if not self.support or min(self.support) < 0:
             raise ValueError(f"bad support {self.support}")
         if not 0.0 < self.coefficient <= 1.0 + NORM_TOL:
@@ -124,7 +135,8 @@ class StateSpec:
     def __post_init__(self):
         comps = tuple(c for c in self.components if c.coefficient > 0.0)
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "party_count", int(self.party_count))
+        object.__setattr__(self, "party_count",
+                           _integer(self.party_count, "party count"))
         if self.party_count < 2:
             raise ValueError("need at least 2 parties")
         _check_budget("the state specification", "state parties",
@@ -265,22 +277,18 @@ def spec_to_dict(spec: StateSpec) -> dict:
 
 def spec_from_dict(data: dict) -> StateSpec:
     try:
-        m = int(data["m"])
-        raw = data["components"]
+        m, raw = data["m"], data["components"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"spec object needs 'm' and 'components': {exc}")
-    comps = []
-    for entry in raw:
-        comps.append(CanonicalComponent(float(entry["c"]),
-                                        tuple(entry["support"]),
-                                        int(entry.get("level", 2))))
-    spec = StateSpec(m, tuple(comps))
+    spec = StateSpec(m, tuple(CanonicalComponent(
+        float(e["c"]), e["support"], e.get("level", 2)) for e in raw))
     for i, entry in enumerate(raw):
         declared = entry.get("product_labels")
         if declared is None:
             continue
         realized = spec.product_labels(i)
-        declared = {int(p): int(l) for p, l in declared.items()}
+        declared = {int(p): _integer(l, "product label")
+                    for p, l in declared.items()}
         if declared != realized:
             raise ValueError(
                 f"component {i}: declared product labels {declared} do not "

@@ -210,9 +210,9 @@ def cmd_prepare(args) -> int:
     else:
         window = target_window(n, c0 * c0, args.alpha, args.beta)
         # refuse before the target or any branch state is built
-        _check_terms(n, window.k_minus, window.k_plus, "windowed target",
-                     "protocol")
+        _check_terms(n, window, "windowed target", "protocol")
         target = build_target(n, c0, c1, window)
+    f = fidelity(n, c0 * c0, window)
     worst = 0.0
     combined = Transcript()
     # branch i draws the first doubles of spawned stream i of the seed,
@@ -232,7 +232,6 @@ def cmd_prepare(args) -> int:
             worst = max(worst, amplitude_distance(state, target))
             combined.merge(transcript, prefix=f"branch{i}.")
     ok = worst <= 1e-9
-    f = fidelity(n, c0 * c0, window)
     row = (n, branches, worst, resources.epr_per_subset[(1, 2)],
            resources.ghz, f, ok)
     _write_transcript(combined, args)
@@ -303,7 +302,7 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
     stages = [ghz_weighting_povm(lam) for lam in (
         [1.0], (0.64, 0.48, 0.48, 0.36), np.full(5, 1.0 / math.sqrt(5.0)),
         w / np.linalg.norm(w))]
-    stages += [row_shorten_povm(range(4 * g, 4 * g + 4), keep, 1, dim=16)
+    stages += [row_shorten_povm(range(4 * g, 4 * g + 4), keep, dim=16)
                for g, keep in enumerate((4, 2, 2, 1))]
     checks = [check_completeness(povm) for povm, _ in stages]
     block_povm, _ = block_measurement_povm(psi_spec(0.6, 0.8), 3)

@@ -4,45 +4,37 @@ Two copies come out exactly; general N comes out as the normalized
 truncation of the N-copy power to a window of blocks around the probability
 peak, with fidelity approaching 1 while the consumed resources stay within
 a sublinear excess of the asymptotic rates. The two measurement primitives
-are a weighting stage (imprint arbitrary row weights on a uniform GHZ-type
-state, every outcome correctable) and row shortening (cut a row's length by
-an integer factor without touching any row weight). Each is one stage
-``(m, element, correction)``: m outcomes of probability 1/m, and for outcome
-o its diagonal element and its correction, a label map old[i] -> new[i] as
-int64 arrays ``(old, new)`` that one ``relabel`` call applies on every
-entangled party. The protocol builds only the drawn outcome's element;
-``ghz_weighting_povm`` and ``row_shorten_povm`` expand the same stages
-into every element, as POVMs for completeness checks."""
+are a weighting stage on A (imprint arbitrary row weights on a uniform
+GHZ-type state, every outcome correctable) and row shortening on B (cut a
+row's length by an integer factor without touching any row weight). Each
+is one stage ``(m, element, correction)``: m outcomes of probability 1/m,
+and for outcome o its diagonal element and its correction, a label map
+old[i] -> new[i] as int64 arrays ``(old, new)`` that one ``relabel`` call
+applies on every entangled party. The protocol builds only the drawn
+outcome's element; ``ghz_weighting_povm`` and ``row_shorten_povm`` expand
+the same stages into every element, as POVMs for completeness checks."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .hilbert import (NORM_TOL, PureState, _check_budget, _has_repeats,
                       relabel, squared_norm, tensor)
-from .canonical import level_epr, level_ghz
+from .canonical import _check_unit, level_epr, level_ghz
 from .locc import (ImpossibleOutcomeError, Povm, Transcript, _draw,
                    apply_element, diagonal_operator, uniform_draws)
 from .blocks import _binomial_bulk_chunks, block_labels, log2_binomial_array
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Block index band [k_minus, k_plus] kept by the truncated target."""
 
-    n: int
     k_minus: int
     k_plus: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not 0 <= self.k_minus <= self.k_plus <= self.n:
-            raise ValueError(
-                f"window ({self.k_minus}, {self.k_plus}) outside 0..{self.n}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +44,12 @@ class ResourceCount:
 
     epr_per_subset: dict[tuple[int, ...], float]
     ghz: float
+
+
+def _check_c0_sq(c0_sq: float) -> None:
+    """Refuse a block weight c0^2 outside [0, 1], NaN too."""
+    if not 0.0 <= c0_sq <= 1.0:
+        raise ValueError(f"c0_sq {c0_sq} outside [0, 1]")
 
 
 def target_window(n: int, c0_sq: float, alpha: float = 1.0,
@@ -64,8 +62,7 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 <= c0_sq <= 1.0:
-        raise ValueError(f"c0_sq {c0_sq} outside [0, 1]")
+    _check_c0_sq(c0_sq)
     _window_shape(alpha, beta)
     half = alpha * n**beta
     lo, hi = c0_sq * n - half, c0_sq * n + half
@@ -77,7 +74,7 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
     if k_minus > k_plus:
         raise ValueError(f"window c0^2*N -/+ alpha*N^beta = [{lo:.6g}, "
                          f"{hi:.6g}] holds no block index; raise --alpha")
-    return Window(n, k_minus, k_plus, alpha, beta)
+    return Window(k_minus, k_plus)
 
 
 def _window_shape(alpha: float, beta: float) -> None:
@@ -88,13 +85,12 @@ def _window_shape(alpha: float, beta: float) -> None:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
 
 
-def _window_tuple(window, n: int) -> tuple[int, int]:
-    """(k_minus, k_plus) of a Window or a pair, checked against 0..n."""
-    k_minus, k_plus = ((window.k_minus, window.k_plus)
-                       if isinstance(window, Window) else map(int, window))
+def _window_tuple(window, n: int) -> Window:
+    """A window, ``Window`` or pair, checked against 0..n."""
+    k_minus, k_plus = map(int, window)
     if not 0 <= k_minus <= k_plus <= n:
         raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
-    return k_minus, k_plus
+    return Window(k_minus, k_plus)
 
 
 def fidelity(n: int, c0_sq: float, window) -> float:
@@ -111,6 +107,7 @@ def fidelity(n: int, c0_sq: float, window) -> float:
     """
     n = int(n)
     k_minus, k_plus = _window_tuple(window, n)
+    _check_c0_sq(c0_sq)
     total = inside = left = right = 0.0
     for ks, logp in _binomial_bulk_chunks(n, c0_sq):
         p = np.exp2(logp)
@@ -145,30 +142,29 @@ def resource_count(n: int, window) -> ResourceCount:
     return ResourceCount({(1, 2): float(n - k_minus)}, ghz)
 
 
-def _window_terms(what: str, n: int, k_minus: int, k_plus: int, shift):
-    """sum C(n, k) * 2**shift(k) over the window, within the explicit
-    budget; its summand near the peak (k = n/3 or n/2) bounds it below."""
-    ks = np.clip([(n + 1) // 3, n // 2], k_minus, k_plus)
-    return _check_budget(what, "explicit terms", lambda: sum(
-        math.comb(n, k) * 2**shift(k) for k in range(k_minus, k_plus + 1)),
-        float(np.max(log2_binomial_array(n, ks) + shift(ks))))
-
-
-def _check_terms(n: int, k_minus: int, k_plus: int, *whats: str) -> None:
+def _check_terms(n: int, window: Window, *whats: str) -> None:
     """Refuse, in the order given, the "windowed target" (rows of 2**(n - k)
     terms) or the "protocol" (2**(n - k_minus) pair levels on every row)
-    over the explicit budget, before anything is built."""
+    over the explicit budget, before anything is built: the sum of
+    C(n, k) * 2**shift(k) over the window, whose summand near the peak
+    (k = n/3 or n/2) bounds it below."""
+    k_minus, k_plus = window
+    ks = np.clip([(n + 1) // 3, n // 2], k_minus, k_plus)
     for what in whats:
-        _window_terms(what, n, k_minus, k_plus, lambda k: n - (
-            k if what == "windowed target" else k_minus))
+        def shift(k):
+            return n - (k if what == "windowed target" else k_minus)
+        _check_budget(what, "explicit terms", lambda: sum(
+            math.comb(n, k) * 2**shift(k) for k in range(k_minus, k_plus + 1)),
+            float(np.max(log2_binomial_array(n, ks) + shift(ks))))
 
 
 def build_target(n: int, c0: float, c1: float, window) -> PureState:
     """Explicit windowed target: the normalized restriction of the N-copy
     power to the window's blocks (small N only)."""
+    _check_unit(c0, c1)
     n = int(n)
-    k_minus, k_plus = _window_tuple(window, n)
-    _check_terms(n, k_minus, k_plus, "windowed target")
+    k_minus, k_plus = window = _window_tuple(window, n)
+    _check_terms(n, window, "windowed target")
     ks, a, row, bc = block_labels(n, k_minus, k_plus)
     amps = np.array([c0**k * c1**(n - k) / math.sqrt(2**(n - k))
                      for k in range(k_minus, k_plus + 1)])[ks[row] - k_minus]
@@ -179,9 +175,9 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
                      amps / norm)
 
 
-def _weighting_stage(weights, party: int = 0):
+def _weighting_stage(weights):
     """Imprint row weights on a uniform t-level GHZ-type state, as a stage
-    ``(t, element, correction)``.
+    ``(t, element, correction)`` on party A.
 
     Element j is diagonal with entry weights[(m - j) mod t] at level m, so
     the t elements are cyclic shifts of one diagonal and completeness is
@@ -199,17 +195,17 @@ def _weighting_stage(weights, party: int = 0):
                   "explicit terms", t * t)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    if abs(float(w @ w) - 1.0) > NORM_TOL:
+    if not abs(float(w @ w) - 1.0) <= NORM_TOL:  # NaN too
         raise ValueError(f"weights have squared sum {float(w @ w)}, need 1")
     m = np.arange(t)
-    return (t, lambda j: diagonal_operator(party, np.roll(w, j)),
+    return (t, lambda j: diagonal_operator(0, np.roll(w, j)),
             lambda j: (m, (m - j) % t) if j else (m[:0], m[:0]))
 
 
-def _shorten_stage(labels, keep: int, party: int, dim: int | None = None):
+def _shorten_stage(labels, keep: int, dim: int | None = None):
     """Cut one row, given by its distinct labels, to ``keep`` of them
     without moving any row weight, as a stage ``(length/keep, element,
-    correction)``; ``keep`` must divide the row length.
+    correction)`` on party B; ``keep`` must divide the row length.
 
     Outcome o keeps the o-th chunk of the row's labels at unit weight,
     kills the rest of the row, and scales every other label by
@@ -237,7 +233,7 @@ def _shorten_stage(labels, keep: int, party: int, dim: int | None = None):
         diag = np.full(dim, math.sqrt(keep / len(labels)))
         diag[labels] = 0.0
         diag[chunks[o]] = 1.0
-        return diagonal_operator(party, diag)
+        return diagonal_operator(1, diag)
 
     def correction(o):
         if not o:
@@ -256,17 +252,17 @@ def _expand(stage) -> tuple[Povm, tuple]:
             tuple(correction(o) for o in range(m)))
 
 
-def ghz_weighting_povm(weights, party: int = 0) -> tuple[Povm, tuple]:
+def ghz_weighting_povm(weights) -> tuple[Povm, tuple]:
     """The weighting stage (``_weighting_stage``) expanded: its POVM and
     per-outcome corrections."""
-    return _expand(_weighting_stage(weights, party))
+    return _expand(_weighting_stage(weights))
 
 
-def row_shorten_povm(labels, keep: int, party: int,
+def row_shorten_povm(labels, keep: int,
                      dim: int | None = None) -> tuple[Povm, tuple]:
     """One row's shortening stage (``_shorten_stage``) expanded: its POVM
     and per-outcome corrections."""
-    return _expand(_shorten_stage(labels, keep, party, dim))
+    return _expand(_shorten_stage(labels, keep, dim))
 
 
 def _measure(state, stage, parties, u, transcript, step) -> PureState:
@@ -308,17 +304,14 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     (``locc.uniform_draws``): an int seed's root stream, a Generator or
     SeedSequence, or the ``stage_count`` doubles themselves.
     """
+    _check_unit(c0, c1)
     n = int(n)
-    if window is None:
-        window = target_window(n, c0 * c0)
-    k_minus, k_plus = _window_tuple(window, n)
-    if abs(c0 * c0 + c1 * c1 - 1.0) > NORM_TOL:
-        raise ValueError(f"coefficients not normalized: {c0}, {c1}")
-    _check_terms(n, k_minus, k_plus, "protocol")
-    stages = stage_count(n, window)
-    big_r = stages - 1
+    k_minus, k_plus = window = _window_tuple(
+        target_window(n, c0 * c0) if window is None else window, n)
+    _check_terms(n, window, "protocol")
     pair_levels = 2**(n - k_minus)
     ks, a, row, bc = block_labels(n, k_minus, k_plus)
+    big_r = len(ks)
 
     lam = np.array([c0**k * c1**(n - k)
                     for k in range(k_minus, k_plus + 1)])[ks - k_minus]
@@ -326,20 +319,19 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     if nrm == 0.0:
         raise ValueError("window carries no amplitude for these coefficients")
 
-    draws, transcript = uniform_draws(seed, stages), Transcript()
+    draws, transcript = uniform_draws(seed, 1 + big_r), Transcript()
     state = _measure(level_ghz(big_r, (0, 1, 2)),
-                     _weighting_stage(lam / nrm, party=0), (0, 1, 2),
+                     _weighting_stage(lam / nrm), (0, 1, 2),
                      draws[0], transcript, "weighting")
     state = tensor(state, level_epr(pair_levels, (1, 2), 3))
-    dim_bc = big_r * pair_levels
 
     # term e of row g sits at g*pair_levels + e on B and C; the row keeps
     # the first 2**(n - k) of its labels
     for g, keep in enumerate(np.bincount(row).tolist()):
         labels = np.arange(g * pair_levels, (g + 1) * pair_levels)
-        state = _measure(state,
-                         _shorten_stage(labels, keep, party=1, dim=dim_bc),
-                         (1, 2), draws[1 + g], transcript, f"shorten_row{g}")
+        stage = _shorten_stage(labels, keep, dim=big_r * pair_levels)
+        state = _measure(state, stage, (1, 2), draws[1 + g], transcript,
+                         f"shorten_row{g}")
 
     e = np.arange(len(row)) - np.searchsorted(row, row)
     state = relabel(state, 0, np.arange(big_r), a, new_dim=2**n)

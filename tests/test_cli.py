@@ -406,6 +406,11 @@ WORDING[BLOCKS_TOO_LONG] = (
     "budget is 4300 digits\n")
 NOT_AN_INTEGER = ("extract", "--psi", "0.6", "0.8", "-N", "x")
 WORDING[NOT_AN_INTEGER] = "argument -N/--copies: invalid integer 'x'"
+# a spec file whose level 2.7 was once read as 2; written in the test's
+# working directory
+FRACTIONAL_LEVEL = ("rates", "--spec", "fractional-level.json")
+WORDING[FRACTIONAL_LEVEL] = ("error: bad state specification: level must be "
+                             "an integer, got 2.7\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -442,8 +447,13 @@ WORDING[NOT_AN_INTEGER] = "argument -N/--copies: invalid integer 'x'"
     ("extract", "--psi", "0.6", "0.8", "-N", str(10**15)),   # 2.9e8-term bulk
     BLOCKS_TOO_LONG,
     NOT_AN_INTEGER,
+    FRACTIONAL_LEVEL,
 ])
-def test_usage_errors(capsys, argv):
+def test_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / FRACTIONAL_LEVEL[2]).write_text(json.dumps(
+        {"m": 3, "components": [{"c": 0.6, "support": [0]},
+                                {"c": 0.8, "support": [1, 2], "level": 2.7}]}))
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
@@ -567,11 +577,11 @@ def test_party_budget(capsys, tmp_path, m):
 
 
 def test_skewed_stage_law_exits_1(capsys, monkeypatch):
-    def skewed(weights, party=0):
+    def skewed(weights):
         """A complete two-outcome stage whose law is 0.9/0.1, not 1/2."""
         ones, empty = np.ones(len(weights)), np.zeros(0, dtype=np.int64)
         return (2, lambda o: diagonal_operator(
-            party, math.sqrt((0.9, 0.1)[o]) * ones), lambda o: (empty, empty))
+            0, math.sqrt((0.9, 0.1)[o]) * ones), lambda o: (empty, empty))
 
     monkeypatch.setattr(preparation, "_weighting_stage", skewed)
     code, out, err = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "3")

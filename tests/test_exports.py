@@ -17,7 +17,9 @@ FIXED = [(eprghz.decompose, "state"), (eprghz.decompose, "tol"),
          (eprghz.check_completeness, "tol"),
          (eprghz.check_local_orthogonality, "tol"),
          (eprghz.entropy_consistency, "tol"),
-         (eprghz.random_spec, "num_components")]
+         (eprghz.random_spec, "num_components"),
+         (eprghz.ghz_weighting_povm, "party"),
+         (eprghz.row_shorten_povm, "party")]
 
 
 def test_all_names_each_attribute_once():
@@ -36,3 +38,7 @@ def test_fixed_parameters_stay_gone(func, name):
 def test_decompose_only_enumerates():
     assert list(inspect.signature(eprghz.decompose).parameters) == \
         ["spec", "n"]
+
+
+def test_window_is_a_pair():
+    assert eprghz.Window._fields == ("k_minus", "k_plus")

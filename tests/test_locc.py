@@ -176,7 +176,7 @@ def _package_povms():
         povms.append(ghz_weighting_povm(lam)[0])
     for g, keep in enumerate((4, 2, 2, 1)):
         povms.append(row_shorten_povm(range(4 * g, 4 * g + 4), keep,
-                                      party=1, dim=16)[0])
+                                      dim=16)[0])
     three = StateSpec(3, (CanonicalComponent(math.sqrt(0.4), (0,)),
                           CanonicalComponent(math.sqrt(0.35), (1, 2), 3),
                           CanonicalComponent(math.sqrt(0.25), (0, 1))))
@@ -235,7 +235,7 @@ def test_probabilities_match_the_term_by_term_rule(case):
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
         state = PureState((1, 16, 16), [(0, i, i) for i in range(16)],
                           np.array(xs) * phases)
-        povm = row_shorten_povm(range(16), 8, party=1)[0]
+        povm = row_shorten_povm(range(16), 8)[0]
     want = []
     for e in povm.elements:
         branch = {}

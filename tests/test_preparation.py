@@ -22,8 +22,8 @@ from eprghz.locc import (
     permutation_operator, sample, trial_seeds,
 )
 from eprghz.preparation import (
-    ResourceCount, Window, _expand, _measure, _shorten_stage,
-    _weighting_stage, _window_terms, build_target, fidelity, fidelity_bound,
+    ResourceCount, Window, _check_terms, _expand, _measure, _shorten_stage,
+    _weighting_stage, _window_tuple, build_target, fidelity, fidelity_bound,
     ghz_weighting_povm, prepare_approx, prepare_exact_n2, resource_count,
     row_shorten_povm, stage_count, target_window,
 )
@@ -39,16 +39,79 @@ GHZ_100 = 101.30291347326622
 # -- window arithmetic ---------------------------------------------------------
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        Window(4, 3, 2, 1.0, 0.6)
-    with pytest.raises(ValueError):
-        Window(4, 0, 5, 1.0, 0.6)
+    """A Window is its bare pair; the one window check refuses a reversed
+    pair or one outside 0..n in either form."""
+    assert Window(3, 5) == (3, 5)
+    assert _window_tuple([1, 2], 4) == Window(1, 2)
+    with pytest.raises(ValueError, match=r"^window \(3, 2\) outside 0\.\.4$"):
+        _window_tuple(Window(3, 2), 4)
+    with pytest.raises(ValueError, match=r"^window \(0, 5\) outside 0\.\.4$"):
+        _window_tuple((0, 5), 4)
 
 
 def test_target_window_frozen():
     w = target_window(100, 0.5)
     assert (w.k_minus, w.k_plus) == (35, 65)
-    assert target_window(4, 0.5) == Window(4, 0, 4, 1.0, 0.6)
+    assert target_window(4, 0.5) == Window(0, 4)
+
+
+def _bits(result):
+    """A reader's result in a form that compares bit for bit."""
+    if isinstance(result, PureState):
+        return (result.local_dims, result.labels.tobytes(),
+                result.amps.tobytes())
+    if isinstance(result, tuple):
+        return tuple(map(_bits, result))
+    return result
+
+
+WINDOW_READERS = {
+    "fidelity": lambda w: fidelity(3, 0.36, w),
+    "resource_count": lambda w: resource_count(3, w),
+    "stage_count": lambda w: stage_count(3, w),
+    "build_target": lambda w: build_target(3, 0.6, 0.8, w),
+    "prepare_approx": lambda w: prepare_approx(3, 0.6, 0.8, seed=1, window=w),
+}
+
+
+@pytest.mark.parametrize("read", WINDOW_READERS.values(), ids=WINDOW_READERS)
+def test_window_readers_take_one_form(read):
+    """A Window and its plain pair are one value to every reader; a
+    reversed pair or one outside 0..n is refused by the one window check."""
+    assert _bits(read(Window(1, 2))) == _bits(read((1, 2)))
+    for k_minus, k_plus in ((2, 1), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"^window \({k_minus}, "
+                           rf"{k_plus}\) outside 0\.\.3$"):
+            read((k_minus, k_plus))
+
+
+def _nothing_built(*args, **kwargs):
+    raise AssertionError("a state or bulk was formed before the check")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fidelity(10, 1.5, (0, 10)), r"^c0_sq 1\.5 outside \[0, 1\]$"),
+    (lambda: fidelity(10, -0.5, (0, 10)), r"^c0_sq -0\.5 outside \[0, 1\]$"),
+    (lambda: fidelity(10, math.nan, (0, 10)), r"^c0_sq nan outside \[0, 1\]$"),
+    (lambda: build_target(3, math.nan, 0.8, (0, 3)),
+     "^squared coefficients sum to nan, not 1$"),
+    (lambda: build_target(3, -0.6, 0.8, (0, 3)),
+     r"^coefficients must be non-negative, got \(-0\.6, 0\.8\)$"),
+    (lambda: build_target(3, 0.6, 0.9, (0, 3)),
+     "^squared coefficients sum to 1.17"),
+    (lambda: prepare_approx(3, math.nan, 0.8, window=(0, 3)),
+     "^squared coefficients sum to nan, not 1$"),
+], ids=["fidelity-above-1", "fidelity-negative", "fidelity-nan",
+        "target-nan", "target-negative", "target-off-norm", "prepare-nan"])
+def test_bad_amplitudes_are_refused_before_any_work(monkeypatch, call,
+                                                    message):
+    """c0, c1 go through the seed state's unit rule and c0^2 through one
+    [0, 1] check, before any state or binomial bulk exists."""
+    for name in ("_binomial_bulk_chunks", "block_labels", "level_ghz",
+                 "PureState"):
+        monkeypatch.setattr(preparation, name, _nothing_built)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_target_window_trims_dead_blocks():
@@ -272,7 +335,7 @@ def test_row_shortening_preserves_weights(raw, keep):
     state = weighted_row_state(w, length)
     masses = row_masses(state, rows)
     for labels, keep in rows:
-        povm, corrections = row_shorten_povm(labels, keep, party=1,
+        povm, corrections = row_shorten_povm(labels, keep,
                                              dim=length * len(w))
         assert check_completeness(povm)
         probs = outcome_probabilities(state, povm)
@@ -288,8 +351,8 @@ def test_row_shortening_preserves_weights(raw, keep):
 
 def test_row_shortening_outcome_counts():
     # length 4 rows: keep 1 gives 4 outcomes at 1/4, keep 2 gives 2 at 1/2
-    first, _ = row_shorten_povm([0, 1, 2, 3], 1, party=1, dim=8)
-    second, _ = row_shorten_povm([4, 5, 6, 7], 2, party=1, dim=8)
+    first, _ = row_shorten_povm([0, 1, 2, 3], 1, dim=8)
+    second, _ = row_shorten_povm([4, 5, 6, 7], 2, dim=8)
     assert len(first.elements) == 4
     assert len(second.elements) == 2
     state = weighted_row_state(np.sqrt([0.5, 0.5]), 4)
@@ -298,7 +361,7 @@ def test_row_shortening_outcome_counts():
 
 
 def test_row_shortening_keep_all_is_identity(dense):
-    povm, corrections = row_shorten_povm([0, 1], 2, party=1, dim=4)
+    povm, corrections = row_shorten_povm([0, 1], 2, dim=4)
     assert len(povm.elements) == 1 and len(corrections) == 1
     old, new = corrections[0]                  # an identity map
     assert np.array_equal(old, new)
@@ -309,7 +372,7 @@ def test_row_shortening_keep_all_is_identity(dense):
 def test_row_shortening_outcomes_converge():
     # every outcome lands on the same shortened state after its swap
     state = weighted_row_state([1.0], 4)
-    povm, corrections = row_shorten_povm([0, 1, 2, 3], 2, party=1)
+    povm, corrections = row_shorten_povm([0, 1, 2, 3], 2)
     landed = []
     for el, (old, new) in zip(povm.elements, corrections):
         post, _ = apply_element(state, el)
@@ -321,13 +384,13 @@ def test_row_shortening_outcomes_converge():
 
 def test_row_shortening_validation():
     with pytest.raises(ValueError):
-        row_shorten_povm([0, 1, 2], 2, party=1)             # 2 !| 3
+        row_shorten_povm([0, 1, 2], 2)             # 2 !| 3
     with pytest.raises(ValueError):
-        row_shorten_povm([0, 0], 1, party=1)                # repeat
+        row_shorten_povm([0, 0], 1)                # repeat
     with pytest.raises(ValueError):
-        row_shorten_povm([0, 5], 1, party=1, dim=4)         # outside dim
+        row_shorten_povm([0, 5], 1, dim=4)         # outside dim
     with pytest.raises(ValueError, match="outside 0..3"):
-        row_shorten_povm([-1, 0], 1, party=0, dim=4)        # -1 wraps to 3
+        row_shorten_povm([-1, 0], 1, dim=4)        # -1 wraps to 3
 
 
 # -- the full protocol -------------------------------------------------------------
@@ -374,7 +437,7 @@ def test_prepare_exact_n2_needs_normalized_amplitudes():
 
 def test_prepare_approx_full_window_n3():
     state, transcript, resources = prepare_approx(3, 0.6, 0.8, seed=2,
-                                                  window=Window(3, 0, 3, 1.0, 0.6))
+                                                  window=Window(0, 3))
     assert amplitude_distance(state, copies(psi(0.6, 0.8), 3)) < 1e-9
     assert resources.epr_per_subset == {(1, 2): 3.0}
     assert resources.ghz == pytest.approx(3.0)   # 2^3 rows
@@ -393,7 +456,7 @@ def test_prepare_approx_default_window_n4():
 
 
 def test_prepare_approx_windowed_fidelity():
-    state, _, _ = prepare_approx(4, HALF, HALF, seed=5, window=Window(4, 1, 3, 1.0, 0.6))
+    state, _, _ = prepare_approx(4, HALF, HALF, seed=5, window=Window(1, 3))
     power = copies(psi(HALF, HALF), 4)
     assert abs(inner(state, power)) ** 2 == pytest.approx(0.875, abs=1e-9)
 
@@ -406,7 +469,7 @@ def test_prepare_approx_pair_only():
 
 def test_prepare_approx_budget():
     with pytest.raises(BudgetError):
-        prepare_approx(25, 0.0, 1.0, seed=0, window=Window(25, 0, 0, 1.0, 0.6))
+        prepare_approx(25, 0.0, 1.0, seed=0, window=Window(0, 0))
 
 
 def test_window_budgets_keep_the_exact_decision():
@@ -417,15 +480,15 @@ def test_window_budgets_keep_the_exact_decision():
             if 3**n - 3**k_minus > 2**63 - 1:
                 continue
             for k_plus in range(k_minus, n + 1):
-                for shift in (lambda k: n - k, lambda k: n - k_minus):
+                for what, shift in (("windowed target", lambda k: n - k),
+                                    ("protocol", lambda k: n - k_minus)):
                     exact = sum(math.comb(n, k) * 2**shift(k)
                                 for k in range(k_minus, k_plus + 1))
                     if exact > _BUDGETS["explicit terms"]:
                         with pytest.raises(BudgetError):
-                            _window_terms("w", n, k_minus, k_plus, shift)
+                            _check_terms(n, (k_minus, k_plus), what)
                     else:
-                        assert _window_terms("w", n, k_minus, k_plus,
-                                             shift) == exact
+                        _check_terms(n, (k_minus, k_plus), what)
 
 
 def test_huge_windows_are_refused_from_an_estimate():
@@ -454,7 +517,7 @@ def _protocol_stages(rng):
         w / np.linalg.norm(w)), (0, 1, 2))
     state = _shortening_state(rng)
     return [weighted] + [
-        (state, _shorten_stage(range(4 * g, 4 * g + 4), keep, 1, dim=16),
+        (state, _shorten_stage(range(4 * g, 4 * g + 4), keep, dim=16),
          (1, 2)) for g, keep in ((0, 1), (2, 2))]
 
 
@@ -465,8 +528,8 @@ def test_stage_elements_are_the_expanded_povm():
     w = np.random.default_rng(6).random(7)
     w /= np.linalg.norm(w)
     pairs = [(_weighting_stage(w), ghz_weighting_povm(w))] + [
-        (_shorten_stage(range(8 * g, 8 * g + 8), keep, 1, dim=32),
-         row_shorten_povm(range(8 * g, 8 * g + 8), keep, 1, dim=32))
+        (_shorten_stage(range(8 * g, 8 * g + 8), keep, dim=32),
+         row_shorten_povm(range(8 * g, 8 * g + 8), keep, dim=32))
         for g, keep in enumerate((1, 2, 4, 8))]
     for (m, element, correction), (povm, corrections) in pairs:
         assert check_completeness(povm)
@@ -531,11 +594,11 @@ def test_protocol_applies_only_the_drawn_element(monkeypatch):
         state, build_target(4, 0.6, 0.8, target_window(4, 0.36))) < 1e-9
 
 
-def _skewed_weighting(weights, party=0):
+def _skewed_weighting(weights):
     """A complete two-outcome stage whose law is 0.9/0.1, not 1/2."""
     t, empty = len(weights), np.zeros(0, dtype=np.int64)
     return (2, lambda o: diagonal_operator(
-        party, np.full(t, math.sqrt((0.9, 0.1)[o]))), lambda o: (empty, empty))
+        0, np.full(t, math.sqrt((0.9, 0.1)[o]))), lambda o: (empty, empty))
 
 
 def test_skewed_stage_law_is_an_impossible_outcome(monkeypatch):
