@@ -106,6 +106,9 @@ class CanonicalComponent:
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(sorted(set(
             _integer(p, "support entry") for p in self.support))))
+        if isinstance(self.coefficient, (bool, np.bool_, str)):
+            raise ValueError(f"coefficient must be a number, got "
+                             f"{self.coefficient!r}")
         object.__setattr__(self, "coefficient", float(self.coefficient))
         object.__setattr__(self, "level", _integer(self.level, "level"))
         if not self.support or min(self.support) < 0:
@@ -281,7 +284,7 @@ def spec_from_dict(data: dict) -> StateSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"spec object needs 'm' and 'components': {exc}")
     spec = StateSpec(m, tuple(CanonicalComponent(
-        float(e["c"]), e["support"], e.get("level", 2)) for e in raw))
+        e["c"], e["support"], e.get("level", 2)) for e in raw))
     for i, entry in enumerate(raw):
         declared = entry.get("product_labels")
         if declared is None:

@@ -153,12 +153,14 @@ def _valid_state(dims: tuple[int, ...], labels: np.ndarray,
     return _seal(object.__new__(PureState), dims, labels, amps)
 
 
-def squared_norm(amps: np.ndarray) -> float:
+def squared_norm(amps: np.ndarray, repeats=None) -> float:
     """sum |a|**2 as a running sum in support order, each term squared by
     libm ``pow`` (``float_power``): a pairwise sum, ``h * h`` or ``np.power``
-    moves the last bit of some probabilities; transcripts print 17 digits."""
-    h = np.hypot(amps.real, amps.imag)
-    return float(np.cumsum(np.float_power(h, 2.0))[-1]) if h.size else 0.0
+    moves the last bit of some probabilities; transcripts print 17 digits.
+    Entry i stands for ``repeats[i]`` terms in a row, if given."""
+    sq = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+    sq = sq if repeats is None else np.repeat(sq, repeats)
+    return float(np.cumsum(sq)[-1]) if sq.size else 0.0
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

@@ -9,10 +9,10 @@ A weighting keeps labels and dimensions and drops the terms it weighs 0.
 exactly when ``sum_j |w_j[x]|**2 = 1`` for every label x. The protocols
 apply measurements without forming a ``Povm``: a projective measurement is
 one label -> outcome array (``projective_probabilities``), and a
-preparation stage builds only the element it draws. A ``Povm`` is their
-expansion into every element, for completeness checks and Born sampling
-(``sample``). Classical communication is implicit: later operations may
-depend on outcome indices recorded in a transcript.
+preparation branch weighs its rows by the drawn outcome's rule. A ``Povm``
+is their expansion into every element, for completeness checks and Born
+sampling (``sample``). Classical communication is implicit: later
+operations may depend on outcome indices recorded in a transcript.
 """
 
 from __future__ import annotations

@@ -3,16 +3,13 @@
 Two copies come out exactly; general N comes out as the normalized
 truncation of the N-copy power to a window of blocks around the probability
 peak, with fidelity approaching 1 while the consumed resources stay within
-a sublinear excess of the asymptotic rates. The two measurement primitives
-are a weighting stage on A (imprint arbitrary row weights on a uniform
-GHZ-type state, every outcome correctable) and row shortening on B (cut a
-row's length by an integer factor without touching any row weight). Each
-is one stage ``(m, element, correction)``: m outcomes of probability 1/m,
-and for outcome o its diagonal element and its correction, a label map
-old[i] -> new[i] as int64 arrays ``(old, new)`` that one ``relabel`` call
-applies on every entangled party. The protocol builds only the drawn
-outcome's element; ``ghz_weighting_povm`` and ``row_shorten_povm`` expand
-the same stages into every element, as POVMs for completeness checks."""
+a sublinear excess of the asymptotic rates. A branch weights the rows of a
+uniform GHZ-type state on A, attaches B-C pairs and shortens each row on B
+to its block's length, each stage with m outcomes of probability 1/m; all
+terms of a row share one amplitude, so the branch is held as its rows.
+``ghz_weighting_povm`` and ``row_shorten_povm`` write the stages out as
+POVMs for completeness checks, each outcome with its correction, a label
+map old[i] -> new[i] as int64 arrays ``(old, new)``."""
 
 from __future__ import annotations
 
@@ -22,11 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import (NORM_TOL, PureState, _check_budget, _has_repeats,
-                      relabel, squared_norm, tensor)
-from .canonical import _check_unit, level_epr, level_ghz
+from .hilbert import (NORM_TOL, PRUNE_EPS, PureState, _check_budget,
+                      _has_repeats, _valid_state, squared_norm)
+from .canonical import _check_unit, _integer
 from .locc import (ImpossibleOutcomeError, Povm, Transcript, _draw,
-                   apply_element, diagonal_operator, uniform_draws)
+                   diagonal_operator, uniform_draws)
 from .blocks import _binomial_bulk_chunks, block_labels, log2_binomial_array
 
 
@@ -59,9 +56,7 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
     Blocks with zero amplitude (c0^2 at 0 or 1) are dropped from the band:
     a window must never claim resources for dead blocks.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n, _ = _read_window(n, Window(0, 0))
     _check_c0_sq(c0_sq)
     _window_shape(alpha, beta)
     half = alpha * n**beta
@@ -85,12 +80,16 @@ def _window_shape(alpha: float, beta: float) -> None:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
 
 
-def _window_tuple(window, n: int) -> Window:
-    """A window, ``Window`` or pair, checked against 0..n."""
-    k_minus, k_plus = map(int, window)
+def _read_window(n, window) -> tuple[int, Window]:
+    """``n`` and a window (``Window`` or pair) as integers, checked:
+    1 <= n and 0 <= k_minus <= k_plus <= n."""
+    n = _integer(n, "n")
+    k_minus, k_plus = (_integer(k, "window bound") for k in window)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= k_minus <= k_plus <= n:
         raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
-    return Window(k_minus, k_plus)
+    return n, Window(k_minus, k_plus)
 
 
 def fidelity(n: int, c0_sq: float, window) -> float:
@@ -105,8 +104,7 @@ def fidelity(n: int, c0_sq: float, window) -> float:
     result stays monotone in N instead of drowning in the absolute
     rounding noise of huge log-binomial values.
     """
-    n = int(n)
-    k_minus, k_plus = _window_tuple(window, n)
+    n, (k_minus, k_plus) = _read_window(n, window)
     _check_c0_sq(c0_sq)
     total = inside = left = right = 0.0
     for ks, logp in _binomial_bulk_chunks(n, c0_sq):
@@ -135,8 +133,7 @@ def resource_count(n: int, window) -> ResourceCount:
     pair subset, and GHZ units bounded by the window width times the
     largest block multiplicity (at k0, the window point nearest N/2,
     smaller index on ties)."""
-    n = int(n)
-    k_minus, k_plus = _window_tuple(window, n)
+    n, (k_minus, k_plus) = _read_window(n, window)
     k0 = min(max(n // 2, k_minus), k_plus)
     ghz = math.log2(k_plus - k_minus + 1) + float(log2_binomial_array(n, k0))
     return ResourceCount({(1, 2): float(n - k_minus)}, ghz)
@@ -162,9 +159,8 @@ def build_target(n: int, c0: float, c1: float, window) -> PureState:
     """Explicit windowed target: the normalized restriction of the N-copy
     power to the window's blocks (small N only)."""
     _check_unit(c0, c1)
-    n = int(n)
-    k_minus, k_plus = window = _window_tuple(window, n)
-    _check_terms(n, window, "windowed target")
+    n, (k_minus, k_plus) = _read_window(n, window)
+    _check_terms(n, (k_minus, k_plus), "windowed target")
     ks, a, row, bc = block_labels(n, k_minus, k_plus)
     amps = np.array([c0**k * c1**(n - k) / math.sqrt(2**(n - k))
                      for k in range(k_minus, k_plus + 1)])[ks[row] - k_minus]
@@ -202,21 +198,27 @@ def _weighting_stage(weights):
             lambda j: (m, (m - j) % t) if j else (m[:0], m[:0]))
 
 
-def _shorten_stage(labels, keep: int, dim: int | None = None):
-    """Cut one row, given by its distinct labels, to ``keep`` of them
-    without moving any row weight, as a stage ``(length/keep, element,
-    correction)`` on party B; ``keep`` must divide the row length.
+def ghz_weighting_povm(weights) -> tuple[Povm, tuple]:
+    """The weighting stage (``_weighting_stage``) expanded: its POVM and
+    per-outcome corrections."""
+    m, element, correction = _weighting_stage(weights)
+    return (Povm(0, tuple(element(j) for j in range(m))),
+            tuple(correction(j) for j in range(m)))
 
-    Outcome o keeps the o-th chunk of the row's labels at unit weight,
-    kills the rest of the row, and scales every other label by
-    sqrt(keep/length), which makes the stage complete and every outcome
-    probability exactly keep/length. Correction o, as ``(old, new)`` int64
-    arrays, swaps the kept chunk with the row's first ``keep`` labels
-    (outcome 0's is empty); applied on each party sharing the labels, all
-    outcomes land on the same shortened state, row weights untouched.
-    """
+
+def row_shorten_povm(labels, keep: int,
+                     dim: int | None = None) -> tuple[Povm, tuple]:
+    """Cut one row, given by its distinct labels, to ``keep`` of them
+    (a divisor of its length) without moving any row weight: a POVM on
+    party B and its corrections. Element o keeps the o-th chunk of the
+    row's labels at unit weight, kills the rest of the row, and scales
+    every other label by sqrt(keep/length): every outcome has probability
+    keep/length. Correction o, as ``(old, new)`` int64 arrays, swaps the
+    kept chunk with the row's first ``keep`` labels (outcome 0's is empty);
+    applied on each party sharing the labels, all outcomes land on the same
+    shortened state."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    keep = int(keep)
+    keep = _integer(keep, "keep count")
     if _has_repeats(labels):
         raise ValueError("row labels repeat")
     if not 1 <= keep <= len(labels) or len(labels) % keep:
@@ -227,66 +229,40 @@ def _shorten_stage(labels, keep: int, dim: int | None = None):
     if labels.min() < 0 or top >= dim:
         raise ValueError(f"row labels {int(labels.min())}..{top} outside "
                          f"0..{dim - 1}")
-    chunks = labels.reshape(-1, keep)
-
-    def element(o):
+    chunks, elements, corrections = labels.reshape(-1, keep), [], []
+    for o, chunk in enumerate(chunks):
         diag = np.full(dim, math.sqrt(keep / len(labels)))
         diag[labels] = 0.0
-        diag[chunks[o]] = 1.0
-        return diagonal_operator(1, diag)
-
-    def correction(o):
-        if not o:
-            return labels[:0], labels[:0]
-        swap = np.concatenate([chunks[o], chunks[0]])
-        return swap, np.roll(swap, keep)
-
-    return len(chunks), element, correction
+        diag[chunk] = 1.0
+        elements.append(diagonal_operator(1, diag))
+        swap = np.concatenate([chunk, chunks[0]]) if o else labels[:0]
+        corrections.append((swap, np.roll(swap, keep)))
+    return Povm(1, tuple(elements)), tuple(corrections)
 
 
-def _expand(stage) -> tuple[Povm, tuple]:
-    """A stage's every element as one POVM, and every correction."""
-    m, element, correction = stage
-    elements = tuple(element(o) for o in range(m))
-    return (Povm(elements[0].party, elements),
-            tuple(correction(o) for o in range(m)))
+def _live(rows, amps):
+    """A branch's rows (labels and amplitudes) without those at or below
+    ``PRUNE_EPS``, dropped whole as ``_seal`` drops terms."""
+    keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS
+    return rows[keep], amps[keep]
 
 
-def ghz_weighting_povm(weights) -> tuple[Povm, tuple]:
-    """The weighting stage (``_weighting_stage``) expanded: its POVM and
-    per-outcome corrections."""
-    return _expand(_weighting_stage(weights))
-
-
-def row_shorten_povm(labels, keep: int,
-                     dim: int | None = None) -> tuple[Povm, tuple]:
-    """One row's shortening stage (``_shorten_stage``) expanded: its POVM
-    and per-outcome corrections."""
-    return _expand(_shorten_stage(labels, keep, dim))
-
-
-def _measure(state, stage, parties, u, transcript, step) -> PureState:
-    """Draw an outcome o of an ``(m, element, correction)`` stage from its
-    builder's uniform law 1/m with the uniform ``u``, build and apply
-    ``element(o)`` alone, check its probability, record it and relabel
-    ``parties`` by ``correction(o)``."""
-    m, element, correction = stage
-    outcome = int(_draw(np.arange(1, m + 1) / m, u))
-    op = element(outcome)
-    state, sq = apply_element(state, op)
+def _stage(rows, amps, counts, m, outcome, transcript, step, party):
+    """The rows that the drawn outcome of an m-outcome stage weighted to
+    ``amps``, renormalized and ``_live``; its probability, summed over each
+    row's ``counts`` live terms (``squared_norm``), must be 1/m."""
+    sq = squared_norm(amps, counts)
     if abs(sq - 1.0 / m) > NORM_TOL:
         raise ImpossibleOutcomeError(f"{step}: outcome {outcome} has "
                                      f"probability {sq:.17g}, not 1/{m}")
-    transcript.add(step, op.party, outcome, sq)
-    old, new = correction(outcome)
-    return relabel(state, parties, old, new) if old.size else state
+    transcript.add(step, party, outcome, sq)
+    return _live(rows, amps / math.sqrt(sq))
 
 
 def stage_count(n: int, window) -> int:
     """Stages one branch of ``prepare_approx`` measures, one uniform draw
     each: the weighting stage and one shortening stage per window row."""
-    n = int(n)
-    k_minus, k_plus = _window_tuple(window, n)
+    n, (k_minus, k_plus) = _read_window(n, window)
     return 1 + sum(math.comb(n, k) for k in range(k_minus, k_plus + 1))
 
 
@@ -297,18 +273,17 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     build_target for the same window (default: target_window(n, c0**2)).
     Inputs: one R-level GHZ-type state (R = window row count) and
     N - k_minus B-C pairs. Steps: weight the rows, attach the pairs,
-    shorten each row to its block's length (each stage built just before
-    it is sampled), then relabel every party into the N-copy label space.
+    shorten each row to its block's length, then expand the rows to their
+    terms in the N-copy label space.
 
     Stage j draws with the j-th double of ``seed``'s stream
     (``locc.uniform_draws``): an int seed's root stream, a Generator or
     SeedSequence, or the ``stage_count`` doubles themselves.
     """
     _check_unit(c0, c1)
-    n = int(n)
-    k_minus, k_plus = window = _window_tuple(
-        target_window(n, c0 * c0) if window is None else window, n)
-    _check_terms(n, window, "protocol")
+    n, (k_minus, k_plus) = _read_window(
+        n, target_window(n, c0 * c0) if window is None else window)
+    _check_terms(n, (k_minus, k_plus), "protocol")
     pair_levels = 2**(n - k_minus)
     ks, a, row, bc = block_labels(n, k_minus, k_plus)
     big_r = len(ks)
@@ -320,22 +295,34 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
         raise ValueError("window carries no amplitude for these coefficients")
 
     draws, transcript = uniform_draws(seed, 1 + big_r), Transcript()
-    state = _measure(level_ghz(big_r, (0, 1, 2)),
-                     _weighting_stage(lam / nrm), (0, 1, 2),
-                     draws[0], transcript, "weighting")
-    state = tensor(state, level_epr(pair_levels, (1, 2), 3))
+    # the branch as its rows in support order, a label and an amplitude
+    # each: every live term of a row carries its row's amplitude
+    m, element, correction = _weighting_stage(lam / nrm)
+    outcome = int(_draw(np.arange(1, m + 1) / m, draws[0]))
+    op, (old, new) = element(outcome), correction(outcome)
+    rows = np.arange(big_r)
+    rows[old] = new
+    rows, amps = _stage(rows, op.weights * complex(1.0 / math.sqrt(big_r)),
+                        1, m, outcome, transcript, "weighting", op.party)
+    # attach the pairs: each row's amplitude times theirs
+    rows, amps = _live(rows, amps * complex(1.0 / math.sqrt(pair_levels)))
+    # stage g keeps one chunk of row g's terms and weighs every other row
+    # by sqrt(keep/length); rows 0..g are now of their blocks' length
+    keeps = np.bincount(row)
+    for g, keep in enumerate(keeps.tolist()):
+        m = pair_levels // keep
+        outcome = int(_draw(np.arange(1, m + 1) / m, draws[1 + g]))
+        weights = np.where(rows == g, 1.0, math.sqrt(keep / pair_levels))
+        rows, amps = _stage(rows, weights * amps, np.where(
+            rows <= g, keeps[rows], pair_levels), m, outcome, transcript,
+            f"shorten_row{g}", 1)
 
-    # term e of row g sits at g*pair_levels + e on B and C; the row keeps
-    # the first 2**(n - k) of its labels
-    for g, keep in enumerate(np.bincount(row).tolist()):
-        labels = np.arange(g * pair_levels, (g + 1) * pair_levels)
-        stage = _shorten_stage(labels, keep, dim=big_r * pair_levels)
-        state = _measure(state, stage, (1, 2), draws[1 + g], transcript,
-                         f"shorten_row{g}")
-
-    e = np.arange(len(row)) - np.searchsorted(row, row)
-    state = relabel(state, 0, np.arange(big_r), a, new_dim=2**n)
-    state = relabel(state, (1, 2), row * pair_levels + e, bc, new_dim=3**n)
+    # expand: row g's live terms are its block_labels terms
+    counts = keeps[rows]
+    terms = np.arange(counts.sum()) + np.repeat(
+        np.searchsorted(row, rows) - np.cumsum(counts) + counts, counts)
+    state = _valid_state((2**n, 3**n, 3**n), np.column_stack(
+        [a[row[terms]], bc[terms], bc[terms]]), np.repeat(amps, counts))
     return state, transcript, ResourceCount({(1, 2): float(n - k_minus)},
                                             math.log2(big_r))
 

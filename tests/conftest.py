@@ -8,10 +8,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from eprghz.blocks import decompose, log2_multinomial
+from eprghz.blocks import block_labels, decompose, log2_multinomial
+from eprghz.canonical import level_epr, level_ghz
 from eprghz.extraction import _verify_blocks, block_outcomes
-from eprghz.hilbert import PureState
-from eprghz.locc import projective_probabilities
+from eprghz.hilbert import NORM_TOL, PureState, relabel, tensor
+from eprghz.locc import (ImpossibleOutcomeError, Transcript, _draw,
+                         apply_element, projective_probabilities, sample,
+                         uniform_draws)
+from eprghz.preparation import (ghz_weighting_povm, row_shorten_povm,
+                                target_window)
 
 
 def dense_matrix(op, dim=None) -> np.ndarray:
@@ -75,6 +80,54 @@ def checked_decompose(spec, n, state):
     _verify_blocks(spec, state, block_of, counts, log2_multinomial(counts),
                    probs)
     return decompose(spec, n)
+
+
+def prepare_oracle(n, c0, c1, seed=0, window=None, born=False):
+    """One branch of the windowed preparation protocol, term by term: the
+    (state, transcript) that ``preparation.prepare_approx`` returns. Each
+    stage applies the drawn element of the POVM that ``verify`` checks
+    (``ghz_weighting_povm``, ``row_shorten_povm``) to the whole state with
+    ``apply_element`` and corrects it with ``relabel``; the pairs come in
+    by ``tensor``. A stage draws from its law 1/m with the branch's next
+    uniform, or, with ``born``, by Born sampling of its whole POVM
+    (``locc.sample``); either way its probability must be 1/m."""
+    k_minus, k_plus = target_window(n, c0 * c0) if window is None else window
+    pair_levels = 2**(n - k_minus)
+    ks, a, row, bc = block_labels(n, k_minus, k_plus)
+    lam = np.array([c0**k * c1**(n - k)
+                    for k in range(k_minus, k_plus + 1)])[ks - k_minus]
+    draws, transcript = uniform_draws(seed, 1 + len(ks)), Transcript()
+
+    def measure(state, stage, parties, u, step):
+        (povm, corrections), m = stage, len(stage[0].elements)
+        if born:
+            outcome, state, entry = sample(state, povm, np.array([u]))
+            sq = entry.probability
+        else:
+            outcome = int(_draw(np.arange(1, m + 1) / m, u))
+            state, sq = apply_element(state, povm.elements[outcome])
+        if abs(sq - 1.0 / m) > NORM_TOL:
+            raise ImpossibleOutcomeError(f"{step}: outcome {outcome} has "
+                                         f"probability {sq:.17g}, not 1/{m}")
+        transcript.add(step, povm.party, outcome, sq)
+        old, new = corrections[outcome]
+        return relabel(state, parties, old, new) if old.size else state
+
+    state = measure(level_ghz(len(ks), (0, 1, 2)),
+                    ghz_weighting_povm(lam / float(np.linalg.norm(lam))),
+                    (0, 1, 2), draws[0], "weighting")
+    state = tensor(state, level_epr(pair_levels, (1, 2), 3))
+    # term e of row g sits at g*pair_levels + e on B and C; the row keeps
+    # the first 2**(n - k) of its labels
+    for g, keep in enumerate(np.bincount(row).tolist()):
+        labels = range(g * pair_levels, (g + 1) * pair_levels)
+        state = measure(state, row_shorten_povm(
+            labels, keep, dim=len(ks) * pair_levels), (1, 2), draws[1 + g],
+            f"shorten_row{g}")
+    e = np.arange(len(row)) - np.searchsorted(row, row)
+    state = relabel(state, 0, np.arange(len(ks)), a, new_dim=2**n)
+    return relabel(state, (1, 2), row * pair_levels + e, bc,
+                   new_dim=3**n), transcript
 
 
 def multinomial_exact(counts) -> int:

@@ -254,6 +254,21 @@ def test_prepare_failed_check_prints_false(capsys, monkeypatch):
                                 "ok": False}]
 
 
+@pytest.mark.parametrize("argv, row", [
+    (("--psi", "0.000001", "1", "-N", "2", "--seed", "1"),
+     "2,1,4.9987791683747673e-13,2,2,1,true"),
+    (("--psi", "0.0000012", "1", "-N", "3", "--alpha", "2", "--seed", "1"),
+     "3,1,1.0182337649064293e-12,3,3,1,true"),
+], ids=["after-weighting", "after-pairs"])
+def test_prepare_drops_rows_below_the_prune_threshold(capsys, argv, row):
+    """The branch's smallest rows fall to PRUNE_EPS or below and drop
+    whole, after the weighting stage at N = 2 and after the pairs are
+    attached at N = 3; the distance left is theirs."""
+    code, out, _ = run(capsys, "prepare", *argv)
+    assert code == EXIT_OK
+    assert out == f"N,branches,max_distance,epr_BC,ghz,fidelity,ok\n{row}\n"
+
+
 def test_prepare_transcript(capsys, tmp_path):
     path = tmp_path / "prep.tsv"
     code, _, _ = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "2",
@@ -411,6 +426,10 @@ WORDING[NOT_AN_INTEGER] = "argument -N/--copies: invalid integer 'x'"
 FRACTIONAL_LEVEL = ("rates", "--spec", "fractional-level.json")
 WORDING[FRACTIONAL_LEVEL] = ("error: bad state specification: level must be "
                              "an integer, got 2.7\n")
+# a spec file whose coefficient true was once read as 1.0
+BOOL_COEFFICIENT = ("rates", "--spec", "bool-coefficient.json")
+WORDING[BOOL_COEFFICIENT] = ("error: bad state specification: coefficient "
+                             "must be a number, got True\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -448,12 +467,15 @@ WORDING[FRACTIONAL_LEVEL] = ("error: bad state specification: level must be "
     BLOCKS_TOO_LONG,
     NOT_AN_INTEGER,
     FRACTIONAL_LEVEL,
+    BOOL_COEFFICIENT,
 ])
 def test_usage_errors(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / FRACTIONAL_LEVEL[2]).write_text(json.dumps(
         {"m": 3, "components": [{"c": 0.6, "support": [0]},
                                 {"c": 0.8, "support": [1, 2], "level": 2.7}]}))
+    (tmp_path / BOOL_COEFFICIENT[2]).write_text(json.dumps(
+        {"m": 2, "components": [{"c": True, "support": [0, 1]}]}))
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""

@@ -4,28 +4,28 @@ import math
 
 import numpy as np
 import pytest
-from conftest import inner, terms
+from conftest import inner, prepare_oracle, terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprghz import locc, preparation
 from eprghz.blocks import block_probability
-from eprghz.canonical import copies, level_epr, level_ghz, psi, psi_spec
+from eprghz.canonical import copies, level_ghz, psi, psi_spec
 from eprghz.extraction import block_measurement_povm
 from eprghz.hilbert import (
     _BUDGETS, BudgetError, PureState, amplitude_distance, relabel,
-    states_equal, tensor,
+    states_equal,
 )
 from eprghz.locc import (
-    ImpossibleOutcomeError, Transcript, apply_element,
-    check_completeness, diagonal_operator, outcome_probabilities,
-    permutation_operator, sample, trial_seeds,
+    ImpossibleOutcomeError, apply_element, check_completeness,
+    diagonal_operator, outcome_probabilities, permutation_operator,
+    trial_seeds,
 )
 from eprghz.preparation import (
-    ResourceCount, Window, _check_terms, _expand, _measure, _shorten_stage,
-    _weighting_stage, _window_tuple, build_target, fidelity, fidelity_bound,
-    ghz_weighting_povm, prepare_approx, prepare_exact_n2, resource_count,
-    row_shorten_povm, stage_count, target_window,
+    ResourceCount, Window, _check_terms, _read_window, _weighting_stage,
+    build_target, fidelity, fidelity_bound, ghz_weighting_povm,
+    prepare_approx, prepare_exact_n2, resource_count, row_shorten_povm,
+    stage_count, target_window,
 )
 
 HALF = math.sqrt(0.5)
@@ -42,11 +42,11 @@ def test_window_validation():
     """A Window is its bare pair; the one window check refuses a reversed
     pair or one outside 0..n in either form."""
     assert Window(3, 5) == (3, 5)
-    assert _window_tuple([1, 2], 4) == Window(1, 2)
+    assert _read_window(4, [1, 2]) == (4, Window(1, 2))
     with pytest.raises(ValueError, match=r"^window \(3, 2\) outside 0\.\.4$"):
-        _window_tuple(Window(3, 2), 4)
+        _read_window(4, Window(3, 2))
     with pytest.raises(ValueError, match=r"^window \(0, 5\) outside 0\.\.4$"):
-        _window_tuple((0, 5), 4)
+        _read_window(4, (0, 5))
 
 
 def test_target_window_frozen():
@@ -66,23 +66,44 @@ def _bits(result):
 
 
 WINDOW_READERS = {
-    "fidelity": lambda w: fidelity(3, 0.36, w),
-    "resource_count": lambda w: resource_count(3, w),
-    "stage_count": lambda w: stage_count(3, w),
-    "build_target": lambda w: build_target(3, 0.6, 0.8, w),
-    "prepare_approx": lambda w: prepare_approx(3, 0.6, 0.8, seed=1, window=w),
+    "fidelity": lambda n, w: fidelity(n, 0.36, w),
+    "resource_count": lambda n, w: resource_count(n, w),
+    "stage_count": lambda n, w: stage_count(n, w),
+    "build_target": lambda n, w: build_target(n, 0.6, 0.8, w),
+    "prepare_approx": lambda n, w: prepare_approx(n, 0.6, 0.8, seed=1,
+                                                  window=w),
 }
 
 
 @pytest.mark.parametrize("read", WINDOW_READERS.values(), ids=WINDOW_READERS)
 def test_window_readers_take_one_form(read):
-    """A Window and its plain pair are one value to every reader; a
-    reversed pair or one outside 0..n is refused by the one window check."""
-    assert _bits(read(Window(1, 2))) == _bits(read((1, 2)))
+    """A Window and its plain pair are one value to every reader, and so
+    are numpy integers; a reversed pair or one outside 0..n is refused by
+    the one window check."""
+    want = _bits(read(3, Window(1, 2)))
+    assert _bits(read(3, (1, 2))) == want
+    assert _bits(read(np.int64(3), np.array([1, 2]))) == want
     for k_minus, k_plus in ((2, 1), (0, 4), (-1, 2)):
         with pytest.raises(ValueError, match=rf"^window \({k_minus}, "
                            rf"{k_plus}\) outside 0\.\.3$"):
-            read((k_minus, k_plus))
+            read(3, (k_minus, k_plus))
+
+
+@pytest.mark.parametrize("read", WINDOW_READERS.values(), ids=WINDOW_READERS)
+@pytest.mark.parametrize("n, window, message", [
+    (3, (0.9, 2.7), "^window bound must be an integer, got 0.9$"),
+    (3.9, (0, 3.5), "^n must be an integer, got 3.9$"),
+    (True, (0, True), "^n must be an integer, got True$"),
+    (3, (0, True), "^window bound must be an integer, got True$"),
+    ("3", (0, 3), "^n must be an integer, got '3'$"),
+    (0, (0, 0), "^need n >= 1, got 0$"),
+], ids=["fractional-window", "fractional-n", "bool-n", "bool-window",
+        "string-n", "no-copies"])
+def test_window_readers_refuse_non_integers(read, n, window, message):
+    """n and the window bounds are read as integers, n at least 1: a
+    bool, float or string is refused, not truncated."""
+    with pytest.raises(ValueError, match=message):
+        read(n, window)
 
 
 def _nothing_built(*args, **kwargs):
@@ -107,7 +128,7 @@ def test_bad_amplitudes_are_refused_before_any_work(monkeypatch, call,
                                                     message):
     """c0, c1 go through the seed state's unit rule and c0^2 through one
     [0, 1] check, before any state or binomial bulk exists."""
-    for name in ("_binomial_bulk_chunks", "block_labels", "level_ghz",
+    for name in ("_binomial_bulk_chunks", "block_labels", "_weighting_stage",
                  "PureState"):
         monkeypatch.setattr(preparation, name, _nothing_built)
     with pytest.raises(ValueError, match=message):
@@ -122,8 +143,10 @@ def test_target_window_trims_dead_blocks():
 
 
 def test_target_window_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
         target_window(0, 0.5)
+    with pytest.raises(ValueError, match="^n must be an integer, got 9.5$"):
+        target_window(9.5, 0.5)
     with pytest.raises(ValueError):
         target_window(10, 1.5)
     with pytest.raises(ValueError):
@@ -391,6 +414,9 @@ def test_row_shortening_validation():
         row_shorten_povm([0, 5], 1, dim=4)         # outside dim
     with pytest.raises(ValueError, match="outside 0..3"):
         row_shorten_povm([-1, 0], 1, dim=4)        # -1 wraps to 3
+    for keep in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="^keep count must be an integer"):
+            row_shorten_povm([0, 1], keep)
 
 
 # -- the full protocol -------------------------------------------------------------
@@ -500,98 +526,119 @@ def test_huge_windows_are_refused_from_an_estimate():
             call()
 
 
-def _shortening_state(rng):
-    """Four weighted rows on A, each with four B-C pair levels, laid out as
-    the protocol lays them out (row g's terms at 4g..4g+3 on B and C)."""
-    w = rng.random(4) + 0.1
-    rows = ghz_weighting_povm(w / np.linalg.norm(w))[0].elements[0]
-    return tensor(apply_element(level_ghz(4, (0, 1, 2)), rows)[0],
-                  level_epr(4, (1, 2), 3))
+def _same_branch(got, want):
+    """A ``prepare_approx`` result and the oracle's (state, transcript),
+    compared bit for bit."""
+    (state, transcript, _), (oracle_state, oracle_transcript) = got, want
+    assert transcript == oracle_transcript
+    assert state.local_dims == oracle_state.local_dims
+    assert state.labels.tobytes() == oracle_state.labels.tobytes()
+    assert state.amps.tobytes() == oracle_state.amps.tobytes()
 
 
-def _protocol_stages(rng):
-    """A weighting stage and two shortening stages, each with the state it
-    acts on and the parties its corrections relabel."""
-    w = rng.random(5)
-    weighted = (level_ghz(5, (0, 1, 2)), _weighting_stage(
-        w / np.linalg.norm(w)), (0, 1, 2))
-    state = _shortening_state(rng)
-    return [weighted] + [
-        (state, _shorten_stage(range(4 * g, 4 * g + 4), keep, dim=16),
-         (1, 2)) for g, keep in ((0, 1), (2, 2))]
+C0_SQ = st.one_of(st.floats(1e-6, 1e-3), st.floats(0.001, 0.999),
+                  st.floats(0.999, 1.0 - 1e-9), st.sampled_from([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@given(c0_sq=C0_SQ, seed=st.integers(0, 2**32),
+       shape=st.sampled_from(["default", "full", "alpha-beta"]),
+       alpha=st.floats(0.3, 3.0), beta=st.floats(0.51, 0.99))
+@settings(max_examples=8, deadline=None)
+def test_branch_matches_the_term_by_term_oracle(n, c0_sq, seed, shape, alpha,
+                                                beta):
+    """The row-held branch lands on the oracle's state and transcript, bit
+    for bit, for windows from --alpha/--beta, the default and the full
+    one."""
+    c0, c1 = math.sqrt(c0_sq), math.sqrt(1.0 - c0_sq)
+    if shape == "full":
+        window = (0, n)
+    else:
+        try:
+            window = (target_window(n, c0_sq) if shape == "default"
+                      else target_window(n, c0_sq, alpha, beta))
+        except ValueError:
+            return   # the window holds no block index
+    _same_branch(prepare_approx(n, c0, c1, seed=seed, window=window),
+                 prepare_oracle(n, c0, c1, seed, window))
+
+
+@pytest.mark.parametrize("n, c0, c1, seed, window", [
+    (8, 0.6, 0.8, 3, None),
+    (8, math.sqrt(0.9), math.sqrt(0.1), 1, None),
+    # the smallest rows drop whole after the weighting (N = 2) and after
+    # the pairs are attached (N = 3): prepare --psi 0.000001 1 -N 2 and
+    # --psi 0.0000012 1 -N 3 --alpha 2, seed 1
+    (2, 0.000001, 1.0, 1, (0, 2)),
+    (3, 0.0000012, 1.0, 1, (0, 3)),
+], ids=["N8", "N8-high-c0", "prune-weighting", "prune-pairs"])
+def test_fixed_branches_match_the_oracle(n, c0, c1, seed, window):
+    _same_branch(prepare_approx(n, c0, c1, seed=seed, window=window),
+                 prepare_oracle(n, c0, c1, seed, window))
 
 
 def test_stage_elements_are_the_expanded_povm():
-    """Each stage's element(o) is, bit for bit, the o-th element of the
-    POVM that ``verify`` checks for completeness, and correction(o) its
-    o-th correction."""
+    """The weighting stage's element(o), which a branch reads, is bit for
+    bit the o-th element of the POVM that ``verify`` checks for
+    completeness, and correction(o) its o-th correction. Every outcome of
+    every shortening stage lands a branch where the oracle, applying the
+    expanded ``row_shorten_povm`` element and correction, lands."""
     w = np.random.default_rng(6).random(7)
     w /= np.linalg.norm(w)
-    pairs = [(_weighting_stage(w), ghz_weighting_povm(w))] + [
-        (_shorten_stage(range(8 * g, 8 * g + 8), keep, dim=32),
-         row_shorten_povm(range(8 * g, 8 * g + 8), keep, dim=32))
-        for g, keep in enumerate((1, 2, 4, 8))]
-    for (m, element, correction), (povm, corrections) in pairs:
-        assert check_completeness(povm)
-        assert len(povm.elements) == len(corrections) == m
-        for o in range(m):
-            built, want = element(o), povm.elements[o]
-            assert built.party == want.party
-            assert built.weights.dtype == want.weights.dtype
-            assert built.weights.tobytes() == want.weights.tobytes()
-            for got, expect in zip(correction(o), corrections[o]):
-                assert np.array_equal(got, expect)
+    m, element, correction = _weighting_stage(w)
+    povm, corrections = ghz_weighting_povm(w)
+    assert check_completeness(povm)
+    assert len(povm.elements) == len(corrections) == m
+    for o in range(m):
+        built, want = element(o), povm.elements[o]
+        assert built.party == want.party
+        assert built.weights.dtype == want.weights.dtype
+        assert built.weights.tobytes() == want.weights.tobytes()
+        for got, expect in zip(correction(o), corrections[o]):
+            assert np.array_equal(got, expect)
+    # N = 3, full window: pair_levels 8 and rows kept to 8, 4, 2 or 1
+    window = (0, 3)
+    for g, outcomes in enumerate([1, 2, 2, 2, 4, 4, 4, 8]):
+        for o in range(outcomes):
+            draws = np.full(stage_count(3, window), 0.5)
+            draws[1 + g] = (o + 0.5) / outcomes
+            got = prepare_approx(3, 0.6, 0.8, seed=draws, window=window)
+            assert got[1].outcomes[1 + g] == o
+            _same_branch(got, prepare_oracle(3, 0.6, 0.8, draws, window))
 
 
 def test_protocol_draw_matches_sample():
-    """A protocol stage draws the outcome that Born sampling of the
-    expanded POVM draws from an identically seeded generator, and records
-    the same probability."""
-    stages = [(state, stage, _expand(stage), parties) for state, stage,
-              parties in _protocol_stages(np.random.default_rng(4))]
-    for seed in range(200):
-        for state, stage, (povm, corrections), parties in stages:
-            transcript = Transcript()
-            post = _measure(state, stage, parties,
-                            np.random.default_rng(seed).random(), transcript,
-                            "s")
-            want, branch, entry = sample(state, povm,
-                                         np.random.default_rng(seed))
-            assert transcript.entries[0].outcome == want
-            assert transcript.entries[0].probability == entry.probability
-            old, new = corrections[want]
-            for p in parties if old.size else ():
-                branch = relabel(branch, p, old, new)
-            assert amplitude_distance(post, branch) == 0.0
+    """A branch draws at every stage the outcome that Born sampling of the
+    expanded POVM draws with the same uniform, and records the same
+    probability."""
+    for seed in range(60):
+        c0 = math.sqrt((0.1, 0.36, 0.8)[seed % 3])
+        c1 = math.sqrt(1.0 - c0 * c0)
+        _same_branch(prepare_approx(3, c0, c1, seed=seed, window=(0, 3)),
+                     prepare_oracle(3, c0, c1, seed, (0, 3), born=True))
 
 
 def test_protocol_applies_only_the_drawn_element(monkeypatch):
-    """One element built and applied per stage, no POVM formed, and no
-    Born evaluation or completeness sum over the other outcomes."""
-    calls = {"apply": 0, "element": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    """A branch builds one element, the drawn weighting element, forms no
+    POVM, and makes no Born evaluation, completeness sum or per-term
+    operation over the other outcomes."""
+    want = prepare_oracle(4, 0.6, 0.8, 3)
+    calls = []
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the protocol evaluated every outcome")
 
-    monkeypatch.setattr(preparation, "apply_element",
-                        counted("apply", apply_element))
-    monkeypatch.setattr(preparation, "diagonal_operator",
-                        counted("element", diagonal_operator))
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return diagonal_operator(*args, **kwargs)
+
+    monkeypatch.setattr(preparation, "diagonal_operator", counted)
     monkeypatch.setattr(preparation, "Povm", forbidden)
     for name in ("sample", "outcome_probabilities", "check_completeness",
-                 "apply_operator", "permutation_operator"):
+                 "apply_element", "apply_operator", "permutation_operator"):
         monkeypatch.setattr(locc, name, forbidden)
-    state, transcript, _ = prepare_approx(4, 0.6, 0.8, seed=3)
-    assert calls == {"apply": len(transcript.entries),
-                     "element": len(transcript.entries)}
-    assert amplitude_distance(
-        state, build_target(4, 0.6, 0.8, target_window(4, 0.36))) < 1e-9
+    _same_branch(prepare_approx(4, 0.6, 0.8, seed=3), want)
+    assert len(calls) == 1
 
 
 def _skewed_weighting(weights):

@@ -17,10 +17,10 @@ def one_term(dim):
     return PureState((dim,), [(0,)], [1.0])
 
 
-def seed_spec(m=3, support=(1, 2), level=2, labels=None):
+def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
     """The seed's --spec object with one field replaced; ``labels`` are the
-    product component's declared labels."""
-    product = {"c": 0.6, "support": [0]}
+    product component's declared labels, ``c`` its coefficient."""
+    product = {"c": c, "support": [0]}
     if labels is not None:
         product["product_labels"] = labels
     return spec_from_dict({"m": m, "components": [
@@ -73,6 +73,18 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None):
      "^support entry must be an integer, got 1.5$"),
     (lambda: CanonicalComponent(0.8, (1, 2), 2.7), ValueError,
      "^level must be an integer, got 2.7$"),
+    # a coefficient is a number, never a bool or a string read as one
+    (lambda: seed_spec(c=True), ValueError,
+     "^coefficient must be a number, got True$"),
+    (lambda: seed_spec(c="0.6"), ValueError,
+     "^coefficient must be a number, got '0.6'$"),
+    (lambda: spec_from_dict({"m": 2, "components": [
+        {"c": "1", "support": [0, 1]}]}), ValueError,
+     "^coefficient must be a number, got '1'$"),
+    (lambda: CanonicalComponent(True, (1, 2)), ValueError,
+     "^coefficient must be a number, got True$"),
+    (lambda: CanonicalComponent(np.True_, (1, 2)), ValueError,
+     "^coefficient must be a number, got "),
 ])
 def test_bad_input_is_refused(call, error, fragment):
     with pytest.raises(error, match=fragment):

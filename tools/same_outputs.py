@@ -1,0 +1,78 @@
+"""Check that two source trees print the same bytes for the benchmark's
+requests.
+
+    python tools/same_outputs.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
+The requests are the seed-1 request lists of the four workloads of
+``perfbench/workloads.py`` (``closed_form``, ``explicit_sim``,
+``short_calls`` and ``known_failures``), plus ``verify`` and ``verify
+--negative-control``, each in CSV and JSON: 48 in all. Each request runs
+as a fresh ``python -m eprghz.cli ...`` process under each tree, one
+after the other, in one scratch directory that holds the workloads'
+``--spec`` files. Stdout, stderr and the exit code must be equal.
+
+Prints one line per request and exits 0 if all are equal; at the first
+difference it names the request, shows both sides and exits 1. Exit 2
+means the arguments are wrong.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+SEED = 1
+WORKLOADS = ("closed_form", "explicit_sim", "short_calls", "known_failures")
+VERIFY = [(f"verify{flag.replace(' --', '_')}_{fmt}",
+           ("verify", *flag.split(), "--format", fmt))
+          for flag in ("", " --negative-control") for fmt in ("csv", "json")]
+
+
+def requests(work: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, argv) of every request, the workloads' first."""
+    reqs = [(f"{w}/{r.name}", r.argv) for w in WORKLOADS
+            for r in workloads.build(w, SEED, work)]
+    return reqs + VERIFY
+
+
+def run(src: Path, argv, work: Path) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "eprghz.cli", *argv],
+                          cwd=work, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2 or not all(Path(a, "eprghz").is_dir() for a in args):
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        print("each argument must be a src directory holding eprghz/",
+              file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in args)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        reqs = requests(work)
+        for name, req in reqs:
+            want, got = run(parent, req, work), run(change, req, work)
+            if want != got:
+                print(f"DIFFERENT {name}: {' '.join(req)}")
+                for side, (code, out, err) in (("parent", want),
+                                               ("change", got)):
+                    print(f"--- {side}: exit {code}\n{out}--- {side} "
+                          f"stderr\n{err}", end="")
+                return 1
+            print(f"same {name} (exit {want[0]})")
+    print(f"all {len(reqs)} requests identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
