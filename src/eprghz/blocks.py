@@ -31,7 +31,7 @@ import numpy as np
 
 from .hilbert import (INT64_MAX, NORM_TOL, PureState, _check_budget,
                       _valid_state, relabel, states_equal, tensor)
-from .canonical import StateSpec, level_epr, level_ghz
+from .canonical import StateSpec, _integer, level_epr, level_ghz
 
 EXACT_N_MAX = 30
 LN2 = math.log(2.0)
@@ -314,7 +314,8 @@ def block_probability(n: int, counts: tuple[int, ...], coeffs_sq) -> float:
     coeffs_sq = tuple(float(c) for c in coeffs_sq)
     if not abs(sum(coeffs_sq) - 1.0) <= NORM_TOL:  # NaN too
         raise ValueError(f"squared coefficients sum to {sum(coeffs_sq)}, not 1")
-    counts = tuple(int(k) for k in counts)
+    n = _integer(n, "n")
+    counts = tuple(_integer(k, "count") for k in counts)
     if sum(counts) != n:
         raise ValueError(f"counts {counts} do not sum to {n}")
     if len(counts) != len(coeffs_sq):
@@ -359,7 +360,7 @@ def decompose(spec: StateSpec, n: int) -> BlockDecomposition:
     Refused before any enumeration if the largest multiplicity has more
     decimal digits than Python's int-to-str limit lets it print.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     ncomp = len(spec.components)
@@ -400,7 +401,8 @@ def block_labels(n: int, k_minus: int, k_plus: int):
     block index k and Alice label per row, then row and Bob (= Claire)
     label per term. Refuses a window whose largest Bob label,
     3**n - 3**k_minus, does not fit in int64."""
-    n, k_minus, k_plus = int(n), int(k_minus), int(k_plus)
+    n = _integer(n, "n")
+    k_minus, k_plus = (_integer(k, "window bound") for k in (k_minus, k_plus))
     if not 0 <= k_minus <= k_plus <= n:
         raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
     _check_budget(f"block labels at N = {n}", "explicit copies", n)
@@ -424,7 +426,7 @@ def block_labels(n: int, k_minus: int, k_plus: int):
 def block_state(n: int, k: int) -> PureState:
     """The normalized (n, k) block of the seed state's N-copy power:
     r*t equal amplitudes on dims (2**n, 3**n, 3**n)."""
-    n, k = int(n), int(k)
+    n, k = _integer(n, "n"), _integer(k, "block index")
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"bad block index ({n}, {k})")
     r, t = 2 ** (n - k), math.comb(n, k)
@@ -439,7 +441,7 @@ def verify_block_equivalence(n: int, k: int) -> bool:
     """Check that block (n, k) is an r-level B-C pair times a t-level
     three-party GHZ, under the canonical relabeling."""
     target = block_state(n, k)  # checks the index and the budget first
-    n, k = int(n), int(k)
+    n, k = _integer(n, "n"), _integer(k, "block index")
     r, t = 2 ** (n - k), math.comb(n, k)
     # labels (g, e*t+g, e*t+g) onto target row g*r + e
     joint = tensor(level_epr(r, (1, 2), 3), level_ghz(t, (0, 1, 2)))

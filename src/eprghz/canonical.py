@@ -63,7 +63,7 @@ def epr(parties, party_count: int | None = None) -> PureState:
 
 def ghz(n: int) -> PureState:
     """The n-party GHZ state (|0...0> + |1...1>)/sqrt 2 (n >= 2)."""
-    return level_ghz(2, range(int(n)))
+    return level_ghz(2, range(_integer(n, "n")))
 
 
 def psi(c0: float, c1: float) -> PureState:
@@ -200,26 +200,46 @@ def psi_prime_spec(c0: float, c1: float, c2: float, c3: float) -> StateSpec:
     return StateSpec(3, tuple(comps))
 
 
+def spec_draws(party_count: int) -> int:
+    """Uniform doubles ``random_spec`` reads for ``party_count`` parties:
+    one for the component count, then party_count + 3 for each of up to
+    4 components."""
+    return 1 + 4 * (party_count + 3)
+
+
 def random_spec(party_count: int, rng: np.random.Generator) -> StateSpec:
     """Random member of the family: random supports, levels, and weights.
+
+    Reads p = ``party_count`` and exactly ``spec_draws(p)`` = 1 + 4 (p + 3)
+    uniform doubles u through ``uniform_draws``, so ``rng`` may be an int
+    seed (its root stream, formed without numpy.random), a Generator, a
+    SeedSequence, or a float array of exactly that many draws; a seed S
+    gives the layout of ``default_rng(S)``. The first double gives
+    2 + floor(3u) components. Component i reads the p + 3 doubles from
+    1 + i (p + 3): a support size 1 + floor(p u), the support as the
+    parties with the smallest of the next p doubles (a uniform subset), a
+    level 2 + floor(2u) and a weight u + 0.1 (normalized, square-rooted).
+    The doubles of components past the count are read and unused.
 
     Disjoint label ranges keep the components locally orthogonal whatever
     the draw, so every sample is a valid input to the block machinery.
     """
-    num_components = int(rng.integers(2, 5))
-    comps = []
-    for _ in range(num_components):
-        size = int(rng.integers(1, party_count + 1))
-        support = tuple(int(p) for p in
-                        rng.choice(party_count, size=size, replace=False))
-        level = int(rng.integers(2, 4))
-        comps.append((support, level))
+    p = _integer(party_count, "party count")
+    if p < 2:
+        raise ValueError("need at least 2 parties")
+    _check_budget("the state specification", "state parties", p)
+    from .locc import uniform_draws
+
+    u = uniform_draws(rng, spec_draws(p))
+    rows = u[1:].reshape(4, p + 3)[:2 + int(3 * u[0])]
+    sizes = 1 + (p * rows[:, 0]).astype(np.int64)
+    levels = 2 + (2 * rows[:, p + 1]).astype(np.int64)
     # floor keeps every coefficient safely nonzero
-    w = rng.random(num_components) + 0.1
+    w = rows[:, p + 2] + 0.1
     w = np.sqrt(w / w.sum())
-    return StateSpec(party_count, tuple(
-        CanonicalComponent(float(c), s, l)
-        for c, (s, l) in zip(w, comps)))
+    return StateSpec(p, tuple(
+        CanonicalComponent(float(c), np.argsort(keys)[:size].tolist(), level)
+        for c, keys, size, level in zip(w, rows[:, 1:p + 1], sizes, levels)))
 
 
 def psi_general(spec: StateSpec) -> PureState:
@@ -246,7 +266,7 @@ def copies(s: PureState, n: int) -> PureState:
     Refuses supports beyond the explicit budget; large-N questions have
     analytic paths (block probabilities, expected yields, fidelity).
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1 copies, got {n}")
     _check_copies(s.support_size, n)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import NORM_TOL, BudgetError, _check_budget, amplitude_distance
 from .canonical import (StateSpec, copies, psi, psi_spec, psi_prime_spec,
-                        random_spec, spec_from_json)
+                        random_spec, spec_draws, spec_from_json)
 from .locc import (ImpossibleOutcomeError, Povm, Transcript,
                    check_completeness, check_local_orthogonality,
                    stream_uniforms)
@@ -282,7 +282,11 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
     # the sum of 3**n over n <= m; at least 3**m, finite for any m
     _check_budget(f"block equivalence up to N = {m}", "explicit terms",
                   lambda: (3**(m + 1) - 1) // 2, min(m, 10**300) * math.log2(3))
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
+    # row i is spawned stream i of the seed, one per random input in the
+    # order the suites read them: two random_spec pairs and 8 POVM weights
+    draws = stream_uniforms(0 if args.seed is None else args.seed,
+                            spec_draws(4), keys=range(5))
+    d3 = spec_draws(3)
     results = []
 
     ok = all(verify_block_equivalence(n, k)
@@ -292,13 +296,13 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
     specs = [psi_spec(0.6, 0.8),
              psi_prime_spec(0.5, 0.5, 0.5, 0.5),
              psi_prime_spec(*np.sqrt((0.1, 0.2, 0.3, 0.4))),
-             random_spec(3, rng), random_spec(4, rng)]
+             random_spec(3, draws[0, :d3]), random_spec(4, draws[1])]
     ok = all(check_local_orthogonality(
         [s.component_state(i) for i in range(len(s.components))])
         for s in specs)
     results.append(("local_orthogonality", ok))
 
-    w = rng.random(8) + 0.1
+    w = draws[2, :8] + 0.1
     stages = [ghz_weighting_povm(lam) for lam in (
         [1.0], (0.64, 0.48, 0.48, 0.36), np.full(5, 1.0 / math.sqrt(5.0)),
         w / np.linalg.norm(w))]
@@ -315,7 +319,7 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
     specs = [psi_spec(0.6, 0.8), psi_spec(math.sqrt(0.5), math.sqrt(0.5)),
              psi_prime_spec(0.5, 0.5, 0.5, 0.5),
              psi_prime_spec(*np.sqrt((0.1, 0.2, 0.3, 0.4))),
-             random_spec(3, rng), random_spec(4, rng)]
+             random_spec(3, draws[3, :d3]), random_spec(4, draws[4])]
     results.append(("entropy_consistency",
                     all(entropy_consistency(s) for s in specs)))
     return results

@@ -20,7 +20,8 @@ import numpy as np
 from .hilbert import (NORM_TOL, BudgetError, PureState, _check_budget,
                       _unique_rows, entanglement_entropy, entropy,
                       states_equal)
-from .canonical import StateSpec, _check_copies, copies, psi_general
+from .canonical import (StateSpec, _check_copies, _integer, copies,
+                        psi_general)
 from .locc import (Povm, Transcript, _draw, as_generator, diagonal_operator,
                    projective_probabilities, stream_uniforms, trial_seed)
 from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
@@ -107,7 +108,7 @@ def expected_yields(spec: StateSpec, n: int) -> YieldReport:
     need joint moments: computed by full block enumeration when small,
     NaN above the block-row budget.
     """
-    n = int(n)
+    n = _integer(n, "n")
     epr, ghz = expected_means(spec, n)
     epr_var, ghz_var = _yield_variances(spec, n, epr, ghz)
     return YieldReport(n, epr, ghz, epr_var, ghz_var, trials=None)
@@ -126,7 +127,7 @@ def expected_means(spec: StateSpec, n: int
     (Bernstein's inequality), so work is O(sqrt(N)) and memory O(chunk)
     at any N.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_count(n)
@@ -214,7 +215,7 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
     (``stream_uniforms``) and draws all outcomes in one ``searchsorted``;
     analytic mode seeds each trial as it draws it (``trial_seed``).
     """
-    n, trials = int(n), int(trials)
+    n, trials = _integer(n, "n"), _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     _check_budget("extraction", "sampling trials", trials)

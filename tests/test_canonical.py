@@ -9,11 +9,11 @@ from conftest import inner, psi_prime, terms
 
 from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, epr, ghz, level_epr, level_ghz,
-    psi, psi_general, psi_prime_spec, psi_spec, random_spec,
+    psi, psi_general, psi_prime_spec, psi_spec, random_spec, spec_draws,
     spec_from_dict, spec_from_json, spec_to_dict, spec_to_json,
 )
 from eprghz.hilbert import BudgetError, PureState, states_equal
-from eprghz.locc import check_local_orthogonality
+from eprghz.locc import check_local_orthogonality, stream_uniforms
 
 SQ2 = math.sqrt(2.0)
 
@@ -145,6 +145,45 @@ def test_random_spec_is_well_formed(seed, party_count=4):
     assert check_local_orthogonality(parts)
     for p in parts:
         assert p.is_normalized()
+
+
+@pytest.mark.parametrize("party_count", [2, 3, 4, 5])
+def test_random_spec_reads_one_layout_from_every_form_of_a_seed(party_count):
+    """A seed, its SeedSequence, a fresh Generator of it and its first
+    ``spec_draws`` doubles give the same layout, bit for bit."""
+    count = spec_draws(party_count)
+    assert count == 1 + 4 * (party_count + 3)
+    for seed in (*range(40), 2**32 + 1, 2**128 + 5):
+        want = random_spec(party_count, seed)
+        assert random_spec(party_count, np.random.default_rng(seed)) == want
+        assert random_spec(party_count, np.random.SeedSequence(seed)) == want
+        assert random_spec(party_count, stream_uniforms(seed, count)) == want
+
+
+def test_random_spec_advances_a_generator_by_its_draw_count():
+    rng = np.random.default_rng(6)
+    random_spec(3, rng)
+    assert np.array_equal(rng.random(2),
+                          np.random.default_rng(6).random(27)[25:])
+
+
+@pytest.mark.parametrize("party_count", [2, 3, 4, 5])
+def test_random_spec_reaches_every_count_size_and_level(party_count):
+    counts, sizes, levels = set(), set(), set()
+    for seed in range(200):
+        spec = random_spec(party_count, seed)
+        counts.add(len(spec.components))
+        sizes |= {len(c.support) for c in spec.components}
+        levels |= {c.level for c in spec.components}
+    assert counts == {2, 3, 4}
+    assert sizes == set(range(1, party_count + 1))
+    assert levels == {2, 3}
+
+
+@pytest.mark.parametrize("count", [24, 26, 29, 0])
+def test_random_spec_refuses_draws_of_the_wrong_length(count):
+    with pytest.raises(ValueError, match=r"^need 25 draws, got shape"):
+        random_spec(3, np.full(count, 0.5))
 
 
 def test_component_states_orthonormal():

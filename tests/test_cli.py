@@ -395,6 +395,16 @@ def test_verify_negative_control(capsys):
     assert table["block_equivalence"] == "pass"
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_verify_passes_on_the_layouts_of_each_seed(capsys, seed):
+    """Every seed's random layouts (spawned streams 0-4 of the seed) pass
+    every suite."""
+    code, out, _ = run(capsys, "verify", "--blocks-max-n", "2", "--seed",
+                       str(seed))
+    assert code == EXIT_OK
+    assert [r["status"] for r in rows_of(out)] == ["pass"] * 4
+
+
 # -- output plumbing and exit codes ----------------------------------------------
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -754,12 +764,16 @@ def test_cold_paths_leave_scipy_out():
     ["prepare", "--psi", "0.6", "0.8", "-N", "5", "--seed", "3"],
     ["prepare", "--psi", "0.6", "0.8", "-N", "2", "--trials", "5", "--seed",
      "4", "--transcript", os.devnull],
-], ids=["psi", "psi-prime", "spec", "prepare", "prepare-branches"])
+    ["verify", "--blocks-max-n", "4"],
+    ["verify", "--blocks-max-n", "2", "--negative-control"],
+], ids=["psi", "psi-prime", "spec", "prepare", "prepare-branches", "verify",
+        "verify-negative-control"])
 def test_explicit_requests_leave_numpy_random_and_ma_out(argv):
-    """Explicit extract and prepare draw from streams computed in-package
-    and intersect labels by sorting, so ``python -m eprghz.cli`` never
-    imports numpy.random or numpy.ma (``-X importtime`` lists every module
-    the child imports)."""
+    """Explicit extract, prepare and verify draw from streams computed
+    in-package and intersect labels by sorting, so ``python -m eprghz.cli``
+    never imports numpy.random or numpy.ma (``-X importtime`` lists every
+    module the child imports). The negative control exits 1, its failed
+    suite, and still imports neither."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
@@ -769,7 +783,8 @@ def test_explicit_requests_leave_numpy_random_and_ma_out(argv):
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "eprghz.cli", *argv,
          "--out", os.devnull], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    want = EXIT_INVARIANT if "--negative-control" in argv else EXIT_OK
+    assert done.returncode == want, done.stderr
     imported = {line.rsplit("|", 1)[-1].strip()
                 for line in done.stderr.splitlines()
                 if line.startswith("import time:")}
@@ -849,27 +864,28 @@ PEAK_PROBE = (
     "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
 
 
+def peak_kib(*argv) -> int:
+    """Peak RSS in KiB of ``eprghz.cli.main(argv)`` in a forked child (a
+    bare import when ``argv`` is empty), which must exit 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", PEAK_PROBE, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    peak, code = map(int, done.stdout.split())
+    assert code == EXIT_OK
+    return peak
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
 def test_largest_json_block_table_is_written_in_chunks():
     """The 192,920-row table at the block-row budget's edge grows peak RSS
     by at most 60 MB over a bare import in JSON (about 420 MB when the
     whole text was built first)."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
     argv = ["blocks", "--psi-prime", "0.6", "0.5", "0.4",
             "0.4795831523312719", "-N", "103", "--format", "json", "--out",
             os.devnull]
-
-    def peak_kib(*argv):
-        done = subprocess.run([sys.executable, "-c", PEAK_PROBE, *argv],
-                              env=env, capture_output=True, text=True,
-                              check=True)
-        peak, code = map(int, done.stdout.split())
-        assert code == EXIT_OK
-        return peak
-
     assert peak_kib(*argv) - peak_kib() <= 60 * 1024
 
 
@@ -884,22 +900,18 @@ def test_sampled_extract_peak(mib, flags):
     (about 102 MiB at 10**6 explicit trials when it did), and analytic
     trials are seeded as they are drawn (about 60 MiB at 10**5 when every
     sub-seed was spawned first)."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-    def peak_kib(*argv):
-        done = subprocess.run([sys.executable, "-c", PEAK_PROBE, *argv],
-                              env=env, capture_output=True, text=True,
-                              check=True)
-        peak, code = map(int, done.stdout.split())
-        assert code == EXIT_OK
-        return peak
-
     argv = ["extract", "--psi", "0.6", "0.8", *flags, "--seed", "1",
             "--out", os.devnull]
     assert peak_kib(*argv) - peak_kib() <= mib * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_verify_peak():
+    """``verify --blocks-max-n 4`` grows peak RSS over a bare import by at
+    most 5 MiB: its random layouts read in-package streams (about 8.7 MB
+    when it built a numpy Generator, which loads numpy.random)."""
+    argv = ["verify", "--blocks-max-n", "4", "--out", os.devnull]
+    assert peak_kib(*argv) - peak_kib() <= 5 * 1024
 
 
 # -- golden output ---------------------------------------------------------------

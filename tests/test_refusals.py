@@ -4,12 +4,15 @@ own exception type with a message naming what is wrong."""
 import numpy as np
 import pytest
 
-from eprghz.blocks import (block_labels, block_probability, decompose,
-                           log2_binomial_array, log2_multinomial)
-from eprghz.canonical import (CanonicalComponent, StateSpec, level_epr,
-                              level_ghz, psi_spec, spec_from_dict)
+from eprghz.blocks import (block_labels, block_probability, block_state,
+                           decompose, log2_binomial_array, log2_multinomial,
+                           verify_block_equivalence)
+from eprghz.canonical import (CanonicalComponent, StateSpec, copies, ghz,
+                              level_epr, level_ghz, psi, psi_spec,
+                              random_spec, spec_from_dict)
 from eprghz.cli import UsageError, build_parser
-from eprghz.hilbert import PureState, tensor
+from eprghz.extraction import expected_means, expected_yields, run_extraction
+from eprghz.hilbert import PureState, states_equal, tensor
 from eprghz.preparation import ghz_weighting_povm, prepare_approx
 
 
@@ -85,6 +88,41 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
      "^coefficient must be a number, got True$"),
     (lambda: CanonicalComponent(np.True_, (1, 2)), ValueError,
      "^coefficient must be a number, got "),
+    # copy counts, block indices and trial counts are never truncated
+    (lambda: copies(psi(0.6, 0.8), 2.9), ValueError,
+     "^n must be an integer, got 2.9$"),
+    (lambda: copies(psi(0.6, 0.8), True), ValueError,
+     "^n must be an integer, got True$"),
+    (lambda: ghz(3.0), ValueError, "^n must be an integer, got 3.0$"),
+    (lambda: block_state(3.7, 1.2), ValueError,
+     "^n must be an integer, got 3.7$"),
+    (lambda: block_state(3, 1.2), ValueError,
+     "^block index must be an integer, got 1.2$"),
+    (lambda: verify_block_equivalence(3.5, 1), ValueError,
+     "^n must be an integer, got 3.5$"),
+    (lambda: verify_block_equivalence(3, True), ValueError,
+     "^block index must be an integer, got True$"),
+    (lambda: block_labels(3.5, 0, True), ValueError,
+     "^n must be an integer, got 3.5$"),
+    (lambda: block_labels(3, 0, True), ValueError,
+     "^window bound must be an integer, got True$"),
+    (lambda: decompose(psi_spec(0.6, 0.8), 3.5), ValueError,
+     "^n must be an integer, got 3.5$"),
+    (lambda: block_probability(2, (1.0, 1), (0.36, 0.64)), ValueError,
+     "^count must be an integer, got 1.0$"),
+    (lambda: block_probability(2.0, (1, 1), (0.36, 0.64)), ValueError,
+     "^n must be an integer, got 2.0$"),
+    (lambda: expected_yields(psi_spec(0.6, 0.8), 10.9), ValueError,
+     "^n must be an integer, got 10.9$"),
+    (lambda: expected_means(psi_spec(0.6, 0.8), "3"), ValueError,
+     "^n must be an integer, got '3'$"),
+    (lambda: run_extraction(psi_spec(0.6, 0.8), 2.5, 10, seed=1), ValueError,
+     "^n must be an integer, got 2.5$"),
+    (lambda: run_extraction(psi_spec(0.6, 0.8), 2, 10.0, seed=1), ValueError,
+     "^trials must be an integer, got 10.0$"),
+    (lambda: random_spec(3.0, 0), ValueError,
+     "^party count must be an integer, got 3.0$"),
+    (lambda: random_spec(1, 0), ValueError, "^need at least 2 parties$"),
 ])
 def test_bad_input_is_refused(call, error, fragment):
     with pytest.raises(error, match=fragment):
@@ -96,3 +134,15 @@ def test_integral_values_of_any_int_type_are_read():
                      level=np.int64(2),
                      labels={"0": 0, "1": np.int64(0), "2": 0}) == \
         psi_spec(0.6, 0.8)
+
+
+def test_copy_and_block_counts_of_any_int_type_are_read():
+    seed = psi(0.6, 0.8)
+    assert states_equal(copies(seed, np.int64(2)), copies(seed, 2))
+    assert states_equal(block_state(np.int64(3), np.int32(1)),
+                        block_state(3, 1))
+    assert verify_block_equivalence(np.int16(2), np.int64(1))
+    assert expected_yields(psi_spec(0.6, 0.8), np.int64(10)) == \
+        expected_yields(psi_spec(0.6, 0.8), 10)
+    assert block_probability(np.int64(2), (np.int32(1), 1), (0.36, 0.64)) \
+        == block_probability(2, (1, 1), (0.36, 0.64))

@@ -7,10 +7,12 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The requests are the seed-1 request lists of the four workloads of
 ``perfbench/workloads.py`` (``closed_form``, ``explicit_sim``,
 ``short_calls`` and ``known_failures``), plus ``verify`` and ``verify
---negative-control``, each in CSV and JSON: 48 in all. Each request runs
-as a fresh ``python -m eprghz.cli ...`` process under each tree, one
-after the other, in one scratch directory that holds the workloads'
-``--spec`` files. Stdout, stderr and the exit code must be equal.
+--negative-control``, each in CSV and JSON, and ``verify --seed S`` for
+S = 0 to 4 in CSV, whose random layouts differ by seed: 53 in all. Each
+request runs as a fresh ``python -m eprghz.cli ...`` process under each
+tree, one after the other, in one scratch directory that holds the
+workloads' ``--spec`` files. Stdout, stderr and the exit code must be
+equal.
 
 Prints one line per request and exits 0 if all are equal; at the first
 difference it names the request, shows both sides and exits 1. Exit 2
@@ -33,6 +35,8 @@ WORKLOADS = ("closed_form", "explicit_sim", "short_calls", "known_failures")
 VERIFY = [(f"verify{flag.replace(' --', '_')}_{fmt}",
            ("verify", *flag.split(), "--format", fmt))
           for flag in ("", " --negative-control") for fmt in ("csv", "json")]
+VERIFY += [(f"verify_seed{s}_csv", ("verify", "--seed", str(s)))
+           for s in range(5)]
 
 
 def requests(work: Path) -> list[tuple[str, tuple[str, ...]]]:
