@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (NORM_TOL, PureState, _check_budget, _valid_state,
-                      tensor)
+from .hilbert import (NORM_TOL, PureState, _check_budget, _integer,
+                      _valid_state, tensor)
 
 SQ2 = math.sqrt(2.0)
 
@@ -29,10 +28,10 @@ def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
     Non-member parties (if ``party_count`` exceeds them) are dim-1
     placeholders, so the result composes with states on the full party set.
     """
-    t = int(t)
+    t = _integer(t, "level")
     if t < 1:
         raise ValueError(f"level must be >= 1, got {t}")
-    parties = tuple(sorted(set(int(p) for p in parties)))
+    parties = tuple(sorted(set(_integer(p, "party") for p in parties)))
     if len(parties) < 2:
         raise ValueError("a GHZ-type state needs at least 2 parties")
     if min(parties) < 0:
@@ -50,7 +49,7 @@ def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
 
 def level_epr(r: int, parties, party_count: int | None = None) -> PureState:
     """r-level maximally entangled pair: (1/sqrt r) sum_i |ii>."""
-    parties = tuple(sorted(set(int(p) for p in parties)))
+    parties = tuple(sorted(set(_integer(p, "party") for p in parties)))
     if len(parties) != 2:
         raise ValueError(f"an EPR-type state needs exactly 2 parties, got {parties}")
     return level_ghz(r, parties, party_count)
@@ -78,16 +77,6 @@ def _check_unit(*cs):
         raise ValueError(f"coefficients must be non-negative, got {cs}")
     if not abs(sum(c * c for c in cs) - 1.0) <= NORM_TOL:  # NaN too
         raise ValueError(f"squared coefficients sum to {sum(c*c for c in cs)}, not 1")
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool, float or string is refused, not cast."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

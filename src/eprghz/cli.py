@@ -24,10 +24,10 @@ from .locc import (ImpossibleOutcomeError, Povm, Transcript,
 from .blocks import decompose, verify_block_equivalence
 from .extraction import (asymptotic_rates, block_measurement_povm,
                          entropy_consistency, expected_means, run_extraction)
-from .preparation import (_check_terms, _window_shape, build_target, fidelity,
-                          fidelity_bound, ghz_weighting_povm, prepare_approx,
-                          resource_count, row_shorten_povm, stage_count,
-                          target_window)
+from .preparation import (_check_terms, _protocol, _window_shape,
+                          build_target, fidelity, fidelity_bound,
+                          ghz_weighting_povm, resource_count,
+                          row_shorten_povm, target_window)
 
 EXIT_OK, EXIT_INVARIANT, EXIT_USAGE = 0, 1, 2
 AMPLITUDE_SLOP = 1e-3
@@ -206,12 +206,14 @@ def cmd_prepare(args) -> int:
     seed0 = 0 if args.seed is None else args.seed
     if n == 2:  # the exact protocol keeps every block
         _window_shape(args.alpha, args.beta)
-        window, target = (0, 2), copies(psi(c0, c1), 2)
+        window = (0, 2)
     else:
         window = target_window(n, c0 * c0, args.alpha, args.beta)
         # refuse before the target or any branch state is built
-        _check_terms(n, window, "windowed target", "protocol")
-        target = build_target(n, c0, c1, window)
+        _check_terms(n, window, "windowed target")
+    branch, stages, resources = _protocol(n, c0, c1, window)
+    target = (copies(psi(c0, c1), 2) if n == 2
+              else build_target(n, c0, c1, window))
     f = fidelity(n, c0 * c0, window)
     worst = 0.0
     combined = Transcript()
@@ -221,14 +223,12 @@ def cmd_prepare(args) -> int:
     # branch's 5 draws, about as much as one call for 20 branches, and
     # over 40% of a 0.76 ms N = 2 branch, timed on a 2-core Xeon), and one
     # call for every branch would hold branches * stages doubles at once
-    stages = stage_count(n, window)
     chunk = max(1, _BRANCH_DRAWS // stages)
     for start in range(0, branches, chunk):
         keys = np.arange(start, min(start + chunk, branches))
         for i, draws in zip(keys.tolist(),
                             stream_uniforms(seed0, stages, keys)):
-            state, transcript, resources = prepare_approx(
-                n, c0, c1, seed=draws, window=window)
+            state, transcript = branch(draws)
             worst = max(worst, amplitude_distance(state, target))
             combined.merge(transcript, prefix=f"branch{i}.")
     ok = worst <= 1e-9

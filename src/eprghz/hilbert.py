@@ -13,6 +13,7 @@ never one slot per copy: locality is per party.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -55,6 +56,16 @@ def _check_budget(what: str, budget: str, need, log2_need=-math.inf):
     raise BudgetError(f"{what} needs {need} {unit}, budget is {limit} {unit}")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, float or string is refused, not cast."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Sparse pure state: ``local_dims`` per party, a ``labels`` matrix with
@@ -74,7 +85,7 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.local_dims)
+        dims = tuple(_integer(d, "local dimension") for d in self.local_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"local dimensions must be >= 1, got {dims}")
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -218,7 +229,7 @@ def _union(a: PureState, b: PureState):
 
 def _cut(s: PureState, parties):
     """Sorted kept parties (a non-empty proper subset) and the rest."""
-    keep = sorted(set(int(p) for p in parties))
+    keep = sorted(set(_integer(p, "party") for p in parties))
     if not keep or len(keep) >= s.party_count:
         raise ValueError("cut must be non-empty and proper")
     if keep[0] < 0 or keep[-1] >= s.party_count:
@@ -295,10 +306,10 @@ def relabel(s: PureState, parties, old, new,
     order = np.argsort(old)
     old, new = old[order], new[order]
     labels, dims = s.labels.copy(), list(s.local_dims)
-    for party in map(int, np.ravel(parties)):
+    for party in (_integer(p, "party") for p in np.ravel(parties).tolist()):
         if not 0 <= party < s.party_count:
             raise ValueError(f"party {party} out of range")
-        dim = dims[party] if new_dim is None else int(new_dim)
+        dim = dims[party] if new_dim is None else _integer(new_dim, "new_dim")
         col = labels[:, party]
         at, hit = _lookup(old, col)
         at = at[hit]

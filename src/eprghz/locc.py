@@ -24,8 +24,8 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .hilbert import (NORM_TOL, PureState, _label_map, _lookup, _row_codes,
-                      _valid_state, squared_norm)
+from .hilbert import (NORM_TOL, PureState, _integer, _label_map, _lookup,
+                      _row_codes, _valid_state, squared_norm)
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -55,7 +55,7 @@ class LocalOperator:
                      copy=False)
         if w.ndim != 1 or not len(w):
             raise ValueError("operator weights must be a non-empty vector")
-        object.__setattr__(self, "party", int(self.party))
+        object.__setattr__(self, "party", _integer(self.party, "party"))
         object.__setattr__(self, "weights", w)
 
     @property
@@ -160,9 +160,10 @@ class TranscriptEntry:
     probability: float
 
     def __post_init__(self):
-        for name, kind in (("step", str), ("party", int), ("outcome", int),
-                           ("probability", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "step", str(self.step))
+        for name in ("party", "outcome"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "probability", float(self.probability))
         if not -NORM_TOL <= self.probability <= 1.0 + NORM_TOL:
             raise ValueError(f"probability {self.probability} outside [0,1]")
 
@@ -240,7 +241,7 @@ class Transcript:
         array, as ``add`` checks one."""
         steps = steps if isinstance(steps, range) else tuple(steps)
         parties = (np.array(parties, dtype=np.int64) if np.ndim(parties)
-                   else int(parties))
+                   else _integer(parties, "party"))
         try:
             outcomes = np.array(outcomes, dtype=np.int64)
         except OverflowError:  # ids of many components can pass int64
@@ -277,17 +278,19 @@ def as_generator(rng) -> np.random.Generator:
         return rng
     if isinstance(rng, np.random.SeedSequence):
         return np.random.default_rng(rng)
-    return np.random.default_rng(int(rng))
+    return np.random.default_rng(_integer(rng, "seed"))
 
 
 def trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
     """Independent per-trial sub-seeds from one root seed."""
-    return np.random.SeedSequence(int(seed)).spawn(int(trials))
+    return np.random.SeedSequence(_integer(seed, "seed")).spawn(
+        _integer(trials, "trials"))
 
 
 def trial_seed(seed: int, t: int) -> np.random.SeedSequence:
     """``trial_seeds(seed, trials)[t]`` alone: the root with spawn key t."""
-    return np.random.SeedSequence(int(seed), spawn_key=(int(t),))
+    return np.random.SeedSequence(_integer(seed, "seed"),
+                                  spawn_key=(_integer(t, "trial"),))
 
 
 # numpy's SeedSequence hash and mix constants (bit_generator.pyx) and the
@@ -349,7 +352,7 @@ def _root_pool(seed: int) -> tuple[list, int]:
     ``SeedSequence(seed)`` mixes from its entropy words, and the hash
     constant after them. Fewer than 4 words hash out as zero words, so
     the pool is the same whether or not a spawn key follows."""
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1),
@@ -412,7 +415,7 @@ def stream_uniforms(seed: int, count: int, keys=None) -> np.ndarray:
     of 4 uint32 words, so the pool is formed once and the children are
     mixed, seeded and stepped as arrays, ``_TRIAL_CHUNK`` at a time.
     """
-    count = int(count)
+    count = _integer(count, "count")
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
     pool, const = _root_pool(seed)

@@ -139,20 +139,20 @@ def resource_count(n: int, window) -> ResourceCount:
     return ResourceCount({(1, 2): float(n - k_minus)}, ghz)
 
 
-def _check_terms(n: int, window: Window, *whats: str) -> None:
-    """Refuse, in the order given, the "windowed target" (rows of 2**(n - k)
-    terms) or the "protocol" (2**(n - k_minus) pair levels on every row)
-    over the explicit budget, before anything is built: the sum of
+def _check_terms(n: int, window: Window, what: str) -> None:
+    """Refuse the "windowed target" (rows of 2**(n - k) terms) or the
+    "protocol" (2**(n - k_minus) pair levels on every row) over the
+    explicit budget, before anything is built: the sum of
     C(n, k) * 2**shift(k) over the window, whose summand near the peak
     (k = n/3 or n/2) bounds it below."""
     k_minus, k_plus = window
     ks = np.clip([(n + 1) // 3, n // 2], k_minus, k_plus)
-    for what in whats:
-        def shift(k):
-            return n - (k if what == "windowed target" else k_minus)
-        _check_budget(what, "explicit terms", lambda: sum(
-            math.comb(n, k) * 2**shift(k) for k in range(k_minus, k_plus + 1)),
-            float(np.max(log2_binomial_array(n, ks) + shift(ks))))
+
+    def shift(k):
+        return n - (k if what == "windowed target" else k_minus)
+    _check_budget(what, "explicit terms", lambda: sum(
+        math.comb(n, k) * 2**shift(k) for k in range(k_minus, k_plus + 1)),
+        float(np.max(log2_binomial_array(n, ks) + shift(ks))))
 
 
 def build_target(n: int, c0: float, c1: float, window) -> PureState:
@@ -247,16 +247,15 @@ def _live(rows, amps):
     return rows[keep], amps[keep]
 
 
-def _stage(rows, amps, counts, m, outcome, transcript, step, party):
+def _stage(rows, amps, counts, m, outcome, step):
     """The rows that the drawn outcome of an m-outcome stage weighted to
-    ``amps``, renormalized and ``_live``; its probability, summed over each
-    row's ``counts`` live terms (``squared_norm``), must be 1/m."""
+    ``amps``, renormalized and ``_live``, and its probability, summed over
+    each row's ``counts`` live terms (``squared_norm``): it must be 1/m."""
     sq = squared_norm(amps, counts)
     if abs(sq - 1.0 / m) > NORM_TOL:
         raise ImpossibleOutcomeError(f"{step}: outcome {outcome} has "
                                      f"probability {sq:.17g}, not 1/{m}")
-    transcript.add(step, party, outcome, sq)
-    return _live(rows, amps / math.sqrt(sq))
+    return (*_live(rows, amps / math.sqrt(sq)), sq)
 
 
 def stage_count(n: int, window) -> int:
@@ -264,6 +263,65 @@ def stage_count(n: int, window) -> int:
     each: the weighting stage and one shortening stage per window row."""
     n, (k_minus, k_plus) = _read_window(n, window)
     return 1 + sum(math.comb(n, k) for k in range(k_minus, k_plus + 1))
+
+
+def _protocol(n: int, c0: float, c1: float, window: Window | None):
+    """A request's protocol, checked and formed once for all its branches:
+    a runner from a branch's stage doubles to its state and transcript (one
+    run), the stage count and the resources. Checks precede the work they
+    guard: unit rule, window, protocol terms, row weights and the weighting
+    stage's budget; the labels come last."""
+    _check_unit(c0, c1)
+    n, (k_minus, k_plus) = _read_window(
+        n, target_window(n, c0 * c0) if window is None else window)
+    _check_terms(n, (k_minus, k_plus), "protocol")
+    pair_levels = 2**(n - k_minus)
+    # block_labels lists its rows by block index k, C(n, k) rows each
+    lam = np.repeat([c0**k * c1**(n - k) for k in range(k_minus, k_plus + 1)],
+                    [math.comb(n, k) for k in range(k_minus, k_plus + 1)])
+    nrm = float(np.linalg.norm(lam))
+    if nrm == 0.0:
+        raise ValueError("window carries no amplitude for these coefficients")
+    t, element, correction = _weighting_stage(lam / nrm)
+    ks, a, row, bc = block_labels(n, k_minus, k_plus)
+    big_r = len(ks)
+    keeps = np.bincount(row)
+    steps = ("weighting", *(f"shorten_row{g}" for g in range(big_r)))
+    stages = len(steps)
+    parties = np.repeat([0, 1], [1, big_r])  # A weighs, B shortens
+
+    def branch(draws) -> tuple[PureState, Transcript]:
+        outcomes, probs = np.empty(stages, dtype=np.int64), np.empty(stages)
+        # the branch as its rows in support order, a label and an amplitude
+        # each: every live term of a row carries its row's amplitude
+        outcome = outcomes[0] = _draw(np.arange(1, t + 1) / t, draws[0])
+        op, (old, new) = element(outcome), correction(outcome)
+        rows = np.arange(big_r)
+        rows[old] = new
+        amps = op.weights * complex(1.0 / math.sqrt(big_r))
+        rows, amps, probs[0] = _stage(rows, amps, 1, t, outcome, steps[0])
+        # attach the pairs: each row's amplitude times theirs
+        rows, amps = _live(rows, amps * complex(1.0 / math.sqrt(pair_levels)))
+        # stage g keeps one chunk of row g's terms and weighs every other row
+        # by sqrt(keep/length); rows 0..g are now of their blocks' length
+        for g, (keep, u) in enumerate(zip(keeps.tolist(), draws[1:])):
+            m = pair_levels // keep
+            outcome = outcomes[1 + g] = _draw(np.arange(1, m + 1) / m, u)
+            weights = np.where(rows == g, 1.0, math.sqrt(keep / pair_levels))
+            rows, amps, probs[1 + g] = _stage(rows, weights * amps, np.where(
+                rows <= g, keeps[rows], pair_levels), m, outcome, steps[1 + g])
+        transcript = Transcript()
+        transcript.extend(steps, parties, outcomes, probs)
+        # expand: row g's live terms are its block_labels terms
+        counts = keeps[rows]
+        terms = np.arange(counts.sum()) + np.repeat(
+            np.searchsorted(row, rows) - np.cumsum(counts) + counts, counts)
+        state = _valid_state((2**n, 3**n, 3**n), np.column_stack(
+            [a[row[terms]], bc[terms], bc[terms]]), np.repeat(amps, counts))
+        return state, transcript
+
+    return branch, stages, ResourceCount({(1, 2): float(n - k_minus)},
+                                         math.log2(big_r))
 
 
 def prepare_approx(n: int, c0: float, c1: float, seed=0,
@@ -280,51 +338,8 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     (``locc.uniform_draws``): an int seed's root stream, a Generator or
     SeedSequence, or the ``stage_count`` doubles themselves.
     """
-    _check_unit(c0, c1)
-    n, (k_minus, k_plus) = _read_window(
-        n, target_window(n, c0 * c0) if window is None else window)
-    _check_terms(n, (k_minus, k_plus), "protocol")
-    pair_levels = 2**(n - k_minus)
-    ks, a, row, bc = block_labels(n, k_minus, k_plus)
-    big_r = len(ks)
-
-    lam = np.array([c0**k * c1**(n - k)
-                    for k in range(k_minus, k_plus + 1)])[ks - k_minus]
-    nrm = float(np.linalg.norm(lam))
-    if nrm == 0.0:
-        raise ValueError("window carries no amplitude for these coefficients")
-
-    draws, transcript = uniform_draws(seed, 1 + big_r), Transcript()
-    # the branch as its rows in support order, a label and an amplitude
-    # each: every live term of a row carries its row's amplitude
-    m, element, correction = _weighting_stage(lam / nrm)
-    outcome = int(_draw(np.arange(1, m + 1) / m, draws[0]))
-    op, (old, new) = element(outcome), correction(outcome)
-    rows = np.arange(big_r)
-    rows[old] = new
-    rows, amps = _stage(rows, op.weights * complex(1.0 / math.sqrt(big_r)),
-                        1, m, outcome, transcript, "weighting", op.party)
-    # attach the pairs: each row's amplitude times theirs
-    rows, amps = _live(rows, amps * complex(1.0 / math.sqrt(pair_levels)))
-    # stage g keeps one chunk of row g's terms and weighs every other row
-    # by sqrt(keep/length); rows 0..g are now of their blocks' length
-    keeps = np.bincount(row)
-    for g, keep in enumerate(keeps.tolist()):
-        m = pair_levels // keep
-        outcome = int(_draw(np.arange(1, m + 1) / m, draws[1 + g]))
-        weights = np.where(rows == g, 1.0, math.sqrt(keep / pair_levels))
-        rows, amps = _stage(rows, weights * amps, np.where(
-            rows <= g, keeps[rows], pair_levels), m, outcome, transcript,
-            f"shorten_row{g}", 1)
-
-    # expand: row g's live terms are its block_labels terms
-    counts = keeps[rows]
-    terms = np.arange(counts.sum()) + np.repeat(
-        np.searchsorted(row, rows) - np.cumsum(counts) + counts, counts)
-    state = _valid_state((2**n, 3**n, 3**n), np.column_stack(
-        [a[row[terms]], bc[terms], bc[terms]]), np.repeat(amps, counts))
-    return state, transcript, ResourceCount({(1, 2): float(n - k_minus)},
-                                            math.log2(big_r))
+    branch, stages, resources = _protocol(n, c0, c1, window)
+    return (*branch(uniform_draws(seed, stages)), resources)
 
 
 def prepare_exact_n2(c0: float, c1: float, seed=0

@@ -18,8 +18,10 @@ from eprghz.blocks import block_probability
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from eprghz.extraction import expected_yields
-from eprghz.locc import Transcript, diagonal_operator
-from eprghz.preparation import fidelity, fidelity_bound
+from eprghz.hilbert import amplitude_distance
+from eprghz.locc import Transcript, diagonal_operator, stream_uniforms
+from eprghz.preparation import (build_target, fidelity, fidelity_bound,
+                                prepare_approx, stage_count, target_window)
 from eprghz.canonical import psi_spec
 
 
@@ -280,6 +282,72 @@ def test_prepare_transcript(capsys, tmp_path):
     assert any(l.startswith("branch1.") for l in lines)
 
 
+def test_prepare_forms_its_protocol_once(capsys, monkeypatch):
+    """A request forms its labels twice, once for the target and once for
+    the protocol, and its weighting stage and protocol term check once,
+    however many branches it runs (41 label arrays at 40 branches when
+    every branch formed its own)."""
+    calls = []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append((name, *args[2:]) if name == "_check_terms"
+                         else name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("block_labels", "_weighting_stage", "_check_terms"):
+        monkeypatch.setattr(preparation, name,
+                            counting(name, getattr(preparation, name)))
+    monkeypatch.setattr(cli, "_check_terms",
+                        counting("_check_terms", cli._check_terms))
+    code, out, _ = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "3",
+                       "--trials", "40", "--seed", "1")
+    assert code == EXIT_OK and rows_of(out)[0]["ok"] == "true"
+    assert calls.count("block_labels") == 2
+    assert calls.count("_weighting_stage") == 1
+    assert calls.count(("_check_terms", "protocol")) == 1
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2])
+def test_prepare_branches_equal_the_prepare_approx_loop(capsys, monkeypatch,
+                                                        tmp_path, per_chunk):
+    """With chunks of one or two branches, the table and the transcript
+    are those of a loop of prepare_approx calls, branch i drawing from
+    spawned stream i of the seed, bit for bit; each branch is one run of
+    the transcript."""
+    n, c0, c1, seed, trials = 3, 0.6, 0.8, 1, 5
+    window = target_window(n, c0 * c0)
+    stages = stage_count(n, window)
+    monkeypatch.setattr(cli, "_BRANCH_DRAWS", per_chunk * stages)
+    written, write = [], cli._write_transcript
+
+    def kept(transcript, args):
+        written.append(transcript)
+        write(transcript, args)
+
+    monkeypatch.setattr(cli, "_write_transcript", kept)
+    path = tmp_path / "prep.tsv"
+    code, out, _ = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "3",
+                       "--trials", "5", "--seed", "1", "--transcript",
+                       str(path))
+    assert code == EXIT_OK
+    target = build_target(n, c0, c1, window)
+    want, worst = Transcript(), 0.0
+    for i in range(trials):
+        state, transcript, resources = prepare_approx(
+            n, c0, c1, seed=stream_uniforms(seed, stages, [i])[0],
+            window=window)
+        worst = max(worst, amplitude_distance(state, target))
+        want.merge(transcript, prefix=f"branch{i}.")
+    assert path.read_text() == want.to_text()
+    assert len(written[0]._runs) == trials
+    row = (n, trials, worst, resources.epr_per_subset[(1, 2)],
+           resources.ghz, fidelity(n, c0 * c0, window))
+    assert out == ("N,branches,max_distance,epr_BC,ghz,fidelity,ok\n"
+                   "%d,%d,%.17g,%.17g,%.17g,%.17g,true\n" % row)
+
+
 # -- fidelity ------------------------------------------------------------------
 
 def test_fidelity_sweep(capsys):
@@ -508,13 +576,14 @@ def test_huge_prepare_window_is_refused_at_once(capsys):
                                      ("14", "at least 2**24.744834")])
 def test_prepare_terms_are_refused_before_any_state(capsys, monkeypatch, n,
                                                     need):
-    """The protocol's terms are checked with the target's, before the
-    target or any branch is built: both builders are stubbed to fail."""
+    """The protocol's terms are checked after the target's, before the
+    target, any label array or any branch is built: the target builder and
+    the label builder are stubbed to fail."""
     def built(*args, **kwargs):
         raise AssertionError("a state was built before the budget check")
 
     monkeypatch.setattr(cli, "build_target", built)
-    monkeypatch.setattr(cli, "prepare_approx", built)
+    monkeypatch.setattr(preparation, "block_labels", built)
     code, out, err = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", n,
                          "--seed", "1")
     assert (code, out) == (EXIT_USAGE, "")
@@ -912,6 +981,16 @@ def test_verify_peak():
     when it built a numpy Generator, which loads numpy.random)."""
     argv = ["verify", "--blocks-max-n", "4", "--out", os.devnull]
     assert peak_kib(*argv) - peak_kib() <= 5 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_prepare_branches_peak():
+    """2,000 branches at N = 5 grow peak RSS over a bare import by at most
+    8 MiB: each branch's transcript is one run of arrays (about 16 MB when
+    every stage was a run of its own), and no branch forms its own labels."""
+    argv = ["prepare", "--psi", "0.6", "0.8", "-N", "5", "--trials", "2000",
+            "--seed", "1", "--out", os.devnull]
+    assert peak_kib(*argv) - peak_kib() <= 8 * 1024
 
 
 # -- golden output ---------------------------------------------------------------

@@ -12,7 +12,11 @@ from eprghz.canonical import (CanonicalComponent, StateSpec, copies, ghz,
                               random_spec, spec_from_dict)
 from eprghz.cli import UsageError, build_parser
 from eprghz.extraction import expected_means, expected_yields, run_extraction
-from eprghz.hilbert import PureState, states_equal, tensor
+from eprghz.hilbert import (PureState, entanglement_entropy, relabel,
+                            states_equal, tensor)
+from eprghz.locc import (LocalOperator, Transcript, TranscriptEntry,
+                         as_generator, stream_uniforms, trial_seed,
+                         trial_seeds, uniform_draws)
 from eprghz.preparation import ghz_weighting_povm, prepare_approx
 
 
@@ -123,6 +127,51 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
     (lambda: random_spec(3.0, 0), ValueError,
      "^party count must be an integer, got 3.0$"),
     (lambda: random_spec(1, 0), ValueError, "^need at least 2 parties$"),
+    # levels, parties and dimensions of states and operators are never
+    # truncated
+    (lambda: level_ghz(2.7, (0, 1)), ValueError,
+     "^level must be an integer, got 2.7$"),
+    (lambda: level_ghz(2, (0.5, 1.9)), ValueError,
+     "^party must be an integer, got 0.5$"),
+    (lambda: level_epr(2, (0, True)), ValueError,
+     "^party must be an integer, got True$"),
+    (lambda: PureState((2.9, 3), [(0, 0)], [1.0]), ValueError,
+     "^local dimension must be an integer, got 2.9$"),
+    (lambda: PureState((True, 3), [(0, 0)], [1.0]), ValueError,
+     "^local dimension must be an integer, got True$"),
+    (lambda: relabel(psi(0.6, 0.8), 0.5, [0, 1], [1, 0]), ValueError,
+     "^party must be an integer, got 0.5$"),
+    (lambda: relabel(psi(0.6, 0.8), 0, [0, 1], [1, 0], 2.0), ValueError,
+     "^new_dim must be an integer, got 2.0$"),
+    (lambda: entanglement_entropy(psi(0.6, 0.8), (0.2,)), ValueError,
+     "^party must be an integer, got 0.2$"),
+    (lambda: LocalOperator(1.7, [1.0, 1.0]), ValueError,
+     "^party must be an integer, got 1.7$"),
+    (lambda: Transcript().extend(["s"], 1.5, [0], [0.5]), ValueError,
+     "^party must be an integer, got 1.5$"),
+    (lambda: Transcript().add("s", True, 0, 0.5), ValueError,
+     "^party must be an integer, got True$"),
+    (lambda: TranscriptEntry("s", 0, 1.5, 0.5), ValueError,
+     "^outcome must be an integer, got 1.5$"),
+    # seeds and draw counts are never truncated
+    (lambda: stream_uniforms(1.9, 2), ValueError,
+     "^seed must be an integer, got 1.9$"),
+    (lambda: stream_uniforms(True, 2), ValueError,
+     "^seed must be an integer, got True$"),
+    (lambda: stream_uniforms(1, 2.0), ValueError,
+     "^count must be an integer, got 2.0$"),
+    (lambda: uniform_draws(True, 3), ValueError,
+     "^seed must be an integer, got True$"),
+    (lambda: as_generator(1.5), ValueError,
+     "^seed must be an integer, got 1.5$"),
+    (lambda: trial_seeds(1, 2.5), ValueError,
+     "^trials must be an integer, got 2.5$"),
+    (lambda: trial_seeds(True, 2), ValueError,
+     "^seed must be an integer, got True$"),
+    (lambda: trial_seed(1.9, 2), ValueError,
+     "^seed must be an integer, got 1.9$"),
+    (lambda: trial_seed(1, 2.2), ValueError,
+     "^trial must be an integer, got 2.2$"),
 ])
 def test_bad_input_is_refused(call, error, fragment):
     with pytest.raises(error, match=fragment):
@@ -134,6 +183,20 @@ def test_integral_values_of_any_int_type_are_read():
                      level=np.int64(2),
                      labels={"0": 0, "1": np.int64(0), "2": 0}) == \
         psi_spec(0.6, 0.8)
+
+
+def test_parties_dimensions_and_seeds_of_any_int_type_are_read():
+    assert states_equal(level_ghz(np.int64(3), (np.int32(0), np.int64(2))),
+                        level_ghz(3, (0, 2)))
+    assert PureState((np.int64(2),), [(1,)], [1.0]).local_dims == (2,)
+    assert states_equal(relabel(psi(0.6, 0.8), np.int64(1), [1, 2], [2, 1]),
+                        relabel(psi(0.6, 0.8), 1, [1, 2], [2, 1]))
+    assert entanglement_entropy(psi(0.6, 0.8), (np.int64(0),)) == \
+        entanglement_entropy(psi(0.6, 0.8), (0,))
+    assert type(LocalOperator(np.int64(1), [1.0]).party) is int
+    assert np.array_equal(stream_uniforms(np.int64(1), np.int32(2)),
+                          stream_uniforms(1, 2))
+    assert trial_seed(np.int64(1), np.int64(2)).spawn_key == (2,)
 
 
 def test_copy_and_block_counts_of_any_int_type_are_read():

@@ -7,12 +7,14 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The requests are the seed-1 request lists of the four workloads of
 ``perfbench/workloads.py`` (``closed_form``, ``explicit_sim``,
 ``short_calls`` and ``known_failures``), plus ``verify`` and ``verify
---negative-control``, each in CSV and JSON, and ``verify --seed S`` for
-S = 0 to 4 in CSV, whose random layouts differ by seed: 53 in all. Each
-request runs as a fresh ``python -m eprghz.cli ...`` process under each
-tree, one after the other, in one scratch directory that holds the
-workloads' ``--spec`` files. Stdout, stderr and the exit code must be
-equal.
+--negative-control``, each in CSV and JSON, ``verify --seed S`` for
+S = 0 to 4 in CSV, whose random layouts differ by seed, and four sampled
+requests that write ``--transcript`` (``prepare`` at N = 2, 3 and 5 and
+explicit ``extract`` at N = 3): 57 in all. Each request runs as a fresh
+``python -m eprghz.cli ...`` process under each tree, one after the
+other, in one scratch directory that holds the workloads' ``--spec``
+files. Stdout, stderr, the exit code and the transcript file's bytes
+must be equal.
 
 Prints one line per request and exits 0 if all are equal; at the first
 difference it names the request, shows both sides and exits 1. Exit 2
@@ -37,20 +39,40 @@ VERIFY = [(f"verify{flag.replace(' --', '_')}_{fmt}",
           for flag in ("", " --negative-control") for fmt in ("csv", "json")]
 VERIFY += [(f"verify_seed{s}_csv", ("verify", "--seed", str(s)))
            for s in range(5)]
+PSI = ("--psi", "0.6", "0.8")
+TRANSCRIPTS = [
+    ("prepare_2_transcript",
+     ("prepare", *PSI, "-N", "2", "--trials", "2000", "--seed", "1")),
+    ("prepare_3_transcript",
+     ("prepare", *PSI, "-N", "3", "--trials", "200", "--seed", "1")),
+    ("prepare_5_transcript",
+     ("prepare", *PSI, "-N", "5", "--trials", "40", "--seed", "2")),
+    ("extract_3_transcript",
+     ("extract", *PSI, "-N", "3", "--trials", "500", "--seed", "1")),
+]
 
 
 def requests(work: Path) -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every request, the workloads' first."""
     reqs = [(f"{w}/{r.name}", r.argv) for w in WORKLOADS
             for r in workloads.build(w, SEED, work)]
-    return reqs + VERIFY
+    transcript = str(work / "transcript.tsv")
+    return reqs + VERIFY + [(name, (*argv, "--transcript", transcript))
+                            for name, argv in TRANSCRIPTS]
 
 
-def run(src: Path, argv, work: Path) -> tuple[int, str, str]:
+def run(src: Path, argv, work: Path) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout, stderr and the ``--transcript`` file's bytes
+    (None if none was written; the file is removed after it is read)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "eprghz.cli", *argv],
                           cwd=work, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    transcript = None
+    if "--transcript" in argv:
+        path = Path(argv[argv.index("--transcript") + 1])
+        transcript = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+    return proc.returncode, proc.stdout, proc.stderr, transcript
 
 
 def main(argv=None) -> int:
@@ -68,10 +90,13 @@ def main(argv=None) -> int:
             want, got = run(parent, req, work), run(change, req, work)
             if want != got:
                 print(f"DIFFERENT {name}: {' '.join(req)}")
-                for side, (code, out, err) in (("parent", want),
-                                               ("change", got)):
+                for side, (code, out, err, transcript) in (("parent", want),
+                                                           ("change", got)):
                     print(f"--- {side}: exit {code}\n{out}--- {side} "
                           f"stderr\n{err}", end="")
+                    if transcript is not None:
+                        print(f"--- {side} transcript: {len(transcript)} "
+                              "bytes")
                 return 1
             print(f"same {name} (exit {want[0]})")
     print(f"all {len(reqs)} requests identical")
