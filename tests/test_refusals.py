@@ -172,6 +172,13 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
      "^seed must be an integer, got 1.9$"),
     (lambda: trial_seed(1, 2.2), ValueError,
      "^trial must be an integer, got 2.2$"),
+    (lambda: run_extraction(psi_spec(0.6, 0.8), 2, 10, seed=1.9), ValueError,
+     "^seed must be an integer, got 1.9$"),
+    (lambda: run_extraction(psi_spec(0.6, 0.8), 2, 10, seed=True,
+                            analytic=True), ValueError,
+     "^seed must be an integer, got True$"),
+    (lambda: random_spec(3, True), ValueError,
+     "^seed must be an integer, got True$"),
 ])
 def test_bad_input_is_refused(call, error, fragment):
     with pytest.raises(error, match=fragment):
