@@ -338,11 +338,20 @@ class BlockDecomposition:
     log2_probabilities: np.ndarray
 
 
+def _spec_party(spec: StateSpec, party) -> int:
+    """``party`` as an int that indexes one of the spec's parties."""
+    party = _integer(party, "party")
+    if not 0 <= party < spec.party_count:
+        raise ValueError(f"party {party} outside 0..{spec.party_count - 1}")
+    return party
+
+
 def classify_copies_label(spec: StateSpec, party: int, labels,
                           n: int) -> np.ndarray:
     """Count vectors of one party's flattened N-copy labels: for each entry
     of ``labels``, how many of its n digits fall in each component's
     label range (shape ``labels.shape + (components,)``)."""
+    party, n = _spec_party(spec, party), _integer(n, "n")
     widths = [c.width(party) for c in spec.components]
     # row x: the one-hot component of local label x
     onehot = np.repeat(np.eye(len(widths), dtype=np.int64), widths, axis=0)
@@ -475,7 +484,7 @@ def block_yields(counts: tuple[int, ...],
     counts * log2(level) units, and the full party set earns log2(row
     multiplicity) GHZ-type units (plus any full-support component units).
     """
-    counts = tuple(counts)
+    counts = tuple(_integer(k, "count") for k in counts)
     if len(counts) != len(spec.components):
         raise ValueError(
             f"count vector length {len(counts)} != {len(spec.components)} components")

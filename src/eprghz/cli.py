@@ -228,9 +228,9 @@ def cmd_prepare(args) -> int:
         keys = np.arange(start, min(start + chunk, branches))
         for i, draws in zip(keys.tolist(),
                             stream_uniforms(seed0, stages, keys)):
-            state, transcript = branch(draws)
+            state, columns = branch(draws)
             worst = max(worst, amplitude_distance(state, target))
-            combined.merge(transcript, prefix=f"branch{i}.")
+            combined.extend(*columns, prefix=f"branch{i}.")
     ok = worst <= 1e-9
     row = (n, branches, worst, resources.epr_per_subset[(1, 2)],
            resources.ghz, f, ok)

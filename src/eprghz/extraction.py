@@ -26,8 +26,8 @@ from .locc import (Povm, Transcript, _draw, as_generator, diagonal_operator,
                    projective_probabilities, stream_uniforms, trial_seed)
 from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
                      _block_yield_table, _check_count,
-                     _log2_block_probabilities,
-                     _log2_factorial_diff, _log2_factorial_ratio, block_state,
+                     _log2_block_probabilities, _log2_factorial_diff,
+                     _log2_factorial_ratio, _spec_party, block_state,
                      classify_copies_label, log2_binomial_array,
                      log2_multinomial, verify_block_equivalence)
 
@@ -185,6 +185,7 @@ def block_outcomes(spec: StateSpec, n: int,
     so each local label sequence identifies the block. Outcomes follow the
     lexicographic order of the count vectors.
     """
+    n, party = _integer(n, "n"), _spec_party(spec, party)
     d = spec.local_dims()[party]
     _check_budget(f"block measurement of {n} copies on party {party}",
                   "projector labels", lambda: d**n, n * math.log2(d))

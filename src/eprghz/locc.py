@@ -55,7 +55,10 @@ class LocalOperator:
                      copy=False)
         if w.ndim != 1 or not len(w):
             raise ValueError("operator weights must be a non-empty vector")
-        object.__setattr__(self, "party", _integer(self.party, "party"))
+        party = _integer(self.party, "party")
+        if party < 0:
+            raise ValueError(f"party must be non-negative, got {party}")
+        object.__setattr__(self, "party", party)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -119,6 +122,8 @@ def check_completeness(p: Povm) -> bool:
 def _weighted(s: PureState, op: LocalOperator):
     """Mask of the terms of ``s`` with a nonzero weight on the operator's
     party, and their weighted amplitudes in support order."""
+    if op.party >= s.party_count:
+        raise ValueError(f"party {op.party} outside 0..{s.party_count - 1}")
     if op.dim != s.local_dims[op.party]:
         raise ValueError(
             f"operator dim {op.dim} != local dim "
@@ -150,22 +155,20 @@ def apply_element(s: PureState, op: LocalOperator) -> tuple[PureState, float]:
                         amps / math.sqrt(sq)), sq
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    """One measurement outcome; its probability must lie in [0, 1]."""
-
-    step: str
-    party: int
-    outcome: int
-    probability: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "step", str(self.step))
-        for name in ("party", "outcome"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        object.__setattr__(self, "probability", float(self.probability))
-        if not -NORM_TOL <= self.probability <= 1.0 + NORM_TOL:
-            raise ValueError(f"probability {self.probability} outside [0,1]")
+def _integers(values, what: str) -> np.ndarray:
+    """A column of integers as an own int64 array, or as an object array of
+    Python ints when some pass int64 (ids of many components can). An
+    integer array passes by its dtype; any other column is read value by
+    value with ``_integer``, so a bool, float or string is refused, never
+    cast."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values.astype(np.int64)
+    ints = [_integer(v, what)
+            for v in np.asarray(values, dtype=object).tolist()]
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
 
 
 class TranscriptColumn:
@@ -204,8 +207,8 @@ class TranscriptColumn:
 class Transcript:
     """Ordered record of measurement outcomes along one protocol branch:
     its runs ``(prefix, steps, parties, outcomes, probabilities)``, one per
-    ``add`` or ``extend``, each column kept as given (a step ``range`` as
-    the range, one value for a run as one value, arrays as own copies).
+    ``extend``, each column kept as given (a step ``range`` as the range,
+    one value for a run as one value, arrays as own copies).
     Every read goes through ``column``, a slice at a time, so a run such
     as ``("trial", range(T))`` costs nothing until it is read."""
 
@@ -227,42 +230,26 @@ class Transcript:
             return NotImplemented
         return self._columns() == other._columns()
 
-    def add(self, step: str, party: int, outcome: int,
-            probability: float) -> TranscriptEntry:
-        e = TranscriptEntry(step, party, outcome, probability)
-        self._runs.append(("", (e.step,), e.party, e.outcome, e.probability))
-        return e
-
     def extend(self, steps, parties, outcomes, probabilities,
                prefix: str = "") -> None:
-        """Append many rows; step i is named ``prefix + str(steps[i])``,
-        and ``steps`` may be a ``range``, kept as one. ``parties`` may be
-        one party for all rows. The probabilities are range-checked as one
-        array, as ``add`` checks one."""
+        """Append one run of rows, the only way rows enter a transcript;
+        step i is named ``prefix + str(steps[i])``, and ``steps`` may be a
+        ``range``, kept as one. ``parties`` may be one party for all rows.
+        Parties and outcomes are read as ``_integers`` reads them, and the
+        probabilities must lie in [0, 1]; a bad row appends nothing."""
         steps = steps if isinstance(steps, range) else tuple(steps)
-        parties = (np.array(parties, dtype=np.int64) if np.ndim(parties)
+        parties = (_integers(parties, "party") if np.ndim(parties)
                    else _integer(parties, "party"))
-        try:
-            outcomes = np.array(outcomes, dtype=np.int64)
-        except OverflowError:  # ids of many components can pass int64
-            outcomes = np.array(outcomes, dtype=object)
+        outcomes = _integers(outcomes, "outcome")
         probs = np.array(probabilities, dtype=float)
         if (np.shape(parties) not in ((), (len(steps),))
-                or not len(steps) == len(outcomes) == len(probs)):
+                or not np.shape(outcomes) == np.shape(probs) == (len(steps),)):
             raise ValueError("transcript columns differ in length")
         bad = ~((probs >= -NORM_TOL) & (probs <= 1.0 + NORM_TOL))
         if bad.any():
             raise ValueError(f"probability {float(probs[bad][0])} "
                              "outside [0,1]")
         self._runs.append((str(prefix), steps, parties, outcomes, probs))
-
-    def merge(self, other: Transcript, prefix: str = "") -> None:
-        """Append ``other``'s rows, steps prefixed (runs never change)."""
-        self._runs += [(str(prefix) + p, *rest) for p, *rest in other._runs]
-
-    @property
-    def entries(self) -> list[TranscriptEntry]:
-        return [TranscriptEntry(*row) for row in zip(*self._columns())]
 
     def to_text(self) -> str:
         """One tab-separated line per row under a header; %.17g spells a
@@ -421,7 +408,7 @@ def stream_uniforms(seed: int, count: int, keys=None) -> np.ndarray:
     pool, const = _root_pool(seed)
     if keys is None:
         return _pcg_doubles(pool, count)[0]
-    keys = np.asarray(keys, dtype=np.int64).ravel()
+    keys = _integers(keys, "spawn key").ravel()
     if keys.size and not 0 <= keys.min() <= keys.max() <= _MASK32:
         raise ValueError("spawn keys must lie in 0..2**32 - 1")
     out = np.empty((len(keys), count))
@@ -485,9 +472,9 @@ def _draw(cum: np.ndarray, u):
                       len(cum) - 1)
 
 
-def sample(s: PureState, p: Povm, rng,
-           step: str = "measure") -> tuple[int, PureState, TranscriptEntry]:
-    """Draw one outcome with Born probabilities; return its branch.
+def sample(s: PureState, p: Povm, rng) -> tuple[int, PureState, float]:
+    """Draw one outcome with Born probabilities; return it, its normalized
+    branch and its probability.
 
     The POVM is completeness-checked here because sampling from an
     incomplete element list silently skews every downstream statistic.
@@ -497,7 +484,7 @@ def sample(s: PureState, p: Povm, rng,
     outcome = int(_draw(np.cumsum(outcome_probabilities(s, p)),
                         uniform_draws(rng, 1)[0]))
     post, sq = apply_element(s, p.elements[outcome])
-    return outcome, post, TranscriptEntry(step, p.party, outcome, sq)
+    return outcome, post, sq
 
 
 def _shared_density(s: PureState, party: int, shared: np.ndarray):

@@ -267,10 +267,11 @@ def stage_count(n: int, window) -> int:
 
 def _protocol(n: int, c0: float, c1: float, window: Window | None):
     """A request's protocol, checked and formed once for all its branches:
-    a runner from a branch's stage doubles to its state and transcript (one
-    run), the stage count and the resources. Checks precede the work they
-    guard: unit rule, window, protocol terms, row weights and the weighting
-    stage's budget; the labels come last."""
+    a runner from a branch's stage doubles to its state and its transcript
+    columns (``Transcript.extend``'s four), the stage count and the
+    resources. Checks precede the work they guard: unit rule, window,
+    protocol terms, row weights and the weighting stage's budget; the
+    labels come last."""
     _check_unit(c0, c1)
     n, (k_minus, k_plus) = _read_window(
         n, target_window(n, c0 * c0) if window is None else window)
@@ -290,7 +291,7 @@ def _protocol(n: int, c0: float, c1: float, window: Window | None):
     stages = len(steps)
     parties = np.repeat([0, 1], [1, big_r])  # A weighs, B shortens
 
-    def branch(draws) -> tuple[PureState, Transcript]:
+    def branch(draws) -> tuple[PureState, tuple]:
         outcomes, probs = np.empty(stages, dtype=np.int64), np.empty(stages)
         # the branch as its rows in support order, a label and an amplitude
         # each: every live term of a row carries its row's amplitude
@@ -310,15 +311,13 @@ def _protocol(n: int, c0: float, c1: float, window: Window | None):
             weights = np.where(rows == g, 1.0, math.sqrt(keep / pair_levels))
             rows, amps, probs[1 + g] = _stage(rows, weights * amps, np.where(
                 rows <= g, keeps[rows], pair_levels), m, outcome, steps[1 + g])
-        transcript = Transcript()
-        transcript.extend(steps, parties, outcomes, probs)
         # expand: row g's live terms are its block_labels terms
         counts = keeps[rows]
         terms = np.arange(counts.sum()) + np.repeat(
             np.searchsorted(row, rows) - np.cumsum(counts) + counts, counts)
         state = _valid_state((2**n, 3**n, 3**n), np.column_stack(
             [a[row[terms]], bc[terms], bc[terms]]), np.repeat(amps, counts))
-        return state, transcript
+        return state, (steps, parties, outcomes, probs)
 
     return branch, stages, ResourceCount({(1, 2): float(n - k_minus)},
                                          math.log2(big_r))
@@ -339,7 +338,10 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     SeedSequence, or the ``stage_count`` doubles themselves.
     """
     branch, stages, resources = _protocol(n, c0, c1, window)
-    return (*branch(uniform_draws(seed, stages)), resources)
+    state, columns = branch(uniform_draws(seed, stages))
+    transcript = Transcript()
+    transcript.extend(*columns)
+    return state, transcript, resources
 
 
 def prepare_exact_n2(c0: float, c1: float, seed=0

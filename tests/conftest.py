@@ -101,15 +101,14 @@ def prepare_oracle(n, c0, c1, seed=0, window=None, born=False):
     def measure(state, stage, parties, u, step):
         (povm, corrections), m = stage, len(stage[0].elements)
         if born:
-            outcome, state, entry = sample(state, povm, np.array([u]))
-            sq = entry.probability
+            outcome, state, sq = sample(state, povm, np.array([u]))
         else:
             outcome = int(_draw(np.arange(1, m + 1) / m, u))
             state, sq = apply_element(state, povm.elements[outcome])
         if abs(sq - 1.0 / m) > NORM_TOL:
             raise ImpossibleOutcomeError(f"{step}: outcome {outcome} has "
                                          f"probability {sq:.17g}, not 1/{m}")
-        transcript.add(step, povm.party, outcome, sq)
+        transcript.extend([step], povm.party, [outcome], [sq])
         old, new = corrections[outcome]
         return relabel(state, parties, old, new) if old.size else state
 

@@ -187,7 +187,7 @@ def test_criterion_10_sampled_block_frequencies():
         spec = psi_spec(math.sqrt(c0_sq), math.sqrt(1.0 - c0_sq))
         _, transcript = run_extraction(spec, n, trials=trials, seed=seed)
         decomp = decompose(spec, n)
-        outcomes = np.array([e.outcome for e in transcript.entries])
+        outcomes = np.array(transcript.outcomes)
         logps = decomp.log2_probabilities.tolist()
         freq = np.bincount(outcomes, minlength=len(logps)) / trials
         for i, logp in enumerate(logps):

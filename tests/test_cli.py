@@ -339,7 +339,9 @@ def test_prepare_branches_equal_the_prepare_approx_loop(capsys, monkeypatch,
             n, c0, c1, seed=stream_uniforms(seed, stages, [i])[0],
             window=window)
         worst = max(worst, amplitude_distance(state, target))
-        want.merge(transcript, prefix=f"branch{i}.")
+        want.extend(transcript.steps, transcript.parties,
+                    transcript.outcomes, transcript.probabilities,
+                    prefix=f"branch{i}.")
     assert path.read_text() == want.to_text()
     assert len(written[0]._runs) == trials
     row = (n, trials, worst, resources.epr_per_subset[(1, 2)],
@@ -894,7 +896,7 @@ def test_transcript_file_matches_to_text(tmp_path):
     """Transcripts go through the same chunked writer; every column is read
     from the runs one chunk at a time, across runs of every kind (numbered
     or listed steps, one party or a party array, int64 outcome arrays,
-    Python-int outcomes past int64, single steps, merged branches, empty)
+    Python-int outcomes past int64, single steps, prefixed runs, empty)
     and across chunk edges."""
     t = Transcript()
     path = tmp_path / "transcript.tsv"
@@ -906,11 +908,9 @@ def test_transcript_file_matches_to_text(tmp_path):
                     else [2**63 + 5 * j for j in range(size)])
         t.extend(names, parties, outcomes, np.linspace(0, 1, size),
                  prefix=f"run{i}.")
-        t.add(f"single{i}", 2, i, 0.5)
-        branch = Transcript()
-        branch.add("w", 0, 2**64, 0.25)
-        branch.extend([], 1, [], [])
-        t.merge(branch, prefix=f"branch{i}.")
+        t.extend([f"single{i}"], 2, [i], [0.5])
+        t.extend(["w"], 0, [2**64], [0.25], prefix=f"branch{i}.")
+        t.extend([], 1, [], [], prefix=f"branch{i}.")
         cli._write_transcript(t, SimpleNamespace(transcript=str(path)))
         assert (path.read_text().splitlines(True)
                 == t.to_text().splitlines(True))

@@ -7,7 +7,7 @@ import pytest
 import eprghz
 
 REMOVED = ("DensityMatrix", "reduced_density", "inner", "psi_prime",
-           "multinomial_exact")
+           "multinomial_exact", "TranscriptEntry")
 # parameters that no caller set to anything but their default, now fixed
 # (NORM_TOL, ORTHO_EPS) or gone
 FIXED = [(eprghz.decompose, "state"), (eprghz.decompose, "tol"),
@@ -19,7 +19,7 @@ FIXED = [(eprghz.decompose, "state"), (eprghz.decompose, "tol"),
          (eprghz.entropy_consistency, "tol"),
          (eprghz.random_spec, "num_components"),
          (eprghz.ghz_weighting_povm, "party"),
-         (eprghz.row_shorten_povm, "party")]
+         (eprghz.row_shorten_povm, "party"), (eprghz.sample, "step")]
 
 
 def test_all_names_each_attribute_once():
@@ -33,6 +33,11 @@ def test_all_names_each_attribute_once():
                          ids=[f"{f.__qualname__}.{n}" for f, n in FIXED])
 def test_fixed_parameters_stay_gone(func, name):
     assert name not in inspect.signature(func).parameters
+
+
+def test_transcripts_have_one_row_writer():
+    assert [n for n in ("add", "entries", "merge")
+            if hasattr(eprghz.Transcript, n)] == []
 
 
 def test_decompose_only_enumerates():

@@ -181,7 +181,7 @@ def test_run_extraction_explicit_statistics():
     spec = psi_spec(0.6, 0.8)
     trials = 4000
     report, transcript = run_extraction(spec, 2, trials, seed=11)
-    assert report.trials == trials and len(transcript.entries) == trials
+    assert report.trials == trials and len(transcript.steps) == trials
     se = math.sqrt(N2_EPR_VAR / trials)
     assert abs(report.epr_per_copy[(1, 2)] - N2_EPR) < 4 * se
     se = math.sqrt(N2_GHZ_VAR / trials)
@@ -203,9 +203,9 @@ def test_run_extraction_deterministic():
 def test_run_extraction_n1_outcomes():
     report, transcript = run_extraction(psi_spec(0.6, 0.8), 1, 500, seed=2)
     # outcome index follows the lexicographic count enumeration: (0,1), (1,0)
-    probs = {e.outcome: e.probability for e in transcript.entries}
+    probs = dict(zip(transcript.outcomes, transcript.probabilities))
     assert probs == pytest.approx({0: 0.64, 1: 0.36})
-    outcomes = {e.outcome for e in transcript.entries}
+    outcomes = set(transcript.outcomes)
     assert outcomes == {0, 1}
 
 
@@ -294,7 +294,7 @@ def test_run_extraction_analytic_matches_expected():
     assert abs(report.epr_per_copy[(1, 2)] - 0.5) < 4 * math.sqrt(
         expect.epr_variance[(1, 2)] / 64)
     # transcript carries the block probability of each draw
-    assert all(0.0 < e.probability <= 1.0 for e in transcript.entries)
+    assert all(0.0 < p <= 1.0 for p in transcript.probabilities)
 
 
 def test_run_extraction_analytic_deterministic():

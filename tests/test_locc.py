@@ -14,8 +14,7 @@ from eprghz.canonical import (CanonicalComponent, StateSpec, copies, psi,
 from eprghz.extraction import block_measurement_povm
 from eprghz.hilbert import NORM_TOL, PureState, relabel, states_equal
 from eprghz.locc import (
-    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, TranscriptEntry,
-    _shared_density, apply_element,
+    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, _shared_density, apply_element,
     apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
     permutation_operator, sample, stream_uniforms, trial_seeds,
@@ -262,8 +261,8 @@ def test_sample_deterministic_under_seed():
     povm = Povm(0, (diagonal_operator(0, [True, False]),
                     diagonal_operator(0, [False, True])))
     s = psi(0.6, 0.8)
-    a = sample(s, povm, 42, step="m")
-    b = sample(s, povm, 42, step="m")
+    a = sample(s, povm, 42)
+    b = sample(s, povm, 42)
     assert a[0] == b[0]
     assert a[2] == b[2]
     assert states_equal(a[1], b[1])
@@ -283,64 +282,119 @@ def test_sample_frequencies():
 
 def test_transcript_format():
     t = Transcript()
-    t.add("weighting", 0, 3, 0.25)
-    t.add("shorten_row0", 1, 1, 0.5)
+    t.extend(["weighting", "shorten_row0"], [0, 1], [3, 1], [0.25, 0.5])
     text = t.to_text()
     lines = text.splitlines()
     assert lines[0] == "step\tparty\toutcome\tprobability"
     assert lines[1] == "weighting\t0\t3\t0.25"
-    assert len(t.entries) == 2
-    assert math.prod(e.probability for e in t.entries) == pytest.approx(0.125)
+    assert len(t.steps) == 2
+    assert math.prod(t.probabilities) == pytest.approx(0.125)
 
 
 def test_transcript_rejects_bad_probability():
     t = Transcript()
     with pytest.raises(ValueError):
-        t.add("m", 0, 0, 1.5)
+        t.extend(["m"], 0, [0], [1.5])
     with pytest.raises(ValueError):
-        t.add("m", 0, 0, -0.2)
+        t.extend(["m"], 0, [0], [-0.2])
 
 
-def test_bulk_transcript_equals_the_entry_by_entry_one():
-    """``extend`` of columns gives the columns, ``entries`` and text that
-    one ``add`` per row gives; the text is checked against each entry's
-    own spelling, one f-string line per entry."""
-    rows = [("trial0", 0, 3, 0.25), ("trial1", 0, 2**70, 1.0),
-            ("trial2", 0, 0, 5e-324), ("b0.w", 2, 1, 1.0 + 1e-10),
-            ("b0.w", 1, 7, -1e-10), ("x", 0, 1, 0.1 + 0.2)]
-    steps, parties, outcomes, probs = map(list, zip(*rows))
-    bulk = Transcript()
-    # one party for all rows, an outcome past int64, numpy columns
-    bulk.extend(steps[:3], 0, outcomes[:3], np.array(probs[:3]))
-    bulk.extend(steps[3:], np.array(parties[3:]), np.array(outcomes[3:]),
-                probs[3:])
-    one = Transcript()
-    for row in rows:
-        one.add(*row)
-    assert bulk == one and bulk.entries == one.entries
-    lines = [f"{e.step}\t{e.party}\t{e.outcome}\t{e.probability:.17g}"
-             for e in one.entries]
-    text = "\n".join(["step\tparty\toutcome\tprobability"] + lines) + "\n"
-    assert bulk.to_text() == one.to_text() == text
-    assert Transcript().to_text() == "step\tparty\toutcome\tprobability\n"
+# an integer of each kind extend takes: Python ints, numpy ints and ids
+# past int64
+_IDS = st.one_of(st.integers(0, 2**63 - 1),
+                 st.integers(0, 2**31).map(np.int64),
+                 st.integers(0, 127).map(np.int8),
+                 st.integers(2**63, 2**80))
+_PROBS = st.sampled_from([0.0, 5e-324, 1.0 - 1e-10, 1.0, 1.0 + 1e-10,
+                          0.25, 0.1 + 0.2])
+
+
+@st.composite
+def _runs(draw):
+    """Arguments of one ``extend``: step names as a range or a tuple, one
+    party for the run or one per row, and integer columns as lists, int64
+    arrays (when every id fits) or object arrays."""
+    size = draw(st.integers(0, 5))
+    steps = draw(st.sampled_from([range(size), tuple(
+        f"s{j}" for j in range(size))]))
+    parties = draw(st.one_of(
+        st.integers(0, 4), st.integers(0, 4).map(np.int64),
+        st.lists(st.integers(0, 4), min_size=size, max_size=size)))
+    outcomes = draw(st.lists(_IDS, min_size=size, max_size=size))
+    form = draw(st.sampled_from(["list", "int64", "object"]))
+    if form == "object":
+        outcomes = np.array(outcomes, dtype=object)
+    elif form == "int64" and all(v < 2**63 for v in outcomes):
+        outcomes = np.array(outcomes, dtype=np.int64)
+    probs = draw(st.lists(_PROBS, min_size=size, max_size=size))
+    prefix = draw(st.sampled_from(["", "trial", "branch3."]))
+    return steps, parties, outcomes, probs, prefix
+
+
+@given(st.lists(_runs(), max_size=4))
+@example([(["trial0", "trial1", "trial2"], 0, [3, 2**70, 0],
+           np.array([0.25, 1.0, 5e-324]), ""),
+          (["b0.w", "b0.w", "x"], np.array([2, 1, 0]), np.array([1, 7, 1]),
+           [1.0 + 1e-10, -1e-10, 0.1 + 0.2], "")])
+@settings(max_examples=80, deadline=None)
+def test_extended_rows_read_back_as_their_own_lines(runs):
+    """Rows read back through ``column`` are Python values that spell one
+    f-string line per row, as given: the writer's oracle for ``to_text``."""
+    t, lines = Transcript(), []
+    for steps, parties, outcomes, probs, prefix in runs:
+        t.extend(steps, parties, outcomes, probs, prefix=prefix)
+        for j, name in enumerate(steps):
+            party = parties[j] if np.ndim(parties) else parties
+            lines.append(f"{prefix}{name}\t{int(party)}\t"
+                         f"{int(outcomes[j])}\t{probs[j]:.17g}")
+    columns = [t.column(i)[:] for i in range(4)]
+    assert all(type(v) is int for v in columns[1] + columns[2])
+    assert [f"{s}\t{p}\t{o}\t{q:.17g}" for s, p, o, q in zip(*columns)] \
+        == lines
+    assert t.to_text() == "\n".join(
+        ["step\tparty\toutcome\tprobability"] + lines) + "\n"
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 1.5, np.float64(2.0), "3"],
+                         ids=repr)
+@pytest.mark.parametrize("column, form", [
+    (1, "scalar"), (1, "list"), (1, "object"), (1, "array"),
+    (2, "list"), (2, "object"), (2, "array")])
+def test_a_run_with_a_non_integer_id_appends_nothing(bad, column, form):
+    """A bool, float or numeric string among the parties (column 1) or
+    outcomes (column 2) is refused before anything is appended, whether
+    alone, in a list, in an object array or as the dtype of an array."""
+    values = {"scalar": bad, "list": [0, bad], "array": np.array([bad, bad]),
+              "object": np.array([0, bad], dtype=object)}[form]
+    t, before = Transcript(), Transcript()
+    for each in (t, before):
+        each.extend(range(2), 1, [2**70, 4], [0.5, 0.5], prefix="trial")
+    run = [["a", "b"], [0, 1], [5, 6], [0.5, 0.5]]
+    run[column] = values
+    what = ("party", "outcome")[column - 1]
+    with pytest.raises(ValueError, match=f"^{what} must be an integer, got "):
+        t.extend(*run)
+    assert t == before and len(t._runs) == 1
 
 
 def test_numbered_steps_are_spelt_only_when_read():
-    """A numbered run of step names is held as its range; ``steps``,
-    ``entries`` and ``to_text`` spell it as one name per row would."""
+    """A numbered run of step names is held as its range; ``steps`` and
+    ``to_text`` spell it as one name per row would."""
     t, one = Transcript(), Transcript()
-    t.add("w", 1, 0, 0.5)
+    t.extend(["w"], 1, [0], [0.5])
     t.extend(range(3), 0, np.array([2, 0, 1]), [0.25, 0.5, 0.25],
              prefix="trial")
     t.extend(["a", "b"], 2, [1, 1], [1.0, 1.0], prefix="branch7.")
     prefix, steps, party, outcomes, probs = t._runs[1]
     assert (prefix, steps, party) == ("trial", range(3), 0)
     assert outcomes.dtype == np.int64 and probs.dtype == float
-    for row in [("w", 1, 0, 0.5), ("trial0", 0, 2, 0.25),
-                ("trial1", 0, 0, 0.5), ("trial2", 0, 1, 0.25),
-                ("branch7.a", 2, 1, 1.0), ("branch7.b", 2, 1, 1.0)]:
-        one.add(*row)
-    assert t == one and t.steps == one.steps and t.entries == one.entries
+    rows = [("w", 1, 0, 0.5), ("trial0", 0, 2, 0.25), ("trial1", 0, 0, 0.5),
+            ("trial2", 0, 1, 0.25), ("branch7.a", 2, 1, 1.0),
+            ("branch7.b", 2, 1, 1.0)]
+    for step, *rest in rows:
+        one.extend([step], *([v] for v in rest))
+    assert t == one and t.steps == one.steps
+    assert list(zip(*(t.column(i)[:] for i in range(4)))) == rows
     # a transcript equals only a transcript
     assert (t == 1) is False and t != [t]
     assert t.to_text() == one.to_text()
@@ -359,24 +413,6 @@ def test_transcript_keeps_its_own_copy_of_extended_arrays():
     assert t == want and t.to_text() == want.to_text()
 
 
-def test_merged_transcript_equals_the_prefixed_rows():
-    """``merge`` appends another transcript's rows with each step name
-    prefixed, as ``extend`` of its columns would."""
-    branch = Transcript()
-    branch.add("weighting", 0, 3, 0.25)
-    branch.extend(range(2), 1, [1, 2**70], [0.5, 0.5], prefix="row")
-    t, want = Transcript(), Transcript()
-    t.add("x", 2, 0, 1.0)
-    want.add("x", 2, 0, 1.0)
-    t.merge(branch, prefix="branch4.")
-    want.extend(["weighting", "row0", "row1"], [0, 1, 1], [3, 1, 2**70],
-                [0.25, 0.5, 0.5], prefix="branch4.")
-    assert t == want and t.entries == want.entries
-    assert t.steps == ["x", "branch4.weighting", "branch4.row0",
-                       "branch4.row1"]
-    assert branch.steps == ["weighting", "row0", "row1"]
-
-
 def test_bulk_transcript_rejects_bad_rows():
     t = Transcript()
     for bad in (1.5, float("nan"), -0.2):
@@ -387,15 +423,15 @@ def test_bulk_transcript_rejects_bad_rows():
     assert t == Transcript()
 
 
-def test_transcript_entry_validates_itself():
-    with pytest.raises(ValueError):
-        TranscriptEntry("s", 0, 0, 1.5)
-    with pytest.raises(ValueError):
-        TranscriptEntry("s", 0, 0, float("nan"))
-    e = TranscriptEntry(np.str_("s"), np.int64(1), np.int64(2),
-                        np.float64(0.5))
-    assert [type(x) for x in (e.step, e.party, e.outcome, e.probability)] == \
-        [str, int, int, float]
+def test_column_reads_are_python_values():
+    """Rows given as numpy scalars and arrays read back as str, int, int
+    and float."""
+    t = Transcript()
+    t.extend([np.str_("s")], np.array([1]), np.array([np.int64(2)]),
+             [np.float64(0.5)])
+    row = [t.column(i)[:][0] for i in range(4)]
+    assert [type(x) for x in row] == [str, int, int, float]
+    assert row == ["s", 1, 2, 0.5]
 
 
 # -- randomness plumbing -----------------------------------------------------

@@ -439,7 +439,7 @@ def test_prepare_draws_the_same_stream_from_every_source(n, seed):
     runs = [prepare_approx(n, 0.6, 0.8, seed=rng, window=window)
             for rng in (seed, np.random.default_rng(seed), draws)]
     for state, transcript, _ in runs:
-        assert len(transcript.entries) == len(draws)
+        assert len(transcript.steps) == len(draws)
         assert transcript == runs[0][1]
         assert amplitude_distance(state, runs[0][0]) == 0.0
     with pytest.raises(ValueError, match="draws"):
@@ -448,12 +448,11 @@ def test_prepare_draws_the_same_stream_from_every_source(n, seed):
 
 def test_prepare_exact_n2_transcript_shape():
     state, transcript, _ = prepare_exact_n2(0.6, 0.8, seed=1)
-    steps = [e.step for e in transcript.entries]
-    assert steps == ["weighting", "shorten_row0", "shorten_row1",
-                     "shorten_row2", "shorten_row3"]
+    assert transcript.steps == ["weighting", "shorten_row0",
+                                "shorten_row1", "shorten_row2",
+                                "shorten_row3"]
     # 1/4 weighting, rows shortened by factors (1, 2, 2, 4)
-    assert math.prod(e.probability for e in transcript.entries) == \
-        pytest.approx(1 / 64)
+    assert math.prod(transcript.probabilities) == pytest.approx(1 / 64)
 
 
 def test_prepare_exact_n2_needs_normalized_amplitudes():

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from eprghz.blocks import (block_labels, block_probability, block_state,
-                           decompose, log2_binomial_array, log2_multinomial,
+                           block_yields, classify_copies_label, decompose,
+                           log2_binomial_array, log2_multinomial,
                            verify_block_equivalence)
 from eprghz.canonical import (CanonicalComponent, StateSpec, copies, ghz,
                               level_epr, level_ghz, psi, psi_spec,
                               random_spec, spec_from_dict)
 from eprghz.cli import UsageError, build_parser
-from eprghz.extraction import expected_means, expected_yields, run_extraction
+from eprghz.extraction import (block_measurement_povm, block_outcomes,
+                               expected_means, expected_yields,
+                               run_extraction)
 from eprghz.hilbert import (PureState, entanglement_entropy, relabel,
                             states_equal, tensor)
-from eprghz.locc import (LocalOperator, Transcript, TranscriptEntry,
+from eprghz.locc import (LocalOperator, Transcript, apply_operator,
                          as_generator, stream_uniforms, trial_seed,
                          trial_seeds, uniform_draws)
 from eprghz.preparation import ghz_weighting_povm, prepare_approx
@@ -149,10 +152,35 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
      "^party must be an integer, got 1.7$"),
     (lambda: Transcript().extend(["s"], 1.5, [0], [0.5]), ValueError,
      "^party must be an integer, got 1.5$"),
-    (lambda: Transcript().add("s", True, 0, 0.5), ValueError,
+    (lambda: Transcript().extend(["s"], True, [0], [0.5]), ValueError,
      "^party must be an integer, got True$"),
-    (lambda: TranscriptEntry("s", 0, 1.5, 0.5), ValueError,
+    (lambda: Transcript().extend(["s"], 0, [1.5], [0.5]), ValueError,
      "^outcome must be an integer, got 1.5$"),
+    (lambda: Transcript().extend(["s", "t", "u"], [True, 1.9, 2],
+                                 ["3", 1.5, 2], [0.5] * 3), ValueError,
+     "^party must be an integer, got True$"),
+    (lambda: Transcript().extend(["s", "t"], 0, np.array(["3", "4"]),
+                                 [0.5] * 2), ValueError,
+     "^outcome must be an integer, got '3'$"),
+    # a party indexes one of the state's parties
+    (lambda: LocalOperator(-1, [1.0, 0.0, 1.0]), ValueError,
+     "^party must be non-negative, got -1$"),
+    (lambda: apply_operator(psi(0.6, 0.8), LocalOperator(5, [1.0, 0.0, 1.0])),
+     ValueError, r"^party 5 outside 0\.\.2$"),
+    (lambda: block_outcomes(psi_spec(0.6, 0.8), 2, party=-1), ValueError,
+     r"^party -1 outside 0\.\.2$"),
+    (lambda: block_outcomes(psi_spec(0.6, 0.8), 2, party=3), ValueError,
+     r"^party 3 outside 0\.\.2$"),
+    (lambda: block_outcomes(psi_spec(0.6, 0.8), True), ValueError,
+     "^n must be an integer, got True$"),
+    (lambda: block_measurement_povm(psi_spec(0.6, 0.8), 2, party=-1),
+     ValueError, r"^party -1 outside 0\.\.2$"),
+    (lambda: block_outcomes(psi_spec(0.6, 0.8), 2, party=0.5), ValueError,
+     "^party must be an integer, got 0.5$"),
+    (lambda: classify_copies_label(psi_spec(0.6, 0.8), 3, [0], 2),
+     ValueError, r"^party 3 outside 0\.\.2$"),
+    (lambda: block_yields((1.5, 0.5), psi_spec(0.6, 0.8)), ValueError,
+     "^count must be an integer, got 1.5$"),
     # seeds and draw counts are never truncated
     (lambda: stream_uniforms(1.9, 2), ValueError,
      "^seed must be an integer, got 1.9$"),
@@ -160,6 +188,12 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
      "^seed must be an integer, got True$"),
     (lambda: stream_uniforms(1, 2.0), ValueError,
      "^count must be an integer, got 2.0$"),
+    (lambda: stream_uniforms(1, 2, keys=[0.5]), ValueError,
+     "^spawn key must be an integer, got 0.5$"),
+    (lambda: stream_uniforms(1, 2, keys=np.array([True])), ValueError,
+     "^spawn key must be an integer, got True$"),
+    (lambda: stream_uniforms(1, 2, keys=["1"]), ValueError,
+     "^spawn key must be an integer, got '1'$"),
     (lambda: uniform_draws(True, 3), ValueError,
      "^seed must be an integer, got True$"),
     (lambda: as_generator(1.5), ValueError,

@@ -8,9 +8,12 @@ The requests are the seed-1 request lists of the four workloads of
 ``perfbench/workloads.py`` (``closed_form``, ``explicit_sim``,
 ``short_calls`` and ``known_failures``), plus ``verify`` and ``verify
 --negative-control``, each in CSV and JSON, ``verify --seed S`` for
-S = 0 to 4 in CSV, whose random layouts differ by seed, and four sampled
-requests that write ``--transcript`` (``prepare`` at N = 2, 3 and 5 and
-explicit ``extract`` at N = 3): 57 in all. Each request runs as a fresh
+S = 0 to 4 in CSV, whose random layouts differ by seed, and six sampled
+requests that write ``--transcript``: ``prepare`` at N = 2, 3 and 5, and
+at N = 7 with c0 = 0.8, whose window (2, 7) starts above block 0;
+explicit ``extract`` at N = 3; and analytic ``extract`` of the
+4-component state at N = 10**7, whose outcome ids pass int64: 59 in
+all. Each request runs as a fresh
 ``python -m eprghz.cli ...`` process under each tree, one after the
 other, in one scratch directory that holds the workloads' ``--spec``
 files. Stdout, stderr, the exit code and the transcript file's bytes
@@ -47,8 +50,14 @@ TRANSCRIPTS = [
      ("prepare", *PSI, "-N", "3", "--trials", "200", "--seed", "1")),
     ("prepare_5_transcript",
      ("prepare", *PSI, "-N", "5", "--trials", "40", "--seed", "2")),
+    ("prepare_7_window_2_transcript",
+     ("prepare", "--psi", "0.8", "0.6", "-N", "7", "--trials", "3",
+      "--seed", "2")),
     ("extract_3_transcript",
      ("extract", *PSI, "-N", "3", "--trials", "500", "--seed", "1")),
+    ("extract_analytic_1e7_transcript",
+     ("extract", "--psi-prime", "0.6", "0.5", "0.4", "0.4795831523312719",
+      "-N", "10000000", "--analytic", "--trials", "4", "--seed", "1")),
 ]
 
 
