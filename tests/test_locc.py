@@ -14,8 +14,8 @@ from eprghz.canonical import (CanonicalComponent, StateSpec, copies, psi,
 from eprghz.extraction import block_measurement_povm
 from eprghz.hilbert import NORM_TOL, PureState, relabel, states_equal
 from eprghz.locc import (
-    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, _shared_density, apply_element,
-    apply_operator, as_generator, check_completeness,
+    ImpossibleOutcomeError, LocalOperator, Povm, Transcript, _shared_density,
+    apply_element, apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
     permutation_operator, sample, stream_uniforms, trial_seeds,
     uniform_draws,
@@ -332,6 +332,7 @@ def _runs(draw):
 
 
 @given(st.lists(_runs(), max_size=4))
+@example([])
 @example([(["trial0", "trial1", "trial2"], 0, [3, 2**70, 0],
            np.array([0.25, 1.0, 5e-324]), ""),
           (["b0.w", "b0.w", "x"], np.array([2, 1, 0]), np.array([1, 7, 1]),
