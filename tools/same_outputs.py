@@ -13,10 +13,9 @@ requests that write ``--transcript``: ``prepare`` at N = 2, 3 and 5, and
 at N = 7 with c0 = 0.8, whose window (2, 7) starts above block 0;
 explicit ``extract`` at N = 3; and analytic ``extract`` of the
 4-component state at N = 10**7, whose outcome ids pass int64: 59 in
-all. Each request runs as a fresh
-``python -m eprghz.cli ...`` process under each tree, one after the
-other, in one scratch directory that holds the workloads' ``--spec``
-files. Stdout, stderr, the exit code and the transcript file's bytes
+all. Each request runs as a fresh ``python -m eprghz.cli ...`` process
+under each tree, one after the other, in one scratch directory that
+holds the workloads' ``--spec`` files. Stdout, stderr, the exit code and the transcript file's bytes
 must be equal.
 
 Prints one line per request and exits 0 if all are equal; at the first
