@@ -338,20 +338,13 @@ class BlockDecomposition:
     log2_probabilities: np.ndarray
 
 
-def _spec_party(spec: StateSpec, party) -> int:
-    """``party`` as an int that indexes one of the spec's parties."""
-    party = _integer(party, "party")
-    if not 0 <= party < spec.party_count:
-        raise ValueError(f"party {party} outside 0..{spec.party_count - 1}")
-    return party
-
-
 def classify_copies_label(spec: StateSpec, party: int, labels,
                           n: int) -> np.ndarray:
     """Count vectors of one party's flattened N-copy labels: for each entry
     of ``labels``, how many of its n digits fall in each component's
     label range (shape ``labels.shape + (components,)``)."""
-    party, n = _spec_party(spec, party), _integer(n, "n")
+    party = _integer(party, "party", 0, spec.party_count)
+    n = _integer(n, "n", 1)
     widths = [c.width(party) for c in spec.components]
     # row x: the one-hot component of local label x
     onehot = np.repeat(np.eye(len(widths), dtype=np.int64), widths, axis=0)
@@ -369,9 +362,7 @@ def decompose(spec: StateSpec, n: int) -> BlockDecomposition:
     Refused before any enumeration if the largest multiplicity has more
     decimal digits than Python's int-to-str limit lets it print.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _integer(n, "n", 1)
     ncomp = len(spec.components)
     _check_count(n)
     q, r = divmod(n, ncomp)  # the most even count vector's is the largest
@@ -435,9 +426,8 @@ def block_labels(n: int, k_minus: int, k_plus: int):
 def block_state(n: int, k: int) -> PureState:
     """The normalized (n, k) block of the seed state's N-copy power:
     r*t equal amplitudes on dims (2**n, 3**n, 3**n)."""
-    n, k = _integer(n, "n"), _integer(k, "block index")
-    if n < 0 or not 0 <= k <= n:
-        raise ValueError(f"bad block index ({n}, {k})")
+    n = _integer(n, "n", 0)
+    k = _integer(k, "block index", 0, n + 1)
     r, t = 2 ** (n - k), math.comb(n, k)
     _check_budget(f"block ({n}, {k})", "explicit terms", r * t)
     _, a, row, bc = block_labels(n, k, k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (NORM_TOL, PureState, _check_budget, _integer,
+from .hilbert import (NORM_TOL, PureState, _check_budget, _integer, _number,
                       _valid_state, tensor)
 
 SQ2 = math.sqrt(2.0)
@@ -28,9 +28,7 @@ def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
     Non-member parties (if ``party_count`` exceeds them) are dim-1
     placeholders, so the result composes with states on the full party set.
     """
-    t = _integer(t, "level")
-    if t < 1:
-        raise ValueError(f"level must be >= 1, got {t}")
+    t = _integer(t, "level", 1)
     parties = tuple(sorted(set(_integer(p, "party") for p in parties)))
     if len(parties) < 2:
         raise ValueError("a GHZ-type state needs at least 2 parties")
@@ -95,10 +93,8 @@ class CanonicalComponent:
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(sorted(set(
             _integer(p, "support entry") for p in self.support))))
-        if isinstance(self.coefficient, (bool, np.bool_, str)):
-            raise ValueError(f"coefficient must be a number, got "
-                             f"{self.coefficient!r}")
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        object.__setattr__(self, "coefficient",
+                           _number(self.coefficient, "coefficient"))
         object.__setattr__(self, "level", _integer(self.level, "level"))
         if not self.support or min(self.support) < 0:
             raise ValueError(f"bad support {self.support}")
@@ -213,9 +209,7 @@ def random_spec(party_count: int, rng: np.random.Generator) -> StateSpec:
     Disjoint label ranges keep the components locally orthogonal whatever
     the draw, so every sample is a valid input to the block machinery.
     """
-    p = _integer(party_count, "party count")
-    if p < 2:
-        raise ValueError("need at least 2 parties")
+    p = _integer(party_count, "party count", 2)
     _check_budget("the state specification", "state parties", p)
     from .locc import uniform_draws
 
@@ -255,9 +249,7 @@ def copies(s: PureState, n: int) -> PureState:
     Refuses supports beyond the explicit budget; large-N questions have
     analytic paths (block probabilities, expected yields, fidelity).
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError(f"need n >= 1 copies, got {n}")
+    n = _integer(n, "n", 1)
     _check_copies(s.support_size, n)
     out = s
     for _ in range(n - 1):

@@ -27,7 +27,7 @@ from .locc import (Povm, Transcript, _draw, as_generator, diagonal_operator,
 from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
                      _block_yield_table, _check_count,
                      _log2_block_probabilities, _log2_factorial_diff,
-                     _log2_factorial_ratio, _spec_party, block_state,
+                     _log2_factorial_ratio, block_state,
                      classify_copies_label, log2_binomial_array,
                      log2_multinomial, verify_block_equivalence)
 
@@ -127,9 +127,7 @@ def expected_means(spec: StateSpec, n: int
     (Bernstein's inequality), so work is O(sqrt(N)) and memory O(chunk)
     at any N.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _integer(n, "n", 1)
     _check_count(n)
     epr = dict(asymptotic_rates(spec).per_subset)
     ghz = float(_log2_factorial_ratio(n))
@@ -185,7 +183,8 @@ def block_outcomes(spec: StateSpec, n: int,
     so each local label sequence identifies the block. Outcomes follow the
     lexicographic order of the count vectors.
     """
-    n, party = _integer(n, "n"), _spec_party(spec, party)
+    n = _integer(n, "n", 1)
+    party = _integer(party, "party", 0, spec.party_count)
     d = spec.local_dims()[party]
     _check_budget(f"block measurement of {n} copies on party {party}",
                   "projector labels", lambda: d**n, n * math.log2(d))
@@ -216,9 +215,7 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
     (``stream_uniforms``) and draws all outcomes in one ``searchsorted``;
     analytic mode seeds each trial as it draws it (``trial_seed``).
     """
-    n, trials = _integer(n, "n"), _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    n, trials = _integer(n, "n", 1), _integer(trials, "trials", 1)
     _check_budget("extraction", "sampling trials", trials)
     csq = spec.squared_coefficients()
     full = tuple(range(spec.party_count))

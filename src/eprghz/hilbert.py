@@ -56,14 +56,30 @@ def _check_budget(what: str, budget: str, need, log2_need=-math.inf):
     raise BudgetError(f"{what} needs {need} {unit}, budget is {limit} {unit}")
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool, float or string is refused, not cast."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+def _integer(value, what: str, lowest=None, stop=None) -> int:
+    """``value`` as an int; a bool, float or string is refused, not cast.
+    An int below ``lowest``, or with ``stop`` given outside
+    ``lowest..stop - 1``, is refused too: the package's one reader of
+    counts, indices and parties."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if stop is not None:
+        if not lowest <= value < stop:
+            raise ValueError(f"{what} {value} outside {lowest}..{stop - 1}")
+    elif lowest is not None and value < lowest:
+        raise ValueError(f"need {what} >= {lowest}, got {value}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; a bool or string is refused, not cast."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,9 +322,8 @@ def relabel(s: PureState, parties, old, new,
     order = np.argsort(old)
     old, new = old[order], new[order]
     labels, dims = s.labels.copy(), list(s.local_dims)
-    for party in (_integer(p, "party") for p in np.ravel(parties).tolist()):
-        if not 0 <= party < s.party_count:
-            raise ValueError(f"party {party} out of range")
+    for party in (_integer(p, "party", 0, s.party_count)
+                  for p in np.ravel(parties).tolist()):
         dim = dims[party] if new_dim is None else _integer(new_dim, "new_dim")
         col = labels[:, party]
         at, hit = _lookup(old, col)

@@ -25,7 +25,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .hilbert import (NORM_TOL, PureState, _integer, _label_map, _lookup,
-                      _row_codes, _valid_state, squared_norm)
+                      _number, _row_codes, _valid_state, squared_norm)
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -55,10 +55,7 @@ class LocalOperator:
                      copy=False)
         if w.ndim != 1 or not len(w):
             raise ValueError("operator weights must be a non-empty vector")
-        party = _integer(self.party, "party")
-        if party < 0:
-            raise ValueError(f"party must be non-negative, got {party}")
-        object.__setattr__(self, "party", party)
+        object.__setattr__(self, "party", _integer(self.party, "party", 0))
         object.__setattr__(self, "weights", w)
 
     @property
@@ -122,8 +119,7 @@ def check_completeness(p: Povm) -> bool:
 def _weighted(s: PureState, op: LocalOperator):
     """Mask of the terms of ``s`` with a nonzero weight on the operator's
     party, and their weighted amplitudes in support order."""
-    if op.party >= s.party_count:
-        raise ValueError(f"party {op.party} outside 0..{s.party_count - 1}")
+    _integer(op.party, "party", 0, s.party_count)
     if op.dim != s.local_dims[op.party]:
         raise ValueError(
             f"operator dim {op.dim} != local dim "
@@ -235,12 +231,18 @@ class Transcript:
         """Append one run of rows, the only way rows enter a transcript;
         step i is named ``prefix + str(steps[i])``, and ``steps`` may be a
         ``range``, kept as one. ``parties`` may be one party for all rows.
-        Parties and outcomes are read as ``_integers`` reads them, and the
-        probabilities must lie in [0, 1]; a bad row appends nothing."""
+        Parties and outcomes are read as ``_integers`` reads them. The
+        probabilities must lie in [0, 1]; a float array passes by its
+        dtype, and any other column is read value by value with
+        ``_number``. A bad row appends nothing."""
         steps = steps if isinstance(steps, range) else tuple(steps)
         parties = (_integers(parties, "party") if np.ndim(parties)
                    else _integer(parties, "party"))
         outcomes = _integers(outcomes, "outcome")
+        if not (isinstance(probabilities, np.ndarray)
+                and probabilities.dtype.kind == "f"):
+            for p in np.asarray(probabilities, dtype=object).ravel().tolist():
+                _number(p, "probability")
         probs = np.array(probabilities, dtype=float)
         if (np.shape(parties) not in ((), (len(steps),))
                 or not np.shape(outcomes) == np.shape(probs) == (len(steps),)):
@@ -271,7 +273,7 @@ def as_generator(rng) -> np.random.Generator:
 def trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
     """Independent per-trial sub-seeds from one root seed."""
     return np.random.SeedSequence(_integer(seed, "seed")).spawn(
-        _integer(trials, "trials"))
+        _integer(trials, "trials", 0))
 
 
 def trial_seed(seed: int, t: int) -> np.random.SeedSequence:
@@ -402,9 +404,7 @@ def stream_uniforms(seed: int, count: int, keys=None) -> np.ndarray:
     of 4 uint32 words, so the pool is formed once and the children are
     mixed, seeded and stepped as arrays, ``_TRIAL_CHUNK`` at a time.
     """
-    count = _integer(count, "count")
-    if count < 0:
-        raise ValueError(f"need count >= 0, got {count}")
+    count = _integer(count, "count", 0)
     pool, const = _root_pool(seed)
     if keys is None:
         return _pcg_doubles(pool, count)[0]

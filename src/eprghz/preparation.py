@@ -56,7 +56,7 @@ def target_window(n: int, c0_sq: float, alpha: float = 1.0,
     Blocks with zero amplitude (c0^2 at 0 or 1) are dropped from the band:
     a window must never claim resources for dead blocks.
     """
-    n, _ = _read_window(n, Window(0, 0))
+    n = _integer(n, "n", 1)
     _check_c0_sq(c0_sq)
     _window_shape(alpha, beta)
     half = alpha * n**beta
@@ -83,10 +83,8 @@ def _window_shape(alpha: float, beta: float) -> None:
 def _read_window(n, window) -> tuple[int, Window]:
     """``n`` and a window (``Window`` or pair) as integers, checked:
     1 <= n and 0 <= k_minus <= k_plus <= n."""
-    n = _integer(n, "n")
+    n = _integer(n, "n", 1)
     k_minus, k_plus = (_integer(k, "window bound") for k in window)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= k_minus <= k_plus <= n:
         raise ValueError(f"window ({k_minus}, {k_plus}) outside 0..{n}")
     return n, Window(k_minus, k_plus)
@@ -124,6 +122,8 @@ def fidelity(n: int, c0_sq: float, window) -> float:
 def fidelity_bound(n: int, alpha: float = 1.0, beta: float = 0.6) -> float:
     """Central normal mass at 2*alpha*N^(beta-1/2): the guaranteed floor
     under the fidelity for the default window of the same alpha, beta."""
+    n = _integer(n, "n", 1)
+    _window_shape(alpha, beta)
     x = 2.0 * alpha * float(n) ** (beta - 0.5)
     return math.erf(x / math.sqrt(2.0))
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eprghz.hilbert import (
     _BUDGETS, NORM_TOL, PRUNE_EPS, BudgetError, PureState, _check_budget,
-    _has_repeats, _row_codes, _unique_rows, amplitude_distance,
+    _has_repeats, _integer, _row_codes, _unique_rows, amplitude_distance,
     entanglement_entropy, entropy, relabel, squared_norm, states_equal,
     tensor,
 )
@@ -36,6 +36,48 @@ def random_state(rng, dims=(3, 3, 3), support=6):
         labels.add(tuple(int(rng.integers(d)) for d in dims))
     amps = [complex(rng.normal(), rng.normal()) for _ in labels]
     return PureState(dims, list(labels), amps).normalized()
+
+
+# -- reading integers ----------------------------------------------------------
+
+NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def numpy_ints(kind):
+    return st.integers(int(np.iinfo(kind).min),
+                       int(np.iinfo(kind).max)).map(kind)
+
+
+@given(st.one_of(st.integers(), *map(numpy_ints, NUMPY_INTS),
+                 st.booleans(), st.booleans().map(np.bool_),
+                 st.floats(), st.floats().map(np.float64), st.text(max_size=3)),
+       st.one_of(st.none(), st.integers(-3, 3)),
+       st.one_of(st.none(), st.integers(0, 6)))
+@example(-1, 0, None)
+@example(0, 0, None)
+@example(np.uint8(1), 2, None)
+@example(-1, 0, 3)
+@example(0, 0, 3)
+@example(2, 0, 3)
+@example(3, 0, 3)
+def test_integer_reads_exactly_the_integers_in_range(value, lowest, width):
+    """Every int type is read as a Python int when in range; a bool, float
+    or string, or an int out of range, is refused with its one message."""
+    stop = None if lowest is None or width is None else lowest + width
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        message = f"x must be an integer, got {value!r}"
+    elif stop is not None and not lowest <= int(value) < stop:
+        message = f"x {int(value)} outside {lowest}..{stop - 1}"
+    elif stop is None and lowest is not None and value < lowest:
+        message = f"need x >= {lowest}, got {int(value)}"
+    else:
+        got = _integer(value, "x", lowest, stop)
+        assert type(got) is int and got == value
+        return
+    with pytest.raises(ValueError) as refused:
+        _integer(value, "x", lowest, stop)
+    assert str(refused.value) == message
 
 
 # -- construction ------------------------------------------------------------
@@ -403,7 +445,7 @@ def test_relabel_of_several_parties_is_the_rule_per_party(seed, parties,
 
 def test_relabel_refuses_any_party_out_of_range():
     s = psi(0.6, 0.8)
-    with pytest.raises(ValueError, match="party 3 out of range"):
+    with pytest.raises(ValueError, match=r"^party 3 outside 0\.\.2$"):
         relabel(s, (1, 3), [0], [0])
     with pytest.raises(ValueError, match="outside 0..2"):
         relabel(s, (1, 2), [1], [5])

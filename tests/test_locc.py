@@ -378,6 +378,25 @@ def test_a_run_with_a_non_integer_id_appends_nothing(bad, column, form):
     assert t == before and len(t._runs) == 1
 
 
+@pytest.mark.parametrize("probabilities", [
+    ["0.5", True], [0.5, True], [0.5, np.True_], np.array([0.5, "0.5"]),
+    np.array([True, False]), np.array([0.5, True], dtype=object)], ids=repr)
+def test_a_run_with_a_non_number_probability_appends_nothing(probabilities):
+    """A bool or string probability, in a list or an array of any dtype
+    but float, is refused before anything is appended."""
+    t = Transcript()
+    with pytest.raises(ValueError, match="^probability must be a number, "):
+        t.extend(["a", "b"], 0, [0, 1], probabilities)
+    assert not t._runs
+
+
+def test_a_float_array_of_probabilities_passes_by_its_dtype():
+    t = Transcript()
+    t.extend(["a", "b"], 0, [0, 1], np.array([0.5, 1.0], dtype=np.float32))
+    t.extend(["c"], 0, [0], [np.float64(0.25)])
+    assert t.probabilities == [0.5, 1.0, 0.25]
+
+
 def test_numbered_steps_are_spelt_only_when_read():
     """A numbered run of step names is held as its range; ``steps`` and
     ``to_text`` spell it as one name per row would."""

@@ -20,7 +20,8 @@ from eprghz.hilbert import (PureState, entanglement_entropy, relabel,
 from eprghz.locc import (LocalOperator, Transcript, apply_operator,
                          as_generator, stream_uniforms, trial_seed,
                          trial_seeds, uniform_draws)
-from eprghz.preparation import ghz_weighting_povm, prepare_approx
+from eprghz.preparation import (fidelity, fidelity_bound, ghz_weighting_povm,
+                                prepare_approx, target_window)
 
 
 def one_term(dim):
@@ -45,7 +46,7 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
      "^need n >= 1, got 0$"),
     (lambda: block_labels(3, 2, 1), ValueError,
      r"^window \(2, 1\) outside 0\.\.3$"),
-    (lambda: level_ghz(0, (0, 1)), ValueError, "^level must be >= 1, got 0$"),
+    (lambda: level_ghz(0, (0, 1)), ValueError, "^need level >= 1, got 0$"),
     (lambda: level_ghz(2, (-1, 0)), ValueError,
      r"^negative party id in \(-1, 0\)$"),
     (lambda: level_ghz(2, (0, 2), 2), ValueError,
@@ -129,7 +130,8 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
      "^trials must be an integer, got 10.0$"),
     (lambda: random_spec(3.0, 0), ValueError,
      "^party count must be an integer, got 3.0$"),
-    (lambda: random_spec(1, 0), ValueError, "^need at least 2 parties$"),
+    (lambda: random_spec(1, 0), ValueError,
+     "^need party count >= 2, got 1$"),
     # levels, parties and dimensions of states and operators are never
     # truncated
     (lambda: level_ghz(2.7, (0, 1)), ValueError,
@@ -164,7 +166,7 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
      "^outcome must be an integer, got '3'$"),
     # a party indexes one of the state's parties
     (lambda: LocalOperator(-1, [1.0, 0.0, 1.0]), ValueError,
-     "^party must be non-negative, got -1$"),
+     "^need party >= 0, got -1$"),
     (lambda: apply_operator(psi(0.6, 0.8), LocalOperator(5, [1.0, 0.0, 1.0])),
      ValueError, r"^party 5 outside 0\.\.2$"),
     (lambda: block_outcomes(psi_spec(0.6, 0.8), 2, party=-1), ValueError,
@@ -217,6 +219,95 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
 def test_bad_input_is_refused(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+SEED = psi_spec(0.6, 0.8)
+OPERATOR = [1.0, 0.0, 1.0]
+# (name, read, a value just past the bound, the value at it, message)
+EDGES = [
+    # bounds read by hand before they went through the one reader
+    ("relabel-party-high",
+     lambda p: relabel(psi(0.6, 0.8), p, [0, 1], [1, 0]), 3, 2,
+     r"^party 3 outside 0\.\.2$"),
+    ("relabel-party-low",
+     lambda p: relabel(psi(0.6, 0.8), p, [0, 1], [1, 0]), -1, 0,
+     r"^party -1 outside 0\.\.2$"),
+    ("operator-party",
+     lambda p: LocalOperator(p, OPERATOR), -1, 0, "^need party >= 0, got -1$"),
+    ("apply-party",
+     lambda p: apply_operator(psi(0.6, 0.8), LocalOperator(p, OPERATOR)),
+     3, 2, r"^party 3 outside 0\.\.2$"),
+    ("draw-count",
+     lambda count: stream_uniforms(1, count), -1, 0,
+     "^need count >= 0, got -1$"),
+    ("ghz-level",
+     lambda t: level_ghz(t, (0, 1)), 0, 1, "^need level >= 1, got 0$"),
+    ("spec-parties",
+     lambda p: random_spec(p, 0), 1, 2, "^need party count >= 2, got 1$"),
+    ("copies-n",
+     lambda n: copies(psi(0.6, 0.8), n), 0, 1, "^need n >= 1, got 0$"),
+    ("decompose-n",
+     lambda n: decompose(SEED, n), 0, 1, "^need n >= 1, got 0$"),
+    ("block-n",
+     lambda n: block_state(n, 0), -1, 0, "^need n >= 0, got -1$"),
+    ("block-index-high",
+     lambda k: block_state(3, k), 4, 3, r"^block index 4 outside 0\.\.3$"),
+    ("block-index-low",
+     lambda k: block_state(3, k), -1, 0, r"^block index -1 outside 0\.\.3$"),
+    ("means-n",
+     lambda n: expected_means(SEED, n), 0, 1, "^need n >= 1, got 0$"),
+    ("extract-trials",
+     lambda t: run_extraction(SEED, 2, t, seed=1), 0, 1,
+     "^need trials >= 1, got 0$"),
+    ("fidelity-n",
+     lambda n: fidelity(n, 0.36, (0, 0)), 0, 1, "^need n >= 1, got 0$"),
+    ("window-n",
+     lambda n: target_window(n, 0.36), 0, 1, "^need n >= 1, got 0$"),
+    ("outcomes-party-high",
+     lambda p: block_outcomes(SEED, 2, party=p), 3, 2,
+     r"^party 3 outside 0\.\.2$"),
+    ("outcomes-party-low",
+     lambda p: block_outcomes(SEED, 2, party=p), -1, 0,
+     r"^party -1 outside 0\.\.2$"),
+    ("classify-party",
+     lambda p: classify_copies_label(SEED, p, [0], 2), 3, 2,
+     r"^party 3 outside 0\.\.2$"),
+    # bounds that were not read at all
+    ("classify-n",
+     lambda n: classify_copies_label(SEED, 0, [0], n), 0, 1,
+     "^need n >= 1, got 0$"),
+    ("outcomes-n",
+     lambda n: block_outcomes(SEED, n), 0, 1, "^need n >= 1, got 0$"),
+    ("povm-n",
+     lambda n: block_measurement_povm(SEED, n), 0, 1, "^need n >= 1, got 0$"),
+    ("analytic-n",
+     lambda n: run_extraction(SEED, n, 2, seed=1, analytic=True), 0, 1,
+     "^need n >= 1, got 0$"),
+    ("explicit-n",
+     lambda n: run_extraction(SEED, n, 2, seed=1), 0, 1,
+     "^need n >= 1, got 0$"),
+    ("seeds-trials",
+     lambda t: trial_seeds(1, t), -1, 0, "^need trials >= 0, got -1$"),
+    ("bound-n",
+     lambda n: fidelity_bound(n), 0, 1, "^need n >= 1, got 0$"),
+    ("bound-alpha",
+     lambda a: fidelity_bound(10, alpha=a), -1, 1,
+     "^alpha must be positive, got -1$"),
+    ("bound-beta",
+     lambda b: fidelity_bound(10, beta=b), 1, 0.9,
+     r"^beta must lie in \(1/2, 1\), got 1$"),
+]
+
+
+@pytest.mark.parametrize("read, bad, good, fragment",
+                         [row[1:] for row in EDGES],
+                         ids=[row[0] for row in EDGES])
+def test_each_bound_is_read_at_its_edge(read, bad, good, fragment):
+    """Just past its bound a count, index or party is refused with the
+    reader's message; at the bound it is read."""
+    with pytest.raises(ValueError, match=fragment):
+        read(bad)
+    read(good)
 
 
 def test_integral_values_of_any_int_type_are_read():

@@ -12,11 +12,14 @@ S = 0 to 4 in CSV, whose random layouts differ by seed, and six sampled
 requests that write ``--transcript``: ``prepare`` at N = 2, 3 and 5, and
 at N = 7 with c0 = 0.8, whose window (2, 7) starts above block 0;
 explicit ``extract`` at N = 3; and analytic ``extract`` of the
-4-component state at N = 10**7, whose outcome ids pass int64: 59 in
-all. Each request runs as a fresh ``python -m eprghz.cli ...`` process
-under each tree, one after the other, in one scratch directory that
-holds the workloads' ``--spec`` files. Stdout, stderr, the exit code and the transcript file's bytes
-must be equal.
+4-component state at N = 10**7, whose outcome ids pass int64. Four
+refusals pin the messages of the readers that keep their own checks:
+``rates --spec`` of the seed with one party and with a level-1
+component, and ``extract --seed -1``, sampled and analytic: 63 in all.
+Each request runs as a fresh ``python -m eprghz.cli ...`` process under
+each tree, one after the other, in one scratch directory that holds the
+``--spec`` files. Stdout, stderr, the exit code and the transcript
+file's bytes must be equal.
 
 Prints one line per request and exits 0 if all are equal; at the first
 difference it names the request, shows both sides and exits 1. Exit 2
@@ -25,6 +28,7 @@ means the arguments are wrong.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -59,6 +63,25 @@ TRANSCRIPTS = [
       "-N", "10000000", "--analytic", "--trials", "4", "--seed", "1")),
 ]
 
+BAD_SEED = ("extract", *PSI, "-N", "2", "--trials", "3", "--seed", "-1")
+# the party count and pair level of the seed's --spec object, one of
+# them out of range
+BAD_SPECS = {"one_party": (1, 2), "level_1": (3, 1)}
+
+
+def refusals(work: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """The refusal requests; writes their ``--spec`` files into ``work``."""
+    reqs = []
+    for name, (m, level) in BAD_SPECS.items():
+        doc = {"m": m, "components": [
+            {"c": 0.6, "support": [0]},
+            {"c": 0.8, "support": [1, 2], "level": level}]}
+        path = work / f"spec_{name}.json"
+        path.write_text(json.dumps(doc))
+        reqs.append((f"rates_spec_{name}", ("rates", "--spec", str(path))))
+    return reqs + [("extract_seed_-1", BAD_SEED),
+                   ("extract_analytic_seed_-1", (*BAD_SEED, "--analytic"))]
+
 
 def requests(work: Path) -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every request, the workloads' first."""
@@ -66,7 +89,7 @@ def requests(work: Path) -> list[tuple[str, tuple[str, ...]]]:
             for r in workloads.build(w, SEED, work)]
     transcript = str(work / "transcript.tsv")
     return reqs + VERIFY + [(name, (*argv, "--transcript", transcript))
-                            for name, argv in TRANSCRIPTS]
+                            for name, argv in TRANSCRIPTS] + refusals(work)
 
 
 def run(src: Path, argv, work: Path) -> tuple[int, str, str, bytes | None]:
