@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (INT64_MAX, NORM_TOL, PureState, _check_budget,
+from .hilbert import (INT64_MAX, PureState, _check_budget, _unit_sum,
                       _valid_state, relabel, states_equal, tensor)
 from .canonical import StateSpec, _integer, level_epr, level_ghz
 
@@ -312,8 +312,7 @@ def _log2_block_probabilities(counts: np.ndarray, lmult: np.ndarray,
 def block_probability(n: int, counts: tuple[int, ...], coeffs_sq) -> float:
     """log2 of multinomial(n; counts) * prod(coeffs_sq ** counts)."""
     coeffs_sq = tuple(float(c) for c in coeffs_sq)
-    if not abs(sum(coeffs_sq) - 1.0) <= NORM_TOL:  # NaN too
-        raise ValueError(f"squared coefficients sum to {sum(coeffs_sq)}, not 1")
+    _unit_sum(sum(coeffs_sq), "squared coefficients")
     n = _integer(n, "n")
     counts = tuple(_integer(k, "count") for k in counts)
     if sum(counts) != n:

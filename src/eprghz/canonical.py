@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (NORM_TOL, PureState, _check_budget, _integer, _number,
-                      _valid_state, tensor)
+                      _unit_sum, _valid_state, tensor)
 
 SQ2 = math.sqrt(2.0)
 
@@ -29,14 +29,13 @@ def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
     placeholders, so the result composes with states on the full party set.
     """
     t = _integer(t, "level", 1)
-    parties = tuple(sorted(set(_integer(p, "party") for p in parties)))
+    if party_count is not None:
+        party_count = _integer(party_count, "party count", 2)
+    parties = tuple(sorted({_integer(p, "party", 0, party_count)
+                            for p in parties}))
     if len(parties) < 2:
         raise ValueError("a GHZ-type state needs at least 2 parties")
-    if min(parties) < 0:
-        raise ValueError(f"negative party id in {parties}")
-    party_count = max(parties) + 1 if party_count is None else party_count
-    if party_count <= max(parties):
-        raise ValueError(f"party_count {party_count} too small for {parties}")
+    party_count = parties[-1] + 1 if party_count is None else party_count
     dims = tuple(t if p in parties else 1 for p in range(party_count))
     labels = np.zeros((t, len(dims)), dtype=np.int64)
     labels[:, parties] = np.arange(t)[:, None]
@@ -47,7 +46,7 @@ def level_ghz(t: int, parties, party_count: int | None = None) -> PureState:
 
 def level_epr(r: int, parties, party_count: int | None = None) -> PureState:
     """r-level maximally entangled pair: (1/sqrt r) sum_i |ii>."""
-    parties = tuple(sorted(set(_integer(p, "party") for p in parties)))
+    parties = tuple(sorted({_integer(p, "party", 0) for p in parties}))
     if len(parties) != 2:
         raise ValueError(f"an EPR-type state needs exactly 2 parties, got {parties}")
     return level_ghz(r, parties, party_count)
@@ -71,10 +70,10 @@ def psi(c0: float, c1: float) -> PureState:
 
 
 def _check_unit(*cs):
+    cs = tuple(_number(c, "coefficient") for c in cs)
     if any(c < 0 for c in cs):
         raise ValueError(f"coefficients must be non-negative, got {cs}")
-    if not abs(sum(c * c for c in cs) - 1.0) <= NORM_TOL:  # NaN too
-        raise ValueError(f"squared coefficients sum to {sum(c*c for c in cs)}, not 1")
+    _unit_sum(sum(c * c for c in cs), "squared coefficients")
 
 
 @dataclass(frozen=True)
@@ -91,17 +90,15 @@ class CanonicalComponent:
     level: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(sorted(set(
-            _integer(p, "support entry") for p in self.support))))
+        object.__setattr__(self, "support", tuple(sorted({
+            _integer(p, "support entry", 0) for p in self.support})))
         object.__setattr__(self, "coefficient",
                            _number(self.coefficient, "coefficient"))
-        object.__setattr__(self, "level", _integer(self.level, "level"))
-        if not self.support or min(self.support) < 0:
+        object.__setattr__(self, "level", _integer(self.level, "level", 2))
+        if not self.support:
             raise ValueError(f"bad support {self.support}")
         if not 0.0 < self.coefficient <= 1.0 + NORM_TOL:
             raise ValueError(f"coefficient must be in (0,1], got {self.coefficient}")
-        if self.level < 2:
-            raise ValueError(f"level must be >= 2, got {self.level}")
 
     @property
     def terms(self) -> int:
@@ -124,20 +121,14 @@ class StateSpec:
         comps = tuple(c for c in self.components if c.coefficient > 0.0)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "party_count",
-                           _integer(self.party_count, "party count"))
-        if self.party_count < 2:
-            raise ValueError("need at least 2 parties")
+                           _integer(self.party_count, "party count", 2))
         _check_budget("the state specification", "state parties",
                       self.party_count)
         if not comps:
             raise ValueError("spec has no nonzero components")
         for c in comps:
-            if max(c.support) >= self.party_count:
-                raise ValueError(
-                    f"support {c.support} outside {self.party_count} parties")
-        tot = sum(c.coefficient**2 for c in comps)
-        if abs(tot - 1.0) > NORM_TOL:
-            raise ValueError(f"squared coefficients sum to {tot}, not 1")
+            _integer(c.support[-1], "support entry", 0, self.party_count)
+        _unit_sum(sum(c.coefficient**2 for c in comps), "squared coefficients")
 
     def local_dims(self) -> tuple[int, ...]:
         return tuple(sum(c.width(p) for c in self.components)

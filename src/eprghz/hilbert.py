@@ -60,7 +60,7 @@ def _integer(value, what: str, lowest=None, stop=None) -> int:
     """``value`` as an int; a bool, float or string is refused, not cast.
     An int below ``lowest``, or with ``stop`` given outside
     ``lowest..stop - 1``, is refused too: the package's one reader of
-    counts, indices and parties."""
+    counts, indices, parties, levels and seeds."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -82,6 +82,22 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, after refusing its first entry that is NaN or
+    infinite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{what} must be finite, got {values[bad][0]}")
+    return values
+
+
+def _unit_sum(total: float, what: str) -> None:
+    """Refuse a ``total`` more than ``NORM_TOL`` from 1, NaN too: the
+    package's one unit-sum rule."""
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise ValueError(f"{what} sum to {total}, not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Sparse pure state: ``local_dims`` per party, a ``labels`` matrix with
@@ -90,10 +106,10 @@ class PureState:
     immutable. Terms whose amplitude is below ``PRUNE_EPS`` are dropped at
     construction.
 
-    The constructor checks its input once: dimensions, shapes, label
-    ranges, and that no label row repeats. States that are valid by
-    construction (transforms of valid states, canonical states) are built
-    by ``_valid_state`` without the checks.
+    The constructor checks its input once: dimensions, shapes, finite
+    amplitudes, label ranges, and that no label row repeats. States that
+    are valid by construction (transforms of valid states, canonical
+    states) are built by ``_valid_state`` without the checks.
     """
 
     local_dims: tuple[int, ...]
@@ -106,7 +122,7 @@ class PureState:
             raise ValueError(f"local dimensions must be >= 1, got {dims}")
         labels = np.asarray(self.labels, dtype=np.int64)
         labels = labels if labels.size else labels.reshape(0, len(dims))
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = _finite(np.asarray(self.amps, dtype=complex), "amplitude")
         if labels.shape != (len(amps), len(dims)):
             raise ValueError(
                 f"label matrix of shape {labels.shape} does not match "
@@ -245,21 +261,18 @@ def _union(a: PureState, b: PureState):
 
 def _cut(s: PureState, parties):
     """Sorted kept parties (a non-empty proper subset) and the rest."""
-    keep = sorted(set(_integer(p, "party") for p in parties))
+    keep = sorted({_integer(p, "party", 0, s.party_count) for p in parties})
     if not keep or len(keep) >= s.party_count:
         raise ValueError("cut must be non-empty and proper")
-    if keep[0] < 0 or keep[-1] >= s.party_count:
-        raise ValueError(f"party out of range: {keep}")
     return keep, [p for p in range(s.party_count) if p not in keep]
 
 
 def entropy(p) -> float:
     """Shannon entropy in bits; 0*log(0) = 0."""
-    p = np.asarray(p, dtype=float).ravel()
+    p = _finite(np.asarray(p, dtype=float).ravel(), "probability")
     if p.size and p.min() < -NORM_TOL:
         raise ValueError(f"negative probability {p.min()}")
-    if abs(p.sum() - 1.0) > NORM_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+    _unit_sum(p.sum(), "probabilities")
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum()) if p.size else 0.0
 

@@ -24,8 +24,9 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .hilbert import (NORM_TOL, PureState, _integer, _label_map, _lookup,
-                      _number, _row_codes, _valid_state, squared_norm)
+from .hilbert import (NORM_TOL, PureState, _finite, _integer, _label_map,
+                      _lookup, _number, _row_codes, _unit_sum, _valid_state,
+                      squared_norm)
 
 IMPOSSIBLE_EPS = 1e-12
 ORTHO_EPS = 1e-12
@@ -41,8 +42,8 @@ class LocalOperator:
     """Diagonal weighting on one party: ``|x> -> weights[x] |x>``.
 
     Boolean weights (0/1 projectors) stay boolean, one byte a label; other
-    real weights are kept as float64, complex ones as complex128. Weights
-    already of that type are kept, not copied.
+    real weights are kept as float64, complex ones as complex128, and must
+    be finite. Weights already of that type are kept, not copied.
     """
 
     party: int
@@ -56,7 +57,7 @@ class LocalOperator:
         if w.ndim != 1 or not len(w):
             raise ValueError("operator weights must be a non-empty vector")
         object.__setattr__(self, "party", _integer(self.party, "party", 0))
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _finite(w, "weight"))
 
     @property
     def dim(self) -> int:
@@ -182,6 +183,9 @@ class TranscriptColumn:
         return self.starts[-1]
 
     def __getitem__(self, rows: slice) -> list:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise ValueError(
+                f"a transcript column reads slices of step 1, got {rows!r}")
         start, stop, _ = rows.indices(len(self))
         out = []
         i = bisect_right(self.starts, start) - 1
@@ -267,19 +271,19 @@ def as_generator(rng) -> np.random.Generator:
         return rng
     if isinstance(rng, np.random.SeedSequence):
         return np.random.default_rng(rng)
-    return np.random.default_rng(_integer(rng, "seed"))
+    return np.random.default_rng(_integer(rng, "seed", 0))
 
 
 def trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
     """Independent per-trial sub-seeds from one root seed."""
-    return np.random.SeedSequence(_integer(seed, "seed")).spawn(
+    return np.random.SeedSequence(_integer(seed, "seed", 0)).spawn(
         _integer(trials, "trials", 0))
 
 
 def trial_seed(seed: int, t: int) -> np.random.SeedSequence:
     """``trial_seeds(seed, trials)[t]`` alone: the root with spawn key t."""
-    return np.random.SeedSequence(_integer(seed, "seed"),
-                                  spawn_key=(_integer(t, "trial"),))
+    return np.random.SeedSequence(_integer(seed, "seed", 0),
+                                  spawn_key=(_integer(t, "trial", 0),))
 
 
 # numpy's SeedSequence hash and mix constants (bit_generator.pyx) and the
@@ -341,9 +345,7 @@ def _root_pool(seed: int) -> tuple[list, int]:
     ``SeedSequence(seed)`` mixes from its entropy words, and the hash
     constant after them. Fewer than 4 words hash out as zero words, so
     the pool is the same whether or not a spawn key follows."""
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    seed = _integer(seed, "seed", 0)
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1),
                                                  32)]
     words += [0] * (4 - len(words))
@@ -435,18 +437,11 @@ def uniform_draws(rng, count: int) -> np.ndarray:
     return as_generator(rng).random(count)
 
 
-def _summing_to_one(probs: np.ndarray) -> np.ndarray:
-    if abs(probs.sum() - 1.0) > NORM_TOL:
-        raise ValueError(
-            f"outcome probabilities sum to {probs.sum()}, not 1; "
-            "POVM incomplete or state unnormalized")
-    return probs
-
-
 def outcome_probabilities(s: PureState, p: Povm) -> np.ndarray:
     """Born probabilities of every POVM outcome on s (must sum to 1)."""
-    return _summing_to_one(
-        np.array([squared_norm(_weighted(s, e)[1]) for e in p.elements]))
+    probs = np.array([squared_norm(_weighted(s, e)[1]) for e in p.elements])
+    _unit_sum(probs.sum(), "outcome probabilities")
+    return probs
 
 
 def projective_probabilities(s: PureState, party: int,
@@ -460,9 +455,10 @@ def projective_probabilities(s: PureState, party: int,
     """
     sq = np.hypot(s.amps.real, s.amps.imag)
     np.float_power(sq, 2.0, out=sq)
-    return _summing_to_one(np.bincount(
-        outcome_of[s.labels[:, party]], weights=sq,
-        minlength=int(outcome_of.max(initial=-1)) + 1))
+    probs = np.bincount(outcome_of[s.labels[:, party]], weights=sq,
+                        minlength=int(outcome_of.max(initial=-1)) + 1)
+    _unit_sum(probs.sum(), "outcome probabilities")
+    return probs
 
 
 def _draw(cum: np.ndarray, u):

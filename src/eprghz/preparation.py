@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import (NORM_TOL, PRUNE_EPS, PureState, _check_budget,
-                      _has_repeats, _valid_state, squared_norm)
+                      _has_repeats, _unit_sum, _valid_state, squared_norm)
 from .canonical import _check_unit, _integer
 from .locc import (ImpossibleOutcomeError, Povm, Transcript, _draw,
                    diagonal_operator, uniform_draws)
@@ -191,8 +191,7 @@ def _weighting_stage(weights):
                   "explicit terms", t * t)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    if not abs(float(w @ w) - 1.0) <= NORM_TOL:  # NaN too
-        raise ValueError(f"weights have squared sum {float(w @ w)}, need 1")
+    _unit_sum(float(w @ w), "squared weights")
     m = np.arange(t)
     return (t, lambda j: diagonal_operator(0, np.roll(w, j)),
             lambda j: (m, (m - j) % t) if j else (m[:0], m[:0]))

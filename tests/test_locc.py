@@ -17,7 +17,7 @@ from eprghz.locc import (
     ImpossibleOutcomeError, LocalOperator, Povm, Transcript, _shared_density,
     apply_element, apply_operator, as_generator, check_completeness,
     check_local_orthogonality, diagonal_operator, outcome_probabilities,
-    permutation_operator, sample, stream_uniforms, trial_seeds,
+    permutation_operator, sample, stream_uniforms, trial_seed, trial_seeds,
     uniform_draws,
 )
 from eprghz.preparation import ghz_weighting_povm, row_shorten_povm
@@ -454,6 +454,19 @@ def test_column_reads_are_python_values():
     assert row == ["s", 1, 2, 0.5]
 
 
+@pytest.mark.parametrize("rows", [slice(None, None, 2), slice(3, 0, -1), 0,
+                                  np.int64(1)], ids=repr)
+def test_a_column_reads_only_slices_of_step_one(rows):
+    """A stepped slice or an index is refused in one line, never read as
+    every row; a slice of step 1 reads its rows."""
+    t = Transcript()
+    t.extend(range(4), 0, [0, 1, 2, 3], [0.25] * 4, prefix="trial")
+    with pytest.raises(ValueError, match="^a transcript column reads slices "
+                       "of step 1, got "):
+        t.column(0)[rows]
+    assert t.column(0)[1:3:1] == t.column(0)[1:3] == ["trial1", "trial2"]
+
+
 # -- randomness plumbing -----------------------------------------------------
 
 def test_as_generator_accepts_all_forms():
@@ -485,12 +498,13 @@ def test_trial_uniforms_equal_each_trial_streams_first_double(seed, trials):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_trial_uniforms_refuse_a_bad_seed_as_numpy_does():
-    with pytest.raises(ValueError) as numpy_error:
-        np.random.SeedSequence(-3)
+def test_trial_uniforms_refuse_a_bad_seed_as_trial_seed_does():
+    with pytest.raises(ValueError) as seed_error:
+        trial_seed(-3, 0)
     with pytest.raises(ValueError) as kernel_error:
         stream_uniforms(-3, 1, np.arange(4))
-    assert str(kernel_error.value) == str(numpy_error.value)
+    assert str(kernel_error.value) == str(seed_error.value) == \
+        "need seed >= 0, got -3"
     assert stream_uniforms(5, 1, np.arange(0)).shape == (0, 1)
 
 
@@ -518,7 +532,7 @@ def test_stream_uniforms_equal_numpy_generators(seed, count):
 
 
 def test_stream_uniforms_refuse_bad_input():
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+    with pytest.raises(ValueError, match="^need seed >= 0, got -1$"):
         stream_uniforms(-1, 3)
     with pytest.raises(ValueError, match="count"):
         stream_uniforms(1, -1)

@@ -15,11 +15,11 @@ from eprghz.cli import UsageError, build_parser
 from eprghz.extraction import (block_measurement_povm, block_outcomes,
                                expected_means, expected_yields,
                                run_extraction)
-from eprghz.hilbert import (PureState, entanglement_entropy, relabel,
-                            states_equal, tensor)
-from eprghz.locc import (LocalOperator, Transcript, apply_operator,
-                         as_generator, stream_uniforms, trial_seed,
-                         trial_seeds, uniform_draws)
+from eprghz.hilbert import (PureState, entanglement_entropy, entropy,
+                            relabel, states_equal, tensor)
+from eprghz.locc import (LocalOperator, Transcript, apply_element,
+                         apply_operator, as_generator, stream_uniforms,
+                         trial_seed, trial_seeds, uniform_draws)
 from eprghz.preparation import (fidelity, fidelity_bound, ghz_weighting_povm,
                                 prepare_approx, target_window)
 
@@ -47,10 +47,11 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
     (lambda: block_labels(3, 2, 1), ValueError,
      r"^window \(2, 1\) outside 0\.\.3$"),
     (lambda: level_ghz(0, (0, 1)), ValueError, "^need level >= 1, got 0$"),
-    (lambda: level_ghz(2, (-1, 0)), ValueError,
-     r"^negative party id in \(-1, 0\)$"),
+    (lambda: level_ghz(2, (-1, 0)), ValueError, "^need party >= 0, got -1$"),
     (lambda: level_ghz(2, (0, 2), 2), ValueError,
-     r"^party_count 2 too small for \(0, 2\)$"),
+     r"^party 2 outside 0\.\.1$"),
+    (lambda: level_ghz(2, (0, 1), 2.5), ValueError,
+     "^party count must be an integer, got 2.5$"),
     (lambda: level_epr(2, (0, 1, 2)), ValueError,
      r"^an EPR-type state needs exactly 2 parties, got \(0, 1, 2\)$"),
     (lambda: StateSpec(3, ()), ValueError, "^spec has no nonzero components$"),
@@ -64,7 +65,18 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
     (lambda: block_probability(2, (1, 1), (float("nan"), 0.5)), ValueError,
      "^squared coefficients sum to nan, not 1$"),
     (lambda: ghz_weighting_povm([float("nan"), 1.0]), ValueError,
-     "^weights have squared sum nan, need 1$"),
+     "^squared weights sum to nan, not 1$"),
+    (lambda: entropy([float("nan"), 0.5]), ValueError,
+     "^probability must be finite, got nan$"),
+    # amplitudes and weights are finite, coefficients numbers
+    (lambda: PureState((2,), [[0], [1]], [float("nan"), 1.0]), ValueError,
+     r"^amplitude must be finite, got \(nan\+0j\)$"),
+    (lambda: PureState((2,), [[0]], [float("inf")]), ValueError,
+     r"^amplitude must be finite, got \(inf\+0j\)$"),
+    (lambda: apply_element(psi(0.6, 0.8), LocalOperator(0, [np.nan, 1.0])),
+     ValueError, "^weight must be finite, got nan$"),
+    (lambda: psi(True, 0), ValueError,
+     "^coefficient must be a number, got True$"),
     # integral fields of a spec are never truncated
     (lambda: seed_spec(level=2.7), ValueError,
      "^level must be an integer, got 2.7$"),
@@ -288,6 +300,41 @@ EDGES = [
      "^need n >= 1, got 0$"),
     ("seeds-trials",
      lambda t: trial_seeds(1, t), -1, 0, "^need trials >= 0, got -1$"),
+    # party sets, spec counts and levels, and seeds, read by hand before
+    ("ghz-party",
+     lambda p: level_ghz(2, (p, 1)), -1, 0, "^need party >= 0, got -1$"),
+    ("ghz-party-count",
+     lambda m: level_ghz(2, (0, 2), m), 2, 3, r"^party 2 outside 0\.\.1$"),
+    ("epr-party",
+     lambda p: level_epr(2, (p, 1)), -1, 0, "^need party >= 0, got -1$"),
+    ("cut-party-high",
+     lambda p: entanglement_entropy(psi(0.6, 0.8), (p,)), 3, 2,
+     r"^party 3 outside 0\.\.2$"),
+    ("cut-party-low",
+     lambda p: entanglement_entropy(psi(0.6, 0.8), (p,)), -1, 0,
+     r"^party -1 outside 0\.\.2$"),
+    ("component-support",
+     lambda p: CanonicalComponent(0.8, (p, 2)), -1, 0,
+     "^need support entry >= 0, got -1$"),
+    ("component-level",
+     lambda t: CanonicalComponent(0.8, (1, 2), t), 1, 2,
+     "^need level >= 2, got 1$"),
+    ("spec-support",
+     lambda p: seed_spec(support=[1, p]), 3, 2,
+     r"^support entry 3 outside 0\.\.2$"),
+    ("spec-party-count",
+     lambda m: seed_spec(m=m, support=[0, 1]), 1, 2,
+     "^need party count >= 2, got 1$"),
+    ("root-seed",
+     lambda s: stream_uniforms(s, 1), -1, 0, "^need seed >= 0, got -1$"),
+    ("generator-seed",
+     lambda s: as_generator(s), -1, 0, "^need seed >= 0, got -1$"),
+    ("seeds-seed",
+     lambda s: trial_seeds(s, 1), -1, 0, "^need seed >= 0, got -1$"),
+    ("trial-seed",
+     lambda s: trial_seed(s, 0), -1, 0, "^need seed >= 0, got -1$"),
+    ("trial-index",
+     lambda t: trial_seed(1, t), -1, 0, "^need trial >= 0, got -1$"),
     ("bound-n",
      lambda n: fidelity_bound(n), 0, 1, "^need n >= 1, got 0$"),
     ("bound-alpha",

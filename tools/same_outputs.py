@@ -12,18 +12,20 @@ S = 0 to 4 in CSV, whose random layouts differ by seed, and six sampled
 requests that write ``--transcript``: ``prepare`` at N = 2, 3 and 5, and
 at N = 7 with c0 = 0.8, whose window (2, 7) starts above block 0;
 explicit ``extract`` at N = 3; and analytic ``extract`` of the
-4-component state at N = 10**7, whose outcome ids pass int64. Four
-refusals pin the messages of the readers that keep their own checks:
-``rates --spec`` of the seed with one party and with a level-1
-component, and ``extract --seed -1``, sampled and analytic: 63 in all.
+4-component state at N = 10**7, whose outcome ids pass int64. Five
+refusals pin the messages that the CLI prints for a bad count, level,
+party or seed: ``rates --spec`` of the seed with one party, with a
+level-1 component and with the support entry 5 on 3 parties, and
+``extract --seed -1``, sampled and analytic: 64 in all.
 Each request runs as a fresh ``python -m eprghz.cli ...`` process under
 each tree, one after the other, in one scratch directory that holds the
 ``--spec`` files. Stdout, stderr, the exit code and the transcript
 file's bytes must be equal.
 
-Prints one line per request and exits 0 if all are equal; at the first
-difference it names the request, shows both sides and exits 1. Exit 2
-means the arguments are wrong.
+Runs every request and prints one line for each: ``same`` or
+``DIFFERENT``, the latter with both sides. Exits 0 if all are equal,
+else 1 after a count of the differences. Exit 2 means the arguments are
+wrong.
 """
 
 from __future__ import annotations
@@ -64,18 +66,19 @@ TRANSCRIPTS = [
 ]
 
 BAD_SEED = ("extract", *PSI, "-N", "2", "--trials", "3", "--seed", "-1")
-# the party count and pair level of the seed's --spec object, one of
-# them out of range
-BAD_SPECS = {"one_party": (1, 2), "level_1": (3, 1)}
+# the party count, pair support and pair level of the seed's --spec
+# object, one of them out of range
+BAD_SPECS = {"one_party": (1, [1, 2], 2), "level_1": (3, [1, 2], 1),
+             "support_5": (3, [1, 5], 2)}
 
 
 def refusals(work: Path) -> list[tuple[str, tuple[str, ...]]]:
     """The refusal requests; writes their ``--spec`` files into ``work``."""
     reqs = []
-    for name, (m, level) in BAD_SPECS.items():
+    for name, (m, support, level) in BAD_SPECS.items():
         doc = {"m": m, "components": [
             {"c": 0.6, "support": [0]},
-            {"c": 0.8, "support": [1, 2], "level": level}]}
+            {"c": 0.8, "support": support, "level": level}]}
         path = work / f"spec_{name}.json"
         path.write_text(json.dumps(doc))
         reqs.append((f"rates_spec_{name}", ("rates", "--spec", str(path))))
@@ -116,20 +119,23 @@ def main(argv=None) -> int:
     parent, change = (Path(a).resolve() for a in args)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        reqs = requests(work)
+        reqs, differ = requests(work), 0
         for name, req in reqs:
             want, got = run(parent, req, work), run(change, req, work)
-            if want != got:
-                print(f"DIFFERENT {name}: {' '.join(req)}")
-                for side, (code, out, err, transcript) in (("parent", want),
-                                                           ("change", got)):
-                    print(f"--- {side}: exit {code}\n{out}--- {side} "
-                          f"stderr\n{err}", end="")
-                    if transcript is not None:
-                        print(f"--- {side} transcript: {len(transcript)} "
-                              "bytes")
-                return 1
-            print(f"same {name} (exit {want[0]})")
+            if want == got:
+                print(f"same {name} (exit {want[0]})")
+                continue
+            differ += 1
+            print(f"DIFFERENT {name}: {' '.join(req)}")
+            for side, (code, out, err, transcript) in (("parent", want),
+                                                       ("change", got)):
+                print(f"--- {side}: exit {code}\n{out}--- {side} "
+                      f"stderr\n{err}", end="")
+                if transcript is not None:
+                    print(f"--- {side} transcript: {len(transcript)} bytes")
+    if differ:
+        print(f"{differ} of {len(reqs)} requests differ")
+        return 1
     print(f"all {len(reqs)} requests identical")
     return 0
 
