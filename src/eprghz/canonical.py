@@ -10,14 +10,13 @@ every party (which makes them locally orthogonal by construction).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (NORM_TOL, PureState, _check_budget, _integer, _number,
-                      _unit_sum, _valid_state, tensor)
+from .hilbert import (NORM_TOL, PureState, _check_budget, _integer, _listed,
+                      _number, _unit_sum, _valid_state, tensor)
 
 SQ2 = math.sqrt(2.0)
 
@@ -91,7 +90,8 @@ class CanonicalComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(sorted({
-            _integer(p, "support entry", 0) for p in self.support})))
+            _integer(p, "support entry", 0)
+            for p in _listed(self.support, "support")})))
         object.__setattr__(self, "coefficient",
                            _number(self.coefficient, "coefficient"))
         object.__setattr__(self, "level", _integer(self.level, "level", 2))
@@ -275,6 +275,7 @@ def spec_from_dict(data: dict) -> StateSpec:
         m, raw = data["m"], data["components"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"spec object needs 'm' and 'components': {exc}")
+    raw = _listed(raw, "components")
     spec = StateSpec(m, tuple(CanonicalComponent(
         e["c"], e["support"], e.get("level", 2)) for e in raw))
     for i, entry in enumerate(raw):
@@ -292,9 +293,13 @@ def spec_from_dict(data: dict) -> StateSpec:
 
 
 def spec_to_json(spec: StateSpec) -> str:
+    import json
+
     return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True)
 
 
 def spec_from_json(text: str) -> StateSpec:
+    import json
+
     return spec_from_dict(json.loads(text))
 

@@ -9,25 +9,15 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
 from .hilbert import NORM_TOL, BudgetError, _check_budget, amplitude_distance
-from .canonical import (StateSpec, copies, psi, psi_spec, psi_prime_spec,
-                        random_spec, spec_draws, spec_from_json)
-from .locc import (ImpossibleOutcomeError, Povm, Transcript,
-                   check_completeness, check_local_orthogonality,
-                   stream_uniforms)
-from .blocks import decompose, verify_block_equivalence
-from .extraction import (asymptotic_rates, block_measurement_povm,
-                         entropy_consistency, expected_means, run_extraction)
-from .preparation import (_check_terms, _protocol, _window_shape,
-                          build_target, fidelity, fidelity_bound,
-                          ghz_weighting_povm, resource_count,
-                          row_shorten_povm, target_window)
+# called through their module objects: each module runs on its first use,
+# so a subcommand runs only the modules it calls
+from . import blocks, canonical, extraction, locc, preparation
 
 EXIT_OK, EXIT_INVARIANT, EXIT_USAGE = 0, 1, 2
 AMPLITUDE_SLOP = 1e-3
@@ -96,6 +86,8 @@ def _write_rows(fh, header, formats, columns, fmt) -> None:
                       if isinstance(c, np.ndarray)
                       else c[start:start + _ROW_CHUNK] for c in columns))
         if fmt == "json":
+            import json
+
             text = json.dumps([dict(zip(header, row)) for row in chunk],
                               indent=2, sort_keys=True)
             fh.write(("\n" if start == 0 else ",\n") + text[2:-2])
@@ -114,7 +106,7 @@ def _emit_table(header, formats, columns, args) -> None:
         _write_rows(sys.stdout, header, formats, columns, args.format)
 
 
-def _write_transcript(transcript: Transcript | None, args) -> None:
+def _write_transcript(transcript: locc.Transcript | None, args) -> None:
     """``Transcript.to_text`` written in row chunks."""
     if args.transcript:
         with open(args.transcript, "w") as fh:
@@ -146,21 +138,21 @@ def _renormalize(cs) -> tuple[float, ...]:
     return tuple(cs)
 
 
-def _load_spec(args) -> StateSpec:
+def _load_spec(args) -> canonical.StateSpec:
     try:
         if args.psi is not None:
-            return psi_spec(*_renormalize(args.psi))
+            return canonical.psi_spec(*_renormalize(args.psi))
         if args.psi_prime is not None:
-            return psi_prime_spec(*_renormalize(args.psi_prime))
+            return canonical.psi_prime_spec(*_renormalize(args.psi_prime))
         with open(args.spec) as fh:
-            return spec_from_json(fh.read())
+            return canonical.spec_from_json(fh.read())
     except (ValueError, KeyError, TypeError, OSError) as e:
         raise UsageError(f"bad state specification: {e}")
 
 
 def cmd_rates(args) -> int:
     spec = _load_spec(args)
-    rates = asymptotic_rates(spec)
+    rates = extraction.asymptotic_rates(spec)
     full = tuple(range(spec.party_count))
     per = dict(rates.per_subset)
     full_rate = rates.full + per.pop(full, 0.0)
@@ -174,12 +166,12 @@ def cmd_rates(args) -> int:
 def cmd_extract(args) -> int:
     spec = _load_spec(args)
     n = args.n
-    epr_means, ghz_mean = expected_means(spec, n)
+    epr_means, ghz_mean = extraction.expected_means(spec, n)
     empirical, stderr, transcript = {}, {}, None
     full = tuple(range(spec.party_count))
     if args.trials > 0:
-        report, transcript = run_extraction(spec, n, args.trials, args.seed,
-                                            analytic=args.analytic)
+        report, transcript = extraction.run_extraction(
+            spec, n, args.trials, args.seed, analytic=args.analytic)
         empirical = dict(report.epr_per_copy)
         stderr = {s: math.sqrt(v / report.trials)
                   for s, v in report.epr_variance.items()}
@@ -205,18 +197,18 @@ def cmd_prepare(args) -> int:
                              args.trials if args.trials > 0 else 1)
     seed0 = 0 if args.seed is None else args.seed
     if n == 2:  # the exact protocol keeps every block
-        _window_shape(args.alpha, args.beta)
+        preparation._window_shape(args.alpha, args.beta)
         window = (0, 2)
     else:
-        window = target_window(n, c0 * c0, args.alpha, args.beta)
+        window = preparation.target_window(n, c0 * c0, args.alpha, args.beta)
         # refuse before the target or any branch state is built
-        _check_terms(n, window, "windowed target")
-    branch, stages, resources = _protocol(n, c0, c1, window)
-    target = (copies(psi(c0, c1), 2) if n == 2
-              else build_target(n, c0, c1, window))
-    f = fidelity(n, c0 * c0, window)
+        preparation._check_terms(n, window, "windowed target")
+    branch, stages, resources = preparation._protocol(n, c0, c1, window)
+    target = (canonical.copies(canonical.psi(c0, c1), 2) if n == 2
+              else preparation.build_target(n, c0, c1, window))
+    f = preparation.fidelity(n, c0 * c0, window)
     worst = 0.0
-    combined = Transcript()
+    combined = locc.Transcript()
     # branch i draws the first doubles of spawned stream i of the seed,
     # formed for a chunk of branches at a time: a call per branch would
     # re-form the root pool and step one stream alone (0.33 ms for one
@@ -227,7 +219,7 @@ def cmd_prepare(args) -> int:
     for start in range(0, branches, chunk):
         keys = np.arange(start, min(start + chunk, branches))
         for i, draws in zip(keys.tolist(),
-                            stream_uniforms(seed0, stages, keys)):
+                            locc.stream_uniforms(seed0, stages, keys)):
             state, columns = branch(draws)
             worst = max(worst, amplitude_distance(state, target))
             combined.extend(*columns, prefix=f"branch{i}.")
@@ -250,11 +242,11 @@ def cmd_fidelity(args) -> int:
     c0_sq = c0 * c0
     rows = []
     for n in ns:
-        w = target_window(n, c0_sq, args.alpha, args.beta)
-        rc = resource_count(n, w)
+        w = preparation.target_window(n, c0_sq, args.alpha, args.beta)
+        rc = preparation.resource_count(n, w)
         rows.append((n, w.k_minus, w.k_plus,
-                     fidelity(n, c0_sq, w),
-                     fidelity_bound(n, args.alpha, args.beta),
+                     preparation.fidelity(n, c0_sq, w),
+                     preparation.fidelity_bound(n, args.alpha, args.beta),
                      rc.epr_per_subset[(1, 2)] / n, rc.ghz / n))
     _emit_table(("N", "k_minus", "k_plus", "F", "bound", "epr_per_copy",
                  "ghz_per_copy"), ("%d",) * 3 + ("%.17g",) * 4,
@@ -263,7 +255,7 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    d = decompose(_load_spec(args), args.n)
+    d = blocks.decompose(_load_spec(args), args.n)
     ncomp = d.counts.shape[1]
     header = tuple(f"k{i}" for i in range(ncomp)) + (
         "coefficient", "multiplicity", "log2_probability")
@@ -284,12 +276,14 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
                   lambda: (3**(m + 1) - 1) // 2, min(m, 10**300) * math.log2(3))
     # row i is spawned stream i of the seed, one per random input in the
     # order the suites read them: two random_spec pairs and 8 POVM weights
-    draws = stream_uniforms(0 if args.seed is None else args.seed,
-                            spec_draws(4), keys=range(5))
-    d3 = spec_draws(3)
+    draws = locc.stream_uniforms(0 if args.seed is None else args.seed,
+                                 canonical.spec_draws(4), keys=range(5))
+    d3 = canonical.spec_draws(3)
+    psi_spec, psi_prime_spec = canonical.psi_spec, canonical.psi_prime_spec
+    random_spec = canonical.random_spec
     results = []
 
-    ok = all(verify_block_equivalence(n, k)
+    ok = all(blocks.verify_block_equivalence(n, k)
              for n in range(m + 1) for k in range(n + 1))
     results.append(("block_equivalence", ok))
 
@@ -297,23 +291,24 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
              psi_prime_spec(0.5, 0.5, 0.5, 0.5),
              psi_prime_spec(*np.sqrt((0.1, 0.2, 0.3, 0.4))),
              random_spec(3, draws[0, :d3]), random_spec(4, draws[1])]
-    ok = all(check_local_orthogonality(
+    ok = all(locc.check_local_orthogonality(
         [s.component_state(i) for i in range(len(s.components))])
         for s in specs)
     results.append(("local_orthogonality", ok))
 
     w = draws[2, :8] + 0.1
-    stages = [ghz_weighting_povm(lam) for lam in (
+    stages = [preparation.ghz_weighting_povm(lam) for lam in (
         [1.0], (0.64, 0.48, 0.48, 0.36), np.full(5, 1.0 / math.sqrt(5.0)),
         w / np.linalg.norm(w))]
-    stages += [row_shorten_povm(range(4 * g, 4 * g + 4), keep, dim=16)
+    stages += [preparation.row_shorten_povm(range(4 * g, 4 * g + 4), keep,
+                                            dim=16)
                for g, keep in enumerate((4, 2, 2, 1))]
-    checks = [check_completeness(povm) for povm, _ in stages]
-    block_povm, _ = block_measurement_povm(psi_spec(0.6, 0.8), 3)
-    checks.append(check_completeness(block_povm))
+    checks = [locc.check_completeness(povm) for povm, _ in stages]
+    block_povm, _ = extraction.block_measurement_povm(psi_spec(0.6, 0.8), 3)
+    checks.append(locc.check_completeness(block_povm))
     if args.negative_control:
-        broken = Povm(block_povm.party, block_povm.elements[:-1])
-        checks.append(check_completeness(broken))
+        broken = locc.Povm(block_povm.party, block_povm.elements[:-1])
+        checks.append(locc.check_completeness(broken))
     results.append(("povm_completeness", all(checks)))
 
     specs = [psi_spec(0.6, 0.8), psi_spec(math.sqrt(0.5), math.sqrt(0.5)),
@@ -321,7 +316,7 @@ def _verify_suites(args) -> list[tuple[str, bool]]:
              psi_prime_spec(*np.sqrt((0.1, 0.2, 0.3, 0.4))),
              random_spec(3, draws[3, :d3]), random_spec(4, draws[4])]
     results.append(("entropy_consistency",
-                    all(entropy_consistency(s) for s in specs)))
+                    all(extraction.entropy_consistency(s) for s in specs)))
     return results
 
 
@@ -344,42 +339,48 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One parser per subcommand, assembled from shared flag groups, so a
-    flag that does not apply to a subcommand is refused."""
+    """One parser per subcommand, given only the flag groups it takes, so
+    a flag that does not apply to a subcommand is refused."""
     copy_count = _at_least(1)
     psi_flag = dict(nargs=2, type=float, metavar=("C0", "C1"),
                     help="2-component seed amplitudes")
     copies_flag = dict(dest="n", type=copy_count, metavar="N",
                        help="number of copies")
 
-    source = argparse.ArgumentParser(add_help=False)
-    group = source.add_mutually_exclusive_group(required=True)
-    group.add_argument("--psi", **psi_flag)
-    group.add_argument("--psi-prime", nargs=4, type=float,
-                       metavar=("C0", "C1", "C2", "C3"),
-                       help="4-component generalization amplitudes")
-    group.add_argument("--spec", metavar="FILE",
-                       help="JSON component-list state file")
-    seed_state = argparse.ArgumentParser(add_help=False)
-    seed_state.add_argument("--psi", required=True, **psi_flag)
-    copies = argparse.ArgumentParser(add_help=False)
-    copies.add_argument("-N", "--copies", required=True, **copies_flag)
-    window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--alpha", type=float, default=1.0,
-                        help="window half-width scale (default 1)")
-    window.add_argument("--beta", type=float, default=0.6,
-                        help="window half-width exponent (default 0.6)")
-    sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--trials", type=_at_least(0), default=0,
-                          help="Monte-Carlo trials / protocol branches")
-    sampling.add_argument("--seed", type=int,
-                          help="root seed (required when --trials > 0)")
-    sampling.add_argument("--transcript", metavar="FILE",
-                          help="write measurement transcript here")
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("csv", "json"), default="csv")
-    output.add_argument("--out", metavar="FILE",
-                        help="write the table here instead of stdout")
+    # each flag group adds its flags to a subcommand's parser
+    def source(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--psi", **psi_flag)
+        group.add_argument("--psi-prime", nargs=4, type=float,
+                           metavar=("C0", "C1", "C2", "C3"),
+                           help="4-component generalization amplitudes")
+        group.add_argument("--spec", metavar="FILE",
+                           help="JSON component-list state file")
+
+    def seed_state(p):
+        p.add_argument("--psi", required=True, **psi_flag)
+
+    def copies(p):
+        p.add_argument("-N", "--copies", required=True, **copies_flag)
+
+    def window(p):
+        p.add_argument("--alpha", type=float, default=1.0,
+                       help="window half-width scale (default 1)")
+        p.add_argument("--beta", type=float, default=0.6,
+                       help="window half-width exponent (default 0.6)")
+
+    def sampling(p):
+        p.add_argument("--trials", type=_at_least(0), default=0,
+                       help="Monte-Carlo trials / protocol branches")
+        p.add_argument("--seed", type=int,
+                       help="root seed (required when --trials > 0)")
+        p.add_argument("--transcript", metavar="FILE",
+                       help="write measurement transcript here")
+
+    def output(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", metavar="FILE",
+                       help="write the table here instead of stdout")
 
     parser = _Parser(
         prog="eprghz",
@@ -399,8 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
                    [source, copies, output]),
         "verify": ("run the invariant suites", [output]),
     }
-    subs = {name: sub.add_parser(name, help=desc, parents=parents)
-            for name, (desc, parents) in commands.items()}
+    subs = {}
+    for name, (desc, groups) in commands.items():
+        subs[name] = sub.add_parser(name, help=desc)
+        for add in groups:
+            add(subs[name])
 
     subs["extract"].add_argument(
         "--analytic", action="store_true",
@@ -436,7 +440,9 @@ def main(argv=None) -> int:
         print("error: out of memory" + (f": {e}" if str(e) else ""),
               file=sys.stderr)
         return EXIT_USAGE
-    except ImpossibleOutcomeError as e:  # a forced zero-probability branch
+    # a forced zero-probability branch; read only once an error has come
+    # this far, so that it runs locc on no other request
+    except locc.ImpossibleOutcomeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal
 
 import numpy as np
 
@@ -22,14 +21,9 @@ from .hilbert import (NORM_TOL, BudgetError, PureState, _check_budget,
                       states_equal)
 from .canonical import (StateSpec, _check_copies, _integer, copies,
                         psi_general)
-from .locc import (Povm, Transcript, _draw, as_generator, diagonal_operator,
-                   projective_probabilities, stream_uniforms, trial_seed)
-from .blocks import (EXACT_N_MAX, _binomial_mode_chunks, _block_counts,
-                     _block_yield_table, _check_count,
-                     _log2_block_probabilities, _log2_factorial_diff,
-                     _log2_factorial_ratio, block_state,
-                     classify_copies_label, log2_binomial_array,
-                     log2_multinomial, verify_block_equivalence)
+# called through their module objects, so that a request that reads only
+# the asymptotic rates runs neither
+from . import blocks, locc
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ def _binomial_expectations(n: int, p: float, fs) -> list[float]:
     pmf array.
     """
     parts = []
-    for ks, logp in _binomial_mode_chunks(n, p):
+    for ks, logp in blocks._binomial_mode_chunks(n, p):
         peak = float(logp.max())
         w = np.exp2(logp - peak)
         mass = float(w.sum())
@@ -94,6 +88,8 @@ def _binomial_expectations(n: int, p: float, fs) -> list[float]:
 def _log2_units(c: float, level: int) -> float:
     """c**2 * log2(level), correctly rounded: a product of rounded factors
     can land an ulp off, so it is formed with 40 digits first."""
+    from decimal import Context, Decimal
+
     ctx = Context(prec=40)
     return float(ctx.divide(ctx.multiply(ctx.power(Decimal(c), 2),
                                          ctx.ln(level)), ctx.ln(2)))
@@ -128,11 +124,12 @@ def expected_means(spec: StateSpec, n: int
     at any N.
     """
     n = _integer(n, "n", 1)
-    _check_count(n)
+    blocks._check_count(n)
     epr = dict(asymptotic_rates(spec).per_subset)
-    ghz = float(_log2_factorial_ratio(n))
+    ghz = float(blocks._log2_factorial_ratio(n))
     for c in spec.squared_coefficients():
-        ghz -= _binomial_expectations(n, c, [_log2_factorial_ratio])[0]
+        ghz -= _binomial_expectations(n, c,
+                                      [blocks._log2_factorial_ratio])[0]
     # full-support component units live in the full-set (GHZ) account
     return epr, ghz / n + epr.pop(tuple(range(spec.party_count)), 0.0)
 
@@ -147,7 +144,7 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
         def deviation(s, mean):
             """f(k0) = (units per copy on support s - mean)**2."""
             def f(ks):
-                vals = (log2_binomial_array(n, ks) / n if s == full
+                vals = (blocks.log2_binomial_array(n, ks) / n if s == full
                         else np.zeros(len(ks)))
                 for comp, k in zip(spec.components, (ks, n - ks)):
                     if comp.support == s and len(s) >= 2:
@@ -161,12 +158,13 @@ def _yield_variances(spec, n, epr_mean, ghz_mean):
         return dict(zip(subsets, epr_vars)), ghz_var
 
     try:
-        counts = _block_counts(n, ncomp)
+        counts = blocks._block_counts(n, ncomp)
     except BudgetError:  # too many blocks: no exact path
         return {s: math.nan for s in subsets}, math.nan
-    lmult = log2_multinomial(counts)
-    w = np.exp2(_log2_block_probabilities(counts, lmult, csq))  # 0 if dead
-    y = _block_yield_table(counts, lmult, spec)
+    lmult = blocks.log2_multinomial(counts)
+    # 0 if dead
+    w = np.exp2(blocks._log2_block_probabilities(counts, lmult, csq))
+    y = blocks._block_yield_table(counts, lmult, spec)
     ghz2 = float(w @ (y[full] / n - ghz_mean) ** 2)
     acc2 = {s: float(w @ (y[s] / n - epr_mean.get(s, 0.0)) ** 2)
             for s in subsets}
@@ -188,23 +186,23 @@ def block_outcomes(spec: StateSpec, n: int,
     d = spec.local_dims()[party]
     _check_budget(f"block measurement of {n} copies on party {party}",
                   "projector labels", lambda: d**n, n * math.log2(d))
-    return _unique_rows(classify_copies_label(spec, party, np.arange(d**n),
-                                              n))
+    return _unique_rows(blocks.classify_copies_label(
+        spec, party, np.arange(d**n), n))
 
 
 def block_measurement_povm(spec: StateSpec, n: int,
-                           party: int = 0) -> tuple[Povm, np.ndarray]:
+                           party: int = 0) -> tuple[locc.Povm, np.ndarray]:
     """``block_outcomes`` expanded into one 0/1 diagonal per outcome, and
     the count matrix."""
     counts, block_of = block_outcomes(spec, n, party)
-    elements = [diagonal_operator(party, block_of == j)
+    elements = [locc.diagonal_operator(party, block_of == j)
                 for j in range(len(counts))]
-    return Povm(party, tuple(elements)), counts
+    return locc.Povm(party, tuple(elements)), counts
 
 
 def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
                    analytic: bool = False, verify_blocks: bool = False
-                   ) -> tuple[YieldReport, Transcript]:
+                   ) -> tuple[YieldReport, locc.Transcript]:
     """Sample the block measurement ``trials`` times and account the yields.
 
     Explicit mode builds the N-copy state and measures it on party 0's
@@ -225,43 +223,44 @@ def run_extraction(spec: StateSpec, n: int, trials: int, seed: int,
     if analytic:
         drawn = np.empty((trials, len(csq)), dtype=np.int64)
         for t in range(trials):
-            drawn[t] = as_generator(trial_seed(seed, t)).multinomial(n, csq)
+            drawn[t] = locc.as_generator(
+                locc.trial_seed(seed, t)).multinomial(n, csq)
         counts, picks = _unique_rows(drawn)
-        lmult = log2_multinomial(counts)
-        logp = _log2_block_probabilities(counts, lmult, csq)
+        lmult = blocks.log2_multinomial(counts)
+        logp = blocks._log2_block_probabilities(counts, lmult, csq)
         ids = np.array([_flat_outcome(tuple(row)) for row in counts.tolist()],
                        dtype=object)
         probs = np.array([2.0 ** lp for lp in logp.tolist()])
     else:
-        u = stream_uniforms(seed, 1, np.arange(trials))[:, 0]
+        u = locc.stream_uniforms(seed, 1, np.arange(trials))[:, 0]
         _check_copies(sum(c.terms for c in spec.components), n)
         counts, block_of = block_outcomes(spec, n)
         state = copies(psi_general(spec), n)
-        probs = projective_probabilities(state, 0, block_of)
-        lmult = log2_multinomial(counts)
+        probs = locc.projective_probabilities(state, 0, block_of)
+        lmult = blocks.log2_multinomial(counts)
         if verify_blocks:
             _verify_blocks(spec, state, block_of, counts, lmult, probs)
         ids = np.arange(len(counts))  # every block is an outcome
-        picks = _draw(np.cumsum(probs), u)
-    transcript = Transcript()
+        picks = locc._draw(np.cumsum(probs), u)
+    transcript = locc.Transcript()
     transcript.extend(range(trials), 0, ids[picks], probs[picks],
                       prefix="trial")
     # ids, probabilities and yields per row of ``counts`` (in analytic mode
     # each distinct drawn row); ``picks`` selects each trial's row
-    yields = _block_yield_table(counts, lmult, spec)
+    yields = blocks._block_yield_table(counts, lmult, spec)
     samples = {s: v[picks] / n for s, v in yields.items()}
     # each yield at N <= EXACT_N_MAX is the correctly rounded log2 of an
     # exact integer, and the samples' own spread is as good
     spread = samples
-    if n > EXACT_N_MAX:
+    if n > blocks.EXACT_N_MAX:
         # yields of about N units vary by about sqrt(N), and log2 N! - sum
         # log2 k_i! carries the rounding of log2 N!: the spread is taken
         # from each trial's yields less the first trial's, formed from the
         # count differences
         drawn = counts[picks]
-        table = _block_yield_table(
+        table = blocks._block_yield_table(
             drawn - drawn[0],
-            -_log2_factorial_diff(drawn, drawn[0]).sum(axis=-1), spec)
+            -blocks._log2_factorial_diff(drawn, drawn[0]).sum(axis=-1), spec)
         spread = {s: v / n for s, v in table.items()}
 
     ddof = 1 if trials > 1 else 0
@@ -297,8 +296,8 @@ def _verify_blocks(spec, state, block_of, counts, lmult, probs):
     seed_layout = (spec.party_count == 3 and [(c.support, c.level) for c in
                                               spec.components]
                    == [((0,), 2), ((1, 2), 2)])
-    want = np.exp2(_log2_block_probabilities(counts, lmult,
-                                             spec.squared_coefficients()))
+    want = np.exp2(blocks._log2_block_probabilities(
+        counts, lmult, spec.squared_coefficients()))
     outcome = block_of[state.labels[:, 0]]
     for j, row in enumerate(counts.tolist()):
         if abs(probs[j] - want[j]) > 1e-12:
@@ -316,11 +315,11 @@ def _verify_blocks(spec, state, block_of, counts, lmult, probs):
         k, n = row[0], sum(row)
         post = PureState(state.local_dims, state.labels[mask],
                          state.amps[mask] / math.sqrt(probs[j]))
-        if not states_equal(post, block_state(n, k)):
+        if not states_equal(post, blocks.block_state(n, k)):
             raise AssertionError(f"post-measurement state of block "
                                  f"({n},{k}) is not the canonical block "
                                  "state")
-        if not verify_block_equivalence(n, k):
+        if not blocks.verify_block_equivalence(n, k):
             raise AssertionError(f"block ({n},{k}) failed the canonical "
                                  "pair x GHZ equivalence")
 

@@ -76,10 +76,22 @@ def _integer(value, what: str, lowest=None, stop=None) -> int:
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float; a bool or string is refused, not cast."""
-    if isinstance(value, (bool, np.bool_, str)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    """``value`` as a float; a bool or string is refused, not cast, and so
+    is anything ``float()`` does not take (None, a list)."""
+    try:
+        if isinstance(value, (bool, np.bool_, str)):
+            raise TypeError
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _listed(value, what: str) -> tuple:
+    """``value`` as a tuple; anything but a list or tuple (a number, a
+    string, a mapping) is refused, not iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:

@@ -22,8 +22,9 @@ import numpy as np
 from .hilbert import (NORM_TOL, PRUNE_EPS, PureState, _check_budget,
                       _has_repeats, _unit_sum, _valid_state, squared_norm)
 from .canonical import _check_unit, _integer
-from .locc import (ImpossibleOutcomeError, Povm, Transcript, _draw,
-                   diagonal_operator, uniform_draws)
+# called through its module object, so that the closed forms (fidelity,
+# windows, resource counts) never run it
+from . import locc
 from .blocks import _binomial_bulk_chunks, block_labels, log2_binomial_array
 
 
@@ -193,20 +194,20 @@ def _weighting_stage(weights):
         raise ValueError("weights must be non-negative")
     _unit_sum(float(w @ w), "squared weights")
     m = np.arange(t)
-    return (t, lambda j: diagonal_operator(0, np.roll(w, j)),
+    return (t, lambda j: locc.diagonal_operator(0, np.roll(w, j)),
             lambda j: (m, (m - j) % t) if j else (m[:0], m[:0]))
 
 
-def ghz_weighting_povm(weights) -> tuple[Povm, tuple]:
+def ghz_weighting_povm(weights) -> tuple[locc.Povm, tuple]:
     """The weighting stage (``_weighting_stage``) expanded: its POVM and
     per-outcome corrections."""
     m, element, correction = _weighting_stage(weights)
-    return (Povm(0, tuple(element(j) for j in range(m))),
+    return (locc.Povm(0, tuple(element(j) for j in range(m))),
             tuple(correction(j) for j in range(m)))
 
 
 def row_shorten_povm(labels, keep: int,
-                     dim: int | None = None) -> tuple[Povm, tuple]:
+                     dim: int | None = None) -> tuple[locc.Povm, tuple]:
     """Cut one row, given by its distinct labels, to ``keep`` of them
     (a divisor of its length) without moving any row weight: a POVM on
     party B and its corrections. Element o keeps the o-th chunk of the
@@ -233,10 +234,10 @@ def row_shorten_povm(labels, keep: int,
         diag = np.full(dim, math.sqrt(keep / len(labels)))
         diag[labels] = 0.0
         diag[chunk] = 1.0
-        elements.append(diagonal_operator(1, diag))
+        elements.append(locc.diagonal_operator(1, diag))
         swap = np.concatenate([chunk, chunks[0]]) if o else labels[:0]
         corrections.append((swap, np.roll(swap, keep)))
-    return Povm(1, tuple(elements)), tuple(corrections)
+    return locc.Povm(1, tuple(elements)), tuple(corrections)
 
 
 def _live(rows, amps):
@@ -252,8 +253,8 @@ def _stage(rows, amps, counts, m, outcome, step):
     each row's ``counts`` live terms (``squared_norm``): it must be 1/m."""
     sq = squared_norm(amps, counts)
     if abs(sq - 1.0 / m) > NORM_TOL:
-        raise ImpossibleOutcomeError(f"{step}: outcome {outcome} has "
-                                     f"probability {sq:.17g}, not 1/{m}")
+        raise locc.ImpossibleOutcomeError(f"{step}: outcome {outcome} has "
+                                          f"probability {sq:.17g}, not 1/{m}")
     return (*_live(rows, amps / math.sqrt(sq)), sq)
 
 
@@ -294,7 +295,8 @@ def _protocol(n: int, c0: float, c1: float, window: Window | None):
         outcomes, probs = np.empty(stages, dtype=np.int64), np.empty(stages)
         # the branch as its rows in support order, a label and an amplitude
         # each: every live term of a row carries its row's amplitude
-        outcome = outcomes[0] = _draw(np.arange(1, t + 1) / t, draws[0])
+        outcome = outcomes[0] = locc._draw(np.arange(1, t + 1) / t,
+                                           draws[0])
         op, (old, new) = element(outcome), correction(outcome)
         rows = np.arange(big_r)
         rows[old] = new
@@ -306,7 +308,7 @@ def _protocol(n: int, c0: float, c1: float, window: Window | None):
         # by sqrt(keep/length); rows 0..g are now of their blocks' length
         for g, (keep, u) in enumerate(zip(keeps.tolist(), draws[1:])):
             m = pair_levels // keep
-            outcome = outcomes[1 + g] = _draw(np.arange(1, m + 1) / m, u)
+            outcome = outcomes[1 + g] = locc._draw(np.arange(1, m + 1) / m, u)
             weights = np.where(rows == g, 1.0, math.sqrt(keep / pair_levels))
             rows, amps, probs[1 + g] = _stage(rows, weights * amps, np.where(
                 rows <= g, keeps[rows], pair_levels), m, outcome, steps[1 + g])
@@ -324,7 +326,7 @@ def _protocol(n: int, c0: float, c1: float, window: Window | None):
 
 def prepare_approx(n: int, c0: float, c1: float, seed=0,
                    window: Window | None = None
-                   ) -> tuple[PureState, Transcript, ResourceCount]:
+                   ) -> tuple[PureState, locc.Transcript, ResourceCount]:
     """One branch of the windowed preparation protocol, landing exactly on
     build_target for the same window (default: target_window(n, c0**2)).
     Inputs: one R-level GHZ-type state (R = window row count) and
@@ -337,14 +339,14 @@ def prepare_approx(n: int, c0: float, c1: float, seed=0,
     SeedSequence, or the ``stage_count`` doubles themselves.
     """
     branch, stages, resources = _protocol(n, c0, c1, window)
-    state, columns = branch(uniform_draws(seed, stages))
-    transcript = Transcript()
+    state, columns = branch(locc.uniform_draws(seed, stages))
+    transcript = locc.Transcript()
     transcript.extend(*columns)
     return state, transcript, resources
 
 
 def prepare_exact_n2(c0: float, c1: float, seed=0
-                     ) -> tuple[PureState, Transcript, ResourceCount]:
+                     ) -> tuple[PureState, locc.Transcript, ResourceCount]:
     """Two copies of the seed state, exactly, from 2 B-C pairs and a
     4-level GHZ-type state (2 canonical GHZ units), on every branch."""
     return prepare_approx(2, c0, c1, seed=seed, window=(0, 2))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import multinomial_exact, one_shot_table
 
-from eprghz import cli, extraction, preparation
+from eprghz import blocks, cli, extraction, locc, preparation
 from eprghz.blocks import block_probability
 from eprghz.canonical import psi_prime_spec, spec_to_json
 from eprghz.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
@@ -299,8 +299,6 @@ def test_prepare_forms_its_protocol_once(capsys, monkeypatch):
     for name in ("block_labels", "_weighting_stage", "_check_terms"):
         monkeypatch.setattr(preparation, name,
                             counting(name, getattr(preparation, name)))
-    monkeypatch.setattr(cli, "_check_terms",
-                        counting("_check_terms", cli._check_terms))
     code, out, _ = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", "3",
                        "--trials", "40", "--seed", "1")
     assert code == EXIT_OK and rows_of(out)[0]["ok"] == "true"
@@ -584,7 +582,7 @@ def test_prepare_terms_are_refused_before_any_state(capsys, monkeypatch, n,
     def built(*args, **kwargs):
         raise AssertionError("a state was built before the budget check")
 
-    monkeypatch.setattr(cli, "build_target", built)
+    monkeypatch.setattr(preparation, "build_target", built)
     monkeypatch.setattr(preparation, "block_labels", built)
     code, out, err = run(capsys, "prepare", "--psi", "0.6", "0.8", "-N", n,
                          "--seed", "1")
@@ -631,7 +629,8 @@ def test_verify_blocks_max_n_budget(capsys, max_n):
 def test_verify_blocks_max_n_budget_boundary(capsys, monkeypatch):
     """(3**15 - 1)/2 = 7,174,453 block terms fit the budget; the next
     step does not. The block checks themselves are stubbed out."""
-    monkeypatch.setattr(cli, "verify_block_equivalence", lambda n, k: True)
+    monkeypatch.setattr(blocks, "verify_block_equivalence",
+                        lambda n, k: True)
     assert run(capsys, "verify", "--blocks-max-n", "14")[0] == EXIT_OK
     assert run(capsys, "verify", "--blocks-max-n", "15")[0] == EXIT_USAGE
 
@@ -650,8 +649,8 @@ def test_trial_budget_refuses_before_any_seed(capsys, monkeypatch, command,
     def seeds(*args):
         raise Reached
 
-    monkeypatch.setattr(cli, "stream_uniforms", seeds)
-    monkeypatch.setattr(extraction, "trial_seed", seeds)
+    monkeypatch.setattr(locc, "stream_uniforms", seeds)
+    monkeypatch.setattr(locc, "trial_seed", seeds)
     code, out, err = run(capsys, command, *flags, "-N", "2", "--trials",
                          "100000000", "--seed", "1")
     assert (code, out) == (EXIT_USAGE, "")
@@ -695,10 +694,10 @@ def test_skewed_stage_law_exits_1(capsys, monkeypatch):
 
 def test_impossible_outcome_is_an_invariant_failure(capsys, monkeypatch):
     def forced(spec):
-        raise cli.ImpossibleOutcomeError(
+        raise locc.ImpossibleOutcomeError(
             "outcome on party 0 has probability 0.000e+00")
 
-    monkeypatch.setattr(cli, "asymptotic_rates", forced)
+    monkeypatch.setattr(extraction, "asymptotic_rates", forced)
     code, out, err = run(capsys, "rates", "--psi", "0.6", "0.8")
     assert code == EXIT_INVARIANT
     assert out == ""
@@ -825,6 +824,75 @@ def test_cold_paths_leave_scipy_out():
     assert done.stdout == "False\n" * (1 + len(calls))
 
 
+# the request of argv, in a child, and then the eprghz modules whose body
+# ran: a module that has not run yet is still of LazyLoader's module class
+RAN = """import sys, types
+from eprghz import cli
+code = cli.main(sys.argv[1:])
+print(*sorted(name for name, m in sys.modules.items()
+              if name.startswith("eprghz.") and type(m) is types.ModuleType))
+sys.exit(code)
+"""
+
+
+def run_child(argv):
+    """Run a request with ``--out`` set to the null device in a fresh
+    interpreter under ``-X importtime``: its exit code and stderr, every
+    module it imported (importtime lists each) and the ``eprghz.*``
+    modules that ran."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    spec = str(Path(__file__).parent / "golden" / "spec3.json")
+    argv = [spec if a == "SPEC" else a for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", RAN, *argv, "--out",
+         os.devnull], env=env, capture_output=True, text=True)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    ran = {name.split(".")[1] for name in done.stdout.split()}
+    return done.returncode, done.stderr, imported, ran
+
+
+MODULES = {"hilbert", "canonical", "locc", "blocks", "extraction",
+           "preparation", "cli"}
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["rates", "--psi", "0.6", "0.8"],
+     {"hilbert", "canonical", "extraction", "cli"}),
+    (["blocks", "--psi", "0.6", "0.8", "-N", "3"],
+     {"hilbert", "canonical", "blocks", "cli"}),
+    (["fidelity", "--psi", "0.6", "0.8", "-N", "10"],
+     {"hilbert", "canonical", "blocks", "preparation", "cli"}),
+    (["extract", "--psi", "0.6", "0.8", "-N", "3", "--trials", "5",
+      "--seed", "1"], MODULES - {"preparation"}),
+    (["prepare", "--psi", "0.6", "0.8", "-N", "3", "--seed", "1"],
+     MODULES - {"extraction"}),
+    (["verify", "--blocks-max-n", "2"], MODULES),
+], ids=["rates", "blocks", "fidelity", "extract", "prepare", "verify"])
+def test_a_subcommand_runs_only_the_modules_it_calls(argv, ran):
+    """Each package module runs on its first use: rates and blocks never
+    run locc or preparation, verify runs all of them, and a CSV request
+    that reads no --spec file never imports json."""
+    code, err, imported, got = run_child(argv)
+    assert code == EXIT_OK, err
+    assert got == ran
+    assert "json" not in imported
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--spec", "SPEC"],
+    ["rates", "--psi", "0.6", "0.8", "--format", "json"],
+], ids=["spec", "json"])
+def test_json_is_imported_where_it_is_read_or_written(argv):
+    code, err, imported, _ = run_child(argv)
+    assert code == EXIT_OK, err
+    assert "json" in imported
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "--psi", "0.6", "0.8", "-N", "4", "--trials", "50",
      "--seed", "1"],
@@ -841,25 +909,14 @@ def test_cold_paths_leave_scipy_out():
         "verify-negative-control"])
 def test_explicit_requests_leave_numpy_random_and_ma_out(argv):
     """Explicit extract, prepare and verify draw from streams computed
-    in-package and intersect labels by sorting, so ``python -m eprghz.cli``
-    never imports numpy.random or numpy.ma (``-X importtime`` lists every
-    module the child imports). The negative control exits 1, its failed
-    suite, and still imports neither."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
-    spec = str(Path(__file__).parent / "golden" / "spec3.json")
-    argv = [spec if a == "SPEC" else a for a in argv]
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "eprghz.cli", *argv,
-         "--out", os.devnull], env=env, capture_output=True, text=True)
+    in-package and intersect labels by sorting, so a request runs locc
+    but never imports numpy.random or numpy.ma (``-X importtime`` lists
+    every module the child imports). The negative control exits 1, its
+    failed suite, and still imports neither."""
+    code, err, imported, ran = run_child(argv)
     want = EXIT_INVARIANT if "--negative-control" in argv else EXIT_OK
-    assert done.returncode == want, done.stderr
-    imported = {line.rsplit("|", 1)[-1].strip()
-                for line in done.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "numpy" in imported and "eprghz.locc" in imported
+    assert code == want, err
+    assert "numpy" in imported and "locc" in ran
     assert not {m for m in imported
                 if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])}
 

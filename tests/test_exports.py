@@ -1,5 +1,6 @@
 """The package's export list names each public member once."""
 
+import importlib
 import inspect
 
 import pytest
@@ -27,6 +28,25 @@ def test_all_names_each_attribute_once():
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(eprghz, n)] == []
     assert [n for n in REMOVED if n in names or hasattr(eprghz, n)] == []
+
+
+@pytest.mark.parametrize("name", eprghz.__all__)
+def test_each_export_is_its_defining_modules_object(name):
+    """``eprghz.<name>`` is read from the module that defines it, a star
+    import binds it, and ``dir(eprghz)`` lists it."""
+    obj = getattr(eprghz, name)
+    assert obj.__module__.startswith("eprghz.")
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+    star = {}
+    exec("from eprghz import *", star)
+    assert star[name] is obj
+    assert name in dir(eprghz)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'eprghz' has no "
+                       "attribute 'no_such_name'$"):
+        eprghz.no_such_name
 
 
 @pytest.mark.parametrize("func, name", FIXED,

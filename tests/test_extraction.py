@@ -14,7 +14,7 @@ from eprghz.canonical import (
     CanonicalComponent, StateSpec, copies, psi, psi_general, psi_prime_spec,
     psi_spec, random_spec,
 )
-from eprghz import extraction
+from eprghz import blocks, extraction, locc
 from eprghz.extraction import (
     _flat_outcome, _verify_blocks, asymptotic_rates, block_measurement_povm,
     block_outcomes, entropy_consistency, expected_means, expected_yields,
@@ -268,7 +268,7 @@ def test_verify_blocks_refuses_unequal_magnitudes():
 def test_verify_blocks_negative_controls(monkeypatch, name, stub, message):
     state = copies(psi(0.6, 0.8), 2)
     checked_decompose(psi_spec(0.6, 0.8), 2, state)
-    monkeypatch.setattr(extraction, name, stub)
+    monkeypatch.setattr(blocks, name, stub)
     with pytest.raises(AssertionError, match=message):
         checked_decompose(psi_spec(0.6, 0.8), 2, state)
 
@@ -277,8 +277,8 @@ def test_explicit_extraction_builds_no_povm(monkeypatch):
     def unbuilt(*args, **kwargs):
         raise AssertionError("a POVM was built")
 
-    monkeypatch.setattr(extraction, "Povm", unbuilt)
-    monkeypatch.setattr(extraction, "diagonal_operator", unbuilt)
+    monkeypatch.setattr(locc, "Povm", unbuilt)
+    monkeypatch.setattr(locc, "diagonal_operator", unbuilt)
     report, transcript = run_extraction(PSI_PRIME, 3, 50, seed=1,
                                         verify_blocks=True)
     assert report.trials == 50 and set(transcript.parties) == {0}
@@ -408,8 +408,8 @@ def test_trial_budget_is_checked_before_any_seed(monkeypatch, analytic):
     def seeds(*args):
         raise Reached
 
-    monkeypatch.setattr(extraction, "trial_seed", seeds)
-    monkeypatch.setattr(extraction, "stream_uniforms", seeds)
+    monkeypatch.setattr(locc, "trial_seed", seeds)
+    monkeypatch.setattr(locc, "stream_uniforms", seeds)
     spec = psi_spec(0.6, 0.8)
     with pytest.raises(Reached):
         run_extraction(spec, 2, 10**6, seed=1, analytic=analytic)

@@ -631,10 +631,10 @@ def test_protocol_applies_only_the_drawn_element(monkeypatch):
         calls.append(args)
         return diagonal_operator(*args, **kwargs)
 
-    monkeypatch.setattr(preparation, "diagonal_operator", counted)
-    monkeypatch.setattr(preparation, "Povm", forbidden)
-    for name in ("sample", "outcome_probabilities", "check_completeness",
-                 "apply_element", "apply_operator", "permutation_operator"):
+    monkeypatch.setattr(locc, "diagonal_operator", counted)
+    for name in ("Povm", "sample", "outcome_probabilities",
+                 "check_completeness", "apply_element", "apply_operator",
+                 "permutation_operator"):
         monkeypatch.setattr(locc, name, forbidden)
     _same_branch(prepare_approx(4, 0.6, 0.8, seed=3), want)
     assert len(calls) == 1

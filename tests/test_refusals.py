@@ -1,6 +1,8 @@
 """Input refusals of the package's entry points: each bad input raises its
 own exception type with a message naming what is wrong."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from eprghz.blocks import (block_labels, block_probability, block_state,
 from eprghz.canonical import (CanonicalComponent, StateSpec, copies, ghz,
                               level_epr, level_ghz, psi, psi_spec,
                               random_spec, spec_from_dict)
-from eprghz.cli import UsageError, build_parser
+from eprghz.cli import EXIT_USAGE, UsageError, build_parser, main
 from eprghz.extraction import (block_measurement_povm, block_outcomes,
                                expected_means, expected_yields,
                                run_extraction)
@@ -87,7 +89,7 @@ def seed_spec(m=3, support=(1, 2), level=2, labels=None, c=0.6):
     (lambda: seed_spec(support=[1.9, 2.2]), ValueError,
      "^support entry must be an integer, got 1.9$"),
     (lambda: seed_spec(support="12"), ValueError,
-     "^support entry must be an integer, got '1'$"),
+     "^support must be a list, got '12'$"),
     (lambda: seed_spec(labels={"1": 0.0, "2": 0}), ValueError,
      "^product label must be an integer, got 0.0$"),
     (lambda: seed_spec(labels={"1": False, "2": 0}), ValueError,
@@ -355,6 +357,25 @@ def test_each_bound_is_read_at_its_edge(read, bad, good, fragment):
     with pytest.raises(ValueError, match=fragment):
         read(bad)
     read(good)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 3, "components": [{"c": None, "support": [0]},
+                             {"c": 0.8, "support": [1, 2]}]},
+     "coefficient must be a number, got None"),
+    ({"m": 3, "components": [{"c": 0.6, "support": 0},
+                             {"c": 0.8, "support": [1, 2]}]},
+     "support must be a list, got 0"),
+    ({"m": 3, "components": {"c": 0.6}},
+     "components must be a list, got {'c': 0.6}"),
+], ids=["null-coefficient", "number-support", "object-components"])
+def test_a_spec_file_refusal_names_the_field(capsys, tmp_path, doc,
+                                             message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rates", "--spec", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: bad state specification: {message}\n"
 
 
 def test_integral_values_of_any_int_type_are_read():

@@ -16,7 +16,10 @@ explicit ``extract`` at N = 3; and analytic ``extract`` of the
 refusals pin the messages that the CLI prints for a bad count, level,
 party or seed: ``rates --spec`` of the seed with one party, with a
 level-1 component and with the support entry 5 on 3 parties, and
-``extract --seed -1``, sampled and analytic: 64 in all.
+``extract --seed -1``, sampled and analytic. The parser's own text is
+pinned by ``--help`` at the top level and for each of the six
+subcommands, and by two argparse refusals, an unknown flag and
+``blocks`` without ``-N``: 73 in all.
 Each request runs as a fresh ``python -m eprghz.cli ...`` process under
 each tree, one after the other, in one scratch directory that holds the
 ``--spec`` files. Stdout, stderr, the exit code and the transcript
@@ -72,6 +75,13 @@ BAD_SPECS = {"one_party": (1, [1, 2], 2), "level_1": (3, [1, 2], 1),
              "support_5": (3, [1, 5], 2)}
 
 
+COMMANDS = ("rates", "extract", "prepare", "fidelity", "blocks", "verify")
+PARSER = [("help", ("--help",))]
+PARSER += [(f"{c}_help", (c, "--help")) for c in COMMANDS]
+PARSER += [("rates_unknown_flag", ("rates", *PSI, "--bogus")),
+           ("blocks_without_copies", ("blocks", *PSI))]
+
+
 def refusals(work: Path) -> list[tuple[str, tuple[str, ...]]]:
     """The refusal requests; writes their ``--spec`` files into ``work``."""
     reqs = []
@@ -92,7 +102,8 @@ def requests(work: Path) -> list[tuple[str, tuple[str, ...]]]:
             for r in workloads.build(w, SEED, work)]
     transcript = str(work / "transcript.tsv")
     return reqs + VERIFY + [(name, (*argv, "--transcript", transcript))
-                            for name, argv in TRANSCRIPTS] + refusals(work)
+                            for name, argv in TRANSCRIPTS] + refusals(work) \
+        + PARSER
 
 
 def run(src: Path, argv, work: Path) -> tuple[int, str, str, bytes | None]:
